@@ -36,7 +36,8 @@ from .errors import (
 )
 from . import linalg
 from .poly import HomogPoly, PolyRing
-from .qform import FiberPoint, QForm
+from .qform import FiberPoint, QForm, plane_values
+from .scalars import PrimeField
 
 ALPHA_NAMES = ("a1", "a2", "a3")
 
@@ -457,11 +458,9 @@ def bs_membership(q: QForm, base: FiberPoint, alpha) -> bool:
 
 def conic_point_count(q: QForm, base: FiberPoint) -> int:
     """Number of alpha in P^2(F_p) on the conic fiber over base."""
-    from .qform import projective_points
-    from .scalars import PrimeField
-
     if not isinstance(q.domain, PrimeField):
         raise TypeError("point counting needs a prime-field form")
     cq = conic_equation(q)
-    return sum(1 for pt in projective_points(q.domain)
-               if not cq.evaluate(base.coords, pt.coords))
+    conic = q.ring.poly({aex: cq.coefficient(aex).evaluate(base.coords)
+                         for aex in cq.alpha_support()})
+    return sum(1 for _, (value,) in plane_values(q.domain, [conic]) if not value)

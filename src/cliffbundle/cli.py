@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -263,50 +262,20 @@ def cmd_hilbert(args):
             "brute_force_checked_degrees": checked}
 
 
-def _scan_chunk(q, points):
-    return [qform.fiber_conic_type(q, p) for p in points]
-
-
 def cmd_scan(args):
-    doc = load_document(args.input)
-    q = form_from_document(doc)
+    points = qform.check_scan_size(args.prime)
+    q = form_from_document(load_document(args.input))
     if isinstance(q.domain, PrimeField):
         if q.domain.p != args.prime:
             raise ValueError(
                 f"document lives over F_{q.domain.p}, --prime says {args.prime}")
     else:
         q = reduce_mod(q, args.prime)
-    points = list(qform.projective_points(q.domain))
-    threads = _thread_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        size = (len(points) + threads - 1) // threads
-        chunks = [points[k:k + size] for k in range(0, len(points), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ch: _scan_chunk(q, ch), chunks))
-        types = [t for part in parts for t in part]
-    else:
-        types = _scan_chunk(q, points)
-    census = {t.value: 0 for t in qform.ConicType}
-    for t in types:
-        census[t.value] += 1
-    disc = qform.discriminant(q)
+    result = qform.fiber_census(q)
     return {"prime": args.prime,
-            "points": len(points),
-            "census": census,
-            "discriminant_zero_points":
-                sum(1 for p in points if not disc.evaluate(p.coords))
-                if not disc.is_zero else len(points)}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CLIFFORD_THREADS")
-    if raw is None:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError("CLIFFORD_THREADS must be a positive integer")
-    return count
+            "points": points,
+            "census": {t.value: n for t, n in result.counts.items()},
+            "discriminant_zero_points": result.discriminant_zeros}
 
 
 # ----------------------------------------------------------------- entry point

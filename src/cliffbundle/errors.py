@@ -52,6 +52,10 @@ class UnknownTagError(CliffBundleError):
     """Not a recognised del Pezzo type tag for this operation."""
 
 
+class ScanTooLargeError(CliffBundleError):
+    """An exhaustive scan of P^2(F_p) would pass the point limit."""
+
+
 # ----------------------------------------------------------- math-failure band
 
 class NotDivisibleError(CliffBundleError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentInvariantsError, UnknownTagError
+from .errors import InconsistentInvariantsError
 
 
 # -------------------------------------------------------------- descriptors
@@ -185,10 +185,7 @@ def report(type_tag) -> InvariantReport:
     -K^3 along both routes and insisting they agree."""
     from . import catalog
 
-    try:
-        tag = catalog.DelPezzoTag.coerce(type_tag)
-    except UnknownTagError:
-        raise
+    tag = catalog.DelPezzoTag.coerce(type_tag)
     data = catalog.CATALOG[tag]
     vstar = data.vstar
     d = data.disc_degree

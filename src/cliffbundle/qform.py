@@ -19,6 +19,7 @@ from .errors import (
     AsymmetricEntriesError,
     DegreePatternError,
     InternalInvariantError,
+    ScanTooLargeError,
     ZeroPolynomialError,
 )
 from .poly import HomogPoly, PolyMatrix, PolyRing, det3
@@ -174,6 +175,7 @@ def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
 
     Only available over a prime field; vanishing of the whole matrix at a
     point is exactly rank 0 there (a non-flat point of the conic bundle).
+    The witness is the first such point in the order of projective_points.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
@@ -183,10 +185,9 @@ def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
         field = PrimeField(field)
     if field is not None and field != dom:
         raise ValueError(f"form lives over {dom!r}, not {field!r}")
-    for p in projective_points(dom):
-        values = q.matrix.evaluate(p.coords)
-        if not any(any(x for x in row) for row in values):
-            return NowhereZeroResult(False, p)
+    for point, values in plane_values(dom, _upper_entries(q)):
+        if not any(values):
+            return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
     return NowhereZeroResult(True, None)
 
 
@@ -242,22 +243,101 @@ def singularity_type_at(f: HomogPoly, p: FiberPoint) -> SingularityType:
     return SingularityType.WORSE_SINGULARITY
 
 
-def census(q: QForm) -> dict:
-    """Exhaustive fiber-type census over P^2(F_p)."""
+# ------------------------------------------------------ integer-residue scan
+
+#: Most points an exhaustive scan of P^2(F_p) may visit; p = 997 is the
+#: largest prime under it.
+SCAN_POINT_LIMIT = 1_000_000
+
+
+def check_scan_size(p: int) -> int:
+    """The number of points of P^2(F_p), refused past SCAN_POINT_LIMIT."""
+    points = p * p + p + 1
+    if points > SCAN_POINT_LIMIT:
+        raise ScanTooLargeError(
+            f"P^2(F_{p}) has {points} points, more than the scan limit "
+            f"SCAN_POINT_LIMIT = {SCAN_POINT_LIMIT}")
+    return points
+
+
+def _upper_entries(q: QForm) -> list:
+    return [q.entry(i, j) for i in range(3) for j in range(i, 3)]
+
+
+def plane_values(field: PrimeField, polys):
+    """Walk P^2(F_p) in the order of projective_points, with plain ints.
+
+    Yields each point as a triple of least residues together with the
+    values mod p of ``polys`` there.  Each polynomial is compiled once into
+    terms (c mod p, e_u, e_v, e_w) and evaluated through the power table
+    pw[x][e] = x^e mod p, so no FpElement is made per point.
+    """
+    p = field.p
+    check_scan_size(p)
+    compiled = [[(c.value,) + e for e, c in f.terms.items()] for f in polys]
+    top = max((max(t[1:]) for terms in compiled for t in terms), default=0)
+    pw = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
+
+    def at(point):
+        px, py, pz = (pw[x] for x in point)
+        return point, [sum(c * px[i] * py[j] * pz[k] for c, i, j, k in terms) % p
+                       for terms in compiled]
+
+    for a in range(p):
+        for b in range(p):
+            yield at((a, b, 1))
+    for a in range(p):
+        yield at((a, 1, 0))
+    yield at((1, 0, 0))
+
+
+@dataclass(frozen=True)
+class FiberCensus:
+    """Fiber types over P^2(F_p) and the zeros of the discriminant."""
+
+    counts: dict
+    discriminant_zeros: int
+
+
+def fiber_census(q: QForm) -> FiberCensus:
+    """Exhaustive fiber-type census over P^2(F_p), in plain ints.
+
+    The rank at each point comes from the six entry values: the
+    determinant of the values, then the principal 2x2 minors, then the
+    entries.  The discriminant polynomial is evaluated on its own, and its
+    value must equal that determinant at every point.
+    """
     dom = q.domain
     if not isinstance(dom, PrimeField):
         raise TypeError("census needs a prime-field form")
-    counts = {t: 0 for t in ConicType}
-    disc = discriminant(q)
-    degenerate = 0
-    for p in projective_points(dom):
-        t = fiber_conic_type(q, p)
-        counts[t] += 1
-        if not disc.is_zero and not disc.evaluate(p.coords):
-            degenerate += 1
-    expected = counts[ConicType.LINE_PAIR] + counts[ConicType.DOUBLE_LINE] \
-        + counts[ConicType.WHOLE_PLANE]
-    if not disc.is_zero and degenerate != expected:
-        raise InternalInvariantError(
-            "discriminant zero locus disagrees with the rank census")
-    return counts
+    p = dom.p
+    by_rank = [0, 0, 0, 0]
+    disc_zeros = 0
+    for point, (a, d, e, b, f, c, disc) in plane_values(
+            dom, _upper_entries(q) + [discriminant(q)]):
+        det = (a * (b * c - f * f) - d * (d * c - e * f)
+               + e * (d * f - b * e)) % p
+        if det != disc:
+            raise InternalInvariantError(
+                f"discriminant {disc} and determinant {det} of the entry "
+                f"values disagree at {point}")
+        if not disc:
+            disc_zeros += 1
+        # A symmetric matrix has rank r exactly when r is the largest order
+        # of a nonzero principal minor, so three 2x2 minors decide rank 2.
+        if det:
+            rank = 3
+        elif (a * b - d * d) % p or (a * c - e * e) % p or (b * c - f * f) % p:
+            rank = 2
+        elif a or b or c or d or e or f:
+            rank = 1
+        else:
+            rank = 0
+        by_rank[rank] += 1
+    return FiberCensus({t: by_rank[r] for r, t in _CONIC_BY_RANK.items()},
+                       disc_zeros)
+
+
+def census(q: QForm) -> dict:
+    """Number of points of P^2(F_p) over which the fiber has each type."""
+    return fiber_census(q).counts

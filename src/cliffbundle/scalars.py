@@ -222,16 +222,34 @@ class PrimeField:
         return pow(x.value, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, x) -> FpElement:
+        """The square root of x whose least residue is smallest.
+
+        Tonelli-Shanks: write p - 1 = q * 2^s with q odd; r = x^((q+1)/2)
+        is a root up to a 2-power root of unity, corrected from a
+        non-residue z until t = x^q becomes 1.
+        """
         x = self(x)
         if x.value == 0:
             return self.zero
         if not self.is_square(x):
             raise ValueError(f"{x.value} is not a square in F_{self.p}")
-        # p stays small enough here that a direct scan beats cleverness.
-        for s in range(1, self.p):
-            if s * s % self.p == x.value:
-                return FpElement(s, self.p)
-        raise AssertionError("unreachable for prime p")
+        p, n = self.p, x.value
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, r, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+        m = s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r, c, m = r * b % p, b * b % p, i
+            t = t * c % p
+        return FpElement(min(r, p - r), p)
 
     def is_negative(self, x) -> bool:
         """Canonical-sign convention: the 'negative' root is the one whose

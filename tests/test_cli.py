@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cliffbundle import cli
+from cliffbundle import cli, qform
 
 DIAG_DOC = {
     "scalar_domain": "rational",
@@ -157,14 +157,25 @@ def test_scan_prime_mismatch(tmp_path, capsys):
 
 
 def test_scan_thread_pool_matches_serial(tmp_path, capsys, monkeypatch):
+    # CLIFFORD_THREADS no longer selects anything; the output must not move.
     path = write_doc(tmp_path, DIAG_DOC)
     _, _, serial = run_cli(capsys, ["scan", path, "--prime", "7"])
     monkeypatch.setenv("CLIFFORD_THREADS", "3")
     _, _, pooled = run_cli(capsys, ["scan", path, "--prime", "7"])
     assert pooled == serial
-    monkeypatch.setenv("CLIFFORD_THREADS", "0")
-    code, report, _ = run_cli(capsys, ["scan", path, "--prime", "7"])
+
+
+def test_scan_refuses_oversized_prime_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(qform, "plane_values", no_scan)
+    monkeypatch.setattr(cli, "reduce_mod", no_scan)
+    path = write_doc(tmp_path, DIAG_DOC)
+    code, report, _ = run_cli(capsys, ["scan", path, "--prime", "1000003"])
     assert code == 1
+    assert report["payload"]["error"] == "ScanTooLargeError"
+    assert str(qform.SCAN_POINT_LIMIT) in report["payload"]["message"]
 
 
 @pytest.mark.parametrize("tag", ["F23", "F24", "F25plus", "F25minus"])

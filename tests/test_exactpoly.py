@@ -71,6 +71,19 @@ def test_squares_in_f101():
             assert s * s == F(v)
 
 
+
+@pytest.mark.parametrize("prime", [3, 5, 7, 13, 17, 101])
+def test_prime_field_sqrt_is_least_root(prime):
+    # 17 = 1 mod 16 takes Tonelli-Shanks through several 2-power steps.
+    F = PrimeField(prime)
+    for v in range(prime):
+        roots = [s for s in range(prime) if s * s % prime == v]
+        if roots:
+            assert F.sqrt(F(v)) == F(roots[0])
+        else:
+            with pytest.raises(ValueError):
+                F.sqrt(F(v))
+
 def test_squares_in_q():
     assert QQ.is_square(Fraction(4, 9))
     assert QQ.sqrt(Fraction(4, 9)) == Fraction(2, 3)
