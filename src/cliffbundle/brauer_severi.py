@@ -35,25 +35,24 @@ from .errors import (
     NotDivisibleError,
 )
 from . import linalg
-from .poly import HomogPoly, PolyRing
+from .poly import (HomogPoly, PolyRing, SparsePoly, divide_terms, join_key,
+                   monomial_string, pack, split_key, terms_to_string, unpack)
 from .qform import FiberPoint, QForm, plane_values
 from .scalars import PrimeField
 
 ALPHA_NAMES = ("a1", "a2", "a3")
 
 
-class BiPoly:
+class BiPoly(SparsePoly):
     """Polynomial in alpha_1..alpha_3 with homogeneous base coefficients.
 
-    Terms are stored flat: key = (alpha exponents) + (base exponents).
-    Every nonzero BiPoly is homogeneous in the alpha degree and in the
-    weighted degree deg(coeff) - sum(weights_i * alpha_exp_i).
+    A term key packs the alpha exponents above the base exponents, so the
+    term kernel of ``poly`` treats a BiPoly as a polynomial in six
+    variables.  Every nonzero BiPoly is homogeneous in the alpha degree and
+    in the weighted degree deg(coeff) - sum(weights_i * alpha_exp_i).
     """
 
-    __slots__ = ("ring", "weights", "terms")
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("use bipoly_from_alpha_map or the arithmetic operators")
+    __slots__ = ("weights",)
 
     @classmethod
     def _make(cls, ring, weights, terms):
@@ -63,164 +62,88 @@ class BiPoly:
         self.terms = terms
         return self
 
-    # ---------------------------------------------------------------- state
+    def _like(self, terms):
+        return BiPoly._make(self.ring, self.weights, terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _setting(self):
+        return self.ring, self.weights
 
-    def __bool__(self):
-        return bool(self.terms)
+    @property
+    def _fields(self):
+        return 3 + self.ring.nvars
+
+    def _bidegree(self, key):
+        exps = unpack(key, self._fields)
+        return (sum(exps[:3]),
+                sum(exps[3:]) - sum(w * e for w, e in zip(self.weights, exps[:3])))
+
+    @property
+    def degree(self):
+        """(alpha degree, weighted degree); None for zero."""
+        return self._bidegree(next(iter(self.terms))) if self.terms else None
 
     @property
     def alpha_degree(self):
-        if not self.terms:
-            return None
-        return sum(next(iter(self.terms))[:3])
+        return self.degree and self.degree[0]
 
     @property
     def weighted_degree(self):
-        if not self.terms:
-            return None
-        key = next(iter(self.terms))
-        return sum(key[3:]) - sum(w * e for w, e in zip(self.weights, key[:3]))
+        return self.degree and self.degree[1]
 
     def _validate(self):
-        adeg = None
-        wdeg = None
-        for key in self.terms:
-            a = sum(key[:3])
-            w = sum(key[3:]) - sum(x * e for x, e in zip(self.weights, key[:3]))
-            if adeg is None:
-                adeg, wdeg = a, w
-            elif (a, w) != (adeg, wdeg):
-                raise DegreeMismatchError(
-                    f"mixed bidegrees ({adeg},{wdeg}) and ({a},{w})")
+        grades = sorted({self._bidegree(key) for key in self.terms})
+        if len(grades) > 1:
+            raise DegreeMismatchError(f"mixed bidegrees {grades}")
         return self
 
     def coefficient(self, alpha_exps) -> HomogPoly:
         """The base-polynomial coefficient of one alpha monomial."""
         alpha_exps = tuple(alpha_exps)
-        picked = {key[3:]: c for key, c in self.terms.items()
-                  if key[:3] == alpha_exps}
-        return self.ring.poly(picked)
+        return self.ring.poly({exps[3:]: c for exps, c in self.iter_terms()
+                               if exps[:3] == alpha_exps})
 
     def alpha_support(self):
-        return sorted({key[:3] for key in self.terms}, reverse=True)
-
-    # ----------------------------------------------------------- arithmetic
-
-    def _check_compatible(self, other):
-        if self.ring != other.ring or self.weights != other.weights:
-            raise TypeError("BiPoly operands from different settings")
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return BiPoly._make(self.ring, self.weights, terms)._validate()
-
-    def __neg__(self):
-        return BiPoly._make(self.ring, self.weights,
-                            {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
+        return sorted({exps[:3] for exps, _ in self.iter_terms()}, reverse=True)
 
     def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            self._check_compatible(other)
-            terms = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    s = terms.get(k)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        terms[k] = s
-                    else:
-                        del terms[k]
-            return BiPoly._make(self.ring, self.weights, terms)
         if isinstance(other, HomogPoly):
-            return self * bipoly_from_alpha_map(self.ring, self.weights,
-                                                {(0, 0, 0): other})
-        try:
-            c = self.ring.domain(other)
-        except TypeError:
-            return NotImplemented
-        if not c:
-            return BiPoly._make(self.ring, self.weights, {})
-        return BiPoly._make(self.ring, self.weights,
-                            {k: c * v for k, v in self.terms.items()})
+            other = bipoly_from_alpha_map(self.ring, self.weights, {(0, 0, 0): other})
+        terms = self._product(other)
+        return terms if terms is NotImplemented else self._like(terms)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return (self.ring == other.ring and self.weights == other.weights
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    # ----------------------------------------------------------- evaluation
-
     def evaluate(self, base_point, alpha_point):
         """Scalar value with base and alpha coordinates substituted."""
-        dom = self.ring.domain
-        base = [dom(x) for x in base_point]
-        alpha = [dom(x) for x in alpha_point]
-        total = dom.zero
-        for key, c in self.terms.items():
-            v = c
-            for x, e in zip(alpha, key[:3]):
-                if e:
-                    v = v * x ** e
-            for x, e in zip(base, key[3:]):
-                if e:
-                    v = v * x ** e
-            total = total + v
-        return total
+        return self._evaluate(list(alpha_point) + list(base_point))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for aex in self.alpha_support():
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n
-                for n, e in zip(ALPHA_NAMES, aex) if e) or "1"
-            parts.append(f"({self.coefficient(aex)})*{mono}")
-        return " + ".join(parts)
+        n = self.ring.nvars
+        groups = {}
+        for key, c in self.terms.items():
+            alpha, base = split_key(key, n)
+            groups.setdefault(alpha, {})[base] = c
+        return " + ".join(
+            f"({terms_to_string(groups[alpha], self.ring.variables)})*"
+            f"{monomial_string(ALPHA_NAMES, unpack(alpha, 3)) or '1'}"
+            for alpha in sorted(groups, reverse=True)) or "0"
 
     __repr__ = __str__
 
 
 def bipoly_from_alpha_map(ring: PolyRing, weights, mapping) -> BiPoly:
     """Build a BiPoly from {alpha exponent tuple: HomogPoly coefficient}."""
-    weights = tuple(weights)
     terms = {}
     for aex, poly in mapping.items():
-        aex = tuple(aex)
-        if len(aex) != 3 or any(e < 0 for e in aex):
-            raise ValueError(f"bad alpha exponents {aex}")
+        alpha = pack(tuple(aex), 3)
         if poly.is_zero:
             continue
         if poly.ring != ring:
             raise TypeError("coefficient from a different ring")
-        for bex, c in poly.terms.items():
-            terms[aex + bex] = c
-    return BiPoly._make(ring, weights, terms)._validate()
+        for base, c in poly.terms.items():
+            terms[join_key(alpha, base, ring.nvars)] = c
+    return BiPoly._make(ring, tuple(weights), terms)._validate()
 
 
 def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
@@ -229,39 +152,16 @@ def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
     return bipoly_from_alpha_map(ring, weights, {aex: ring.one})
 
 
-def bipoly_zero(ring: PolyRing, weights) -> BiPoly:
-    return BiPoly._make(ring, tuple(weights), {})
-
-
 def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact division of BiPolys by greedy leading-term cancellation in
-    lexicographic order on the combined exponent tuples."""
+    lexicographic order on the combined exponents."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero BiPoly")
-    f._check_compatible(g)
-    if f.is_zero:
-        return f
-    glead = max(g.terms)
-    gc = g.terms[glead]
-    rem = dict(f.terms)
-    quo = {}
-    while rem:
-        rlead = max(rem)
-        qkey = tuple(a - b for a, b in zip(rlead, glead))
-        if any(e < 0 for e in qkey):
-            raise NotDivisibleError("BiPoly division failed",
-                                    remainder=BiPoly._make(f.ring, f.weights, rem))
-        qc = rem[rlead] / gc
-        quo[qkey] = qc
-        for gkey, c in g.terms.items():
-            k = tuple(a + b for a, b in zip(qkey, gkey))
-            s = rem.get(k)
-            s = -(qc * c) if s is None else s - qc * c
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return BiPoly._make(f.ring, f.weights, quo)._validate()
+    f._check(g)
+    quo, rem = divide_terms(f.terms, g.terms, f.ring.modulus, f._fields)
+    if rem:
+        raise NotDivisibleError("BiPoly division failed", remainder=f._like(rem))
+    return f._like(quo)
 
 
 # --------------------------------------------------------------- conic & matrix
@@ -290,7 +190,7 @@ class BSMatrix:
             raise ValueError("BSMatrix must be 4x4")
         ring = self.entries[0][1].ring
         weights = self.entries[0][1].weights
-        expect = [bipoly_zero(ring, weights)] + [
+        expect = [bipoly_from_alpha_map(ring, weights, {})] + [
             alpha_variable(ring, weights, i) for i in (1, 2, 3)]
         for k in range(4):
             if self.entries[0][k] != expect[k] or self.entries[k][0] != expect[k]:
@@ -309,7 +209,7 @@ def bs_matrix(q: QForm) -> BSMatrix:
     """The kernel matrix, written out entry by entry."""
     ring, weights = q.ring, q.a
     a1, a2, a3 = (alpha_variable(ring, weights, i) for i in (1, 2, 3))
-    zero = bipoly_zero(ring, weights)
+    zero = bipoly_from_alpha_map(ring, weights, {})
 
     def e(i, j):
         return q.entry(i - 1, j - 1)

@@ -131,7 +131,7 @@ def reduce_mod(q: QForm, p: int) -> QForm:
     """Reduce a rational form modulo p (fails if a denominator vanishes)."""
     field = PrimeField(p)
     ring = PolyRing(field, q.ring.variables)
-    grid = [[ring.poly({e: field(c) for e, c in q.entry(i, j).terms.items()})
+    grid = [[ring.poly({e: field(c) for e, c in q.entry(i, j).iter_terms()})
              for j in range(3)] for i in range(3)]
     return qform.new_qform(q.a, q.d, grid)
 

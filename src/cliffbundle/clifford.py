@@ -28,7 +28,7 @@ from .errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from .poly import PolyMatrix, adjugate3, det3, divide_exact, poly_sqrt
+from .poly import PolyMatrix, adjugate3, divide_exact, poly_sqrt
 from .qform import FiberPoint, QForm
 from .series import RationalSeries, poly_mul_1d
 
@@ -312,14 +312,16 @@ def recover_form(pairing: PolyMatrix) -> PolyMatrix:
     """
     if not pairing.is_symmetric():
         raise NotRecoverableError("trace pairing must be symmetric")
-    d = -det3(pairing)
+    adj = adjugate3(pairing)
+    # det P by expansion along the first row, from the adjugate's cofactors.
+    d = -sum((pairing.entry(0, j) * adj.entry(j, 0) for j in range(3)),
+             pairing.ring.zero)
     if d.is_zero:
         raise NotRecoverableError("det of the pairing vanishes")
     try:
         s = poly_sqrt(d)
     except NotAPerfectSquareError as exc:
         raise NotRecoverableError(f"-det P is not a perfect square: {exc}") from exc
-    adj = adjugate3(pairing)
     try:
         return adj.map(lambda f: divide_exact(f, s))
     except NotDivisibleError as exc:

@@ -56,6 +56,10 @@ class ScanTooLargeError(CliffBundleError):
     """An exhaustive scan of P^2(F_p) would pass the point limit."""
 
 
+class ExponentLimitError(CliffBundleError):
+    """A variable's exponent would pass the packed-monomial limit."""
+
+
 # ----------------------------------------------------------- math-failure band
 
 class NotDivisibleError(CliffBundleError):

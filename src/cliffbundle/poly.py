@@ -1,20 +1,31 @@
 """Sparse homogeneous multivariate polynomials with exact coefficients.
 
-A polynomial is a dict mapping exponent tuples to nonzero scalars, tagged
-with its total degree (``None`` for the zero polynomial, which fits any
-degree slot).  The monomial order everywhere is graded lexicographic with
-the ring's first variable largest; since all stored terms share one total
-degree, comparing exponent tuples lexicographically is enough.
+A polynomial maps packed exponents to nonzero coefficients and carries its
+total degree (``None`` for zero, which fits any degree slot).  Exponents are
+packed as in Monagan and Pearce (CASC 2007): one int, ``EXP_BITS`` bits per
+variable, the first variable most significant, so a monomial product is one
+int addition and int order is the graded-lex order of one degree.  No stored
+exponent sets the top (guard) bit of its field: fields add without carrying,
+a product that sets a guard bit has passed ``EXP_LIMIT``, and divisibility is
+one subtraction.  Coefficients are least residues over F_p, and over Q ints
+when integral and Fractions otherwise.  Only this module knows the format;
+public methods take exponent tuples and return domain elements.
 
-The ring object fixes the scalar domain and the ordered variable tuple.
+The term kernel (``add_multiple``, ``mul_terms``, ``divide_terms``; ``p`` is
+the characteristic) and ``SparsePoly`` serve HomogPoly and BiPoly alike.
 Polynomials from different rings never mix.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
+
 from .errors import (
     DegreeMismatchError,
     DegreePatternError,
+    ExponentLimitError,
     IndexOutOfRangeError,
     InhomogeneousError,
     NotAPerfectSquareError,
@@ -24,7 +35,11 @@ from .errors import (
 )
 from .linalg import det_cofactor
 
-Exponent = tuple  # tuple[int, ...], one entry per ring variable
+#: Bits per variable in a packed exponent vector, guard bit included.
+EXP_BITS = 16
+#: Largest exponent of one variable that a polynomial may carry.
+EXP_LIMIT = (1 << (EXP_BITS - 1)) - 1
+_FIELD = (1 << EXP_BITS) - 1
 
 
 def monomials_of_degree(nvars: int, degree: int):
@@ -37,20 +52,238 @@ def monomials_of_degree(nvars: int, degree: int):
             yield (e,) + rest
 
 
+# ---------------------------------------------------------------- term kernel
+
+def pack(exps, nfields: int) -> int:
+    """The key of an exponent tuple; refuses exponents past EXP_LIMIT."""
+    if len(exps) != nfields:
+        raise ValueError(f"bad exponent tuple {tuple(exps)}")
+    key = 0
+    for e in exps:
+        if e < 0:
+            raise ValueError(f"bad exponent tuple {tuple(exps)}")
+        if e > EXP_LIMIT:
+            raise ExponentLimitError(
+                f"exponent {e} is larger than EXP_LIMIT = {EXP_LIMIT}")
+        key = key << EXP_BITS | e
+    return key
+
+
+def unpack(key: int, nfields: int) -> tuple:
+    return tuple(key >> s & _FIELD
+                 for s in range(EXP_BITS * (nfields - 1), -1, -EXP_BITS))
+
+
+def split_key(key: int, nlow: int) -> tuple:
+    """(high, low) keys of a key whose last ``nlow`` fields form the low one."""
+    return key >> EXP_BITS * nlow, key & ((1 << EXP_BITS * nlow) - 1)
+
+
+def join_key(high: int, low: int, nlow: int) -> int:
+    return high << EXP_BITS * nlow | low
+
+
+@lru_cache(maxsize=None)
+def guard_bits(nfields: int) -> int:
+    return sum(1 << EXP_BITS * i + EXP_BITS - 1 for i in range(nfields))
+
+
+def _rational(c):
+    """A rational coefficient as an int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def div_coeff(a, b, p):
+    """The exact quotient a / b of two coefficients."""
+    if p:
+        return a * pow(b, -1, p) % p
+    return _rational(Fraction(a, b))
+
+
+def add_multiple(acc: dict, key: int, coeff, terms: dict, p) -> dict:
+    """acc += coeff * x^key * terms, in place; zero terms are dropped."""
+    get = acc.get
+    for e, c in terms.items():
+        k = key + e
+        s = (get(k, 0) + coeff * c) % p if p else get(k, 0) + coeff * c
+        if s:
+            acc[k] = s if type(s) is int else _rational(s)
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def mul_terms(a: dict, b: dict, p, nfields: int) -> dict:
+    """Product of two term dicts with ``nfields`` fields per key.  Each
+    output coefficient accumulates unreduced and is reduced once."""
+    acc = {}
+    get = acc.get
+    inner = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in inner:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+    if p:
+        out = {e: r for e, c in acc.items() if (r := c % p)}
+    else:
+        out = {e: c if type(c) is int else _rational(c)
+               for e, c in acc.items() if c}
+    if reduce(or_, out, 0) & guard_bits(nfields):
+        raise ExponentLimitError(
+            f"a product has an exponent larger than EXP_LIMIT = {EXP_LIMIT}")
+    return out
+
+
+def _quotient_key(re: int, ge: int, guard: int):
+    """re - ge when ge divides re, else None."""
+    if re & guard:
+        raise ExponentLimitError(
+            f"a remainder has an exponent larger than EXP_LIMIT = {EXP_LIMIT}")
+    q = (re | guard) - ge
+    return q ^ guard if q & guard == guard else None
+
+
+def divide_terms(f: dict, g: dict, p, nfields: int) -> tuple:
+    """(quotient, remainder) of greedy leading-term division of f by g,
+    updating one remainder in place.  The remainder is empty when g divides
+    f; otherwise it is the first whose leading term g's does not divide."""
+    ge, guard = max(g), guard_bits(nfields)
+    gc = g[ge]
+    rem = dict(f)
+    quo = {}
+    while rem:
+        re = max(rem)
+        qe = _quotient_key(re, ge, guard)
+        if qe is None:
+            break
+        qc = quo[qe] = div_coeff(rem[re], gc, p)
+        add_multiple(rem, qe, -qc, g, p)
+    return quo, rem
+
+
+class SparsePoly:
+    """A term dict over a PolyRing, with the arithmetic that HomogPoly and
+    BiPoly share.  A subclass defines ``degree`` (what the operands of a
+    sum must agree on) and ``_like(terms)`` (a result with the same setting
+    and degree), and extends ``_setting`` and ``_fields`` (fields per key)."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build polynomials through a PolyRing, the BiPoly "
+                        "constructors or the arithmetic operators")
+
+    @property
+    def _setting(self):
+        return self.ring
+
+    @property
+    def _fields(self):
+        return len(self.ring.variables)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._setting == other._setting and self.terms == other.terms
+
+    __hash__ = None
+
+    def _check(self, other):
+        if self._setting != other._setting:
+            raise TypeError(f"{type(self).__name__} operands from different settings")
+
+    def iter_terms(self):
+        """(exponent tuple, coefficient in the domain) for every term."""
+        n, dom = self._fields, self.ring.domain
+        for key, c in self.terms.items():
+            yield unpack(key, n), dom(c)
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign > 0 else -other
+        if self.degree != other.degree:
+            raise DegreeMismatchError(f"adding degrees {self.degree} and {other.degree}")
+        return self._like(add_multiple(dict(self.terms), 0, sign, other.terms,
+                                       self.ring.modulus))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = self.ring.coerce(c)
+        return self._like(add_multiple({}, 0, c, self.terms, self.ring.modulus)
+                          if c else {})
+
+    def _product(self, other):
+        """The terms of self * other, or NotImplemented for a non-scalar."""
+        if type(other) is type(self):
+            self._check(other)
+            return mul_terms(self.terms, other.terms, self.ring.modulus, self._fields)
+        try:
+            c = self.ring.domain(other)
+        except TypeError:
+            return NotImplemented
+        return self.scale(c).terms
+
+    def _evaluate(self, point):
+        dom = self.ring.domain
+        pt = [dom(x) for x in point]
+        if len(pt) != self._fields:
+            raise ValueError("wrong number of coordinates")
+        shifts = range(EXP_BITS * (len(pt) - 1), -1, -EXP_BITS)
+        total = dom.zero
+        for key, c in self.terms.items():
+            v = dom(c)
+            for x, s in zip(pt, shifts):
+                e = key >> s & _FIELD
+                if e:
+                    v = v * (x if e == 1 else x ** e)
+            total = total + v
+        return total
+
+
+# ---------------------------------------------------------------------- ring
+
 class PolyRing:
     """A polynomial ring: scalar domain plus an ordered variable tuple."""
 
-    __slots__ = ("domain", "variables")
+    __slots__ = ("domain", "variables", "modulus")
 
     def __init__(self, domain, variables=("u", "v", "w")):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         self.domain = domain
         self.variables = tuple(variables)
+        self.modulus = domain.characteristic
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
+
+    def coerce(self, c):
+        """A value as a stored coefficient."""
+        if type(c) is int:
+            return c % self.modulus if self.modulus else c
+        c = self.domain(c)
+        return c.value if self.modulus else _rational(c)
 
     @property
     def zero(self) -> "HomogPoly":
@@ -61,10 +294,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c) -> "HomogPoly":
-        c = self.domain(c)
-        if not c:
-            return self.zero
-        return HomogPoly._make(self, {(0,) * self.nvars: c}, 0)
+        return self.poly({(0,) * self.nvars: c})
 
     def variable(self, which) -> "HomogPoly":
         if isinstance(which, str):
@@ -73,35 +303,27 @@ class PolyRing:
             which = self.variables.index(which)
         exps = [0] * self.nvars
         exps[which] = 1
-        return HomogPoly._make(self, {tuple(exps): self.domain.one}, 1)
+        return self.poly({tuple(exps): 1})
 
     def monomial(self, coeff, exps) -> "HomogPoly":
-        coeff = self.domain(coeff)
-        exps = tuple(exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps}")
-        if not coeff:
-            return self.zero
-        return HomogPoly._make(self, {exps: coeff}, sum(exps))
+        return self.poly({tuple(exps): coeff})
 
     def poly(self, terms: dict) -> "HomogPoly":
         """Validated construction from an exponent->coefficient mapping."""
         clean = {}
         degree = None
         for exps, c in terms.items():
-            c = self.domain(c)
+            key = pack(exps, self.nvars)
+            c = self.coerce(c)
             if not c:
                 continue
-            exps = tuple(exps)
             d = sum(exps)
             if degree is None:
                 degree = d
             elif d != degree:
                 raise InhomogeneousError(
                     f"terms of degree {degree} and {d} in one polynomial")
-            clean[exps] = c
-        if not clean:
-            return self.zero
+            clean[key] = c
         return HomogPoly._make(self, clean, degree)
 
     def __call__(self, x) -> "HomogPoly":
@@ -129,14 +351,12 @@ class PolyRing:
                 break
         else:
             raise RuntimeError("random generation kept producing zero")
-        if not terms:
-            return self.zero
-        return HomogPoly._make(self, terms, degree)
+        return self.poly(terms)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing)
-                and self.domain == other.domain
-                and self.variables == other.variables)
+        return self is other or (isinstance(other, PolyRing)
+                                 and self.domain == other.domain
+                                 and self.variables == other.variables)
 
     def __hash__(self):
         return hash((self.domain, self.variables))
@@ -145,179 +365,69 @@ class PolyRing:
         return f"PolyRing({self.domain!r}, {self.variables})"
 
 
-class HomogPoly:
+class HomogPoly(SparsePoly):
     """Immutable homogeneous polynomial.  Build through a PolyRing."""
 
-    __slots__ = ("ring", "terms", "degree")
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("use PolyRing.poly / .monomial / .parse to build polynomials")
+    __slots__ = ("degree",)
 
     @classmethod
     def _make(cls, ring, terms, degree):
         self = object.__new__(cls)
         self.ring = ring
         self.terms = terms
-        self.degree = degree
+        self.degree = degree if terms else None
         return self
 
-    # -------------------------------------------------------------- queries
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
+    def _like(self, terms):
+        return HomogPoly._make(self.ring, terms, self.degree)
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        key = max(self.terms)
+        return unpack(key, self._fields), self.ring.domain(self.terms[key])
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.domain.zero)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None
-
-    # ----------------------------------------------------------- arithmetic
-
-    def _check_ring(self, other):
-        if self.ring != other.ring:
-            raise TypeError("polynomials from different rings")
-
-    def __add__(self, other):
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        self._check_ring(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"adding degrees {self.degree} and {other.degree}")
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps)
-            s = c if s is None else s + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        if not terms:
-            return self.ring.zero
-        return HomogPoly._make(self.ring, terms, self.degree)
-
-    def __neg__(self):
-        return HomogPoly._make(self.ring, {e: -c for e, c in self.terms.items()},
-                               self.degree)
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        return self + (-other)
+        return self.ring.domain(self.terms.get(pack(tuple(exps), self._fields), 0))
 
     def __mul__(self, other):
-        if isinstance(other, HomogPoly):
-            self._check_ring(other)
-            if self.is_zero or other.is_zero:
-                return self.ring.zero
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = terms.get(e)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-            if not terms:
-                return self.ring.zero
+        terms = self._product(other)
+        if terms is NotImplemented:
+            return terms
+        if type(other) is HomogPoly and terms:
             return HomogPoly._make(self.ring, terms, self.degree + other.degree)
-        try:
-            c = self.ring.domain(other)
-        except TypeError:
-            return NotImplemented
-        return self.scale(c)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "HomogPoly":
-        c = self.ring.domain(c)
-        if not c or self.is_zero:
-            return self.ring.zero
-        return HomogPoly._make(self.ring, {e: c * v for e, v in self.terms.items()},
-                               self.degree)
-
-    # ------------------------------------------------------------- calculus
-
     def evaluate(self, point):
-        """Value at a point; coordinates are coerced into the domain."""
-        dom = self.ring.domain
-        pt = [dom(x) for x in point]
-        if len(pt) != self.ring.nvars:
-            raise ValueError("wrong number of coordinates")
-        total = dom.zero
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exps):
-                if e:
-                    v = v * x ** e
-            total = total + v
-        return total
+        """Value at a point, in the domain's element arithmetic."""
+        return self._evaluate(point)
 
     def partial(self, which) -> "HomogPoly":
         """Formal partial derivative with respect to one variable."""
         if isinstance(which, str):
             which = self.ring.variables.index(which)
+        shift = EXP_BITS * (self._fields - 1 - which)
         terms = {}
-        for exps, c in self.terms.items():
-            e = exps[which]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[which] = e - 1
-            nc = c * e
-            if nc:
-                terms[tuple(new)] = nc
-        if not terms:
-            return self.ring.zero
-        return HomogPoly._make(self.ring, terms, self.degree - 1)
-
-    # ------------------------------------------------------------ rendering
+        for key, c in self.terms.items():
+            e = key >> shift & _FIELD
+            if e:
+                terms[key - (1 << shift)] = c * e
+        terms = add_multiple({}, 0, 1, terms, self.ring.modulus)
+        return HomogPoly._make(self.ring, terms, self.degree - 1 if terms else None)
 
     def __str__(self):
-        return poly_to_string(self)
+        return terms_to_string(self.terms, self.ring.variables)
 
     def __repr__(self):
-        return f"<{poly_to_string(self)}>"
+        return f"<{self}>"
 
 
 # ------------------------------------------------------------------ printing
 
-def _coeff_parts(c):
-    """(is_negative, absolute-value string) for rendering; prime-field values
-    are canonical nonnegative residues and never get a sign."""
-    from fractions import Fraction
-    if isinstance(c, Fraction):
-        return c < 0, str(abs(c))
-    return False, str(c)
-
-
-def _monomial_string(variables, exps):
+def monomial_string(variables, exps):
     parts = []
     for name, e in zip(variables, exps):
         if e == 1:
@@ -327,13 +437,16 @@ def _monomial_string(variables, exps):
     return "*".join(parts)
 
 
-def poly_to_string(f: HomogPoly) -> str:
-    if f.is_zero:
+def terms_to_string(terms: dict, variables) -> str:
+    """A term dict in the input grammar, leading term first.  Prime-field
+    coefficients are least residues and never get a sign."""
+    if not terms:
         return "0"
     out = []
-    for exps in sorted(f.terms, reverse=True):
-        neg, mag = _coeff_parts(f.terms[exps])
-        mono = _monomial_string(f.ring.variables, exps)
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        neg, mag = c < 0, str(abs(c))
+        mono = monomial_string(variables, unpack(key, len(variables)))
         if mono and mag == "1":
             body = mono
         elif mono:
@@ -404,8 +517,6 @@ class _Parser:
             sign = -1
         while True:
             coeff, exps = self.term()
-            if sign < 0:
-                coeff = -coeff
             if coeff:
                 d = sum(exps)
                 if degree is None:
@@ -413,11 +524,8 @@ class _Parser:
                 elif d != degree:
                     raise InhomogeneousError(
                         f"mixed degrees {degree} and {d} in input")
-                s = terms.get(exps, self.ring.domain.zero) + coeff
-                if s:
-                    terms[exps] = s
-                else:
-                    terms.pop(exps, None)
+                key = pack(exps, len(exps))
+                add_multiple(terms, key, sign * coeff, {0: 1}, self.ring.modulus)
             nxt = self.peek()
             if nxt is None:
                 break
@@ -429,12 +537,10 @@ class _Parser:
                 sign = -1
             else:
                 raise PolyParseError(f"expected + or -, found {self.tokens[self.pos][1]!r}")
-        if not terms:
-            return self.ring.zero
         return HomogPoly._make(self.ring, terms, degree)
 
     def term(self):
-        dom = self.ring.domain
+        ring = self.ring
         kind = self.peek()
         if kind == "int":
             num = int(self.take()[1])
@@ -444,17 +550,17 @@ class _Parser:
                 den = int(self.take("int")[1])
                 if den == 0:
                     raise PolyParseError("zero denominator")
-            coeff = dom.from_pair(num, den)
+            coeff = ring.coerce(num if den == 1 else ring.domain.from_pair(num, den))
             if self.peek() == "*":
                 save = self.pos
                 self.take()
                 if self.peek() != "name":
                     self.pos = save
-                    return coeff, (0,) * self.ring.nvars
+                    return coeff, (0,) * ring.nvars
                 return coeff, self.monomial()
-            return coeff, (0,) * self.ring.nvars
+            return coeff, (0,) * ring.nvars
         if kind == "name":
-            return dom.one, self.monomial()
+            return 1, self.monomial()
         tok = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
         raise PolyParseError(f"expected a term, found {tok!r}")
 
@@ -535,9 +641,6 @@ class PolyMatrix:
         return (self.rows == self.cols
                 and all(self.entries[i][j] == self.entries[j][i]
                         for i in range(self.rows) for j in range(i)))
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.entries)))
 
     def map(self, fn) -> "PolyMatrix":
         return PolyMatrix(tuple(tuple(fn(f) for f in row) for row in self.entries))
@@ -637,15 +740,6 @@ def adjugate3(m) -> PolyMatrix:
 
 # ------------------------------------------------------------ exact division
 
-def _exp_quotient(e1, e2):
-    out = []
-    for a, b in zip(e1, e2):
-        if a < b:
-            return None
-        out.append(a - b)
-    return tuple(out)
-
-
 def divide_exact(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     """Quotient h with f = g*h, when it exists.
 
@@ -658,23 +752,17 @@ def divide_exact(f: HomogPoly, g: HomogPoly) -> HomogPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return f.ring.zero
-    f._check_ring(g)
+    f._check(g)
     if f.degree < g.degree:
         raise NotDivisibleError("degree of divisor exceeds degree of dividend",
                                 remainder=f)
-    ge, gc = g.leading()
-    quo = {}
-    rem = f
-    while rem:
-        re, rc = rem.leading()
-        qe = _exp_quotient(re, ge)
-        if qe is None:
-            raise NotDivisibleError(
-                f"leading monomial not divisible; remainder {rem}", remainder=rem)
-        qc = rc / gc
-        quo[qe] = qc
-        rem = rem - g * HomogPoly._make(f.ring, {qe: qc}, sum(qe))
-    return HomogPoly._make(f.ring, quo, f.degree - g.degree)
+    ring = f.ring
+    quo, rem = divide_terms(f.terms, g.terms, ring.modulus, ring.nvars)
+    if rem:
+        rem = HomogPoly._make(ring, rem, f.degree)
+        raise NotDivisibleError(
+            f"leading monomial not divisible; remainder {rem}", remainder=rem)
+    return HomogPoly._make(ring, quo, f.degree - g.degree)
 
 
 def poly_sqrt(f: HomogPoly) -> HomogPoly:
@@ -682,36 +770,43 @@ def poly_sqrt(f: HomogPoly) -> HomogPoly:
 
     The root is built term by term from the graded-lex leading term (whose
     exponent must be componentwise even and whose coefficient must be a
-    square in the domain), then verified by squaring.  Of the two roots the
-    one whose leading coefficient is positive (rationals) respectively the
-    least residue (prime fields) is returned.
+    square in the domain).  Each new term t updates the residual f - g*g in
+    place by -t*(2g + t); its leading term must shrink at every step, and
+    the root is verified by squaring.  Of the two roots the one whose
+    leading coefficient is positive (rationals) respectively the least
+    residue (prime fields) is returned.
     """
     if f.is_zero:
         return f
     if f.degree % 2 != 0:
         raise NotAPerfectSquareError(f"odd degree {f.degree}")
-    dom = f.ring.domain
-    fe, fc = f.leading()
-    if any(e % 2 for e in fe):
+    ring = f.ring
+    dom, p, guard = ring.domain, ring.modulus, guard_bits(ring.nvars)
+    fe = max(f.terms)
+    if fe & (guard >> (EXP_BITS - 1)):
         raise NotAPerfectSquareError("leading monomial is not a square")
+    fc = dom(f.terms[fe])
     if not dom.is_square(fc):
         raise NotAPerfectSquareError("leading coefficient is not a square")
-    ge = tuple(e // 2 for e in fe)
-    gc = dom.sqrt(fc)
-    g = HomogPoly._make(f.ring, {ge: gc}, f.degree // 2)
-    prev = None
-    rem = f - g * g
+    ge = fe >> 1
+    gc = ring.coerce(dom.sqrt(fc))
+    root = {ge: gc}
+    rem = dict(f.terms)
+    del rem[fe]  # the square of the root's leading term
+    prev = fe
     while rem:
-        re, _ = rem.leading()
-        if prev is not None and re >= prev:
+        re = max(rem)
+        if re >= prev:
             raise NotAPerfectSquareError("residual stopped shrinking")
         prev = re
-        qe = _exp_quotient(re, ge)
+        qe = _quotient_key(re, ge, guard)
         if qe is None:
             raise NotAPerfectSquareError("residual not reducible by the leading term")
-        t = HomogPoly._make(f.ring, {qe: rem.terms[re] / (gc + gc)}, sum(qe))
-        g = g + t
-        rem = f - g * g
+        t = div_coeff(rem[re], 2 * gc, p)
+        add_multiple(rem, qe, -2 * t, root, p)
+        add_multiple(rem, qe, -t, {qe: t}, p)
+        root[qe] = t
+    g = HomogPoly._make(ring, root, f.degree // 2)
     if g * g != f:
         raise NotAPerfectSquareError("verification failed")
     _, lc = g.leading()

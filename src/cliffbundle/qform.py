@@ -274,7 +274,7 @@ def plane_values(field: PrimeField, polys):
     """
     p = field.p
     check_scan_size(p)
-    compiled = [[(c.value,) + e for e, c in f.terms.items()] for f in polys]
+    compiled = [[(c.value,) + e for e, c in f.iter_terms()] for f in polys]
     top = max((max(t[1:]) for terms in compiled for t in terms), default=0)
     pw = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
 

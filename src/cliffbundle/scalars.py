@@ -16,16 +16,36 @@ from fractions import Fraction
 from math import isqrt
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: The least composite that passes the strong test to every base in
+#: _WITNESSES (Sorenson and Webster, 2015); primality is decided below it.
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the prime bases 2..41, exact for every
+    n below PRIME_LIMIT; a larger n is refused with ValueError."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below PRIME_LIMIT = "
+                         f"{PRIME_LIMIT}, and {n} is not")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

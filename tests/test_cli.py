@@ -1,12 +1,16 @@
 """End-to-end CLI behaviour: payloads, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cliffbundle import cli, qform
+from cliffbundle.poly import EXP_LIMIT
+from cliffbundle.scalars import PRIME_LIMIT
 
 DIAG_DOC = {
     "scalar_domain": "rational",
@@ -214,10 +218,43 @@ def test_reports_are_deterministic(tmp_path, capsys):
 
 
 def test_installed_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cliffbundle.cli", "invariants", "--type", "F23"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["payload"]["minus_K3"] == 30
     assert "invariants: ok" in proc.stderr
+
+
+def test_exponents_past_the_limit_exit_1(tmp_path, capsys):
+    doc = {"scalar_domain": "rational",
+           "form": {"a": [0, 0, 0], "d": EXP_LIMIT + 1,
+                    "entries": [f"u^{EXP_LIMIT + 1}", "0", "0", "v", "0", "w"]}}
+    code, report, _ = run_cli(capsys, ["validate", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert report["payload"]["error"] == "ExponentLimitError"
+    assert "EXP_LIMIT" in report["payload"]["message"]
+    # Entries at the limit are valid, but their determinant is u^(3*limit).
+    top = f"u^{EXP_LIMIT}"
+    doc["form"].update(d=EXP_LIMIT, entries=[top, "0", "0", top, "0", top])
+    path = write_doc(tmp_path, doc)
+    assert run_cli(capsys, ["validate", path])[0] == 0
+    code, report, _ = run_cli(capsys, ["disc", path])
+    assert code == 1
+    assert report["payload"]["error"] == "ExponentLimitError"
+
+
+def test_catalog_over_a_large_prime_is_prompt(capsys):
+    started = time.perf_counter()
+    code, report, _ = run_cli(capsys, ["catalog", "--type", "F23",
+                                       "--prime", "1000000000000000003"])
+    assert code == 0
+    assert report["payload"]["scalar_domain"] == {"prime": 1000000000000000003}
+    assert time.perf_counter() - started < 5
+    code, report, _ = run_cli(capsys, ["catalog", "--type", "F23",
+                                       "--prime", str(PRIME_LIMIT + 2)])
+    assert code == 1
+    assert "PRIME_LIMIT" in report["payload"]["message"]

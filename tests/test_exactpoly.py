@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -29,6 +30,7 @@ from cliffbundle.errors import (
     PolyParseError,
     UnknownVariableError,
 )
+from cliffbundle.scalars import PRIME_LIMIT, _is_prime
 from conftest import symbolic_scalar_grid, uvw
 
 
@@ -59,6 +61,26 @@ def test_prime_field_validation():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(2)
+
+
+def test_primality_matches_trial_division_below_1e5():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+    for n in range(10 ** 5):
+        assert _is_prime(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize("n,prime", [(2 ** 61 - 1, True), (10 ** 18 + 3, True),
+                                     (561, False), (3215031751, False)])
+def test_primality_of_large_and_pseudoprime_inputs(n, prime):
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7.
+    assert _is_prime(n) is prime
+
+
+def test_primality_refuses_past_its_limit():
+    with pytest.raises(ValueError, match="PRIME_LIMIT"):
+        PrimeField(PRIME_LIMIT + 2)
 
 
 def test_squares_in_f101():
