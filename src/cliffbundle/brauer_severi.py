@@ -35,6 +35,7 @@ from .errors import (
     NotDivisibleError,
 )
 from . import linalg
+from .clifford import fiber_algebra
 from .poly import (HomogPoly, PolyRing, SparsePoly, divide_terms, join_key,
                    monomial_string, pack, split_key, terms_to_string, unpack)
 from .qform import FiberPoint, QForm, plane_values
@@ -239,35 +240,23 @@ def bs_matrix_via_algebra(q: QForm) -> BSMatrix:
     """Independent derivation of the kernel matrix from the rewriting engine.
 
     Entry (r, c) is the covector alpha applied to E_r * E_c, where
-    (E_0..E_3) = (1, yz, zx, xy) and products are normalized by the Clifford
-    relations with polynomial coefficients.  Must coincide with bs_matrix.
+    (E_0..E_3) = (1, yz, zx, xy) = e + s with e = (1, Xbar, Ybar, Zbar), the
+    basis of fiber_algebra over the polynomial ring, and s = (0, q23, q13,
+    q12).  So E_r E_c = e_r e_c + s_c e_r + s_r e_c + s_r s_c, of which alpha
+    sees the traceless part only.  Must coincide with bs_matrix.
     """
-    from .clifford import reduce_word
-
     ring, weights = q.ring, q.a
-    grid = [[q.entry(i, j) for j in range(3)] for i in range(3)]
-    one = ring.one
-    basis_words = [(), (1, 2), (2, 0), (0, 1)]
-
-    def product_in_basis(wi, wj):
-        normal = reduce_word([(one, wi + wj)], grid)
-        for w in normal:
-            if w not in ((), (0, 1), (0, 2), (1, 2)):
-                raise InternalInvariantError(f"odd word {w} in an even product")
-        # In the basis (1, X=yz, Y=zx, Z=xy): the normal word xz is 2q13 - Y,
-        # so the Y-coordinate is minus the xz-coefficient.
-        b_x = normal.get((1, 2), ring.zero)
-        b_y = -normal.get((0, 2), ring.zero)
-        b_z = normal.get((0, 1), ring.zero)
-        return b_x, b_y, b_z
-
+    constants = fiber_algebra(q.matrix.entries, ring).constants
+    shift = (ring.zero, q.entry(1, 2), q.entry(0, 2), q.entry(0, 1))
     rows = []
-    for wi in basis_words:
+    for r in range(4):
         row = []
-        for wj in basis_words:
-            b_x, b_y, b_z = product_in_basis(wi, wj)
+        for c in range(4):
+            coords = list(constants[r][c])
+            coords[r] += shift[c]
+            coords[c] += shift[r]
             row.append(bipoly_from_alpha_map(ring, weights, {
-                (1, 0, 0): b_x, (0, 1, 0): b_y, (0, 0, 1): b_z}))
+                (1, 0, 0): coords[1], (0, 1, 0): coords[2], (0, 0, 1): coords[3]}))
         rows.append(tuple(row))
     return BSMatrix(entries=tuple(rows))
 

@@ -23,52 +23,23 @@ violated contract), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import brauer_severi, catalog, clifford, invariants, qform
-from .errors import (
-    AsymmetricEntriesError,
-    BasePointSingularError,
-    CliffBundleError,
-    DegenerateAfterRetriesError,
-    DegreeMismatchError,
-    DegreePatternError,
-    InconsistentInvariantsError,
-    IndexOutOfRangeError,
-    InhomogeneousError,
-    InternalInvariantError,
-    InvalidAlgebraError,
-    MinorNotDivisibleError,
-    NonExpandableError,
-    NotAPerfectSquareError,
-    NotDivisibleError,
-    NotRecoverableError,
-    OddDegreeError,
-    PolyParseError,
-    UnknownTagError,
-    UnknownVariableError,
-    ZeroPolynomialError,
-)
+from .errors import CliffBundleError, InternalInvariantError, MathFailureError
 from .poly import PolyRing
 from .qform import FiberPoint, QForm
 from .scalars import QQ, DEFAULT_SCAN_PRIME, PrimeField
 from .series import series_expand
 
-INPUT_ERRORS = (
-    PolyParseError, UnknownVariableError, InhomogeneousError,
-    AsymmetricEntriesError, DegreePatternError, IndexOutOfRangeError,
-    UnknownTagError, ZeroPolynomialError, OddDegreeError, DegreeMismatchError,
-    ValueError, KeyError, TypeError, json.JSONDecodeError, OSError,
-)
+# Builtin exceptions taken as bad input (exit 1), like every CliffBundleError
+# outside the math-failure and bug bands of ``errors``.
+INPUT_ERRORS = (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError)
 
-MATH_ERRORS = (
-    NotRecoverableError, InconsistentInvariantsError,
-    DegenerateAfterRetriesError, MinorNotDivisibleError,
-    BasePointSingularError, NotDivisibleError, NotAPerfectSquareError,
-    NonExpandableError, InvalidAlgebraError, ZeroDivisionError,
-)
+MATH_ERRORS = (MathFailureError, ZeroDivisionError)
 
 
 # ----------------------------------------------------------------- input side
@@ -171,14 +142,13 @@ def cmd_disc(args):
 
 def _fiber_payload(q: QForm, p: FiberPoint) -> dict:
     rank = qform.rank_at(q, p)
-    conic = qform.fiber_conic_type(q, p)
-    algebra = clifford.classify(clifford.fiber_algebra_at(q, p))
+    algebra = clifford.fiber_type_at(q, p)
     return {"point": str(p),
             "rank": rank,
-            "conic_type": conic.value,
+            "conic_type": qform.CONIC_BY_RANK[rank].value,
             "algebra_type": int(algebra),
             "algebra_type_name": algebra.name,
-            "azumaya": clifford.azumaya_at(q, p)}
+            "azumaya": algebra is clifford.AlgebraType.CENTRAL_SIMPLE}
 
 
 def cmd_fiber(args):
@@ -280,7 +250,9 @@ def cmd_scan(args):
 
 # ----------------------------------------------------------------- entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: do not alter it."""
     parser = argparse.ArgumentParser(
         prog="cliffbundle",
         description="even Clifford algebras of plane conic bundles, exactly")
@@ -333,10 +305,7 @@ def main(argv=None) -> int:
         status, code = "math-failure", 2
         payload = {"error": type(exc).__name__,
                    "contract": str(exc)}
-    except INPUT_ERRORS as exc:
-        status, code = "invalid-input", 1
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-    except CliffBundleError as exc:
+    except (CliffBundleError, *INPUT_ERRORS) as exc:
         status, code = "invalid-input", 1
         payload = {"error": type(exc).__name__, "message": str(exc)}
     report = {"command": args.command, "status": status, "payload": payload}

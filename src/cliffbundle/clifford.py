@@ -118,9 +118,6 @@ class AlgebraType(IntEnum):
         return self.value <= 4
 
 
-BASIS_LABELS = ("1", "Xbar", "Ybar", "Zbar")
-
-
 @dataclass(frozen=True)
 class FiberAlgebra:
     """Rank-4 algebra by structure constants on (1, Xbar, Ybar, Zbar).
@@ -397,17 +394,22 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     return AlgebraType.DEGENERATE_CLIFFORD
 
 
-def azumaya_at(q: QForm, p: FiberPoint) -> bool:
-    """Is the fiber at p central simple?  Decided by the discriminant, and
-    cross-checked against the structural classifier."""
+def fiber_type_at(q: QForm, p: FiberPoint) -> AlgebraType:
+    """Isomorphism type of the fiber algebra at p, cross-checked against the
+    discriminant: the fiber is central simple exactly where it is nonzero."""
     from .qform import discriminant
 
     open_locus = bool(discriminant(q).evaluate(p.coords))
-    structural = classify(fiber_algebra_at(q, p)) is AlgebraType.CENTRAL_SIMPLE
-    if open_locus != structural:
+    algebra = classify(fiber_algebra_at(q, p))
+    if open_locus != (algebra is AlgebraType.CENTRAL_SIMPLE):
         raise InternalInvariantError(
             f"discriminant and classifier disagree at {p}")
-    return open_locus
+    return algebra
+
+
+def azumaya_at(q: QForm, p: FiberPoint) -> bool:
+    """Is the fiber at p central simple?  See fiber_type_at."""
+    return fiber_type_at(q, p) is AlgebraType.CENTRAL_SIMPLE
 
 
 # -------------------------------------------------------------- Hilbert series

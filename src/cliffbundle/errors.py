@@ -1,8 +1,10 @@
 """Exception taxonomy.
 
 Three broad bands, mirrored by the CLI exit codes: bad input (exit 1),
-honest mathematical failure of an operation's contract (exit 2), and
-internal invariant violations that indicate a bug (exit 3).
+honest mathematical failure of an operation's contract (exit 2, subclasses
+of MathFailureError), and internal invariant violations that indicate a bug
+(exit 3, InternalInvariantError).  Every other CliffBundleError is bad
+input.
 """
 
 
@@ -62,7 +64,11 @@ class ExponentLimitError(CliffBundleError):
 
 # ----------------------------------------------------------- math-failure band
 
-class NotDivisibleError(CliffBundleError):
+class MathFailureError(CliffBundleError):
+    """Base of the math-failure band: an operation's contract failed."""
+
+
+class NotDivisibleError(MathFailureError):
     """Exact polynomial division failed; carries the remainder witness."""
 
     def __init__(self, message, remainder=None):
@@ -70,37 +76,37 @@ class NotDivisibleError(CliffBundleError):
         self.remainder = remainder
 
 
-class NotAPerfectSquareError(CliffBundleError):
+class NotAPerfectSquareError(MathFailureError):
     """The polynomial has no polynomial square root."""
 
 
-class NonExpandableError(CliffBundleError):
+class NonExpandableError(MathFailureError):
     """Rational series has no power-series expansion (zero constant denominator)."""
 
 
-class NotRecoverableError(CliffBundleError):
+class NotRecoverableError(MathFailureError):
     """Quadratic form cannot be recovered from the given trace pairing."""
 
 
-class DegenerateAfterRetriesError(CliffBundleError):
+class DegenerateAfterRetriesError(MathFailureError):
     """Random form generation kept producing zero discriminant."""
 
 
-class MinorNotDivisibleError(CliffBundleError):
+class MinorNotDivisibleError(MathFailureError):
     """A minor of the Brauer-Severi matrix failed divisibility by the conic
     equation.  The identity is universal in the q_ij, so this always signals
     an implementation bug, never bad input."""
 
 
-class BasePointSingularError(CliffBundleError):
+class BasePointSingularError(MathFailureError):
     """The projection base point is a singular point of the quadric fiber."""
 
 
-class InconsistentInvariantsError(CliffBundleError):
+class InconsistentInvariantsError(MathFailureError):
     """Two independent invariant computations disagree."""
 
 
-class InvalidAlgebraError(CliffBundleError):
+class InvalidAlgebraError(MathFailureError):
     """Structure constants violate the rank-4 algebra axioms."""
 
 

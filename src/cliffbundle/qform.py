@@ -148,7 +148,7 @@ class ConicType(Enum):
     WHOLE_PLANE = "WholePlane"
 
 
-_CONIC_BY_RANK = {
+CONIC_BY_RANK = {
     3: ConicType.SMOOTH_CONIC,
     2: ConicType.LINE_PAIR,
     1: ConicType.DOUBLE_LINE,
@@ -158,7 +158,7 @@ _CONIC_BY_RANK = {
 
 def fiber_conic_type(q: QForm, p: FiberPoint) -> ConicType:
     """Geometric type of the conic fiber over p, determined by the rank."""
-    return _CONIC_BY_RANK[rank_at(q, p)]
+    return CONIC_BY_RANK[rank_at(q, p)]
 
 
 # ------------------------------------------------------------- zero scanning
@@ -334,7 +334,7 @@ def fiber_census(q: QForm) -> FiberCensus:
         else:
             rank = 0
         by_rank[rank] += 1
-    return FiberCensus({t: by_rank[r] for r, t in _CONIC_BY_RANK.items()},
+    return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
                        disc_zeros)
 
 

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from cliffbundle import cli, qform
+from cliffbundle import cli, clifford, qform
+from cliffbundle.errors import InternalInvariantError
 from cliffbundle.poly import EXP_LIMIT
 from cliffbundle.scalars import PRIME_LIMIT
 
@@ -258,3 +259,20 @@ def test_catalog_over_a_large_prime_is_prompt(capsys):
                                        "--prime", str(PRIME_LIMIT + 2)])
     assert code == 1
     assert "PRIME_LIMIT" in report["payload"]["message"]
+
+
+# A planted discriminant that is zero where the fiber is central simple, and
+# one that is nonzero where the fiber degenerates.
+@pytest.mark.parametrize("point, planted", [("1:1:1", "zero"), ("0:1:1", "one")])
+def test_planted_wrong_discriminant_exits_3(tmp_path, capsys, monkeypatch,
+                                            point, planted):
+    monkeypatch.setattr(qform, "discriminant", lambda q: getattr(q.ring, planted))
+    path = write_doc(tmp_path, DIAG_DOC)
+    code, report, _ = run_cli(capsys, ["fiber", path, "--point", point])
+    assert code == 3
+    assert report["status"] == "internal-error"
+    assert report["payload"]["error"] == "InternalInvariantError"
+    assert "disagree" in report["payload"]["message"]
+    q = cli.form_from_document(DIAG_DOC)
+    with pytest.raises(InternalInvariantError):
+        clifford.azumaya_at(q, cli.parse_point(point, q.domain))

@@ -1,4 +1,4 @@
-"""Byte-identical stdout of the symbolic commands, pinned by sha256.
+"""Byte-identical stdout of the symbolic and point commands, pinned by sha256.
 
 Each case writes a document with ``catalog`` (so the generator's random
 draws are pinned too) and runs the commands on it.  A change to term
@@ -185,6 +185,57 @@ GOLDEN = {
 }
 
 
+# ``fiber --point`` and ``classify --point`` per case and base point: 1:2:3 is
+# off the discriminant curve of all four documents; 0:67:1 and 0:79:1 are
+# the first points of P^2(F_101) on it for F24 and F25minus.
+POINT_GOLDEN = {
+    'F24 F101 7': {
+        '1:2:3': {
+            'fiber':
+                '306b579d823f73f8b580c8dca75351ad6a627a69524e03cad5dc5bb259f0e772',
+            'classify':
+                '894e420fe40af55bf0a7454ba8bfe90f442a03da47961861746fc78c73729566',
+        },
+        '0:67:1': {
+            'fiber':
+                '06f5630c5b5e81b14b1c3ab0a0b5cf68c630eefe8aca74b60f8b43a0656ed361',
+            'classify':
+                '199ebeb521b2d6589a78eb12df2afbea1c028fa05aea74b25feba63d40925e42',
+        },
+    },
+    'F24 Q 7': {
+        '1:2:3': {
+            'fiber':
+                '7972c9dcd312678940a301f4eebe61962b5af714a0ca54c22cd243b376ca55ae',
+            'classify':
+                'a7b65eb900ccff12ad0f4e3687a4c5216e7304a884be3b07dc8b5121f0b66014',
+        },
+    },
+    'F25minus F101 7': {
+        '1:2:3': {
+            'fiber':
+                '306b579d823f73f8b580c8dca75351ad6a627a69524e03cad5dc5bb259f0e772',
+            'classify':
+                '894e420fe40af55bf0a7454ba8bfe90f442a03da47961861746fc78c73729566',
+        },
+        '0:79:1': {
+            'fiber':
+                '0f0f371b85c080d7b87d60a070030081a6548111dc315e2288fb537af874fae5',
+            'classify':
+                '8f464282b3e3bc9423df1009249ec03acaf8e15e0dc78655fa5f9073c1dbba28',
+        },
+    },
+    'F25minus Q 7': {
+        '1:2:3': {
+            'fiber':
+                '7972c9dcd312678940a301f4eebe61962b5af714a0ca54c22cd243b376ca55ae',
+            'classify':
+                'a7b65eb900ccff12ad0f4e3687a4c5216e7304a884be3b07dc8b5121f0b66014',
+        },
+    },
+}
+
+
 def _stdout(capsys, argv):
     code = cli.main(argv)
     assert code == 0, argv
@@ -204,3 +255,19 @@ def test_stdout_matches_pinned_hash(case, tmp_path, capsys):
             text = _stdout(capsys, [command, str(path)])
             got[command] = hashlib.sha256(text.encode()).hexdigest()
     assert got == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(POINT_GOLDEN))
+def test_point_stdout_matches_pinned_hash(case, tmp_path, capsys):
+    tag, field, seed = case.split()
+    argv = ["catalog", "--type", tag, "--seed", seed]
+    text = _stdout(capsys, argv + (["--rational"] if field == "Q" else []))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(json.loads(text)["payload"]), encoding="utf-8")
+    got = {}
+    for point, commands in POINT_GOLDEN[case].items():
+        got[point] = {}
+        for command in commands:
+            text = _stdout(capsys, [command, str(path), "--point", point])
+            got[point][command] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == POINT_GOLDEN[case]
