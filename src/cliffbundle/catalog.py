@@ -116,7 +116,7 @@ def resolution_metadata(tag) -> ResolutionData:
     return CATALOG[DelPezzoTag.coerce(tag)].resolution
 
 
-def make_type(tag, entries=None, *, domain=None, seed=None, ring=None) -> QForm:
+def make_type(tag, entries=None, *, domain=None, seed=None) -> QForm:
     """A validated form of the given line-bundle type.
 
     With ``entries`` (a 3x3 grid or PolyMatrix) the form is validated
@@ -132,10 +132,9 @@ def make_type(tag, entries=None, *, domain=None, seed=None, ring=None) -> QForm:
     data = CATALOG[tag]
     if entries is not None:
         return new_qform(data.a, data.d, entries)
-    if ring is None:
-        if domain is None:
-            raise ValueError("need entries, or a domain/ring to generate them")
-        ring = PolyRing(domain)
+    if domain is None:
+        raise ValueError("need entries, or a domain to generate them")
+    ring = PolyRing(domain)
     rng = random.Random(seed)
     for _ in range(GENERATION_RETRIES):
         grid = [[None] * 3 for _ in range(3)]
@@ -204,12 +203,11 @@ def net_from_upper(ring: PolyRing, fifteen_entries) -> QuadricNet:
     return QuadricNet(matrix=PolyMatrix(grid))
 
 
-def make_net(*, domain=None, ring=None, seed=None) -> QuadricNet:
+def make_net(*, domain=None, seed=None) -> QuadricNet:
     """Seeded random net in normalized position with nonzero quintic det5."""
-    if ring is None:
-        if domain is None:
-            raise ValueError("need a domain or ring")
-        ring = PolyRing(domain)
+    if domain is None:
+        raise ValueError("need a domain")
+    ring = PolyRing(domain)
     rng = random.Random(seed)
     fixed = [ring.variable(0), ring.variable(1), ring.variable(2),
              ring.zero, ring.zero]

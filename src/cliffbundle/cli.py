@@ -44,11 +44,24 @@ MATH_ERRORS = (MathFailureError, ZeroDivisionError)
 
 # ----------------------------------------------------------------- input side
 
+def json_int(value, name: str) -> int:
+    """A document field that must be a JSON integer; a bool is not one.
+
+    Floats, bools and numeric strings are refused; null, arrays, objects
+    and other strings fail in int() with the error they always gave.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, float)):
+        int(value)
+    raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+
+
 def load_domain(spec):
     if spec == "rational":
         return QQ
     if isinstance(spec, dict) and "prime" in spec:
-        return PrimeField(int(spec["prime"]))
+        return PrimeField(json_int(spec["prime"], "scalar_domain.prime"))
     raise ValueError(f"bad scalar_domain {spec!r}")
 
 
@@ -63,6 +76,9 @@ def load_document(path: str) -> dict:
         doc = json.load(fh)
     if ("form" in doc) == ("net" in doc):
         raise ValueError("document must contain exactly one of 'form'/'net'")
+    # An array or a string that names 'form' or 'net' passes the test above.
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
     return doc
 
 
@@ -73,7 +89,8 @@ def form_from_document(doc: dict) -> QForm:
     entries = [ring.parse(s) for s in body["entries"]]
     if len(entries) != 6:
         raise ValueError("form needs 6 upper-triangle entries")
-    return qform.qform_from_upper(tuple(body["a"]), int(body["d"]), entries)
+    a = tuple(json_int(x, f"form.a[{i}]") for i, x in enumerate(body["a"]))
+    return qform.qform_from_upper(a, json_int(body["d"], "form.d"), entries)
 
 
 def net_from_document(doc: dict) -> catalog.QuadricNet:
@@ -91,8 +108,10 @@ def parse_point(text: str, domain) -> FiberPoint:
     for part in parts:
         part = part.strip()
         if "/" in part:
-            num, den = part.split("/", 1)
-            coords.append(domain.from_pair(int(num), int(den)))
+            num, den = (int(s) for s in part.split("/", 1))
+            if not domain(den):
+                raise ValueError(f"denominator of {part!r} is zero in {domain!r}")
+            coords.append(domain.from_pair(num, den))
         else:
             coords.append(domain(int(part)))
     return FiberPoint.make(domain, coords)

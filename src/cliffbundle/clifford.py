@@ -122,14 +122,13 @@ class AlgebraType(IntEnum):
 class FiberAlgebra:
     """Rank-4 algebra by structure constants on (1, Xbar, Ybar, Zbar).
 
-    ``constants[i][j][k]`` is the e_k-coefficient of e_i * e_j; ``trace`` is
-    the trace functional as a 4-vector.  ``domain`` is the coefficient ring
-    (a scalar domain, or a PolyRing for global computations).
+    ``constants[i][j][k]`` is the e_k-coefficient of e_i * e_j.  ``domain``
+    is the coefficient ring (a scalar domain, or a PolyRing for global
+    computations).  The trace functional is 2 on e_0 and 0 on the rest.
     """
 
     domain: object
     constants: tuple
-    trace: tuple
 
     def unit(self) -> tuple:
         d = self.domain
@@ -163,11 +162,7 @@ class FiberAlgebra:
         return tuple(out)
 
     def trace_of(self, u):
-        d = self.domain
-        acc = d.zero
-        for t, x in zip(self.trace, u):
-            acc = acc + t * x
-        return acc
+        return u[0] + u[0]
 
 
 def fiber_algebra(q, domain) -> FiberAlgebra:
@@ -215,8 +210,7 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
                     prod.append((ci * cj, wi + wj))
             row.append(to_basis(reduce_word(prod, q)))
         constants.append(tuple(row))
-    trace = (one + one, zero, zero, zero)
-    return FiberAlgebra(domain=domain, constants=tuple(constants), trace=trace)
+    return FiberAlgebra(domain=domain, constants=tuple(constants))
 
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
@@ -231,7 +225,6 @@ def kronecker_quiver_algebra(domain) -> FiberAlgebra:
     Basis: 1, s = e11 - e22, and two corner elements annihilating each other;
     s*v = v and v*s = -v for corner v, s^2 = 1.
     """
-    one, zero = domain.one, domain.zero
 
     def vec(*vals):
         return tuple(domain(v) for v in vals)
@@ -243,9 +236,7 @@ def kronecker_quiver_algebra(domain) -> FiberAlgebra:
         (vec(0, 0, 1, 0), vec(0, 0, -1, 0), z4, z4),
         (vec(0, 0, 0, 1), vec(0, 0, 0, -1), z4, z4),
     )
-    return FiberAlgebra(domain=domain,
-                        constants=constants,
-                        trace=(one + one, zero, zero, zero))
+    return FiberAlgebra(domain=domain, constants=constants)
 
 
 # ----------------------------------------------------------------- validation
@@ -253,26 +244,25 @@ def kronecker_quiver_algebra(domain) -> FiberAlgebra:
 def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     """Check the rank-4 algebra axioms; raise InvalidAlgebraError if broken.
 
-    Checked: 1 is a two-sided unit, the trace is 2 on 1 and 0 on the
-    traceless basis, multiplication is associative on all basis triples, and
-    squares/anticommutators of traceless elements are central (which is the
-    polarized form of the degree-2 Cayley-Hamilton identity).
+    Checked: 1 is a two-sided unit, multiplication is associative on all
+    basis triples, and squares/anticommutators of traceless elements are
+    central (which is the polarized form of the degree-2 Cayley-Hamilton
+    identity).  The trace is 2 on 1 and 0 on the traceless basis by
+    definition (FiberAlgebra.trace_of).
     """
-    d = alg.domain
     c = alg.constants
     if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
         raise InvalidAlgebraError("structure constants are not 4x4x4")
+    basis = [alg.basis(k) for k in range(4)]
     for j in range(4):
-        if c[0][j] != alg.basis(j) or c[j][0] != alg.basis(j):
+        if c[0][j] != basis[j] or c[j][0] != basis[j]:
             raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
-    two = d.one + d.one
-    if alg.trace[0] != two or any(alg.trace[k] != d.zero for k in (1, 2, 3)):
-        raise InvalidAlgebraError("trace functional is not (2, 0, 0, 0)")
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                left = alg.multiply(c[i][j], alg.basis(k))
-                right = alg.multiply(alg.basis(i), c[j][k])
+    # With e_0 a two-sided unit, every triple that contains 0 associates.
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for k in range(1, 4):
+                left = alg.multiply(c[i][j], basis[k])
+                right = alg.multiply(basis[i], c[j][k])
                 if left != right:
                     raise InvalidAlgebraError(
                         f"associativity fails on basis triple ({i},{j},{k})")

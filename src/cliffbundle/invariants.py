@@ -58,10 +58,6 @@ class BundleDescriptor:
         return sum(2 if isinstance(s, CotangentTwist) else 1
                    for s in self.summands)
 
-    def twisted(self, m: int) -> "BundleDescriptor":
-        return BundleDescriptor(tuple(
-            type(s)(s.n + m) for s in self.summands))
-
     def __str__(self):
         return " + ".join(str(s) for s in self.summands) or "0"
 

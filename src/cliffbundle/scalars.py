@@ -50,7 +50,11 @@ def _is_prime(n: int) -> bool:
 
 
 class FpElement:
-    """An element of F_p (p an odd prime), stored as its least residue."""
+    """An element of F_p (p an odd prime), stored as its least residue.
+
+    Never mutated after construction: a PrimeField hands out one shared
+    ``zero`` and ``one``.
+    """
 
     __slots__ = ("value", "p")
 
@@ -144,14 +148,8 @@ class Rationals:
     """The field of rational numbers.  Elements are ``Fraction``."""
 
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -205,18 +203,12 @@ class PrimeField:
         if p == 2:
             raise ValueError("characteristic 2 is not supported")
         self.p = p
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
 
     def __call__(self, x) -> FpElement:
         if isinstance(x, FpElement):

@@ -33,30 +33,6 @@ class RationalSeries:
         if not self.denominator or self.denominator[0] == 0:
             raise NonExpandableError("denominator has zero constant term")
 
-    def __str__(self):
-        return f"({_poly_str(self.numerator)}) / ({_poly_str(self.denominator)})"
-
-
-def _poly_str(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        elif k == 1:
-            body = f"{mag}*t" if mag != 1 else "t"
-        else:
-            body = f"{mag}*t^{k}" if mag != 1 else f"t^{k}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-    return "".join(parts) if parts else "0"
-
 
 def series_expand(s: RationalSeries, order: int):
     """First ``order + 1`` power-series coefficients of s, exact.

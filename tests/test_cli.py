@@ -1,5 +1,8 @@
 """End-to-end CLI behaviour: payloads, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cliffbundle import cli, clifford, qform
+from cliffbundle import PrimeField, catalog, cli, clifford, qform
 from cliffbundle.errors import InternalInvariantError
 from cliffbundle.poly import EXP_LIMIT
 from cliffbundle.scalars import PRIME_LIMIT
@@ -101,6 +105,42 @@ def test_point_parse_error(tmp_path, capsys):
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["fiber", path, "--point", "1:1"])
     assert code == 1
+
+
+F101_DOC = {"scalar_domain": {"prime": 101}, "form": DIAG_DOC["form"]}
+
+
+@pytest.mark.parametrize("command", ["fiber", "classify"])
+@pytest.mark.parametrize("doc, point", [(DIAG_DOC, "1/0:1:1"),
+                                        (F101_DOC, "1/0:1:1"),
+                                        (F101_DOC, "1:2/101:1")])
+def test_point_with_zero_denominator_exits_1(tmp_path, capsys, command, doc, point):
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli(capsys, [command, path, "--point", point])
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert "denominator" in report["payload"]["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    ["form"],
+    {"scalar_domain": {"prime": 101.9}, "form": DIAG_DOC["form"]},
+    {"scalar_domain": {"prime": True}, "form": DIAG_DOC["form"]},
+    {"scalar_domain": {"prime": "101"}, "form": DIAG_DOC["form"]},
+    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=0.7)},
+    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=True)},
+    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[0, 1.2, 1.9])},
+    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[False, 0, 0])},
+    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=float("inf"))},
+], ids=["array", "float-prime", "bool-prime", "string-prime", "float-d",
+        "bool-d", "float-a", "bool-a", "infinite-d"])
+def test_document_fields_must_be_json_integers(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, doc)
+    for argv in (["validate", path], ["fiber", path, "--point", "1:2:1"]):
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert report["status"] == "invalid-input"
+        assert report["payload"]["error"] == "ValueError"
 
 
 def test_trace_pairing_and_recover(tmp_path, capsys):
@@ -276,3 +316,59 @@ def test_planted_wrong_discriminant_exits_3(tmp_path, capsys, monkeypatch,
     q = cli.form_from_document(DIAG_DOC)
     with pytest.raises(InternalInvariantError):
         clifford.azumaya_at(q, cli.parse_point(point, q.domain))
+
+
+# ------------------------------------------------------------------ fuzzing
+
+def _f5_document():
+    q = catalog.make_type("F23", domain=PrimeField(5), seed=7)
+    return {"scalar_domain": {"prime": 5},
+            "form": {"a": list(q.a), "d": q.d,
+                     "entries": cli.upper_entries(q.matrix)}}
+
+
+F5_DOC = _f5_document()
+# float("inf") is what json.load makes of 1e999.
+FUZZ_VALUES = [None, True, 1.5, float("inf"), -1, "", "u", [], {}]
+
+
+def _paths(node, prefix=()):
+    """Every (path, parent) pair below node, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,), node
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(F5_DOC)
+    kind = draw(st.sampled_from(["replace", "drop", "wrap"]))
+    if kind == "wrap":
+        return [doc]
+    paths = [p for p, parent in _paths(doc)
+             if kind == "replace" or isinstance(parent, dict)]
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, doc):
+    path = write_doc(tmp_path_factory.mktemp("fuzz"), doc)
+    for argv in (["validate", path], ["disc", path],
+                 ["fiber", path, "--point", "1:2:1"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        report = json.loads(out.getvalue())
+        assert set(report) == {"command", "status", "payload"}

@@ -1,9 +1,11 @@
 """Rewriting engine, fiber algebras, trace pairing, recovery, classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffbundle import (
     AlgebraType,
@@ -315,10 +317,73 @@ def test_classify_rejects_broken_constants():
     rows = [list(map(list, r)) for r in alg.constants]
     rows[1][2][0] = Fraction(17)  # corrupt a structure constant
     broken = type(alg)(domain=alg.domain,
-                       constants=tuple(tuple(tuple(v) for v in r) for r in rows),
-                       trace=alg.trace)
+                       constants=tuple(tuple(tuple(v) for v in r) for r in rows))
     with pytest.raises(InvalidAlgebraError):
         classify(broken)
+
+
+def reference_validation_error(alg):
+    """The axioms stated in full with FiberAlgebra.multiply: e_0 a two-sided
+    unit, associativity on all 64 basis triples, and central anticommutators
+    of traceless elements.  The message validate_fiber_algebra gives, or None."""
+    e = [alg.basis(k) for k in range(4)]
+    for j in range(4):
+        if alg.multiply(e[0], e[j]) != e[j] or alg.multiply(e[j], e[0]) != e[j]:
+            return "basis element 0 is not a two-sided unit"
+    for i, j, k in itertools.product(range(4), repeat=3):
+        left = alg.multiply(alg.multiply(e[i], e[j]), e[k])
+        right = alg.multiply(e[i], alg.multiply(e[j], e[k]))
+        if left != right:
+            return f"associativity fails on basis triple ({i},{j},{k})"
+    for i, j in itertools.product(range(1, 4), repeat=2):
+        ij, ji = alg.multiply(e[i], e[j]), alg.multiply(e[j], e[i])
+        if any(ij[k] + ji[k] for k in (1, 2, 3)):
+            return f"anticommutator of traceless elements {i},{j} is not central"
+    return None
+
+
+VALIDATION_DOMAINS = (PrimeField(5), PrimeField(101), QQ)
+
+
+def small_scalars(domain):
+    if domain is QQ:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.integers(0, domain.p - 1).map(domain)
+
+
+@st.composite
+def corrupted_algebras(draw):
+    domain = draw(st.sampled_from(VALIDATION_DOMAINS))
+    if draw(st.integers(0, 4)) == 0:
+        alg = kronecker_quiver_algebra(domain)
+    else:
+        # Zeros are frequent, so degenerate fibers of every rank turn up.
+        value = st.one_of(st.just(0), small_scalars(domain))
+        upper = [draw(value) for _ in range(6)]
+        q = [[upper[0], upper[1], upper[2]],
+             [upper[1], upper[3], upper[4]],
+             [upper[2], upper[4], upper[5]]]
+        alg = fiber_algebra(q, domain)
+    rows = [[list(v) for v in r] for r in alg.constants]
+    # Mostly away from the unit's row and column, which the first check guards.
+    positions = st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)),
+        st.tuples(*[st.integers(0, 3)] * 3))
+    for i, j, k in draw(st.lists(positions, min_size=1, max_size=3)):
+        rows[i][j][k] = domain(draw(small_scalars(domain)))
+    constants = tuple(tuple(tuple(v) for v in r) for r in rows)
+    return type(alg)(domain=domain, constants=constants)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alg=corrupted_algebras())
+def test_validation_matches_the_full_axiom_check(alg):
+    try:
+        validate_fiber_algebra(alg)
+        message = None
+    except InvalidAlgebraError as exc:
+        message = str(exc)
+    assert message == reference_validation_error(alg)
 
 
 # -------------------------------------------------------------- cayley-hamilton
@@ -347,8 +412,7 @@ def test_cayley_hamilton_negative_control():
     rows = [list(map(list, r)) for r in alg.constants]
     rows[3][3][1] = Fraction(5)  # Zbar^2 picks up a spurious Xbar component
     broken = type(alg)(domain=alg.domain,
-                       constants=tuple(tuple(tuple(v) for v in r) for r in rows),
-                       trace=alg.trace)
+                       constants=tuple(tuple(tuple(v) for v in r) for r in rows))
     assert not cayley_hamilton_check(broken, broken.basis(3))
 
 
