@@ -21,7 +21,7 @@ extremal minors are exact:
 matrix satisfies, and the test suite pins them symbolically.)
 
 Alpha variables carry weight -a_i so that all constructions stay
-weighted-homogeneous for every degree pattern.
+weighted-homogeneous for every degree pattern.  ``poly`` owns BiPoly.
 """
 
 from __future__ import annotations
@@ -29,140 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    DegreeMismatchError,
     InternalInvariantError,
     MinorNotDivisibleError,
     NotDivisibleError,
 )
 from . import linalg
 from .clifford import fiber_algebra
-from .poly import (HomogPoly, PolyRing, SparsePoly, divide_terms, join_key,
-                   monomial_string, pack, split_key, terms_to_string, unpack)
+from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
+                   divide_exact_bipoly)
 from .qform import FiberPoint, QForm, plane_values
 from .scalars import PrimeField
-
-ALPHA_NAMES = ("a1", "a2", "a3")
-
-
-class BiPoly(SparsePoly):
-    """Polynomial in alpha_1..alpha_3 with homogeneous base coefficients.
-
-    A term key packs the alpha exponents above the base exponents, so the
-    term kernel of ``poly`` treats a BiPoly as a polynomial in six
-    variables.  Every nonzero BiPoly is homogeneous in the alpha degree and
-    in the weighted degree deg(coeff) - sum(weights_i * alpha_exp_i).
-    """
-
-    __slots__ = ("weights",)
-
-    @classmethod
-    def _make(cls, ring, weights, terms):
-        self = object.__new__(cls)
-        self.ring = ring
-        self.weights = weights
-        self.terms = terms
-        return self
-
-    def _like(self, terms):
-        return BiPoly._make(self.ring, self.weights, terms)
-
-    @property
-    def _setting(self):
-        return self.ring, self.weights
-
-    @property
-    def _fields(self):
-        return 3 + self.ring.nvars
-
-    def _bidegree(self, key):
-        exps = unpack(key, self._fields)
-        return (sum(exps[:3]),
-                sum(exps[3:]) - sum(w * e for w, e in zip(self.weights, exps[:3])))
-
-    @property
-    def degree(self):
-        """(alpha degree, weighted degree); None for zero."""
-        return self._bidegree(next(iter(self.terms))) if self.terms else None
-
-    @property
-    def alpha_degree(self):
-        return self.degree and self.degree[0]
-
-    @property
-    def weighted_degree(self):
-        return self.degree and self.degree[1]
-
-    def _validate(self):
-        grades = sorted({self._bidegree(key) for key in self.terms})
-        if len(grades) > 1:
-            raise DegreeMismatchError(f"mixed bidegrees {grades}")
-        return self
-
-    def coefficient(self, alpha_exps) -> HomogPoly:
-        """The base-polynomial coefficient of one alpha monomial."""
-        alpha_exps = tuple(alpha_exps)
-        return self.ring.poly({exps[3:]: c for exps, c in self.iter_terms()
-                               if exps[:3] == alpha_exps})
-
-    def alpha_support(self):
-        return sorted({exps[:3] for exps, _ in self.iter_terms()}, reverse=True)
-
-    def __mul__(self, other):
-        if isinstance(other, HomogPoly):
-            other = bipoly_from_alpha_map(self.ring, self.weights, {(0, 0, 0): other})
-        terms = self._product(other)
-        return terms if terms is NotImplemented else self._like(terms)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, base_point, alpha_point):
-        """Scalar value with base and alpha coordinates substituted."""
-        return self._evaluate(list(alpha_point) + list(base_point))
-
-    def __str__(self):
-        n = self.ring.nvars
-        groups = {}
-        for key, c in self.terms.items():
-            alpha, base = split_key(key, n)
-            groups.setdefault(alpha, {})[base] = c
-        return " + ".join(
-            f"({terms_to_string(groups[alpha], self.ring.variables)})*"
-            f"{monomial_string(ALPHA_NAMES, unpack(alpha, 3)) or '1'}"
-            for alpha in sorted(groups, reverse=True)) or "0"
-
-    __repr__ = __str__
-
-
-def bipoly_from_alpha_map(ring: PolyRing, weights, mapping) -> BiPoly:
-    """Build a BiPoly from {alpha exponent tuple: HomogPoly coefficient}."""
-    terms = {}
-    for aex, poly in mapping.items():
-        alpha = pack(tuple(aex), 3)
-        if poly.is_zero:
-            continue
-        if poly.ring != ring:
-            raise TypeError("coefficient from a different ring")
-        for base, c in poly.terms.items():
-            terms[join_key(alpha, base, ring.nvars)] = c
-    return BiPoly._make(ring, tuple(weights), terms)._validate()
-
-
-def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
-    """The coordinate alpha_i (1-based) as a BiPoly."""
-    aex = tuple(1 if k == i - 1 else 0 for k in range(3))
-    return bipoly_from_alpha_map(ring, weights, {aex: ring.one})
-
-
-def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Exact division of BiPolys by greedy leading-term cancellation in
-    lexicographic order on the combined exponents."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero BiPoly")
-    f._check(g)
-    quo, rem = divide_terms(f.terms, g.terms, f.ring.modulus, f._fields)
-    if rem:
-        raise NotDivisibleError("BiPoly division failed", remainder=f._like(rem))
-    return f._like(quo)
 
 
 # --------------------------------------------------------------- conic & matrix

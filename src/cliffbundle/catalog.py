@@ -27,8 +27,8 @@ from .errors import (
     UnknownTagError,
 )
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
-from .poly import HomogPoly, PolyMatrix, PolyRing, det
-from .qform import FiberPoint, QForm, discriminant, new_qform
+from .poly import HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid
+from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
 
 
 class DelPezzoTag(Enum):
@@ -137,12 +137,9 @@ def make_type(tag, entries=None, *, domain=None, seed=None) -> QForm:
     ring = PolyRing(domain)
     rng = random.Random(seed)
     for _ in range(GENERATION_RETRIES):
-        grid = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                f = ring.random_homogeneous(data.a[i] + data.a[j] + data.d, rng)
-                grid[i][j] = grid[j][i] = f
-        q = new_qform(data.a, data.d, grid)
+        upper = [ring.random_homogeneous(data.a[i] + data.a[j] + data.d, rng)
+                 for i in range(3) for j in range(i, 3)]
+        q = qform_from_upper(data.a, data.d, upper)
         if not discriminant(q).is_zero:
             return q
     raise DegenerateAfterRetriesError(
@@ -194,13 +191,7 @@ def net_from_upper(ring: PolyRing, fifteen_entries) -> QuadricNet:
     """Build a net from its upper triangle, row-major (A11..A15, A22..A55)."""
     if len(fifteen_entries) != 15:
         raise ValueError("expected 15 upper-triangle entries")
-    grid = [[None] * 5 for _ in range(5)]
-    it = iter(fifteen_entries)
-    for i in range(5):
-        for j in range(i, 5):
-            f = next(it)
-            grid[i][j] = grid[j][i] = f
-    return QuadricNet(matrix=PolyMatrix(grid))
+    return QuadricNet(matrix=PolyMatrix(symmetric_grid(fifteen_entries)))
 
 
 def make_net(*, domain=None, seed=None) -> QuadricNet:
@@ -212,14 +203,10 @@ def make_net(*, domain=None, seed=None) -> QuadricNet:
     fixed = [ring.variable(0), ring.variable(1), ring.variable(2),
              ring.zero, ring.zero]
     for _ in range(GENERATION_RETRIES):
-        grid = [[None] * 5 for _ in range(5)]
-        for i in range(4):
-            for j in range(i, 4):
-                f = ring.random_homogeneous(1, rng)
-                grid[i][j] = grid[j][i] = f
-        for j in range(5):
-            grid[4][j] = grid[j][4] = fixed[j]
-        net = QuadricNet(matrix=PolyMatrix(grid))
+        # The last column is fixed; the other entries are drawn row by row.
+        upper = [ring.random_homogeneous(1, rng) if j < 4 else fixed[i]
+                 for i in range(5) for j in range(i, 5)]
+        net = net_from_upper(ring, upper)
         if not det(net.matrix).is_zero:
             return net
     raise DegenerateAfterRetriesError(

@@ -82,22 +82,32 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def document_entries(doc: dict, body: str) -> tuple:
+    """The ring of a document and the polynomials of its ``entries``,
+    which must be a JSON array of JSON strings."""
+    ring = PolyRing(load_domain(doc.get("scalar_domain", "rational")))
+    texts = doc[body]["entries"]
+    if type(texts) is not list:
+        raise ValueError(f"{body}.entries must be a JSON array of strings, "
+                         f"got {json.dumps(texts)}")
+    for i, text in enumerate(texts):
+        if type(text) is not str:
+            raise ValueError(f"{body}.entries[{i}] must be a JSON string, "
+                             f"got {json.dumps(text)}")
+    return ring, [ring.parse(text) for text in texts]
+
+
 def form_from_document(doc: dict) -> QForm:
-    domain = load_domain(doc.get("scalar_domain", "rational"))
-    ring = PolyRing(domain)
-    body = doc["form"]
-    entries = [ring.parse(s) for s in body["entries"]]
+    _, entries = document_entries(doc, "form")
     if len(entries) != 6:
         raise ValueError("form needs 6 upper-triangle entries")
+    body = doc["form"]
     a = tuple(json_int(x, f"form.a[{i}]") for i, x in enumerate(body["a"]))
     return qform.qform_from_upper(a, json_int(body["d"], "form.d"), entries)
 
 
 def net_from_document(doc: dict) -> catalog.QuadricNet:
-    domain = load_domain(doc.get("scalar_domain", "rational"))
-    ring = PolyRing(domain)
-    entries = [ring.parse(s) for s in doc["net"]["entries"]]
-    return catalog.net_from_upper(ring, entries)
+    return catalog.net_from_upper(*document_entries(doc, "net"))
 
 
 def parse_point(text: str, domain) -> FiberPoint:
@@ -121,13 +131,13 @@ def reduce_mod(q: QForm, p: int) -> QForm:
     """Reduce a rational form modulo p (fails if a denominator vanishes)."""
     field = PrimeField(p)
     ring = PolyRing(field, q.ring.variables)
-    grid = [[ring.poly({e: field(c) for e, c in q.entry(i, j).iter_terms()})
-             for j in range(3)] for i in range(3)]
-    return qform.new_qform(q.a, q.d, grid)
+    upper = [ring.poly({e: field(c) for e, c in f.iter_terms()})
+             for f in q.matrix.upper()]
+    return qform.qform_from_upper(q.a, q.d, upper)
 
 
 def upper_entries(matrix) -> list:
-    return [str(matrix.entry(i, j)) for i in range(3) for j in range(i, 3)]
+    return [str(f) for f in matrix.upper()]
 
 
 # ------------------------------------------------------------------- commands
@@ -225,9 +235,7 @@ def cmd_catalog(args):
     spec = domain_spec(domain)
     if tag is catalog.DelPezzoTag.F25_PLUS:
         net = catalog.make_net(domain=domain, seed=args.seed)
-        entries = [str(net.matrix.entry(i, j))
-                   for i in range(5) for j in range(i, 5)]
-        return {"scalar_domain": spec, "net": {"entries": entries}}
+        return {"scalar_domain": spec, "net": {"entries": upper_entries(net.matrix)}}
     q = catalog.make_type(tag, domain=domain, seed=args.seed)
     return {"scalar_domain": spec,
             "form": {"a": list(q.a), "d": q.d, "entries": upper_entries(q.matrix)}}

@@ -1,4 +1,4 @@
-"""Sparse homogeneous multivariate polynomials with exact coefficients.
+"""Sparse homogeneous polynomials, BiPolys over them, and polynomial matrices.
 
 A polynomial maps packed exponents to nonzero coefficients and carries its
 total degree (``None`` for zero, which fits any degree slot).  Exponents are
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import isqrt
 from operator import or_
 
 from .errors import (
@@ -72,15 +73,6 @@ def pack(exps, nfields: int) -> int:
 def unpack(key: int, nfields: int) -> tuple:
     return tuple(key >> s & _FIELD
                  for s in range(EXP_BITS * (nfields - 1), -1, -EXP_BITS))
-
-
-def split_key(key: int, nlow: int) -> tuple:
-    """(high, low) keys of a key whose last ``nlow`` fields form the low one."""
-    return key >> EXP_BITS * nlow, key & ((1 << EXP_BITS * nlow) - 1)
-
-
-def join_key(high: int, low: int, nlow: int) -> int:
-    return high << EXP_BITS * nlow | low
 
 
 @lru_cache(maxsize=None)
@@ -425,6 +417,133 @@ class HomogPoly(SparsePoly):
         return f"<{self}>"
 
 
+# -------------------------------------------------------------------- BiPoly
+
+ALPHA_NAMES = ("a1", "a2", "a3")
+
+
+class BiPoly(SparsePoly):
+    """Polynomial in alpha_1..alpha_3 with homogeneous base coefficients.
+
+    A term key packs the alpha exponents above the base exponents, so the
+    term kernel treats a BiPoly as a polynomial in six variables and a
+    HomogPoly key as one whose alpha exponents are zero.  Every nonzero
+    BiPoly is homogeneous in the alpha degree and in the weighted degree
+    deg(coeff) - sum(weights_i * alpha_exp_i).
+    """
+
+    __slots__ = ("weights",)
+
+    @classmethod
+    def _make(cls, ring, weights, terms):
+        self = object.__new__(cls)
+        self.ring = ring
+        self.weights = weights
+        self.terms = terms
+        return self
+
+    def _like(self, terms):
+        return BiPoly._make(self.ring, self.weights, terms)
+
+    @property
+    def _setting(self):
+        return self.ring, self.weights
+
+    @property
+    def _fields(self):
+        return 3 + self.ring.nvars
+
+    def _bidegree(self, key):
+        exps = unpack(key, self._fields)
+        return (sum(exps[:3]),
+                sum(exps[3:]) - sum(w * e for w, e in zip(self.weights, exps[:3])))
+
+    @property
+    def degree(self):
+        """(alpha degree, weighted degree); None for zero."""
+        return self._bidegree(next(iter(self.terms))) if self.terms else None
+
+    @property
+    def alpha_degree(self):
+        return self.degree and self.degree[0]
+
+    @property
+    def weighted_degree(self):
+        return self.degree and self.degree[1]
+
+    def coefficient(self, alpha_exps) -> HomogPoly:
+        """The base-polynomial coefficient of one alpha monomial."""
+        alpha_exps = tuple(alpha_exps)
+        return self.ring.poly({exps[3:]: c for exps, c in self.iter_terms()
+                               if exps[:3] == alpha_exps})
+
+    def alpha_support(self):
+        return sorted({exps[:3] for exps, _ in self.iter_terms()}, reverse=True)
+
+    def __mul__(self, other):
+        if isinstance(other, HomogPoly):
+            if other.ring != self.ring:
+                raise TypeError("coefficient from a different ring")
+            return self._like(mul_terms(self.terms, other.terms,
+                                        self.ring.modulus, self._fields))
+        terms = self._product(other)
+        return terms if terms is NotImplemented else self._like(terms)
+
+    __rmul__ = __mul__
+
+    def evaluate(self, base_point, alpha_point):
+        """Scalar value with base and alpha coordinates substituted."""
+        return self._evaluate(list(alpha_point) + list(base_point))
+
+    def __str__(self):
+        groups = {}
+        for key, c in self.terms.items():
+            alpha, base = divmod(key, 1 << EXP_BITS * self.ring.nvars)
+            groups.setdefault(alpha, {})[base] = c
+        return " + ".join(
+            f"({terms_to_string(groups[alpha], self.ring.variables)})*"
+            f"{monomial_string(ALPHA_NAMES, unpack(alpha, 3)) or '1'}"
+            for alpha in sorted(groups, reverse=True)) or "0"
+
+    __repr__ = __str__
+
+
+def bipoly_from_alpha_map(ring: PolyRing, weights, mapping) -> BiPoly:
+    """Build a BiPoly from {alpha exponent tuple: HomogPoly coefficient}."""
+    terms = {}
+    for aex, poly in mapping.items():
+        alpha = pack(tuple(aex), 3) << EXP_BITS * ring.nvars
+        if poly.is_zero:
+            continue
+        if poly.ring != ring:
+            raise TypeError("coefficient from a different ring")
+        for base, c in poly.terms.items():
+            terms[alpha | base] = c
+    f = BiPoly._make(ring, tuple(weights), terms)
+    grades = sorted({f._bidegree(key) for key in terms})
+    if len(grades) > 1:
+        raise DegreeMismatchError(f"mixed bidegrees {grades}")
+    return f
+
+
+def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
+    """The coordinate alpha_i (1-based) as a BiPoly."""
+    aex = tuple(1 if k == i - 1 else 0 for k in range(3))
+    return bipoly_from_alpha_map(ring, weights, {aex: ring.one})
+
+
+def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Exact division of BiPolys by greedy leading-term cancellation in
+    lexicographic order on the combined exponents."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero BiPoly")
+    f._check(g)
+    quo, rem = divide_terms(f.terms, g.terms, f.ring.modulus, f._fields)
+    if rem:
+        raise NotDivisibleError("BiPoly division failed", remainder=f._like(rem))
+    return f._like(quo)
+
+
 # ------------------------------------------------------------------ printing
 
 def monomial_string(variables, exps):
@@ -548,7 +667,7 @@ class _Parser:
             if self.peek() == "/":
                 self.take()
                 den = int(self.take("int")[1])
-                if den == 0:
+                if not ring.coerce(den):
                     raise PolyParseError("zero denominator")
             coeff = ring.coerce(num if den == 1 else ring.domain.from_pair(num, den))
             if self.peek() == "*":
@@ -595,6 +714,22 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
 
 # ---------------------------------------------------------- polynomial matrix
 
+def symmetric_grid(upper) -> tuple:
+    """Rows of the symmetric matrix whose upper triangle, listed row by
+    row, is ``upper``; ``PolyMatrix.upper`` reads it back."""
+    upper = tuple(upper)
+    n = (isqrt(8 * len(upper) + 1) - 1) // 2
+    if not n or n * (n + 1) // 2 != len(upper):
+        raise ValueError(f"{len(upper)} entries are not the upper triangle "
+                         "of a square matrix")
+    grid = [[None] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = next(it)
+    return tuple(map(tuple, grid))
+
+
 class PolyMatrix:
     """Rectangular grid of polynomials from one ring, with an optional
     per-entry expected-degree pattern (zero entries fit any slot)."""
@@ -636,6 +771,10 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> HomogPoly:
         return self.entries[i][j]
+
+    def upper(self) -> tuple:
+        """The upper triangle row by row, as ``symmetric_grid`` takes it."""
+        return tuple(f for i, row in enumerate(self.entries) for f in row[i:])
 
     def is_symmetric(self) -> bool:
         return (self.rows == self.cols

@@ -22,7 +22,7 @@ from .errors import (
     ScanTooLargeError,
     ZeroPolynomialError,
 )
-from .poly import HomogPoly, PolyMatrix, PolyRing, det3
+from .poly import HomogPoly, PolyMatrix, PolyRing, det3, symmetric_grid
 from .scalars import PrimeField
 
 
@@ -53,16 +53,21 @@ class FiberPoint:
         return ":".join(str(x) for x in self.coords)
 
 
+def plane_points(p: int):
+    """The p^2 + p + 1 points of P^2(F_p) as triples of least residues,
+    last nonzero coordinate 1: (a, b, 1), then (a, 1, 0), then (1, 0, 0)."""
+    for a in range(p):
+        for b in range(p):
+            yield a, b, 1
+    for a in range(p):
+        yield a, 1, 0
+    yield 1, 0, 0
+
+
 def projective_points(field: PrimeField):
-    """All points of P^2(F_p) in canonical form, p^2 + p + 1 of them."""
-    one = field.one
-    zero = field.zero
-    for a in field.elements():
-        for b in field.elements():
-            yield FiberPoint((a, b, one))
-    for a in field.elements():
-        yield FiberPoint((a, one, zero))
-    yield FiberPoint((one, zero, zero))
+    """All points of P^2(F_p) in canonical form, in the order of plane_points."""
+    for point in plane_points(field.p):
+        yield FiberPoint(tuple(map(field, point)))
 
 
 # --------------------------------------------------------------------- forms
@@ -117,8 +122,7 @@ def new_qform(a, d: int, entries) -> QForm:
 
 def qform_from_upper(a, d: int, six_entries) -> QForm:
     """Build a QForm from the upper triangle (Q11, Q12, Q13, Q22, Q23, Q33)."""
-    q11, q12, q13, q22, q23, q33 = six_entries
-    return new_qform(a, d, [[q11, q12, q13], [q12, q22, q23], [q13, q23, q33]])
+    return new_qform(a, d, symmetric_grid(six_entries))
 
 
 def twist(q: QForm, m: int) -> QForm:
@@ -175,7 +179,7 @@ def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
 
     Only available over a prime field; vanishing of the whole matrix at a
     point is exactly rank 0 there (a non-flat point of the conic bundle).
-    The witness is the first such point in the order of projective_points.
+    The witness is the first such point in the order of plane_points.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
@@ -185,7 +189,7 @@ def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
         field = PrimeField(field)
     if field is not None and field != dom:
         raise ValueError(f"form lives over {dom!r}, not {field!r}")
-    for point, values in plane_values(dom, _upper_entries(q)):
+    for point, values in plane_values(dom, q.matrix.upper()):
         if not any(values):
             return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
     return NowhereZeroResult(True, None)
@@ -260,12 +264,8 @@ def check_scan_size(p: int) -> int:
     return points
 
 
-def _upper_entries(q: QForm) -> list:
-    return [q.entry(i, j) for i in range(3) for j in range(i, 3)]
-
-
 def plane_values(field: PrimeField, polys):
-    """Walk P^2(F_p) in the order of projective_points, with plain ints.
+    """Walk P^2(F_p) in the order of plane_points, with plain ints.
 
     Yields each point as a triple of least residues together with the
     values mod p of ``polys`` there.  Each polynomial is compiled once into
@@ -278,17 +278,10 @@ def plane_values(field: PrimeField, polys):
     top = max((max(t[1:]) for terms in compiled for t in terms), default=0)
     pw = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
 
-    def at(point):
+    for point in plane_points(p):
         px, py, pz = (pw[x] for x in point)
-        return point, [sum(c * px[i] * py[j] * pz[k] for c, i, j, k in terms) % p
-                       for terms in compiled]
-
-    for a in range(p):
-        for b in range(p):
-            yield at((a, b, 1))
-    for a in range(p):
-        yield at((a, 1, 0))
-    yield at((1, 0, 0))
+        yield point, [sum(c * px[i] * py[j] * pz[k] for c, i, j, k in terms) % p
+                      for terms in compiled]
 
 
 @dataclass(frozen=True)
@@ -314,7 +307,7 @@ def fiber_census(q: QForm) -> FiberCensus:
     by_rank = [0, 0, 0, 0]
     disc_zeros = 0
     for point, (a, d, e, b, f, c, disc) in plane_values(
-            dom, _upper_entries(q) + [discriminant(q)]):
+            dom, q.matrix.upper() + (discriminant(q),)):
         det = (a * (b * c - f * f) - d * (d * c - e * f)
                + e * (d * f - b * e)) % p
         if det != disc:

@@ -272,10 +272,6 @@ class PrimeField:
     def random(self, rng) -> FpElement:
         return FpElement(rng.randrange(self.p), self.p)
 
-    def elements(self):
-        for v in range(self.p):
-            yield FpElement(v, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -143,6 +143,63 @@ def test_document_fields_must_be_json_integers(tmp_path, capsys, doc):
         assert report["payload"]["error"] == "ValueError"
 
 
+NET_DOC = {"scalar_domain": {"prime": 101},
+           "net": {"entries": cli.upper_entries(
+               catalog.make_net(domain=PrimeField(101), seed=1).matrix)}}
+
+
+@pytest.mark.parametrize("body, entries", [
+    ("form", [[0, 1.2, 1.9]] + DIAG_DOC["form"]["entries"][1:]),
+    ("form", "uvwuvw"),
+    ("form", [7] + DIAG_DOC["form"]["entries"][1:]),
+    ("form", None),
+    ("net", [[0, 1.2, 1.9]] + NET_DOC["net"]["entries"][1:]),
+    ("net", "uvwuvwuvwuvwuvw"),
+    ("net", [7] + NET_DOC["net"]["entries"][1:]),
+], ids=["form-array-entry", "form-string", "form-int-entry", "form-null",
+        "net-array-entry", "net-string", "net-int-entry"])
+def test_entries_must_be_an_array_of_strings(tmp_path, capsys, body, entries):
+    doc = copy.deepcopy(DIAG_DOC if body == "form" else NET_DOC)
+    doc[body]["entries"] = entries
+    path = write_doc(tmp_path, doc)
+    commands = [["validate", path]]
+    if body == "form":
+        commands += [["disc", path], ["fiber", path, "--point", "1:2:1"]]
+    for argv in commands:
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert report["status"] == "invalid-input"
+        assert f"{body}.entries" in report["payload"]["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "disc"])
+def test_coefficient_denominator_zero_in_the_domain_exits_1(tmp_path, capsys, command):
+    doc = copy.deepcopy(F101_DOC)
+    doc["form"]["entries"][0] = "1/101*u"
+    code, report, _ = run_cli(capsys, [command, write_doc(tmp_path, doc)])
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert report["payload"] == {"error": "PolyParseError",
+                                 "message": "zero denominator"}
+
+
+def test_coefficient_denominator_p_parses_over_q(tmp_path, capsys):
+    doc = copy.deepcopy(DIAG_DOC)
+    doc["form"]["entries"][0] = "1/101*u"
+    code, report, _ = run_cli(capsys, ["disc", write_doc(tmp_path, doc)])
+    assert code == 0
+    assert report["payload"]["discriminant"] == "1/101*u*v*w"
+
+
+@pytest.mark.parametrize("doc", [DIAG_DOC, F101_DOC], ids=["Q", "F101"])
+def test_fractional_point_is_its_integer_multiple(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, doc)
+    code, _, half = run_cli(capsys, ["fiber", path, "--point", "1/2:1:1"])
+    assert code == 0
+    _, _, whole = run_cli(capsys, ["fiber", path, "--point", "1:2:2"])
+    assert half == whole
+
+
 def test_trace_pairing_and_recover(tmp_path, capsys):
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["trace-pairing", path])

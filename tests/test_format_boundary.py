@@ -1,0 +1,52 @@
+"""Only ``poly`` knows the packed-exponent term format.
+
+Every other module of the package works through exponent tuples and domain
+elements (``iter_terms``, ``coefficient``, ``evaluate``, the ring and BiPoly
+constructors).  So none of them may import the term kernel or read a
+``terms`` attribute; this test reads their source with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliffbundle"
+
+KERNEL = {"pack", "unpack", "split_key", "join_key", "add_multiple",
+          "mul_terms", "divide_terms", "guard_bits", "terms_to_string",
+          "monomial_string", "SparsePoly"}
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "poly.py")
+
+
+def format_leaks(source: str) -> list:
+    """Lines of ``source`` that import the term kernel or touch ``terms``."""
+    leaks = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            leaks += [f"line {node.lineno}: imports {alias.name}"
+                      for alias in node.names if alias.name in KERNEL]
+        elif isinstance(node, ast.Attribute) and (node.attr == "terms"
+                                                  or node.attr in KERNEL):
+            leaks.append(f"line {node.lineno}: reads .{node.attr}")
+    return leaks
+
+
+def test_the_package_has_modules_besides_poly():
+    assert {p.name for p in MODULES} >= {"brauer_severi.py", "qform.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_poly_knows_the_term_format(path):
+    assert format_leaks(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .poly import pack",
+    "from cliffbundle.poly import HomogPoly, SparsePoly",
+    "def f(g):\n    return len(g.terms)",
+    "from . import poly\nkey = poly.join_key(1, 2, 3)",
+])
+def test_a_planted_leak_is_caught(source):
+    assert format_leaks(source)

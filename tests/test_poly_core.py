@@ -127,6 +127,23 @@ def test_bipoly_product_and_division(data):
     assert divide_exact_bipoly(F * G, G) == F
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bipoly_times_base_polynomial(data):
+    """A base polynomial factor acts as the BiPoly with alpha degree 0."""
+    ring = data.draw(rings)
+    weights = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
+    F = data.draw(bipolys(ring, weights, data.draw(st.integers(0, 2)),
+                          data.draw(st.integers(0, 2))))
+    g = data.draw(homog(ring, data.draw(st.integers(0, 2))))
+    G = bipoly_from_alpha_map(ring, weights, {(0, 0, 0): g})
+    assert F * g == g * F == F * G
+    other = PolyRing(ring.domain, ("x", "y", "z")).variable(0)
+    for product in (lambda: F * other, lambda: other * F):
+        with pytest.raises(TypeError, match="coefficient from a different ring"):
+            product()
+
+
 # ------------------------------------------------------------ exponent limit
 
 def test_product_just_under_the_limit_keeps_every_exponent():
