@@ -1,4 +1,4 @@
-"""Byte-identical stdout of the symbolic and point commands, pinned by sha256.
+"""Byte-identical stdout of the symbolic, point and scan commands, pinned by sha256.
 
 Each case writes a document with ``catalog`` (so the generator's random
 draws are pinned too) and runs the commands on it.  A change to term
@@ -236,6 +236,98 @@ POINT_GOLDEN = {
 }
 
 
+# ``scan --prime p`` per case and prime: every catalog document of seeds 0
+# and 7 at p = 101, the Q documents at p = 3, 5 and 7, and one Q document
+# at p = 997, the largest prime the scan accepts.
+SCAN_GOLDEN = {
+    'F23 F101 0': {
+        '101':
+            '068bb5c167aa37fa459844f3aad8d41c96459c4bad8051ce5e91616e4619384f',
+    },
+    'F23 Q 0': {
+        '3':
+            '786a0a7967c60c143fbb2411ce23844fb1b9325a0e3468e286fcf0ff599455e6',
+        '5':
+            'feff2e0456cb255385d1ce0616c5ffd034d0c5453362c2a586ab78301110b1f1',
+        '7':
+            '17395b4eb5db3553c0c07017c55572664c39e07471028edde10b9667e6791767',
+        '101':
+            '9673f93a675ef8e5c22b4caf4f874ce2ee754fd2af1a93951ddbd208604c4134',
+    },
+    'F24 F101 0': {
+        '101':
+            'f84bebdac719b2ae09cf5d4a80a65b298c2a33c559fc08c1c11550e58233265e',
+    },
+    'F24 Q 0': {
+        '3':
+            '91ec2b25b5e5468fa55061ba8cefe8231d827c8d86e560fc03671d7610a87c8b',
+        '5':
+            '685b6e74393fadf131b2493f732656967fe1e32b3f7503932defa33dcb154087',
+        '7':
+            'cfe238c3ea74637758404deee0fd0cbf9271044e7937bcf270215b4b012e932c',
+        '101':
+            '41781659253c051a0a67aadccd0121b60b7ac1661215c2c178ca7a2519d785ba',
+    },
+    'F25minus F101 0': {
+        '101':
+            '3341add6a1f630785b2e22da1707390297238239e8c6cec9c658a36968f55c55',
+    },
+    'F25minus Q 0': {
+        '3':
+            '1c7ffaa721c7bb48e4712899af0706d22aa0de2fc2124e206a95340615f98e4a',
+        '5':
+            'f68c393c39c2e717e0625e646b3bc4fc5435e2cc945f8e68aac729f871f5b603',
+        '7':
+            '1a07d210a96ee73c1b5d1d1b8c6362173384e6c9ef2385bdd5f1584d9fbb12d4',
+        '101':
+            'f84bebdac719b2ae09cf5d4a80a65b298c2a33c559fc08c1c11550e58233265e',
+    },
+    'F23 F101 7': {
+        '101':
+            '9673f93a675ef8e5c22b4caf4f874ce2ee754fd2af1a93951ddbd208604c4134',
+    },
+    'F23 Q 7': {
+        '3':
+            '786a0a7967c60c143fbb2411ce23844fb1b9325a0e3468e286fcf0ff599455e6',
+        '5':
+            'aef64e1dea353a555008c0bd123a5ecf4e644a74a9bfb1bba63decaf571fa476',
+        '7':
+            'cb2de54fb27a24e408707d98b4a052b91a6f1eb6abcb87424df127f155c1ba16',
+        '101':
+            'd1489fe40635ab9a07328265e8f4bbf292c6f01951478abdec09b03422f0efeb',
+    },
+    'F24 F101 7': {
+        '101':
+            'ce6a8a40755ad4cbd71af77d30a98fffb34444fe2010fc9f3ae02546dca9f048',
+    },
+    'F24 Q 7': {
+        '3':
+            '63cdfc017b06de00b65e7f2416799704c6aa5323792c0465fec11137f4c4cf3c',
+        '5':
+            'afdf6fb4a85f647344761bb9b5ae47d0078d9fa61dc057b69542e4b25e98b139',
+        '7':
+            'bc05209b3e9f5bde27501d1e29f25abd42aaa47414691544fed06775bc6bfe94',
+        '101':
+            '72014765e692af9601f4c59ea79b159ecdbad743eec521425f6833d76b8ec3c9',
+    },
+    'F25minus F101 7': {
+        '101':
+            'b0e258a4a29378cb723e0f08191ba2c818d2b79e7d2f7806939d1cde4d78b98d',
+    },
+    'F25minus Q 7': {
+        '3':
+            '18834f28b8bb66fe0d9a08485adccb75a2efcb2618d0f2551e6b3b50bc07f2da',
+        '5':
+            '804887234310f3f4ffd57083819edd5a1a56161264c9a9b18524a8a0b9e7a41b',
+        '7':
+            'aeb606fbbeef4aa51f60de3dee6aef19c612694e735a1fd93451aeec4822716a',
+        '101':
+            '6e6a6dd5c41298b5fef9afff6b5d6bd23b27390ee650fe10e851f218ce0ffc07',
+        '997':
+            '989e7511d997afb5afdf371ad459d106f4fa445060005b05871aca2afb703f98',
+    },
+}
+
 def _stdout(capsys, argv):
     code = cli.main(argv)
     assert code == 0, argv
@@ -271,3 +363,17 @@ def test_point_stdout_matches_pinned_hash(case, tmp_path, capsys):
             text = _stdout(capsys, [command, str(path), "--point", point])
             got[point][command] = hashlib.sha256(text.encode()).hexdigest()
     assert got == POINT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_GOLDEN))
+def test_scan_stdout_matches_pinned_hash(case, tmp_path, capsys):
+    tag, field, seed = case.split()
+    argv = ["catalog", "--type", tag, "--seed", seed]
+    text = _stdout(capsys, argv + (["--rational"] if field == "Q" else []))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(json.loads(text)["payload"]), encoding="utf-8")
+    got = {}
+    for prime in SCAN_GOLDEN[case]:
+        text = _stdout(capsys, ["scan", str(path), "--prime", prime])
+        got[prime] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SCAN_GOLDEN[case]
