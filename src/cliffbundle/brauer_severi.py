@@ -228,4 +228,6 @@ def conic_point_count(q: QForm, base: FiberPoint) -> int:
     cq = conic_equation(q)
     conic = q.ring.poly({aex: cq.coefficient(aex).evaluate(base.coords)
                          for aex in cq.alpha_support()})
-    return sum(1 for _, (value,) in plane_values(q.domain, [conic]) if not value)
+    p = q.domain.p
+    return sum(1 for _, (values,) in plane_values(q.domain, [conic])
+               for value in values if not value % p)

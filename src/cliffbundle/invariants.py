@@ -11,7 +11,9 @@ The second formula is rederived here from surface Riemann-Roch with
 c1(A) = -D; the coefficient of c2 is 2, and only that value makes the two
 routes agree (the variant with coefficient 1 is kept for reference as
 ``minus_k3_via_chern_printed``).  ``report`` computes both routes for each
-minimal del Pezzo type and refuses to return if they differ.
+minimal del Pezzo type and refuses to return if they differ.  It also
+derives h^{1,2} = (6 - chi_top(X)) / 2 = (d^2 - 3d) / 2 from the Euler
+characteristic and refuses a table row that says otherwise.
 """
 
 from __future__ import annotations
@@ -196,6 +198,13 @@ def report(type_tag) -> InvariantReport:
     if c1 != -d:
         raise InconsistentInvariantsError(
             f"{tag.value}: c1 = {c1} but the discriminant degree is {d}")
+    # b2(X) = 2 and b3(X) = 2 h^{1,2}, so chi_top(X) = 6 - 2 h^{1,2}.
+    chi_top_X = chi_top_conic_bundle(3, chi_top_plane_curve(d))
+    h12 = (6 - chi_top_X) // 2
+    if h12 != data.h12:
+        raise InconsistentInvariantsError(
+            f"{tag.value}: chi_top(X) = {chi_top_X} gives h12 = {h12}, "
+            f"the table says {data.h12}")
     return InvariantReport(
         type_tag=tag.value,
         d=d,
@@ -203,6 +212,6 @@ def report(type_tag) -> InvariantReport:
         c1=c1,
         c2=c2,
         minus_K3=via_euler,
-        h12=data.h12,
-        chi_top_X_smooth_D=chi_top_conic_bundle(3, chi_top_plane_curve(d)),
+        h12=h12,
+        chi_top_X_smooth_D=chi_top_X,
     )

@@ -11,8 +11,11 @@ of degree ``2*sum(a) + 3d`` when nonzero.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from . import linalg
 from .errors import (
@@ -189,9 +192,11 @@ def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
         field = PrimeField(field)
     if field is not None and field != dom:
         raise ValueError(f"form lives over {dom!r}, not {field!r}")
-    for point, values in plane_values(dom, q.matrix.upper()):
-        if not any(values):
-            return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
+    p = dom.p
+    for points, columns in plane_values(dom, q.matrix.upper()):
+        for point, *values in zip(points, *columns):
+            if not any(x % p for x in values):
+                return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
     return NowhereZeroResult(True, None)
 
 
@@ -264,24 +269,74 @@ def check_scan_size(p: int) -> int:
     return points
 
 
-def plane_values(field: PrimeField, polys):
-    """Walk P^2(F_p) in the order of plane_points, with plain ints.
+#: Bits per slot of a packed line (array type "Q"): one value of one
+#: polynomial at one point.
+SLOT_BITS = 64
 
-    Yields each point as a triple of least residues together with the
-    values mod p of ``polys`` there.  Each polynomial is compiled once into
-    terms (c mod p, e_u, e_v, e_w) and evaluated through the power table
-    pw[x][e] = x^e mod p, so no FpElement is made per point.
+
+def fermat_exponent(e: int, p: int) -> int:
+    """The least e' with x^e' = x^e for every x in F_p, 0 included."""
+    return 0 if e == 0 else (e - 1) % (p - 1) + 1
+
+
+def plane_values(field: PrimeField, polys):
+    """Walk P^2(F_p) line by line, in the order of plane_points.
+
+    Yields ``(points, columns)``: the points of one line as triples of least
+    residues and, per polynomial, the list of its values there.  The lines
+    are (a, b, 1) for each a, then (a, 1, 0), then the point (1, 0, 0).  A
+    value is congruent to the true one mod p but not reduced.
+
+    Exponents are first reduced by Fermat and the terms grouped by reduced
+    exponent, so neither time nor memory grows with the degree.  A sum
+    sum_e c_e x^e over all x in F_p at once is sum_e (c_e mod p) * B_e,
+    where B_e = sum_x (x^e mod p) << SLOT_BITS*x packs one power per slot:
+    one big-int multiply-add per exponent.  On the line (a, b, 1) a
+    polynomial is sum_j g_j(a) b^j, and the g_j are packed over a the same
+    way first.  A slot sums at most p products of least residues, so it
+    stays below p^3 and never carries into its neighbour.
     """
     p = field.p
     check_scan_size(p)
-    compiled = [[(c.value,) + e for e, c in f.iter_terms()] for f in polys]
-    top = max((max(t[1:]) for terms in compiled for t in terms), default=0)
-    pw = [[pow(x, e, p) for e in range(top + 1)] for x in range(p)]
+    if p * (p - 1) ** 2 >= 1 << SLOT_BITS:
+        raise InternalInvariantError(f"a packed value mod {p} overflows its slot")
+    packed = {}
 
-    for point in plane_points(p):
-        px, py, pz = (pw[x] for x in point)
-        yield point, [sum(c * px[i] * py[j] * pz[k] for c, i, j, k in terms) % p
-                      for terms in compiled]
+    def power_row(e):
+        if e not in packed:
+            row = array("Q", [pow(x, e, p) for x in range(p)])
+            packed[e] = int.from_bytes(row.tobytes(), sys.byteorder)
+        return packed[e]
+
+    def along_line(terms):
+        """Values over all x in F_p of sum c * x^e, from (B_e, c) pairs."""
+        total = sum(c % p * row for row, c in terms)
+        return memoryview(total.to_bytes(8 * p, sys.byteorder)).cast("Q").tolist()
+
+    def compile_terms(coefficients):
+        return along_line((power_row(e), c) for e, c in coefficients.items())
+
+    charts, lines, corners = [], [], []
+    for f in polys:
+        chart, line, corner = {}, {}, 0
+        for (i, j, k), c in f.iter_terms():
+            i, j, c = fermat_exponent(i, p), fermat_exponent(j, p), c.value
+            row = chart.setdefault(j, {})
+            row[i] = row.get(i, 0) + c
+            if not k:
+                line[i] = line.get(i, 0) + c
+                if not j:
+                    corner += c
+        charts.append([(power_row(j), compile_terms(row)) for j, row in chart.items()])
+        lines.append(compile_terms(line))
+        corners.append([corner])
+
+    walk = plane_points(p)
+    for a in range(p):
+        columns = [along_line((b_row, g[a]) for b_row, g in chart) for chart in charts]
+        yield list(islice(walk, p)), columns
+    yield list(islice(walk, p)), lines
+    yield list(walk), corners
 
 
 @dataclass(frozen=True)
@@ -305,30 +360,27 @@ def fiber_census(q: QForm) -> FiberCensus:
         raise TypeError("census needs a prime-field form")
     p = dom.p
     by_rank = [0, 0, 0, 0]
-    disc_zeros = 0
-    for point, (a, d, e, b, f, c, disc) in plane_values(
-            dom, q.matrix.upper() + (discriminant(q),)):
-        det = (a * (b * c - f * f) - d * (d * c - e * f)
-               + e * (d * f - b * e)) % p
-        if det != disc:
-            raise InternalInvariantError(
-                f"discriminant {disc} and determinant {det} of the entry "
-                f"values disagree at {point}")
-        if not disc:
-            disc_zeros += 1
-        # A symmetric matrix has rank r exactly when r is the largest order
-        # of a nonzero principal minor, so three 2x2 minors decide rank 2.
-        if det:
-            rank = 3
-        elif (a * b - d * d) % p or (a * c - e * e) % p or (b * c - f * f) % p:
-            rank = 2
-        elif a or b or c or d or e or f:
-            rank = 1
-        else:
-            rank = 0
-        by_rank[rank] += 1
+    for points, columns in plane_values(dom, q.matrix.upper() + (discriminant(q),)):
+        for point, a, d, e, b, f, c, disc in zip(points, *columns):
+            det = (a * (b * c - f * f) - d * (d * c - e * f)
+                   + e * (d * f - b * e)) % p
+            if det != disc % p:
+                raise InternalInvariantError(
+                    f"discriminant {disc % p} and determinant {det} of the entry "
+                    f"values disagree at {point}")
+            if det:
+                by_rank[3] += 1
+            # A symmetric matrix has rank r exactly when r is the largest
+            # order of a nonzero principal minor, so three 2x2 minors
+            # decide rank 2.
+            elif (a * b - d * d) % p or (a * c - e * e) % p or (b * c - f * f) % p:
+                by_rank[2] += 1
+            elif a % p or b % p or c % p or d % p or e % p or f % p:
+                by_rank[1] += 1
+            else:
+                by_rank[0] += 1
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
-                       disc_zeros)
+                       sum(by_rank[:3]))
 
 
 def census(q: QForm) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -86,6 +87,15 @@ def test_invariants_rows(capsys, tag, k3, h12):
     assert report["payload"]["minus_K3"] == k3
     assert report["payload"]["h12"] == h12
 
+
+def test_invariants_refuses_a_table_h12_off_the_topological_route(capsys, monkeypatch):
+    tag = catalog.DelPezzoTag.coerce("F24")
+    row = catalog.CATALOG[tag]
+    monkeypatch.setitem(catalog.CATALOG, tag, dataclasses.replace(row, h12=3))
+    code, report, _ = run_cli(capsys, ["invariants", "--type", "F24"])
+    assert code == 2
+    assert report["payload"]["error"] == "InconsistentInvariantsError"
+    assert "h12 = 2" in report["payload"]["contract"]
 
 def test_fiber_and_classify(tmp_path, capsys):
     doc = {"scalar_domain": {"prime": 5}, "form": DIAG_DOC["form"]}

@@ -1,9 +1,14 @@
-"""The integer-residue plane scan against the FpElement path.
+"""The packed-line plane scan against two slower routes.
 
-The oracle is the slow route: ``rank_at`` (``linalg.rank`` on evaluated
-entries), ``HomogPoly.evaluate`` of the discriminant and ``BiPoly.evaluate``
-of the conic equation, each over ``projective_points``.
+The first oracle is the ``FpElement`` path: ``rank_at`` (``linalg.rank`` on
+evaluated entries), ``HomogPoly.evaluate`` of the discriminant and
+``BiPoly.evaluate`` of the conic equation, each over ``projective_points``.
+The second is ``point_walk``, the per-point int walk the packed kernel
+replaced: every term evaluated with ``pow`` at every point of
+``plane_points``.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,19 +25,23 @@ from cliffbundle import (
     fiber_conic_type,
     is_nowhere_zero,
     new_qform,
+    normalize,
     projective_points,
     qform,
+    rank_at,
+    twist,
 )
 from cliffbundle.errors import InternalInvariantError, ScanTooLargeError
 from cliffbundle.poly import monomials_of_degree
+from cliffbundle.qform import FiberCensus, plane_points
 from conftest import diag_form, uvw
 
-KINDS = ("generic", "rank_deficient", "vanishing")
+KINDS = ("generic", "rank_deficient", "vanishing", "monomial")
 
 
 @st.composite
-def forms(draw, kind):
-    """Random forms over F_3, F_5, F_7 or F_11 of one kind.
+def forms(draw, kind, primes=(3, 5, 7, 11)):
+    """Random forms over F_p, p drawn from ``primes``, of one kind.
 
     generic: random entries for a random degree pattern.
     rank_deficient: c1 l l^T + c2 m m^T for vectors l, m of linear forms,
@@ -40,8 +49,10 @@ def forms(draw, kind):
     vanishing: every entry is a linear form through one drawn point, or a
       multiple of one linear form, so the fibers over that point or along
       that line are WholePlane.
+    monomial: every entry is a scalar times one monomial of degree up to
+      40, so exponents pass p - 1 for the small primes.
     """
-    field = PrimeField(draw(st.sampled_from((3, 5, 7, 11))))
+    field = PrimeField(draw(st.sampled_from(primes)))
     ring = PolyRing(field)
     scalar = st.integers(0, field.p - 1)
 
@@ -59,6 +70,17 @@ def forms(draw, kind):
         m = [poly(1) for _ in range(3)]
         c1, c2 = draw(scalar), draw(scalar)
         upper = {(i, j): l[i] * l[j] * c1 + m[i] * m[j] * c2
+                 for i in range(3) for j in range(i, 3)}
+    elif kind == "monomial":
+        a = tuple(draw(st.integers(0, 10)) for _ in range(3))
+        d = draw(st.integers(0, 20))
+
+        def monomial(degree):
+            i = draw(st.integers(0, degree))
+            j = draw(st.integers(0, degree - i))
+            return ring.monomial(draw(scalar), (i, j, degree - i - j))
+
+        upper = {(i, j): monomial(a[i] + a[j] + d)
                  for i in range(3) for j in range(i, 3)}
     elif draw(st.booleans()):
         a, d = (0, 0, 0), 1
@@ -122,6 +144,12 @@ def test_planted_wrong_discriminant_raises(monkeypatch):
         qform.fiber_census(diag_form(ring))
 
 
+def test_slot_overflow_is_refused(monkeypatch):
+    monkeypatch.setattr(qform, "SLOT_BITS", 16)  # 101 * 100^2 > 2^16
+    with pytest.raises(InternalInvariantError, match="overflows its slot"):
+        census(diag_form(PolyRing(PrimeField(101))))
+
+
 def test_scans_refuse_more_points_than_the_limit():
     field = PrimeField(1009)  # 1009^2 + 1009 + 1 = 1,019,091 points
     q = diag_form(PolyRing(field))
@@ -130,3 +158,100 @@ def test_scans_refuse_more_points_than_the_limit():
                  lambda: conic_point_count(q, base)):
         with pytest.raises(ScanTooLargeError, match="SCAN_POINT_LIMIT"):
             scan()
+
+
+def point_walk(field, polys):
+    """The values mod p of ``polys`` at each point of plane_points, one
+    point and one term at a time."""
+    p = field.p
+    compiled = [[(c.value,) + e for e, c in f.iter_terms()] for f in polys]
+    for x, y, z in plane_points(p):
+        yield (x, y, z), [sum(c * pow(x, i, p) * pow(y, j, p) * pow(z, k, p)
+                              for c, i, j, k in terms) % p
+                          for terms in compiled]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_packed_lines_match_point_walk(kind, data):
+    q = data.draw(forms(kind, primes=(3, 5, 101)))
+    polys = q.matrix.upper() + (discriminant(q),)
+    p = q.domain.p
+    packed = []
+    for points, columns in qform.plane_values(q.domain, polys):
+        assert all(len(column) == len(points) for column in columns)
+        packed += [(point, [x % p for x in values])
+                   for point, *values in zip(points, *columns)]
+    assert packed == list(point_walk(q.domain, polys))
+
+
+def _witness_form(p, entries):
+    ring = PolyRing(PrimeField(p))
+    u, v, w = uvw(ring)
+    z = ring.zero
+    q11, q22 = entries(u, v, w)
+    return new_qform((0, 0, 0), 1, [[q11, z, z], [z, q22, z], [z, z, z]])
+
+
+@pytest.mark.parametrize("p, entries, witness", [
+    # u - 2v and w vanish together only at (2 : 1 : 0), and u and w only
+    # at (0 : 1 : 0), both on the line w = 0.
+    (5, lambda u, v, w: (u - v * 2, w), (2, 1, 0)),
+    (101, lambda u, v, w: (u - v * 2, w), (2, 1, 0)),
+    (101, lambda u, v, w: (u, w), (0, 1, 0)),
+    # v and w vanish together only at (1 : 0 : 0), the last point scanned.
+    (5, lambda u, v, w: (v, w), (1, 0, 0)),
+    (101, lambda u, v, w: (v, w), (1, 0, 0)),
+])
+def test_only_whole_plane_point_off_the_chart_is_the_witness(p, entries, witness):
+    q = _witness_form(p, entries)
+    found = is_nowhere_zero(q)
+    assert not found.nowhere_zero
+    assert found.witness == FiberPoint.make(q.domain, witness)
+    assert census(q)[ConicType.WHOLE_PLANE] == 1
+
+
+def test_scan_of_huge_exponents_stays_small():
+    # diag(u^e, v^e, w^e) has the fibers of diag(u, v, w) over F_p.  The
+    # scan reduces exponents by Fermat, so e near EXP_LIMIT costs no table
+    # of e powers.
+    e = 32766
+    ring = PolyRing(PrimeField(101))
+    u, v, w = (ring.monomial(1, tuple(e * (i == k) for i in range(3)))
+               for k in range(3))
+    z = ring.zero
+    q = new_qform((0, 0, 0), e, [[u, z, z], [z, v, z], [z, z, w]])
+    tracemalloc.start()
+    try:
+        result = qform.fiber_census(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert result == FiberCensus({ConicType.SMOOTH_CONIC: 100 * 100,
+                                  ConicType.LINE_PAIR: 3 * 100,
+                                  ConicType.DOUBLE_LINE: 3,
+                                  ConicType.WHOLE_PLANE: 0}, 303)
+
+
+def test_fermat_exponent_is_exact_on_every_residue():
+    for p in (3, 5, 7):
+        for e in range(4 * p):
+            reduced = qform.fermat_exponent(e, p)
+            assert reduced < p
+            assert all(pow(x, reduced, p) == pow(x, e, p) for x in range(p))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_twist_and_normalize_keep_the_geometry(kind, data):
+    q = data.draw(forms(kind))
+    point = data.draw(st.sampled_from(list(projective_points(q.domain))))
+    expected = (discriminant(q), qform.fiber_census(q), rank_at(q, point))
+    for m in range(-3, 4):
+        t = twist(q, m)
+        assert (discriminant(t), qform.fiber_census(t), rank_at(t, point)) == expected
+    n = normalize(q)
+    assert (discriminant(n), qform.fiber_census(n), rank_at(n, point)) == expected
