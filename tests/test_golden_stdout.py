@@ -187,8 +187,18 @@ GOLDEN = {
 
 # ``fiber --point`` and ``classify --point`` per case and base point: 1:2:3 is
 # off the discriminant curve of all four documents; 0:67:1 and 0:79:1 are
-# the first points of P^2(F_101) on it for F24 and F25minus.
+# the first points of P^2(F_101) on it for F24 and F25minus.  The Q
+# documents are also read at the fractional point 1/2:-3:5/3, which
+# normalizes to 3/10:-9/5:1.
 POINT_GOLDEN = {
+    'F23 Q 7': {
+        '1/2:-3:5/3': {
+            'fiber':
+                'f08223f47317c2b31ded23a6d82ba717ea6a9025b578961358dfd3df8aa36729',
+            'classify':
+                'ad1de21222975ff8e8990f1b8ea692da3761a98e7accbc7114a6fa3ea9ebe544',
+        },
+    },
     'F24 F101 7': {
         '1:2:3': {
             'fiber':
@@ -209,6 +219,12 @@ POINT_GOLDEN = {
                 '7972c9dcd312678940a301f4eebe61962b5af714a0ca54c22cd243b376ca55ae',
             'classify':
                 'a7b65eb900ccff12ad0f4e3687a4c5216e7304a884be3b07dc8b5121f0b66014',
+        },
+        '1/2:-3:5/3': {
+            'fiber':
+                'f08223f47317c2b31ded23a6d82ba717ea6a9025b578961358dfd3df8aa36729',
+            'classify':
+                'ad1de21222975ff8e8990f1b8ea692da3761a98e7accbc7114a6fa3ea9ebe544',
         },
     },
     'F25minus F101 7': {
@@ -231,6 +247,12 @@ POINT_GOLDEN = {
                 '7972c9dcd312678940a301f4eebe61962b5af714a0ca54c22cd243b376ca55ae',
             'classify':
                 'a7b65eb900ccff12ad0f4e3687a4c5216e7304a884be3b07dc8b5121f0b66014',
+        },
+        '1/2:-3:5/3': {
+            'fiber':
+                'f08223f47317c2b31ded23a6d82ba717ea6a9025b578961358dfd3df8aa36729',
+            'classify':
+                'ad1de21222975ff8e8990f1b8ea692da3761a98e7accbc7114a6fa3ea9ebe544',
         },
     },
 }
