@@ -235,7 +235,8 @@ class F25PlusProvider:
 
     def fiber_form(self, p: FiberPoint):
         dom = self.net.domain
-        values = self.net.matrix.evaluate(p.coords)
+        upper = self.net.matrix.upper()
+        values = symmetric_grid(f.evaluate(p.coords) for f in upper)
         row = values[4]
         if not any(row):
             raise BasePointSingularError(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -28,8 +29,9 @@ from .errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from .poly import PolyMatrix, adjugate3, divide_exact, poly_sqrt
+from .poly import PolyMatrix, adjugate3, divide_exact, poly_sqrt, symmetric_grid
 from .qform import FiberPoint, QForm
+from .scalars import lower
 from .series import RationalSeries, poly_mul_1d
 
 LETTERS = "xyz"
@@ -215,7 +217,8 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
     """Fiber algebra of a global form at a point of P^2."""
-    return fiber_algebra(q.matrix.evaluate(p.coords), q.domain)
+    values = symmetric_grid(f.evaluate(p.coords) for f in q.matrix.upper())
+    return fiber_algebra(values, q.domain)
 
 
 def kronecker_quiver_algebra(domain) -> FiberAlgebra:
@@ -249,6 +252,14 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     central (which is the polarized form of the degree-2 Cayley-Hamilton
     identity).  The trace is 2 on 1 and 0 on the traceless basis by
     definition (FiberAlgebra.trace_of).
+
+    After the unit check the constants c_ijk are lowered once to plain ints
+    (``scalars.lower``): least residues over F_p, and over Q the constants
+    times D, the lcm of their denominators.  Triple (i, j, k) associates
+    when sum_m c_ijm c_mkn - c_jkm c_imn vanishes for every n; over F_p only
+    that sum is reduced mod p.  Scaling by D changes no verdict: the sum is
+    homogeneous of degree 2 in the constants, so it only gains a factor
+    D^2, and the anticommutator test c_ijk + c_jik is linear.
     """
     c = alg.constants
     if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
@@ -257,21 +268,31 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     for j in range(4):
         if c[0][j] != basis[j] or c[j][0] != basis[j]:
             raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
+    flat, _ = lower(alg.domain, [x for r in c for v in r for x in v])
+    p = alg.domain.characteristic
+    t = [[flat[4 * r:4 * r + 4] for r in range(4 * i, 4 * i + 4)] for i in range(4)]
+    # by_left[i][n][m] = c_imn and by_right[k][n][m] = c_mkn, so that
+    # coordinate n of (e_i e_j) e_k - e_i (e_j e_k) is two dot products.
+    by_left = [list(zip(*t[i])) for i in range(4)]
+    by_right = [list(zip(*(t[m][k] for m in range(4)))) for k in range(4)]
     # With e_0 a two-sided unit, every triple that contains 0 associates.
     for i in range(1, 4):
         for j in range(1, 4):
+            ij = t[i][j]
             for k in range(1, 4):
-                left = alg.multiply(c[i][j], basis[k])
-                right = alg.multiply(basis[i], c[j][k])
-                if left != right:
-                    raise InvalidAlgebraError(
-                        f"associativity fails on basis triple ({i},{j},{k})")
+                jk = t[j][k]
+                for right, left in zip(by_right[k], by_left[i]):
+                    s = sum(map(mul, ij, right)) - sum(map(mul, jk, left))
+                    if (s % p) if p else s:
+                        raise InvalidAlgebraError(
+                            f"associativity fails on basis triple ({i},{j},{k})")
     for i in range(1, 4):
         for j in range(1, 4):
-            anti = tuple(x + y for x, y in zip(c[i][j], c[j][i]))
-            if any(anti[k] for k in (1, 2, 3)):
-                raise InvalidAlgebraError(
-                    f"anticommutator of traceless elements {i},{j} is not central")
+            for k in (1, 2, 3):
+                s = t[i][j][k] + t[j][i][k]
+                if (s % p) if p else s:
+                    raise InvalidAlgebraError(
+                        f"anticommutator of traceless elements {i},{j} is not central")
 
 
 # -------------------------------------------------------------- trace pairing

@@ -35,6 +35,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .linalg import det_cofactor
+from .scalars import lower
 
 #: Bits per variable in a packed exponent vector, guard bit included.
 EXP_BITS = 16
@@ -236,20 +237,30 @@ class SparsePoly:
         return self.scale(c).terms
 
     def _evaluate(self, point):
-        dom = self.ring.domain
-        pt = [dom(x) for x in point]
-        if len(pt) != self._fields:
+        """The value at a point, summed in plain ints and boxed once.
+
+        The point goes through ``scalars.lower``: least residues over F_p;
+        over Q the coordinates are x = X / den with X integral, so a term
+        c * x^e of total degree d is c * X^e / den^d.  Terms are summed per
+        total degree and each sum is divided once.
+        """
+        dom, mod = self.ring.domain, self.ring.modulus or None
+        xs, den = lower(dom, point)
+        if len(xs) != self._fields:
             raise ValueError("wrong number of coordinates")
-        shifts = range(EXP_BITS * (len(pt) - 1), -1, -EXP_BITS)
-        total = dom.zero
+        shifts = range(EXP_BITS * (len(xs) - 1), -1, -EXP_BITS)
+        sums = {}
         for key, c in self.terms.items():
-            v = dom(c)
-            for x, s in zip(pt, shifts):
+            d = 0
+            for x, s in zip(xs, shifts):
                 e = key >> s & _FIELD
                 if e:
-                    v = v * (x if e == 1 else x ** e)
-            total = total + v
-        return total
+                    c = c * (x if e == 1 else pow(x, e, mod))
+                    d += e
+            sums[d] = sums.get(d, 0) + c
+        if den == 1:
+            return dom(sum(sums.values()))
+        return dom(sum(Fraction(c, den ** d) for d, c in sums.items()))
 
 
 # ---------------------------------------------------------------------- ring

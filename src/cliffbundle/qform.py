@@ -145,7 +145,8 @@ def discriminant(q: QForm) -> HomogPoly:
 
 def rank_at(q: QForm, p: FiberPoint) -> int:
     """Rank of the scalar matrix of entry values at p (0..3)."""
-    return linalg.rank(q.matrix.evaluate(p.coords), q.domain)
+    values = symmetric_grid(f.evaluate(p.coords) for f in q.matrix.upper())
+    return linalg.rank(values, q.domain)
 
 
 class ConicType(Enum):
@@ -269,9 +270,9 @@ def check_scan_size(p: int) -> int:
     return points
 
 
-#: Bits per slot of a packed line (array type "Q"): one value of one
-#: polynomial at one point.
-SLOT_BITS = 64
+#: Bits per slot of a packed line: one value of one polynomial at one
+#: point.  A slot stays below p^3 < 2^30 for every p the scan accepts.
+SLOT_BITS = 32
 
 
 def fermat_exponent(e: int, p: int) -> int:
@@ -300,18 +301,23 @@ def plane_values(field: PrimeField, polys):
     check_scan_size(p)
     if p * (p - 1) ** 2 >= 1 << SLOT_BITS:
         raise InternalInvariantError(f"a packed value mod {p} overflows its slot")
+    width = SLOT_BITS // 8
+    typecode = next((t for t in "BHILQ" if array(t).itemsize == width), None)
+    if typecode is None:
+        raise InternalInvariantError(f"no array type has {SLOT_BITS}-bit items")
     packed = {}
 
     def power_row(e):
         if e not in packed:
-            row = array("Q", [pow(x, e, p) for x in range(p)])
+            row = array(typecode, [pow(x, e, p) for x in range(p)])
             packed[e] = int.from_bytes(row.tobytes(), sys.byteorder)
         return packed[e]
 
     def along_line(terms):
         """Values over all x in F_p of sum c * x^e, from (B_e, c) pairs."""
         total = sum(c % p * row for row, c in terms)
-        return memoryview(total.to_bytes(8 * p, sys.byteorder)).cast("Q").tolist()
+        values = memoryview(total.to_bytes(width * p, sys.byteorder))
+        return values.cast(typecode).tolist()
 
     def compile_terms(coefficients):
         return along_line((power_row(e), c) for e, c in coefficients.items())

@@ -6,6 +6,8 @@ sampling) that the polynomial layer and the rank-4 algebra classifier need.
 Rational values are plain ``fractions.Fraction``; prime-field values are
 ``FpElement`` wrappers storing the canonical representative in ``[0, p)``.
 Values from different domains never mix: mixed arithmetic raises TypeError.
+``lower`` hands the per-point layers the plain ints under a list of
+elements, so that they can compute without boxing every intermediate.
 
 Characteristic 2 is excluded throughout (the Clifford relations divide by 2).
 """
@@ -13,7 +15,7 @@ Characteristic 2 is excluded throughout (the Clifford relations divide by 2).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -280,6 +282,23 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+def lower(domain, values) -> tuple:
+    """The plain ints under domain elements, for arithmetic without boxing.
+
+    Returns ``(ints, den)``: over F_p the least residues and den = 1, over Q
+    the values times den, the lcm of their denominators.  Each value is
+    coerced through the domain first, so one the domain refuses raises as
+    ``domain(x)`` does.  Arithmetic on the ints must reduce mod p itself.
+    """
+    if isinstance(domain, PrimeField):
+        return [domain(x).value for x in values], 1
+    if isinstance(domain, Rationals):
+        values = [domain(x) for x in values]
+        den = lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], den
+    raise TypeError(f"no plain ints under the elements of {domain!r}")
 
 
 QQ = Rationals()

@@ -11,6 +11,7 @@ from cliffbundle import (
     AlgebraType,
     CliffordWord,
     FiberPoint,
+    FpElement,
     PolyMatrix,
     PolyRing,
     PrimeField,
@@ -351,14 +352,22 @@ def small_scalars(domain):
     return st.integers(0, domain.p - 1).map(domain)
 
 
+#: Rationals over several denominators, so that one algebra mixes them.
+mixed_denominators = st.builds(Fraction, st.integers(-7, 7),
+                               st.sampled_from((2, 3, 5, 7)))
+
+
 @st.composite
 def corrupted_algebras(draw):
     domain = draw(st.sampled_from(VALIDATION_DOMAINS))
+    scalars = small_scalars(domain)
+    if domain is QQ and draw(st.booleans()):
+        scalars = st.one_of(scalars, mixed_denominators)
     if draw(st.integers(0, 4)) == 0:
         alg = kronecker_quiver_algebra(domain)
     else:
         # Zeros are frequent, so degenerate fibers of every rank turn up.
-        value = st.one_of(st.just(0), small_scalars(domain))
+        value = st.one_of(st.just(0), scalars)
         upper = [draw(value) for _ in range(6)]
         q = [[upper[0], upper[1], upper[2]],
              [upper[1], upper[3], upper[4]],
@@ -370,7 +379,11 @@ def corrupted_algebras(draw):
         st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)),
         st.tuples(*[st.integers(0, 3)] * 3))
     for i, j, k in draw(st.lists(positions, min_size=1, max_size=3)):
-        rows[i][j][k] = domain(draw(small_scalars(domain)))
+        if domain is not QQ and draw(st.booleans()):
+            # The least residue plus p as a plain int: the same element.
+            rows[i][j][k] = domain(rows[i][j][k]).value + domain.p
+        else:
+            rows[i][j][k] = domain(draw(scalars))
     constants = tuple(tuple(tuple(v) for v in r) for r in rows)
     return type(alg)(domain=domain, constants=constants)
 
@@ -384,6 +397,42 @@ def test_validation_matches_the_full_axiom_check(alg):
     except InvalidAlgebraError as exc:
         message = str(exc)
     assert message == reference_validation_error(alg)
+
+
+def with_constant(alg, i, j, k, value):
+    rows = [[list(v) for v in r] for r in alg.constants]
+    rows[i][j][k] = value
+    return type(alg)(domain=alg.domain,
+                     constants=tuple(tuple(tuple(v) for v in r) for r in rows))
+
+
+def test_a_constant_shifted_by_p_still_validates():
+    field = PrimeField(101)
+    alg = fiber_algebra([[3, 1, 4], [1, 5, 9], [4, 9, 2]], field)
+    for i, j, k in itertools.product(range(4), repeat=3):
+        shifted = with_constant(alg, i, j, k, alg.constants[i][j][k].value + field.p)
+        validate_fiber_algebra(shifted)
+        assert reference_validation_error(shifted) is None
+
+
+def test_validation_does_no_element_arithmetic(monkeypatch):
+    """Past the unit check the constants are plain ints."""
+    field = PrimeField(101)
+    q = make_type("F25minus", domain=field, seed=7)
+    alg = fiber_algebra_at(q, FiberPoint.make(field, (1, 2, 3)))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__"):
+        def counted(self, other, _original=getattr(FpElement, name), _name=name):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(FpElement, name, counted)
+    validate_fiber_algebra(alg)
+    with pytest.raises(InvalidAlgebraError):
+        validate_fiber_algebra(with_constant(alg, 1, 2, 3, field(17)))
+    assert calls == []
+    alg.multiply(alg.basis(1), alg.basis(2))
+    assert "__mul__" in calls and "__add__" in calls
 
 
 # -------------------------------------------------------------- cayley-hamilton

@@ -1,10 +1,10 @@
 """The packed sparse core under HomogPoly and BiPoly.
 
 Hypothesis properties over F_5, F_101 and Q (with non-integral rationals):
-ring axioms, exact division, square roots, printing and parsing, and
-products against a reference multiply on exponent tuples and domain
-elements.  sympy, where installed, is an independent oracle for det,
-adjugate3 and exact division.
+ring axioms, exact division, square roots, printing and parsing, products
+against a reference multiply on exponent tuples and domain elements, and
+evaluation against a walk in domain-element arithmetic.  sympy, where
+installed, is an independent oracle for det, adjugate3 and exact division.
 """
 
 from fractions import Fraction
@@ -142,6 +142,106 @@ def test_bipoly_times_base_polynomial(data):
     for product in (lambda: F * other, lambda: other * F):
         with pytest.raises(TypeError, match="coefficient from a different ring"):
             product()
+
+
+# ---------------------------------------------------------------- evaluation
+
+def reference_evaluate(f, point, nfields):
+    """The domain-element walk: coerce every coordinate, then sum the terms
+    in the domain's own arithmetic.  A BiPoly takes alpha then base."""
+    dom = f.ring.domain
+    pt = [dom(x) for x in point]
+    if len(pt) != nfields:
+        raise ValueError("wrong number of coordinates")
+    total = dom.zero
+    for exps, c in f.iter_terms():
+        for x, e in zip(pt, exps):
+            if e:
+                c = c * (x if e == 1 else x ** e)
+        total = total + c
+    return total
+
+
+def coordinates(domain):
+    """Coordinates in every form the domain coerces: ints of either sign,
+    Fractions, and over F_p its own elements."""
+    if domain is QQ:
+        return st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    units = st.integers(1, 50).filter(lambda d: d % domain.p)
+    return st.one_of(st.integers(-10**6, 10**6),
+                     st.integers(0, domain.p - 1).map(domain),
+                     st.builds(Fraction, st.integers(-50, 50), units))
+
+
+@st.composite
+def wide_polys(draw, ring):
+    """Up to four terms of one degree, which may reach EXP_LIMIT."""
+    degree = draw(st.one_of(st.integers(0, 4), st.integers(0, EXP_LIMIT),
+                            st.just(EXP_LIMIT)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.integers(0, degree))
+        b = draw(st.integers(0, degree - a))
+        terms[(a, b, degree - a - b)] = draw(scalars(ring.domain))
+    return ring.poly(terms)
+
+
+def assert_same_value(got, want):
+    assert got == want
+    assert type(got) is type(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_the_domain_walk(data):
+    ring = data.draw(rings)
+    f = data.draw(wide_polys(ring))
+    point = data.draw(st.lists(coordinates(ring.domain), min_size=3, max_size=3))
+    assert_same_value(f.evaluate(point), reference_evaluate(f, point, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bipoly_evaluate_matches_the_domain_walk(data):
+    ring = data.draw(rings)
+    weights = tuple(data.draw(st.integers(0, 2)) for _ in range(3))
+    F = data.draw(bipolys(ring, weights, data.draw(st.integers(0, 2)),
+                          data.draw(st.integers(0, 2))))
+    base, alpha = (data.draw(st.lists(coordinates(ring.domain), min_size=3,
+                                      max_size=3)) for _ in range(2))
+    assert_same_value(F.evaluate(base, alpha),
+                      reference_evaluate(F, alpha + base, 6))
+
+
+F5, F101 = PrimeField(5), PrimeField(101)
+
+
+@pytest.mark.parametrize("domain, point", [
+    (F101, (1, 2)),
+    (F101, (1, 2, 3, 4)),
+    (F101, (F5(1), 2, 3)),
+    (F101, (1, F5(2))),
+    (F101, (Fraction(1, 101), 0, 1)),
+    (F101, (1.5, 0, 1)),
+    (QQ, (1, 2)),
+    (QQ, (F101(1), 0, 1)),
+    (QQ, (Fraction(1, 2), F5(1), 1, 1)),
+], ids=str)
+def test_evaluate_refuses_what_the_domain_walk_refuses(domain, point):
+    ring = PolyRing(domain)
+    u, v, w = (ring.variable(i) for i in range(3))
+    f = u * u + v * w
+    F = bipoly_from_alpha_map(ring, (0, 0, 0), {(1, 0, 0): f, (0, 0, 1): u * v})
+    for run, oracle in ((lambda: f.evaluate(point),
+                         lambda: reference_evaluate(f, point, 3)),
+                        (lambda: F.evaluate(point, (1, 2, 3)),
+                         lambda: reference_evaluate(F, (1, 2, 3) + point, 6))):
+        with pytest.raises(Exception) as want:
+            oracle()
+        with pytest.raises(type(want.value)) as got:
+            run()
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------ exponent limit
