@@ -405,7 +405,7 @@ class HomogPoly(SparsePoly):
     __rmul__ = __mul__
 
     def evaluate(self, point):
-        """Value at a point, in the domain's element arithmetic."""
+        """Value at a point, as an element of the domain."""
         return self._evaluate(point)
 
     def partial(self, which) -> "HomogPoly":
