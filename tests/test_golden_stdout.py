@@ -399,3 +399,77 @@ def test_scan_stdout_matches_pinned_hash(case, tmp_path, capsys):
         text = _stdout(capsys, ["scan", str(path), "--prime", prime])
         got[prime] = hashlib.sha256(text.encode()).hexdigest()
     assert got == SCAN_GOLDEN[case]
+
+
+# Sparse forms, whose determinants and minors meet zero entries that the
+# dense catalog documents never have: the diagonal form (u, v, w) with
+# discriminant u*v*w, and catalog documents of seed 7 with the three
+# off-diagonal entries set to 0.
+SPARSE_GOLDEN = {
+    'diag Q': {
+        'disc':
+            '8aeec968302df2866496f7611214704b5db33a9d484f05495a431b5bfe6bf4ec',
+        'bsv-verify':
+            'bb53905ec414c30fe6097870414734ae771ad5141c844561235ad0baa83cba0e',
+        'trace-pairing':
+            '4341cbc27d441e348ce568b2092ad9580936f5826006f503ea773143f42cc697',
+        'recover':
+            'eb61dc2adb32bbf82bd073c13f7bf6ac3b42838178998d59db2df9d59f8a8063',
+    },
+    'diag F101': {
+        'disc':
+            '8aeec968302df2866496f7611214704b5db33a9d484f05495a431b5bfe6bf4ec',
+        'bsv-verify':
+            'dcf849a126bca151579f758fc55dfa4a9a1e5fc28f4280b43c8c71e9e5d3b9df',
+        'trace-pairing':
+            'f2ea0fd79bfffaa5e2729eb95158734a85841cf0ebdeb0076f6c4f82a914210d',
+        'recover':
+            'eb61dc2adb32bbf82bd073c13f7bf6ac3b42838178998d59db2df9d59f8a8063',
+    },
+    'F24 Q': {
+        'disc':
+            'b82bd16698c94a9064da3de5ee05240816f1d954bba87d3510000880bacf198e',
+        'bsv-verify':
+            '20b79348c2f6a1f32c3492ed089b52a4d47f5170540d60ccbb72b3fea42358f6',
+        'trace-pairing':
+            '363dad0034a63b839e8752257c4ebf2f427e22ffd501856d2fd91d64b7ee13b4',
+        'recover':
+            'b6a147a224e39f3d9733f3717a66d38e8148f53c0a3875cb199f046649ff153c',
+    },
+    'F25minus F101': {
+        'disc':
+            'c478b19583a204228e29feffb90a8107919f0564c8c5a82b38953e48b283ac38',
+        'bsv-verify':
+            '472b78ebd5a4d19b98185adae6d09e4d970975d22959bf78ffc4bc023bdf922a',
+        'trace-pairing':
+            '15ce9e44b4bc8e5c1b01b1a7f028916d5dd1aa11ca9cd4744d913aa8effd666d',
+        'recover':
+            '519defce430091481186fa2dae1025ca44b964859e8c0264bc55c0ef918479be',
+    },
+}
+
+
+def _sparse_document(capsys, case):
+    kind, field = case.split()
+    if kind == "diag":
+        domain = "rational" if field == "Q" else {"prime": 101}
+        return {"form": {"a": [0, 0, 0], "d": 1,
+                         "entries": ["u", "0", "0", "v", "0", "w"]},
+                "scalar_domain": domain}
+    argv = ["catalog", "--type", kind, "--seed", "7"]
+    text = _stdout(capsys, argv + (["--rational"] if field == "Q" else []))
+    payload = json.loads(text)["payload"]
+    for k in (1, 2, 4):
+        payload["form"]["entries"][k] = "0"
+    return payload
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_GOLDEN))
+def test_sparse_form_stdout_matches_pinned_hash(case, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_sparse_document(capsys, case)), encoding="utf-8")
+    got = {}
+    for command in SPARSE_GOLDEN[case]:
+        text = _stdout(capsys, [command, str(path)])
+        got[command] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SPARSE_GOLDEN[case]
