@@ -139,11 +139,16 @@ def bs_matrix_via_algebra(q: QForm) -> BSMatrix:
 
 # --------------------------------------------------------------------- minors
 
-def bipoly_minor(m: BSMatrix, drop_row: int, drop_col: int) -> BiPoly:
-    """3x3 minor of the kernel matrix (delete 1-based row and column)."""
-    grid = [[m.entry(r, c) for c in range(1, 5) if c != drop_col]
-            for r in range(1, 5) if r != drop_row]
-    return linalg.det_cofactor(grid)
+def bipoly_minor(m: BSMatrix, drop_row: int, drop_col: int, memo=None) -> BiPoly:
+    """3x3 minor of the kernel matrix (delete 1-based row and column).
+
+    Calls on one matrix that pass the same ``memo`` dict compute each of
+    its 2x2 minors once (``linalg.laplace_minor``).
+    """
+    rows = tuple(r for r in range(4) if r != drop_row - 1)
+    cols = tuple(c for c in range(4) if c != drop_col - 1)
+    return linalg.laplace_minor(m.entries, rows, cols,
+                                {} if memo is None else memo)
 
 
 #: The exact extremal-minor identities: position -> (alpha index, sign).
@@ -173,11 +178,12 @@ def verify_minors(q: QForm) -> MinorReport:
     only an implementation bug can trip it."""
     m = bs_matrix(q)
     cq = conic_equation(q)
+    memo = {}
     quotients = []
     for r in range(1, 5):
         row = []
         for c in range(1, 5):
-            mn = bipoly_minor(m, r, c)
+            mn = bipoly_minor(m, r, c, memo)
             if cq.is_zero:
                 if not mn.is_zero:
                     raise MinorNotDivisibleError(

@@ -83,22 +83,43 @@ def solve(m, rhs, domain):
     return x
 
 
-def det_cofactor(m):
-    """Determinant by cofactor expansion along the first row.
+def laplace_minor(m, rows, cols, memo):
+    """Determinant of ``m`` restricted to the sorted index tuples ``rows`` x
+    ``cols``, by Laplace expansion along ``rows[0]``.
 
-    Works over any commutative coefficient type (scalars or polynomials);
-    intended for n <= 5.
+    Every minor of two or more rows is cached in ``memo`` under ``(rows,
+    cols)``, so calls on one matrix that share a memo compute each smaller
+    minor once.  Zero entries of the expansion row are skipped, and terms at
+    odd positions are subtracted.  A row of zeros yields its first entry, a
+    zero of the entry type.  Works over any commutative coefficient type
+    (scalars or polynomials).
     """
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = None
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det_cofactor(sub)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    key = (rows, cols)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    top, rest = m[rows[0]], rows[1:]
+    for j, c in enumerate(cols):
+        entry = top[c]
+        if not entry:
+            continue
+        term = entry * laplace_minor(m, rest, cols[:j] + cols[j + 1:], memo)
+        if total is None:
+            total = -term if j % 2 else term
+        elif j % 2:
+            total = total - term
+        else:
+            total = total + term
+    if total is None:
+        total = top[cols[0]]
+    memo[key] = total
     return total
+
+
+def det_cofactor(m):
+    """Determinant by Laplace expansion along the first row, every smaller
+    minor computed once (``laplace_minor``); intended for n <= 5."""
+    span = tuple(range(len(m)))
+    return laplace_minor(m, span, span, {})

@@ -34,7 +34,7 @@ from .errors import (
     PolyParseError,
     UnknownVariableError,
 )
-from .linalg import det_cofactor
+from .linalg import det_cofactor, laplace_minor
 from .scalars import lower
 
 #: Bits per variable in a packed exponent vector, guard bit included.
@@ -156,11 +156,12 @@ def divide_terms(f: dict, g: dict, p, nfields: int) -> tuple:
 
 class SparsePoly:
     """A term dict over a PolyRing, with the arithmetic that HomogPoly and
-    BiPoly share.  A subclass defines ``degree`` (what the operands of a
-    sum must agree on) and ``_like(terms)`` (a result with the same setting
-    and degree), and extends ``_setting`` and ``_fields`` (fields per key)."""
+    BiPoly share.  Every polynomial carries its ``degree``, what the operands
+    of a sum must agree on (``None`` for zero).  A subclass defines
+    ``_like(terms)`` (a result with the same setting and degree), and
+    extends ``_setting`` and ``_fields`` (fields per key)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "degree")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build polynomials through a PolyRing, the BiPoly "
@@ -371,7 +372,7 @@ class PolyRing:
 class HomogPoly(SparsePoly):
     """Immutable homogeneous polynomial.  Build through a PolyRing."""
 
-    __slots__ = ("degree",)
+    __slots__ = ()
 
     @classmethod
     def _make(cls, ring, terms, degree):
@@ -440,21 +441,23 @@ class BiPoly(SparsePoly):
     term kernel treats a BiPoly as a polynomial in six variables and a
     HomogPoly key as one whose alpha exponents are zero.  Every nonzero
     BiPoly is homogeneous in the alpha degree and in the weighted degree
-    deg(coeff) - sum(weights_i * alpha_exp_i).
+    deg(coeff) - sum(weights_i * alpha_exp_i); ``degree`` is that pair
+    (alpha degree, weighted degree).
     """
 
     __slots__ = ("weights",)
 
     @classmethod
-    def _make(cls, ring, weights, terms):
+    def _make(cls, ring, weights, terms, degree):
         self = object.__new__(cls)
         self.ring = ring
         self.weights = weights
         self.terms = terms
+        self.degree = degree if terms else None
         return self
 
     def _like(self, terms):
-        return BiPoly._make(self.ring, self.weights, terms)
+        return BiPoly._make(self.ring, self.weights, terms, self.degree)
 
     @property
     def _setting(self):
@@ -463,16 +466,6 @@ class BiPoly(SparsePoly):
     @property
     def _fields(self):
         return 3 + self.ring.nvars
-
-    def _bidegree(self, key):
-        exps = unpack(key, self._fields)
-        return (sum(exps[:3]),
-                sum(exps[3:]) - sum(w * e for w, e in zip(self.weights, exps[:3])))
-
-    @property
-    def degree(self):
-        """(alpha degree, weighted degree); None for zero."""
-        return self._bidegree(next(iter(self.terms))) if self.terms else None
 
     @property
     def alpha_degree(self):
@@ -495,10 +488,18 @@ class BiPoly(SparsePoly):
         if isinstance(other, HomogPoly):
             if other.ring != self.ring:
                 raise TypeError("coefficient from a different ring")
-            return self._like(mul_terms(self.terms, other.terms,
-                                        self.ring.modulus, self._fields))
-        terms = self._product(other)
-        return terms if terms is NotImplemented else self._like(terms)
+            terms = mul_terms(self.terms, other.terms, self.ring.modulus,
+                              self._fields)
+            step = (0, other.degree)
+        elif type(other) is BiPoly:
+            terms, step = self._product(other), other.degree
+        else:
+            terms = self._product(other)
+            return terms if terms is NotImplemented else self._like(terms)
+        if not terms:
+            return self._like(terms)
+        (a, w), (b, v) = self.degree, step
+        return BiPoly._make(self.ring, self.weights, terms, (a + b, w + v))
 
     __rmul__ = __mul__
 
@@ -521,7 +522,8 @@ class BiPoly(SparsePoly):
 
 def bipoly_from_alpha_map(ring: PolyRing, weights, mapping) -> BiPoly:
     """Build a BiPoly from {alpha exponent tuple: HomogPoly coefficient}."""
-    terms = {}
+    weights = tuple(weights)
+    terms, grades = {}, set()
     for aex, poly in mapping.items():
         alpha = pack(tuple(aex), 3) << EXP_BITS * ring.nvars
         if poly.is_zero:
@@ -530,11 +532,11 @@ def bipoly_from_alpha_map(ring: PolyRing, weights, mapping) -> BiPoly:
             raise TypeError("coefficient from a different ring")
         for base, c in poly.terms.items():
             terms[alpha | base] = c
-    f = BiPoly._make(ring, tuple(weights), terms)
-    grades = sorted({f._bidegree(key) for key in terms})
+        grades.add((sum(aex),
+                    poly.degree - sum(w * e for w, e in zip(weights, aex))))
     if len(grades) > 1:
-        raise DegreeMismatchError(f"mixed bidegrees {grades}")
-    return f
+        raise DegreeMismatchError(f"mixed bidegrees {sorted(grades)}")
+    return BiPoly._make(ring, weights, terms, next(iter(grades), None))
 
 
 def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
@@ -552,7 +554,8 @@ def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
     quo, rem = divide_terms(f.terms, g.terms, f.ring.modulus, f._fields)
     if rem:
         raise NotDivisibleError("BiPoly division failed", remainder=f._like(rem))
-    return f._like(quo)
+    degree = f.degree and tuple(x - y for x, y in zip(f.degree, g.degree))
+    return BiPoly._make(f.ring, f.weights, quo, degree)
 
 
 # ------------------------------------------------------------------ printing
@@ -846,11 +849,12 @@ def _grid(m):
 
 
 def det(m) -> HomogPoly:
-    """Exact determinant of a square polynomial matrix (cofactor expansion)."""
+    """Exact determinant of a square polynomial matrix (Laplace expansion,
+    each smaller minor computed once)."""
     g = _grid(m)
     if len(g) != len(g[0]):
         raise ValueError("determinant of a non-square matrix")
-    return det_cofactor([list(row) for row in g])
+    return det_cofactor(g)
 
 
 def det3(m) -> HomogPoly:
@@ -868,9 +872,11 @@ def minor(m, drop_row: int, drop_col: int) -> HomogPoly:
     if not (1 <= drop_row <= len(g) and 1 <= drop_col <= len(g[0])):
         raise IndexOutOfRangeError(
             f"minor index ({drop_row},{drop_col}) outside {len(g)}x{len(g[0])}")
-    sub = [row[:drop_col - 1] + row[drop_col:]
-           for i, row in enumerate(g) if i != drop_row - 1]
-    return det(sub)
+    if len(g) != len(g[0]):
+        raise ValueError("determinant of a non-square matrix")
+    rows = tuple(i for i in range(len(g)) if i != drop_row - 1)
+    cols = tuple(j for j in range(len(g)) if j != drop_col - 1)
+    return laplace_minor(g, rows, cols, {})
 
 
 def adjugate3(m) -> PolyMatrix:

@@ -53,3 +53,11 @@ def symbolic_scalar_grid():
             [s["d"], s["b"], s["f"]],
             [s["e"], s["f"], s["c"]]]
     return ring, s, grid
+
+
+def term_bidegrees(f):
+    """The (alpha degree, weighted degree) of every term of a BiPoly, read
+    off its exponents; a BiPoly's stored ``degree`` must be the only one."""
+    return {(sum(exps[:3]),
+             sum(exps[3:]) - sum(w * e for w, e in zip(f.weights, exps[:3])))
+            for exps, _ in f.iter_terms()}

@@ -1,0 +1,199 @@
+"""Determinants and minors by memoized Laplace expansion.
+
+``reference_det`` is the plain recursion along the first row that
+recomputes every smaller minor.  It is the oracle for ``det``,
+``det_cofactor`` on scalars, every ``minor``, ``adjugate3`` and the sixteen
+``bipoly_minor`` calls of one kernel matrix that share a memo, over F_5,
+F_101 and Q, with planted zero entries, a zero first row and the zero
+matrix.  A product-count guard pins what the shared minors save.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cliffbundle.poly as poly_core
+from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, det3
+from cliffbundle.brauer_severi import bipoly_minor, bs_matrix, verify_minors
+from cliffbundle.catalog import make_net, make_type
+from cliffbundle.linalg import det_cofactor
+from cliffbundle.poly import minor, monomials_of_degree
+from cliffbundle.qform import new_qform
+from conftest import term_bidegrees
+
+DOMAINS = (PrimeField(5), PrimeField(101), QQ)
+SHAPES = ("dense", "planted zeros", "zero first row", "zero matrix")
+
+
+def reference_det(m):
+    """Cofactor expansion along the first row, every minor recomputed."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = None
+    for j in range(n):
+        sub = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * reference_det(sub)
+        if j % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def submatrix(m, r, c):
+    """m without 0-based row r and column c."""
+    return [row[:c] + row[c + 1:] for i, row in enumerate(m) if i != r]
+
+
+def assert_same(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    assert getattr(got, "degree", None) == getattr(want, "degree", None)
+
+
+@st.composite
+def shaped(draw, n, entry, zero):
+    """An n x n grid of ``entry(i, j)`` draws in one of the SHAPES."""
+    shape = draw(st.sampled_from(SHAPES))
+    grid = [[draw(entry(i, j)) for j in range(n)] for i in range(n)]
+    if shape == "planted zeros":
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for i, j in draw(st.lists(st.sampled_from(cells), min_size=1, unique=True)):
+            grid[i][j] = zero
+    elif shape == "zero first row":
+        grid[0] = [zero] * n
+    elif shape == "zero matrix":
+        grid = [[zero] * n for _ in range(n)]
+    return grid
+
+
+def scalars(domain):
+    if domain is QQ:
+        return st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return st.integers(0, domain.p - 1).map(domain)
+
+
+def homog(ring, degree):
+    """A random polynomial of one degree (possibly zero)."""
+    monos = list(monomials_of_degree(ring.nvars, degree))
+    return st.dictionaries(st.sampled_from(monos), scalars(ring.domain),
+                           max_size=3).map(ring.poly)
+
+
+@st.composite
+def poly_matrices(draw, n):
+    """A square matrix whose entry (i, j) has degree r_i + c_j, so that
+    every minor is homogeneous."""
+    ring = PolyRing(draw(st.sampled_from(DOMAINS)))
+    r = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return draw(shaped(n, lambda i, j: homog(ring, r[i] + c[j]), ring.zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scalar_det_cofactor_matches_the_recursion(data):
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(("int", "Fraction", "F_5", "F_101")))
+    if kind == "int":
+        entry, zero = st.integers(-9, 9), 0
+    elif kind == "Fraction":
+        entry, zero = scalars(QQ), Fraction(0)
+    else:
+        field = PrimeField(5 if kind == "F_5" else 101)
+        entry, zero = scalars(field), field.zero
+    m = data.draw(shaped(n, lambda i, j: entry, zero))
+    assert_same(det_cofactor(m), reference_det(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_det_and_every_minor_match_the_recursion(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(poly_matrices(n))
+    assert_same(det(m), reference_det(m))
+    if n == 1:
+        return
+    for r in range(n):
+        for c in range(n):
+            assert_same(minor(m, r + 1, c + 1), reference_det(submatrix(m, r, c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_adjugate3_matches_the_recursion(data):
+    m = data.draw(poly_matrices(3))
+    adj = adjugate3(m)
+    for i in range(3):
+        for j in range(3):
+            want = reference_det(submatrix(m, i, j))
+            assert_same(adj.entry(j, i), -want if (i + j) % 2 else want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sixteen_minors_sharing_a_memo_match_the_recursion(data):
+    """Degree patterns of F23 and F24, so the alpha weights are 0 and 1."""
+    ring = PolyRing(data.draw(st.sampled_from(DOMAINS)))
+    a, d = data.draw(st.sampled_from((((0, 0, 0), 1), ((0, 1, 1), 0))))
+    upper = data.draw(shaped(3, lambda i, j: homog(ring, a[i] + a[j] + d), ring.zero))
+    grid = [[upper[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+    m = bs_matrix(new_qform(a, d, grid))
+    memo = {}
+    for r in range(4):
+        for c in range(4):
+            got = bipoly_minor(m, r + 1, c + 1, memo)
+            assert_same(got, reference_det(submatrix(m.entries, r, c)))
+            assert term_bidegrees(got) == ({got.degree} if got else set())
+
+
+# ------------------------------------------------------------ product counts
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that grows by one at every call of the term-product kernel;
+    a test clears it once its inputs are built."""
+    calls = []
+    real = poly_core.mul_terms
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(poly_core, "mul_terms", counting)
+    return calls
+
+
+@pytest.mark.parametrize("domain", (PrimeField(101), QQ), ids=str)
+def test_sixteen_minors_share_their_2x2_minors(products, domain):
+    """18 2x2 minors and 12 expansions along the monomials of row 1: 75
+    products, plus 15 that build the kernel matrix (159 without sharing)."""
+    q = make_type("F24", domain=domain, seed=7)
+    products.clear()
+    verify_minors(q)
+    assert len(products) <= 90
+
+
+@pytest.mark.parametrize("domain", (PrimeField(101), QQ), ids=str)
+def test_quintic_of_a_net_reuses_its_smaller_minors(products, domain):
+    """A dense 5x5 costs 75 products (205 without sharing); the zeros of a
+    net's last row save a few more."""
+    net = make_net(domain=domain, seed=7)
+    products.clear()
+    det(net.matrix)
+    assert len(products) <= 75
+
+
+@pytest.mark.parametrize("domain", (PrimeField(101), QQ), ids=str)
+def test_det3_and_adjugate3_product_counts(products, domain):
+    grid = make_type("F24", domain=domain, seed=7).matrix
+    assert all(f for row in grid.entries for f in row)
+    products.clear()
+    det3(grid)
+    assert len(products) == 9
+    products.clear()
+    adjugate3(grid)
+    assert len(products) == 18

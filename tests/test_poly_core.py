@@ -16,6 +16,7 @@ from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, divide_exact, 
 from cliffbundle.brauer_severi import bipoly_from_alpha_map, divide_exact_bipoly
 from cliffbundle.errors import ExponentLimitError, NotDivisibleError
 from cliffbundle.poly import EXP_LIMIT, monomials_of_degree
+from conftest import term_bidegrees
 
 DOMAINS = (PrimeField(5), PrimeField(101), QQ)
 
@@ -142,6 +143,24 @@ def test_bipoly_times_base_polynomial(data):
     for product in (lambda: F * other, lambda: other * F):
         with pytest.raises(TypeError, match="coefficient from a different ring"):
             product()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bipoly_carries_its_bidegree(data):
+    """Sums, scalings, products by BiPolys and base polynomials, and exact
+    quotients store the bidegree that every one of their terms has."""
+    ring = data.draw(rings)
+    weights = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
+    F, G = (data.draw(bipolys(ring, weights, data.draw(st.integers(0, 2)),
+                              data.draw(st.integers(0, 2)))) for _ in range(2))
+    g = data.draw(homog(ring, data.draw(st.integers(0, 2))))
+    c = data.draw(scalars(ring.domain))
+    results = [F, F + F, F - F, -F, F.scale(c), F * c, F * G, F * g, g * F]
+    if G:
+        results.append(divide_exact_bipoly(F * G, G))
+    for f in results:
+        assert term_bidegrees(f) == ({f.degree} if f else set())
 
 
 # ---------------------------------------------------------------- evaluation
