@@ -27,7 +27,8 @@ from .errors import (
     UnknownTagError,
 )
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
-from .poly import HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid
+from .poly import (HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid,
+                   symmetric_values)
 from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
 
 
@@ -235,8 +236,7 @@ class F25PlusProvider:
 
     def fiber_form(self, p: FiberPoint):
         dom = self.net.domain
-        upper = self.net.matrix.upper()
-        values = symmetric_grid(f.evaluate(p.coords) for f in upper)
+        values = symmetric_values(self.net.matrix, p.coords)
         row = values[4]
         if not any(row):
             raise BasePointSingularError(

@@ -74,11 +74,10 @@ def domain_spec(domain):
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if ("form" in doc) == ("net" in doc):
-        raise ValueError("document must contain exactly one of 'form'/'net'")
-    # An array or a string that names 'form' or 'net' passes the test above.
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
+    if ("form" in doc) == ("net" in doc):
+        raise ValueError("document must contain exactly one of 'form'/'net'")
     return doc
 
 

@@ -29,7 +29,7 @@ from .errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from .poly import PolyMatrix, adjugate3, divide_exact, poly_sqrt, symmetric_grid
+from .poly import PolyMatrix, adjugate3, divide_exact, poly_sqrt, symmetric_values
 from .qform import FiberPoint, QForm
 from .scalars import lower
 from .series import RationalSeries, poly_mul_1d
@@ -217,8 +217,7 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
     """Fiber algebra of a global form at a point of P^2."""
-    values = symmetric_grid(f.evaluate(p.coords) for f in q.matrix.upper())
-    return fiber_algebra(values, q.domain)
+    return fiber_algebra(symmetric_values(q.matrix, p.coords), q.domain)
 
 
 def kronecker_quiver_algebra(domain) -> FiberAlgebra:
@@ -355,23 +354,34 @@ def cayley_hamilton_check(alg: FiberAlgebra, element) -> bool:
 def classify(alg: FiberAlgebra) -> AlgebraType:
     """Isomorphism type of a rank-4 algebra with trace, over a field.
 
-    Case split on the rank r of the trace pairing restricted to the
-    traceless part: r >= 2 is central simple; r = 0 is type 4 unless some
-    product of traceless basis elements survives (type 3); r = 1 picks a
-    traceless x with x^2 = a != 0 and branches on whether a is a square and,
-    if so, whether left multiplication by x/sqrt(a) acts on the orthogonal
-    complement as a single eigenvalue (the quiver algebra) or two (type 2).
+    The algebra is validated first; everything after that reads the
+    structure constants only.  Case split on the rank r of the trace pairing
+    P restricted to the traceless part: r >= 2 is central simple; r = 0 is
+    type 4 unless some product of traceless basis elements survives (type
+    3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
+    x = e_i is the first traceless basis element with a = P_ii != 0, and
+    type 2 otherwise.
+
+    Why the trace decides r = 1 (characteristic != 2).  Validation makes
+    x^2 central, so x^2 = a.  L_x maps 1 to x and x to a: it keeps span(1, x)
+    and has trace 0 there.  On the 2-dimensional quotient L_x^2 = a, so L_x
+    there is either a scalar l, with l^2 = a and trace 2l != 0 (the quiver
+    algebra, where x / l acts on the complement of span(1, x) as the
+    identity), or it has minimal polynomial t^2 - a and trace 0 (type 2,
+    whether or not a is a square).  The complement is P-orthogonal to x and
+    L_x keeps it: for v traceless with P(x, v) = 0, xv is traceless, since
+    its trace is 2 P(x, v) = 0, and P(x, xv) = a v_0 = 0.
     """
     validate_fiber_algebra(alg)
-    d = alg.domain
+    c = alg.constants
     pairing = trace_pairing_fiber(alg)
-    r = linalg.rank(pairing, d)
+    r = linalg.rank(pairing, alg.domain)
     if r >= 2:
         return AlgebraType.CENTRAL_SIMPLE
     if r == 0:
         for i in range(1, 4):
             for j in range(1, 4):
-                if any(alg.constants[i][j]):
+                if any(c[i][j]):
                     return AlgebraType.DOUBLE_LINE_CLIFFORD
         return AlgebraType.LOCAL_COMMUTATIVE
     # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
@@ -379,28 +389,8 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     pivot = next((i for i in range(3) if pairing[i][i]), None)
     if pivot is None:
         raise InternalInvariantError("rank-1 pairing with zero diagonal")
-    a = pairing[pivot][pivot]
-    if not d.is_square(a):
-        return AlgebraType.DEGENERATE_CLIFFORD
-    s = d.sqrt(a)
-    x = tuple((d.one / s) if k == pivot + 1 else d.zero for k in range(4))
-    complement = linalg.kernel_basis([pairing[pivot]], d)
-    if len(complement) != 2:
-        raise InternalInvariantError("orthogonal complement is not 2-dimensional")
-    action = []
-    for v in complement:
-        w = alg.multiply(x, (d.zero,) + tuple(v))
-        if w[0]:
-            raise InternalInvariantError("x * v left the traceless part")
-        cols = [[complement[0][k], complement[1][k]] for k in range(3)]
-        sol = linalg.solve(cols, list(w[1:]), d)
-        if sol is None:
-            raise InternalInvariantError("x * v left the orthogonal complement")
-        action.append(sol)
-    # action[j] holds the coordinates of x * v_j in the basis (v_0, v_1).
-    plus = action[0] == [d.one, d.zero] and action[1] == [d.zero, d.one]
-    minus = action[0] == [-d.one, d.zero] and action[1] == [d.zero, -d.one]
-    if plus or minus:
+    # c[pivot + 1][k] is x e_k, so its k-th coordinates sum to tr(L_x).
+    if sum((c[pivot + 1][k][k] for k in range(4)), alg.domain.zero):
         return AlgebraType.KRONECKER_QUIVER
     return AlgebraType.DEGENERATE_CLIFFORD
 

@@ -69,20 +69,6 @@ def kernel_basis(m, domain):
     return basis
 
 
-def solve(m, rhs, domain):
-    """One solution of m x = rhs, or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [list(m[i]) + [rhs[i]] for i in range(rows)]
-    a, pivots = rref(aug, domain)
-    if cols in pivots:
-        return None
-    x = [domain.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
-    return x
-
-
 def laplace_minor(m, rows, cols, memo):
     """Determinant of ``m`` restricted to the sorted index tuples ``rows`` x
     ``cols``, by Laplace expansion along ``rows[0]``.

@@ -227,10 +227,14 @@ class SparsePoly:
                           if c else {})
 
     def _product(self, other):
-        """The terms of self * other, or NotImplemented for a non-scalar."""
+        """The terms of self * other, or NotImplemented for a non-scalar.
+        A polynomial of the other class is handed back at once, before the
+        domain's coercion formats it into a refusal."""
         if type(other) is type(self):
             self._check(other)
             return mul_terms(self.terms, other.terms, self.ring.modulus, self._fields)
+        if isinstance(other, SparsePoly):
+            return NotImplemented
         try:
             c = self.ring.domain(other)
         except TypeError:
@@ -742,6 +746,12 @@ def symmetric_grid(upper) -> tuple:
         for j in range(i, n):
             grid[i][j] = grid[j][i] = next(it)
     return tuple(map(tuple, grid))
+
+
+def symmetric_values(matrix, point) -> tuple:
+    """Rows of scalar values of a symmetric PolyMatrix at a point, each
+    entry of the upper triangle evaluated once."""
+    return symmetric_grid(f.evaluate(point) for f in matrix.upper())
 
 
 class PolyMatrix:

@@ -25,7 +25,8 @@ from .errors import (
     ScanTooLargeError,
     ZeroPolynomialError,
 )
-from .poly import HomogPoly, PolyMatrix, PolyRing, det3, symmetric_grid
+from .poly import (HomogPoly, PolyMatrix, PolyRing, det3, symmetric_grid,
+                   symmetric_values)
 from .scalars import PrimeField
 
 
@@ -145,8 +146,7 @@ def discriminant(q: QForm) -> HomogPoly:
 
 def rank_at(q: QForm, p: FiberPoint) -> int:
     """Rank of the scalar matrix of entry values at p (0..3)."""
-    values = symmetric_grid(f.evaluate(p.coords) for f in q.matrix.upper())
-    return linalg.rank(values, q.domain)
+    return linalg.rank(symmetric_values(q.matrix, p.coords), q.domain)
 
 
 class ConicType(Enum):
@@ -178,7 +178,7 @@ class NowhereZeroResult:
     conclusive: bool = True
 
 
-def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
+def is_nowhere_zero(q: QForm) -> NowhereZeroResult:
     """Exhaustive P^2(F_p) scan: does the entry matrix vanish anywhere?
 
     Only available over a prime field; vanishing of the whole matrix at a
@@ -189,10 +189,6 @@ def is_nowhere_zero(q: QForm, field=None) -> NowhereZeroResult:
     if not isinstance(dom, PrimeField):
         raise TypeError("exhaustive scan needs a prime-field form; "
                         "use sample_nowhere_zero over the rationals")
-    if isinstance(field, int):
-        field = PrimeField(field)
-    if field is not None and field != dom:
-        raise ValueError(f"form lives over {dom!r}, not {field!r}")
     p = dom.p
     for points, columns in plane_values(dom, q.matrix.upper()):
         for point, *values in zip(points, *columns):

@@ -62,6 +62,16 @@ def test_validate_requires_exactly_one_body(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", "1.5", '"form"', "[1]"])
+def test_non_object_documents_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, report, _ = run_cli(capsys, ["validate", str(path)])
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert report["payload"]["message"] == "document must be a JSON object"
+
+
 def test_disc(tmp_path, capsys):
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["disc", path])

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cliffbundle import (
     AlgebraType,
@@ -38,7 +38,10 @@ from cliffbundle import (
     trace_pairing_global,
     validate_fiber_algebra,
 )
+from cliffbundle import linalg
+from cliffbundle.clifford import FiberAlgebra
 from cliffbundle.errors import (
+    InternalInvariantError,
     InvalidAlgebraError,
     NotRecoverableError,
     OddDegreeError,
@@ -321,6 +324,136 @@ def test_classify_rejects_broken_constants():
                        constants=tuple(tuple(tuple(v) for v in r) for r in rows))
     with pytest.raises(InvalidAlgebraError):
         classify(broken)
+
+
+def solve(m, rhs, domain):
+    """One solution of m x = rhs, or None if inconsistent."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    aug = [list(m[i]) + [rhs[i]] for i in range(rows)]
+    a, pivots = linalg.rref(aug, domain)
+    if cols in pivots:
+        return None
+    x = [domain.zero] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = a[r][cols]
+    return x
+
+
+def reference_classify(alg):
+    """The classifier by eigenvectors: at a rank-1 pairing, left
+    multiplication by x / sqrt(a) on the orthogonal complement of x is +-1
+    exactly for the quiver algebra."""
+    validate_fiber_algebra(alg)
+    d = alg.domain
+    pairing = trace_pairing_fiber(alg)
+    r = linalg.rank(pairing, d)
+    if r >= 2:
+        return AlgebraType.CENTRAL_SIMPLE
+    if r == 0:
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if any(alg.constants[i][j]):
+                    return AlgebraType.DOUBLE_LINE_CLIFFORD
+        return AlgebraType.LOCAL_COMMUTATIVE
+    # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
+    # away from characteristic 2.
+    pivot = next((i for i in range(3) if pairing[i][i]), None)
+    if pivot is None:
+        raise InternalInvariantError("rank-1 pairing with zero diagonal")
+    a = pairing[pivot][pivot]
+    if not d.is_square(a):
+        return AlgebraType.DEGENERATE_CLIFFORD
+    s = d.sqrt(a)
+    x = tuple((d.one / s) if k == pivot + 1 else d.zero for k in range(4))
+    complement = linalg.kernel_basis([pairing[pivot]], d)
+    if len(complement) != 2:
+        raise InternalInvariantError("orthogonal complement is not 2-dimensional")
+    action = []
+    for v in complement:
+        w = alg.multiply(x, (d.zero,) + tuple(v))
+        if w[0]:
+            raise InternalInvariantError("x * v left the traceless part")
+        cols = [[complement[0][k], complement[1][k]] for k in range(3)]
+        sol = solve(cols, list(w[1:]), d)
+        if sol is None:
+            raise InternalInvariantError("x * v left the orthogonal complement")
+        action.append(sol)
+    # action[j] holds the coordinates of x * v_j in the basis (v_0, v_1).
+    plus = action[0] == [d.one, d.zero] and action[1] == [d.zero, d.one]
+    minus = action[0] == [-d.one, d.zero] and action[1] == [d.zero, -d.one]
+    if plus or minus:
+        return AlgebraType.KRONECKER_QUIVER
+    return AlgebraType.DEGENERATE_CLIFFORD
+
+
+def conjugate(alg, g):
+    """The structure constants of alg in the basis f_0 = e_0 and
+    f_a = sum_i g[a-1][i-1] e_i (a = 1..3), for g invertible."""
+    d = alg.domain
+    G = [[d.one, d.zero, d.zero, d.zero]] + [[d.zero] + list(row) for row in g]
+    reduced, _ = linalg.rref([row + [d.one if j == i else d.zero for j in range(4)]
+                              for i, row in enumerate(G)], d)
+    H = [row[4:] for row in reduced]  # e_k = sum_l H[k][l] f_l
+
+    def in_f(w):
+        return tuple(sum((w[k] * H[k][l] for k in range(4)), d.zero)
+                     for l in range(4))
+
+    constants = tuple(tuple(in_f(alg.multiply(G[a], G[b])) for b in range(4))
+                      for a in range(4))
+    return FiberAlgebra(domain=d, constants=constants)
+
+
+CLASSIFY_DOMAINS = (PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(101), QQ)
+
+
+@st.composite
+def conjugated_algebras(draw):
+    """Fiber algebras of c1 l l^T + c2 m m^T + c3 n n^T (rank 0-3) and the
+    quiver algebra, each in a random basis of the traceless span."""
+    domain = draw(st.sampled_from(CLASSIFY_DOMAINS))
+    scalars = small_scalars(domain)
+    if draw(st.integers(0, 4)) == 0:
+        alg = kronecker_quiver_algebra(domain)
+    else:
+        q = [[domain.zero] * 3 for _ in range(3)]
+        for _ in range(draw(st.integers(0, 3))):
+            c = domain(draw(scalars))
+            vec = [domain(draw(scalars)) for _ in range(3)]
+            for i in range(3):
+                for j in range(3):
+                    q[i][j] = q[i][j] + c * vec[i] * vec[j]
+        alg = fiber_algebra(q, domain)
+    g = [[domain(draw(scalars)) for _ in range(3)] for _ in range(3)]
+    assume(linalg.rank(g, domain) == 3)
+    return conjugate(alg, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alg=conjugated_algebras())
+def test_classify_matches_the_eigenvector_classifier(alg):
+    assert classify(alg) is reference_classify(alg)
+
+
+def test_classify_needs_no_root_kernel_or_product(monkeypatch):
+    """Past validation and the pairing rank, classify reads constants only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called a refused helper")
+
+    algebras = [kronecker_quiver_algebra(QQ), kronecker_quiver_algebra(PrimeField(5))]
+    for domain in (QQ, PrimeField(5), PrimeField(101)):
+        for q in ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[2, 0, 0], [0, 3, 0], [0, 0, 0]],
+                  [[1, 1, 1], [1, 1, 1], [1, 1, 1]], [[0] * 3] * 3,
+                  [[1, 0, 0], [0, 2, 0], [0, 0, 3]]):
+            algebras.append(fiber_algebra(q, domain))
+    expected = [reference_classify(alg) for alg in algebras]
+    for owner, name in ((PrimeField, "sqrt"), (PrimeField, "is_square"),
+                        (type(QQ), "sqrt"), (type(QQ), "is_square"),
+                        (linalg, "kernel_basis"), (FiberAlgebra, "multiply")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [classify(alg) for alg in algebras] == expected
+    assert set(expected) == set(AlgebraType)
 
 
 def reference_validation_error(alg):

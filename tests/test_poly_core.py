@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, divide_exact, poly_sqrt
 from cliffbundle.brauer_severi import bipoly_from_alpha_map, divide_exact_bipoly
 from cliffbundle.errors import ExponentLimitError, NotDivisibleError
-from cliffbundle.poly import EXP_LIMIT, monomials_of_degree
+from cliffbundle.poly import EXP_LIMIT, BiPoly, monomials_of_degree
 from conftest import term_bidegrees
 
 DOMAINS = (PrimeField(5), PrimeField(101), QQ)
@@ -143,6 +143,23 @@ def test_bipoly_times_base_polynomial(data):
     for product in (lambda: F * other, lambda: other * F):
         with pytest.raises(TypeError, match="coefficient from a different ring"):
             product()
+
+
+@pytest.mark.parametrize("domain", [PrimeField(101), QQ], ids=["F101", "Q"])
+def test_base_times_bipoly_hands_off_before_coercion(domain, monkeypatch):
+    """h * b reaches BiPoly.__mul__ without the domain's coercion, whose
+    refusal would format the whole BiPoly."""
+    ring = PolyRing(domain)
+    u, v, w = (ring.variable(i) for i in range(3))
+    b = bipoly_from_alpha_map(ring, (0, 0, 0),
+                              {(1, 0, 0): u * v, (0, 1, 0): w * w + u * v})
+    h = u + w
+
+    def refuse(self):
+        raise AssertionError("a BiPoly was formatted")
+
+    monkeypatch.setattr(BiPoly, "__repr__", refuse)
+    assert h * b == b * h
 
 
 @settings(max_examples=40, deadline=None)

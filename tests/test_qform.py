@@ -161,7 +161,7 @@ def test_zero_form_is_whole_plane(ring_q):
 # --------------------------------------------------------------- nowhere-zero
 
 def test_nowhere_zero_diag_f5(ring_f5):
-    result = is_nowhere_zero(diag_form(ring_f5), 5)
+    result = is_nowhere_zero(diag_form(ring_f5))
     assert result.nowhere_zero
     assert result.witness is None
 
