@@ -11,13 +11,18 @@ the last three traceless.  The trace functional is 2 on 1 and 0 on the
 Xbar/Ybar/Zbar span, so half the trace of a product is its 1-component.
 The whole construction is generic over the coefficient ring: scalar entries
 give the fiber algebra at a point, polynomial entries give the algebra of
-a global form, which is how the global trace pairing is computed.
+a global form, which is how the global trace pairing is computed.  The
+engine runs once per process, on the generic symmetric matrix over
+Q[q11, ..., q33]; each algebra evaluates the integer structure constants
+that run yields at its own entries (``fiber_algebra``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cache
 from operator import mul
 
 from . import linalg
@@ -29,9 +34,17 @@ from .errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from .poly import PolyMatrix, adjugate3, divide_exact, poly_sqrt, symmetric_values
-from .qform import FiberPoint, QForm
-from .scalars import lower
+from .poly import (
+    PolyMatrix,
+    PolyRing,
+    adjugate3,
+    divide_exact,
+    poly_sqrt,
+    symmetric_grid,
+    symmetric_values,
+)
+from .qform import FiberPoint, QForm, discriminant
+from .scalars import QQ, PrimeField, Rationals, lower
 from .series import RationalSeries, poly_mul_1d
 
 LETTERS = "xyz"
@@ -167,19 +180,15 @@ class FiberAlgebra:
         return u[0] + u[0]
 
 
-def fiber_algebra(q, domain) -> FiberAlgebra:
-    """Even Clifford algebra of a symmetric 3x3 matrix over ``domain``.
+#: The generic entries: the upper triangle row by row, as in symmetric_grid.
+_GENERIC_ENTRIES = ("q11", "q12", "q13", "q22", "q23", "q33")
 
-    Entries of q are coerced into the domain; the structure constants are
-    computed by normalizing products of the basis words, never from closed
-    formulas, so this is an independent route to every identity about the
-    algebra.
-    """
-    q = [[domain(q[i][j]) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(i):
-            if q[i][j] != q[j][i]:
-                raise ValueError("relation matrix must be symmetric")
+
+def _engine_constants(q, domain) -> tuple:
+    """Structure constants of the even Clifford algebra of q by rewriting:
+    each product of two basis words is normalized by ``reduce_word`` and
+    read off in the basis (1, Xbar, Ybar, Zbar).  q is symmetric with
+    entries in ``domain``."""
     one = domain.one
     zero = domain.zero
     # Normal-form word combinations for 1, Xbar, Ybar, Zbar.
@@ -212,7 +221,89 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
                     prod.append((ci * cj, wi + wj))
             row.append(to_basis(reduce_word(prod, q)))
         constants.append(tuple(row))
-    return FiberAlgebra(domain=domain, constants=tuple(constants))
+    return tuple(constants)
+
+
+@cache
+def _generic_table() -> tuple:
+    """The structure constants of the generic even Clifford algebra, built
+    once per process by the rewriting engine over Q[q11, ..., q33].
+
+    ``_generic_table()[i][j][k]`` is ``(degree, ((exps, coeff), ...))``: the
+    constant c_ijk as a homogeneous polynomial with int coefficients in the
+    entries ``_GENERIC_ENTRIES``, exponents in that order.
+    """
+    ring = PolyRing(QQ, _GENERIC_ENTRIES)
+    q = symmetric_grid(ring.variable(name) for name in _GENERIC_ENTRIES)
+
+    def integral(c):
+        terms = []
+        for exps, coeff in c.iter_terms():
+            if coeff.denominator != 1:
+                raise InternalInvariantError(
+                    f"generic structure constant {c} is not integral")
+            terms.append((exps, coeff.numerator))
+        degrees = {sum(exps) for exps, _ in terms}
+        if len(degrees) > 1:
+            raise InternalInvariantError(
+                f"generic structure constant {c} is not homogeneous")
+        return degrees.pop() if degrees else 0, tuple(terms)
+
+    return tuple(tuple(tuple(integral(c) for c in v) for v in row)
+                 for row in _engine_constants(q, ring))
+
+
+def _term(coeff, xs, exps):
+    """coeff times the monomial xs^exps, by repeated multiplication."""
+    for x, e in zip(xs, exps):
+        for _ in range(e):
+            coeff = coeff * x
+    return coeff
+
+
+def fiber_algebra(q, domain) -> FiberAlgebra:
+    """Even Clifford algebra of a symmetric 3x3 matrix over ``domain``.
+
+    Entries of q are coerced into the domain.  The structure constants come
+    from the rewriting engine, never from closed formulas: the engine runs
+    once per process on the generic symmetric matrix (``_generic_table``),
+    and each call evaluates that table at the entries of q.  Over F_p and Q
+    the entries are lowered to plain ints (``scalars.lower``), each constant
+    is summed in ints and boxed once, divided by den^degree over Q; over any
+    other ring (a PolyRing, for the global algebra) the entries themselves
+    are multiplied.
+
+    Why this is exact.  The engine uses only ring operations: it writes
+    2 q_ij as q_ij + q_ij and never divides.  Each rewrite is an identity
+    of the Clifford algebra over any commutative ring, whose strictly
+    increasing words form a basis, so the engine's normal form over
+    Z[q_ij] maps to its normal form over any commutative ring R under
+    q_ij -> value.  Terms the engine drops as zero over R do not change
+    that image.  The generic run has integer coefficients (checked), which
+    reduce mod p over F_p.
+    """
+    q = [[domain(q[i][j]) for j in range(3)] for i in range(3)]
+    for i in range(3):
+        for j in range(i):
+            if q[i][j] != q[j][i]:
+                raise ValueError("relation matrix must be symmetric")
+    entries = [x for i, row in enumerate(q) for x in row[i:]]
+    zero = domain.zero
+    if isinstance(domain, (PrimeField, Rationals)):
+        xs, den = lower(domain, entries)
+
+        def value(degree, terms):
+            v = sum(c * math.prod(map(pow, xs, exps)) for exps, c in terms)
+            return domain(v) if den == 1 else domain.from_pair(v, den ** degree)
+    else:
+        def value(degree, terms):
+            return sum((_term(domain(c), entries, exps) for exps, c in terms),
+                       zero)
+    constants = tuple(tuple(tuple(value(degree, terms) if terms else zero
+                                  for degree, terms in v)
+                            for v in row)
+                      for row in _generic_table())
+    return FiberAlgebra(domain=domain, constants=constants)
 
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
@@ -302,10 +393,10 @@ def trace_pairing_fiber(alg: FiberAlgebra):
 
 
 def trace_pairing_global(q: QForm) -> PolyMatrix:
-    """Trace pairing of the global algebra, computed through the rewriting
-    engine with polynomial coefficients.  Equals -adjugate3(q.matrix) as an
-    exact polynomial identity; the test suite checks the two routes against
-    each other."""
+    """Trace pairing of the global algebra: the engine-built generic
+    constants evaluated at the polynomial entries of q.  Equals
+    -adjugate3(q.matrix) as an exact polynomial identity; the test suite
+    checks the two routes against each other."""
     alg = fiber_algebra(q.matrix.entries, q.ring)
     return PolyMatrix(trace_pairing_fiber(alg))
 
@@ -398,8 +489,6 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
 def fiber_type_at(q: QForm, p: FiberPoint) -> AlgebraType:
     """Isomorphism type of the fiber algebra at p, cross-checked against the
     discriminant: the fiber is central simple exactly where it is nonzero."""
-    from .qform import discriminant
-
     open_locus = bool(discriminant(q).evaluate(p.coords))
     algebra = classify(fiber_algebra_at(q, p))
     if open_locus != (algebra is AlgebraType.CENTRAL_SIMPLE):

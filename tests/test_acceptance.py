@@ -31,7 +31,6 @@ from cliffbundle import (
     cayley_hamilton_check,
     classify,
     cli,
-    conic_equation,
     fiber_algebra,
     fiber_algebra_at,
     gamma_dimension_bruteforce,
@@ -40,7 +39,6 @@ from cliffbundle import (
     make_f25plus,
     make_net,
     make_type,
-    new_qform,
     projective_points,
     rank_at,
     recover_form,

@@ -7,7 +7,6 @@ import pytest
 from cliffbundle import (
     FiberPoint,
     PrimeField,
-    QQ,
     bipoly_from_alpha_map,
     bs_matrix,
     bs_matrix_via_algebra,

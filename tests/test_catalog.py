@@ -8,7 +8,6 @@ from cliffbundle import (
     CATALOG,
     DelPezzoTag,
     FiberPoint,
-    PolyRing,
     PrimeField,
     QQ,
     chi_bundle,
@@ -21,7 +20,6 @@ from cliffbundle import (
     resolution_metadata,
 )
 from cliffbundle.errors import (
-    BasePointSingularError,
     DegreePatternError,
     UnknownTagError,
 )

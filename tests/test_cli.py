@@ -383,7 +383,7 @@ def test_catalog_over_a_large_prime_is_prompt(capsys):
 @pytest.mark.parametrize("point, planted", [("1:1:1", "zero"), ("0:1:1", "one")])
 def test_planted_wrong_discriminant_exits_3(tmp_path, capsys, monkeypatch,
                                             point, planted):
-    monkeypatch.setattr(qform, "discriminant", lambda q: getattr(q.ring, planted))
+    monkeypatch.setattr(clifford, "discriminant", lambda q: getattr(q.ring, planted))
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["fiber", path, "--point", point])
     assert code == 3

@@ -13,7 +13,6 @@ from cliffbundle import (
     FiberPoint,
     FpElement,
     PolyMatrix,
-    PolyRing,
     PrimeField,
     QQ,
     adjugate3,
@@ -38,14 +37,15 @@ from cliffbundle import (
     trace_pairing_global,
     validate_fiber_algebra,
 )
-from cliffbundle import linalg
-from cliffbundle.clifford import FiberAlgebra
+from cliffbundle import clifford, linalg
+from cliffbundle.clifford import FiberAlgebra, _engine_constants
 from cliffbundle.errors import (
     InternalInvariantError,
     InvalidAlgebraError,
     NotRecoverableError,
     OddDegreeError,
 )
+from cliffbundle.poly import symmetric_grid
 from conftest import diag_form, symbolic_scalar_grid, uvw
 
 
@@ -108,6 +108,74 @@ def test_zbar_squared_symbolic():
     zz = alg.constants[3][3]
     assert zz[0] == s["d"] * s["d"] - s["a"] * s["b"]
     assert all(not zz[k] for k in (1, 2, 3))
+
+
+def engine_constants(q, domain):
+    """The per-call rewriting engine on q: the oracle for fiber_algebra."""
+    return _engine_constants([[domain(x) for x in row] for row in q], domain)
+
+
+@st.composite
+def relation_matrices(draw):
+    domain = draw(st.sampled_from((PrimeField(3), PrimeField(5),
+                                   PrimeField(101), QQ)))
+    if domain is QQ:
+        value = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    else:
+        # Plain ints past p, reduced by the coercion into the domain.
+        value = st.integers(-2 * domain.p, 2 * domain.p)
+    # Zeros are frequent, so degenerate fibers of every rank turn up.
+    upper = [draw(st.one_of(st.just(0), value)) for _ in range(6)]
+    return domain, symmetric_grid(upper)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=relation_matrices())
+def test_the_generic_table_matches_the_engine(case):
+    domain, q = case
+    constants = fiber_algebra(q, domain).constants
+    assert constants == engine_constants(q, domain)
+    kind = type(domain.one)
+    assert all(type(x) is kind for row in constants for v in row for x in v)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("tag", ["F23", "F24", "F25minus"])
+def test_the_generic_table_matches_the_engine_on_catalog_forms(tag, field):
+    q = make_type(tag, domain=field, seed=7)
+    entries = q.matrix.entries
+    assert fiber_algebra(entries, q.ring).constants == engine_constants(entries, q.ring)
+
+
+def test_the_engine_runs_once_per_process(monkeypatch, ring_q):
+    calls = []
+
+    def counted(words, q, rng=None):
+        calls.append(q)
+        return reduce_word(words, q, rng)
+
+    monkeypatch.setattr(clifford, "reduce_word", counted)
+    clifford._generic_table.cache_clear()
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    fiber_algebra(eye, QQ)
+    assert len(calls) == 16
+    fiber_algebra(eye, QQ)
+    fiber_algebra(eye, PrimeField(101))
+    trace_pairing_global(diag_form(ring_q))
+    assert len(calls) == 16
+
+
+def test_an_asymmetric_relation_matrix_is_refused(ring_q):
+    for domain in (QQ, PrimeField(5), ring_q):
+        with pytest.raises(ValueError, match="relation matrix must be symmetric"):
+            fiber_algebra([[1, 2, 0], [3, 1, 0], [0, 0, 1]], domain)
+
+
+def test_symmetry_is_checked_after_coercion():
+    # 2 and 7 are one element of F_5.
+    alg = fiber_algebra([[1, 2, 0], [7, 1, 0], [0, 0, 1]], PrimeField(5))
+    assert alg.constants == engine_constants([[1, 2, 0], [2, 1, 0], [0, 0, 1]],
+                                             PrimeField(5))
 
 
 def test_zero_form_algebra_is_local_commutative():

@@ -9,7 +9,6 @@ import pytest
 from cliffbundle import (
     FpElement,
     PolyMatrix,
-    PolyRing,
     PrimeField,
     QQ,
     RationalSeries,

@@ -1,7 +1,5 @@
 """Quadratic-form layer: patterns, twisting, discriminants, fiber geometry."""
 
-import random
-
 import pytest
 
 from cliffbundle import (
