@@ -73,7 +73,10 @@ def domain_spec(domain):
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     if ("form" in doc) == ("net" in doc):

@@ -92,12 +92,6 @@ class DegenerateAfterRetriesError(MathFailureError):
     """Random form generation kept producing zero discriminant."""
 
 
-class MinorNotDivisibleError(MathFailureError):
-    """A minor of the Brauer-Severi matrix failed divisibility by the conic
-    equation.  The identity is universal in the q_ij, so this always signals
-    an implementation bug, never bad input."""
-
-
 class BasePointSingularError(MathFailureError):
     """The projection base point is a singular point of the quadric fiber."""
 
@@ -114,3 +108,9 @@ class InvalidAlgebraError(MathFailureError):
 
 class InternalInvariantError(CliffBundleError):
     """A cross-check that can only fail through a bug failed."""
+
+
+class MinorNotDivisibleError(InternalInvariantError):
+    """A minor of the Brauer-Severi matrix failed divisibility by the conic
+    equation.  The identity is universal in the q_ij, so this always signals
+    an implementation bug, never bad input."""

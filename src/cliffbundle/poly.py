@@ -18,6 +18,7 @@ Polynomials from different rings never mix.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt
@@ -25,7 +26,6 @@ from operator import or_
 
 from .errors import (
     DegreeMismatchError,
-    DegreePatternError,
     ExponentLimitError,
     IndexOutOfRangeError,
     InhomogeneousError,
@@ -599,135 +599,88 @@ def terms_to_string(terms: dict, variables) -> str:
 
 # ------------------------------------------------------------------- parsing
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise PolyParseError(f"bad character {ch!r} at position {i}")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, ring):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind=None):
-        if self.pos >= len(self.tokens):
-            raise PolyParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise PolyParseError(f"expected {kind}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        terms = {}
-        degree = None
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        while True:
-            coeff, exps = self.term()
-            if coeff:
-                d = sum(exps)
-                if degree is None:
-                    degree = d
-                elif d != degree:
-                    raise InhomogeneousError(
-                        f"mixed degrees {degree} and {d} in input")
-                key = pack(exps, len(exps))
-                add_multiple(terms, key, sign * coeff, {0: 1}, self.ring.modulus)
-            nxt = self.peek()
-            if nxt is None:
-                break
-            if nxt == "+":
-                self.take()
-                sign = 1
-            elif nxt == "-":
-                self.take()
-                sign = -1
-            else:
-                raise PolyParseError(f"expected + or -, found {self.tokens[self.pos][1]!r}")
-        return HomogPoly._make(self.ring, terms, degree)
-
-    def term(self):
-        ring = self.ring
-        kind = self.peek()
-        if kind == "int":
-            num = int(self.take()[1])
-            den = 1
-            if self.peek() == "/":
-                self.take()
-                den = int(self.take("int")[1])
-                if not ring.coerce(den):
-                    raise PolyParseError("zero denominator")
-            coeff = ring.coerce(num if den == 1 else ring.domain.from_pair(num, den))
-            if self.peek() == "*":
-                save = self.pos
-                self.take()
-                if self.peek() != "name":
-                    self.pos = save
-                    return coeff, (0,) * ring.nvars
-                return coeff, self.monomial()
-            return coeff, (0,) * ring.nvars
-        if kind == "name":
-            return 1, self.monomial()
-        tok = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
-        raise PolyParseError(f"expected a term, found {tok!r}")
-
-    def monomial(self):
-        exps = [0] * self.ring.nvars
-        while True:
-            name = self.take("name")[1]
-            if name not in self.ring.variables:
-                raise UnknownVariableError(f"unknown variable {name!r}")
-            power = 1
-            if self.peek() == "^":
-                self.take()
-                power = int(self.take("int")[1])
-                if power < 1:
-                    raise PolyParseError("exponent must be positive")
-            exps[self.ring.variables.index(name)] += power
-            if self.peek() == "*" and self.pos + 1 < len(self.tokens) \
-                    and self.tokens[self.pos + 1][0] == "name":
-                self.take()
-                continue
-            break
-        return tuple(exps)
+# One token after optional white space: an int, a name, an operator, or a
+# character outside the grammar.  ``\d`` matches exactly the digits int()
+# reads; a name starts with a word character that is not one of them.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^])|(\S))")
 
 
 def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
-    """Parse polynomial text (see the CLI grammar) into canonical form."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse polynomial text (see the CLI grammar) into canonical form.
+
+    The grammar ``['-'] term (('+'|'-') term)*`` is regular, so one pass
+    over the tokens reads it.  A term is an int with an optional ``/den``
+    and ``*monomial``, or a bare monomial: names with an optional ``^int``,
+    joined by ``*`` only when a name follows."""
+    kinds, values = [], []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise PolyParseError(f"bad character {m[4]!r} at position {m.start(4)}")
+        kinds.append(("int", "name", m[3])[group - 1])
+        values.append(m[group])
+    if not kinds:
         raise PolyParseError("empty input")
-    return _Parser(tokens, ring).parse()
+    # Two sentinels, so one token of lookahead never runs past the end.
+    kinds += (None, None)
+    values += (None, None)
+
+    def integer(i):
+        if kinds[i] == "int":
+            return int(values[i])
+        if kinds[i] is None:
+            raise PolyParseError("unexpected end of input")
+        raise PolyParseError(f"expected int, found {values[i]!r}")
+
+    variables, nvars = ring.variables, ring.nvars
+    terms, degree = {}, None
+    sign, i = (-1, 1) if kinds[0] == "-" else (1, 0)
+    while True:
+        kind, coeff, exps = kinds[i], 1, [0] * nvars
+        if kind == "int":
+            num, den = int(values[i]), 1
+            if kinds[i + 1] == "/":
+                den = integer(i + 2)
+                if not ring.coerce(den):
+                    raise PolyParseError("zero denominator")
+                i += 2
+            coeff = ring.coerce(num if den == 1 else ring.domain.from_pair(num, den))
+            i += 1
+            monomial = kinds[i] == "*" and kinds[i + 1] == "name"
+            i += monomial
+        elif kind == "name":
+            monomial = True
+        else:
+            found = "end of input" if kind is None else values[i]
+            raise PolyParseError(f"expected a term, found {found!r}")
+        while monomial:
+            name = values[i]
+            if name not in variables:
+                raise UnknownVariableError(f"unknown variable {name!r}")
+            power = 1
+            if kinds[i + 1] == "^":
+                power = integer(i + 2)
+                if power < 1:
+                    raise PolyParseError("exponent must be positive")
+                i += 2
+            exps[variables.index(name)] += power
+            i += 1
+            monomial = kinds[i] == "*" and kinds[i + 1] == "name"
+            i += monomial
+        if coeff:
+            d = sum(exps)
+            if degree is None:
+                degree = d
+            elif d != degree:
+                raise InhomogeneousError(f"mixed degrees {degree} and {d} in input")
+            add_multiple(terms, pack(exps, nvars), sign * coeff, {0: 1}, ring.modulus)
+        kind = kinds[i]
+        if kind is None:
+            return HomogPoly._make(ring, terms, degree)
+        if kind not in ("+", "-"):
+            raise PolyParseError(f"expected + or -, found {values[i]!r}")
+        sign = 1 if kind == "+" else -1
+        i += 1
 
 
 # ---------------------------------------------------------- polynomial matrix
@@ -755,12 +708,11 @@ def symmetric_values(matrix, point) -> tuple:
 
 
 class PolyMatrix:
-    """Rectangular grid of polynomials from one ring, with an optional
-    per-entry expected-degree pattern (zero entries fit any slot)."""
+    """Rectangular grid of polynomials from one ring."""
 
-    __slots__ = ("entries", "degree_pattern")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, degree_pattern=None):
+    def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("entries must form a nonempty rectangle")
@@ -770,16 +722,6 @@ class PolyMatrix:
                 if f.ring != ring:
                     raise ValueError("matrix entries from different rings")
         self.entries = rows
-        self.degree_pattern = None
-        if degree_pattern is not None:
-            pattern = tuple(tuple(row) for row in degree_pattern)
-            for i, row in enumerate(rows):
-                for j, f in enumerate(row):
-                    if f and f.degree != pattern[i][j]:
-                        raise DegreePatternError(
-                            f"entry ({i + 1},{j + 1}) has degree {f.degree}, "
-                            f"pattern expects {pattern[i][j]}")
-            self.degree_pattern = pattern
 
     @property
     def rows(self) -> int:

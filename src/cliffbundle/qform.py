@@ -25,8 +25,8 @@ from .errors import (
     ScanTooLargeError,
     ZeroPolynomialError,
 )
-from .poly import (HomogPoly, PolyMatrix, PolyRing, det3, symmetric_grid,
-                   symmetric_values)
+from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3,
+                   symmetric_grid, symmetric_values)
 from .scalars import PrimeField
 
 
@@ -101,7 +101,9 @@ class QForm:
 
 
 def new_qform(a, d: int, entries) -> QForm:
-    """Build a QForm, checking symmetry and the degree pattern."""
+    """Build a QForm, checking symmetry and the degree pattern.  A zero
+    entry fits any slot, but no slot may pass 3 * EXP_LIMIT, the largest
+    degree a nonzero entry can have."""
     a = tuple(int(x) for x in a)
     if len(a) != 3:
         raise ValueError("degree pattern needs three integers a1, a2, a3")
@@ -116,12 +118,19 @@ def new_qform(a, d: int, entries) -> QForm:
             if grid[i][j] != grid[j][i]:
                 raise AsymmetricEntriesError(
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
-    pattern = tuple(tuple(a[i] + a[j] + d for j in range(3)) for i in range(3))
-    try:
-        matrix = PolyMatrix(grid, degree_pattern=pattern)
-    except DegreePatternError as exc:
-        raise DegreePatternError(f"pattern a={a}, d={d}: {exc}") from exc
-    return QForm(a=a, d=d, matrix=matrix)
+    q = QForm(a=a, d=d, matrix=PolyMatrix(grid))
+    pattern = q.pattern()
+    for i, row in enumerate(grid):
+        for j, f in enumerate(row):
+            if f and f.degree != pattern[i][j]:
+                raise DegreePatternError(
+                    f"pattern a={a}, d={d}: entry ({i + 1},{j + 1}) has degree "
+                    f"{f.degree}, pattern expects {pattern[i][j]}")
+    top = max(map(max, pattern))
+    if top > 3 * EXP_LIMIT:
+        raise DegreePatternError(f"pattern a={a}, d={d}: slot degree {top} is "
+                                 f"larger than 3*EXP_LIMIT = {3 * EXP_LIMIT}")
+    return q
 
 
 def qform_from_upper(a, d: int, six_entries) -> QForm:

@@ -13,8 +13,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PrimeField, catalog, cli, clifford, qform
-from cliffbundle.errors import InternalInvariantError
+from cliffbundle import PrimeField, brauer_severi, catalog, cli, clifford, qform
+from cliffbundle.errors import InternalInvariantError, NotDivisibleError
 from cliffbundle.poly import EXP_LIMIT
 from cliffbundle.scalars import PRIME_LIMIT
 
@@ -363,6 +363,38 @@ def test_exponents_past_the_limit_exit_1(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["disc", path])
     assert code == 1
     assert report["payload"]["error"] == "ExponentLimitError"
+
+
+def test_slots_past_three_exp_limits_exit_1(tmp_path, capsys):
+    # Zero entries fit any slot, but no nonzero entry has a degree past
+    # 3 * EXP_LIMIT, so such a slot is refused before hilbert or disc run.
+    doc = {"scalar_domain": "rational",
+           "form": {"a": [0, 0, 0], "d": 3 * EXP_LIMIT + 1, "entries": ["0"] * 6}}
+    code, report, _ = run_cli(capsys, ["validate", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert report["payload"]["error"] == "DegreePatternError"
+    assert "3*EXP_LIMIT" in report["payload"]["message"]
+    doc["form"]["d"] = 3 * EXP_LIMIT
+    assert run_cli(capsys, ["validate", write_doc(tmp_path, doc)])[0] == 0
+
+
+def test_a_deeply_nested_document_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, report, _ = run_cli(capsys, ["validate", str(path)])
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert report["payload"]["message"] == "document nests too deeply"
+
+
+def test_a_minor_off_the_conic_exits_3(tmp_path, capsys, monkeypatch):
+    def not_divisible(f, g):
+        raise NotDivisibleError("planted")
+    monkeypatch.setattr(brauer_severi, "divide_exact_bipoly", not_divisible)
+    code, report, _ = run_cli(capsys, ["bsv-verify", write_doc(tmp_path, DIAG_DOC)])
+    assert code == 3
+    assert report["status"] == "internal-error"
+    assert report["payload"]["error"] == "MinorNotDivisibleError"
 
 
 def test_catalog_over_a_large_prime_is_prompt(capsys):

@@ -387,13 +387,5 @@ def test_series_rejects_zero_constant_denominator():
 
 # ----------------------------------------------------------- matrix validation
 
-def test_degree_pattern_enforced(ring_q):
-    u = ring_q.variable(0)
-    from cliffbundle.errors import DegreePatternError
-    with pytest.raises(DegreePatternError):
-        PolyMatrix([[u]], degree_pattern=[[2]])
-    PolyMatrix([[ring_q.zero]], degree_pattern=[[2]])  # zero fits any slot
-
-
 def test_fp_element_str():
     assert str(FpElement(12, 7)) == "5"

@@ -1,0 +1,199 @@
+"""The polynomial grammar against the parser it replaced.
+
+``reference_parse`` is the character-loop tokenizer and recursive-descent
+parser that ``poly.parse_poly`` replaced, kept verbatim as the oracle.  A
+Hypothesis property over Q, F_5 and F_101 draws text from the grammar's
+pieces and a few characters outside it: both parsers must give the same
+polynomial, or raise the same exception type with the same message.  On
+non-ASCII text only refusal messages may differ: a text either parser
+refuses, both refuse.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cliffbundle import PolyRing, PrimeField, QQ
+from cliffbundle.errors import InhomogeneousError, PolyParseError, UnknownVariableError
+from cliffbundle.poly import HomogPoly, add_multiple, pack, parse_poly
+
+RINGS = tuple(PolyRing(domain) for domain in (QQ, PrimeField(5), PrimeField(101)))
+
+PIECES = (*"0123456789", *"uvwx_", *"+-*/^", " ", "\t", "?", "^0", "/0", "1/3")
+
+
+def _tokenize(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j]))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        elif ch in "+-*/^":
+            tokens.append((ch, ch))
+            i += 1
+        else:
+            raise PolyParseError(f"bad character {ch!r} at position {i}")
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, ring):
+        self.tokens = tokens
+        self.pos = 0
+        self.ring = ring
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self, kind=None):
+        if self.pos >= len(self.tokens):
+            raise PolyParseError("unexpected end of input")
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise PolyParseError(f"expected {kind}, found {tok[1]!r}")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        terms = {}
+        degree = None
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        while True:
+            coeff, exps = self.term()
+            if coeff:
+                d = sum(exps)
+                if degree is None:
+                    degree = d
+                elif d != degree:
+                    raise InhomogeneousError(
+                        f"mixed degrees {degree} and {d} in input")
+                key = pack(exps, len(exps))
+                add_multiple(terms, key, sign * coeff, {0: 1}, self.ring.modulus)
+            nxt = self.peek()
+            if nxt is None:
+                break
+            if nxt == "+":
+                self.take()
+                sign = 1
+            elif nxt == "-":
+                self.take()
+                sign = -1
+            else:
+                raise PolyParseError(f"expected + or -, found {self.tokens[self.pos][1]!r}")
+        return HomogPoly._make(self.ring, terms, degree)
+
+    def term(self):
+        ring = self.ring
+        kind = self.peek()
+        if kind == "int":
+            num = int(self.take()[1])
+            den = 1
+            if self.peek() == "/":
+                self.take()
+                den = int(self.take("int")[1])
+                if not ring.coerce(den):
+                    raise PolyParseError("zero denominator")
+            coeff = ring.coerce(num if den == 1 else ring.domain.from_pair(num, den))
+            if self.peek() == "*":
+                save = self.pos
+                self.take()
+                if self.peek() != "name":
+                    self.pos = save
+                    return coeff, (0,) * ring.nvars
+                return coeff, self.monomial()
+            return coeff, (0,) * ring.nvars
+        if kind == "name":
+            return 1, self.monomial()
+        tok = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
+        raise PolyParseError(f"expected a term, found {tok!r}")
+
+    def monomial(self):
+        exps = [0] * self.ring.nvars
+        while True:
+            name = self.take("name")[1]
+            if name not in self.ring.variables:
+                raise UnknownVariableError(f"unknown variable {name!r}")
+            power = 1
+            if self.peek() == "^":
+                self.take()
+                power = int(self.take("int")[1])
+                if power < 1:
+                    raise PolyParseError("exponent must be positive")
+            exps[self.ring.variables.index(name)] += power
+            if self.peek() == "*" and self.pos + 1 < len(self.tokens) \
+                    and self.tokens[self.pos + 1][0] == "name":
+                self.take()
+                continue
+            break
+        return tuple(exps)
+
+
+def reference_parse(text: str, ring: PolyRing) -> HomogPoly:
+    """The former ``parse_poly`` entry point, verbatim."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolyParseError("empty input")
+    return _Parser(tokens, ring).parse()
+
+
+def outcome(parse, text, ring):
+    """The polynomial and its degree, or the exception type and message."""
+    try:
+        f = parse(text, ring)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return f, f.degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(PIECES), max_size=8).map("".join))
+def test_the_parser_matches_the_reference(text):
+    for ring in RINGS:
+        assert outcome(parse_poly, text, ring) == outcome(reference_parse, text, ring)
+
+
+@pytest.mark.parametrize("text", [
+    "u + 2*v - 1/3*w", "-u^2*v + v*w^2 - 7", "0", "3*u^1*u", "2/4",
+    "u*3", "2*", "u*^2", "u^", "1/", "1/u", "", " \t", "u x", "u^0",
+    "1/0", "u + v^2", "u -", "- + u",
+])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
+def test_the_parser_matches_the_reference_on_fixed_texts(ring, text):
+    assert outcome(parse_poly, text, ring) == outcome(reference_parse, text, ring)
+
+
+def test_an_arabic_indic_digit_is_an_int():
+    ring = PolyRing(QQ)
+    assert parse_poly("\u0663*u", ring) == ring.parse("3*u")
+    assert reference_parse("\u0663*u", ring) == ring.parse("3*u")
+
+
+@pytest.mark.parametrize("text", [
+    "\u00bd", "\u00b2", "\u00b24", "\u00b22\u00bd", "u\u00b2", "\u00e9",
+    "\u00e9 + u", "\u0663\u0663", "u^\u0663", "u\u0663", "\u216b",
+    "\uff55", "u\u3000+\u3000v", "\u3000", "1/\u0663*v",
+])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
+def test_non_ascii_text_is_refused_by_both_or_by_neither(ring, text):
+    got = outcome(parse_poly, text, ring)
+    want = outcome(reference_parse, text, ring)
+    refused = isinstance(got[0], type), isinstance(want[0], type)
+    assert refused[0] == refused[1]
+    if not refused[0]:
+        assert got == want
