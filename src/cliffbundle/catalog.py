@@ -30,6 +30,7 @@ from .invariants import BundleDescriptor, CotangentTwist, LineBundle
 from .poly import (HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid,
                    symmetric_values)
 from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
+from .scalars import lower
 
 
 class DelPezzoTag(Enum):
@@ -63,17 +64,19 @@ class TypeData:
     a: tuple | None           # None for the projected type F25plus
     d: int | None
     disc_degree: int
-    vstar: BundleDescriptor
     resolution: ResolutionData
     bs_description: str
     h12: int
+
+    @property
+    def vstar(self) -> BundleDescriptor:
+        return self.resolution.target
 
 
 CATALOG = {
     DelPezzoTag.F23: TypeData(
         tag=DelPezzoTag.F23,
         a=(0, 0, 0), d=1, disc_degree=3,
-        vstar=BundleDescriptor.of(LineBundle(-1), LineBundle(-1), LineBundle(-1)),
         resolution=ResolutionData(
             source=BundleDescriptor.of(LineBundle(-2), LineBundle(-2), LineBundle(-2)),
             target=BundleDescriptor.of(LineBundle(-1), LineBundle(-1), LineBundle(-1))),
@@ -82,7 +85,6 @@ CATALOG = {
     DelPezzoTag.F24: TypeData(
         tag=DelPezzoTag.F24,
         a=(0, 1, 1), d=0, disc_degree=4,
-        vstar=BundleDescriptor.of(LineBundle(-2), LineBundle(-1), LineBundle(-1)),
         resolution=ResolutionData(
             source=BundleDescriptor.of(LineBundle(-2), LineBundle(-3), LineBundle(-3)),
             target=BundleDescriptor.of(LineBundle(-2), LineBundle(-1), LineBundle(-1))),
@@ -91,7 +93,6 @@ CATALOG = {
     DelPezzoTag.F25_PLUS: TypeData(
         tag=DelPezzoTag.F25_PLUS,
         a=None, d=None, disc_degree=5,
-        vstar=BundleDescriptor.of(CotangentTwist(0), LineBundle(-2)),
         resolution=ResolutionData(
             source=BundleDescriptor.of(CotangentTwist(-2), LineBundle(-3)),
             target=BundleDescriptor.of(CotangentTwist(0), LineBundle(-2))),
@@ -100,7 +101,6 @@ CATALOG = {
     DelPezzoTag.F25_MINUS: TypeData(
         tag=DelPezzoTag.F25_MINUS,
         a=(0, 0, 1), d=1, disc_degree=5,
-        vstar=BundleDescriptor.of(LineBundle(-2), LineBundle(-2), LineBundle(-1)),
         resolution=ResolutionData(
             source=BundleDescriptor.of(LineBundle(-4), LineBundle(-3), LineBundle(-3)),
             target=BundleDescriptor.of(LineBundle(-2), LineBundle(-2), LineBundle(-1))),
@@ -260,7 +260,9 @@ class F25PlusProvider:
         return [[pair(basis[r], basis[s]) for s in range(3)] for r in range(3)]
 
     def rank_at(self, p: FiberPoint) -> int:
-        return linalg.rank(self.fiber_form(p), self.net.domain)
+        form, dom = self.fiber_form(p), self.net.domain
+        values, _ = lower(dom, [form[i][j] for i in range(3) for j in range(i, 3)])
+        return linalg.symmetric_rank(values, dom.characteristic)
 
     def degenerate_at(self, p: FiberPoint) -> bool:
         return self.rank_at(p) < 3

@@ -29,7 +29,8 @@ import sys
 import time
 
 from . import brauer_severi, catalog, clifford, invariants, qform
-from .errors import CliffBundleError, InternalInvariantError, MathFailureError
+from .errors import (CliffBundleError, InternalInvariantError, MathFailureError,
+                     OrderTooLargeError)
 from .poly import PolyRing
 from .qform import FiberPoint, QForm
 from .scalars import QQ, DEFAULT_SCAN_PRIME, PrimeField
@@ -40,6 +41,10 @@ from .series import series_expand
 INPUT_ERRORS = (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError)
 
 MATH_ERRORS = (MathFailureError, ZeroDivisionError)
+
+#: Largest ``hilbert --order``: the brute-force check of every even degree
+#: up to the order takes about order^3 steps.
+HILBERT_ORDER_LIMIT = 500
 
 
 # ----------------------------------------------------------------- input side
@@ -244,6 +249,9 @@ def cmd_catalog(args):
 
 
 def cmd_hilbert(args):
+    if args.order > HILBERT_ORDER_LIMIT:
+        raise OrderTooLargeError(f"--order {args.order} is larger than "
+                                 f"HILBERT_ORDER_LIMIT = {HILBERT_ORDER_LIMIT}")
     q = form_from_document(load_document(args.input))
     series = clifford.gamma_hilbert_series(q)
     coeffs = series_expand(series, args.order)

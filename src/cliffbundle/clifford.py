@@ -264,14 +264,15 @@ def _term(coeff, xs, exps):
 def fiber_algebra(q, domain) -> FiberAlgebra:
     """Even Clifford algebra of a symmetric 3x3 matrix over ``domain``.
 
-    Entries of q are coerced into the domain.  The structure constants come
-    from the rewriting engine, never from closed formulas: the engine runs
-    once per process on the generic symmetric matrix (``_generic_table``),
-    and each call evaluates that table at the entries of q.  Over F_p and Q
-    the entries are lowered to plain ints (``scalars.lower``), each constant
-    is summed in ints and boxed once, divided by den^degree over Q; over any
-    other ring (a PolyRing, for the global algebra) the entries themselves
-    are multiplied.
+    Entries of q are coerced into the domain once, and symmetry is checked
+    on the result.  The structure constants come from the rewriting engine,
+    never from closed formulas: the engine runs once per process on the
+    generic symmetric matrix (``_generic_table``), and each call evaluates
+    that table at the entries of q.  Over F_p and Q the coercion lowers the
+    entries to plain ints (``scalars.lower``), each constant is summed in
+    ints and boxed once, divided by den^degree over Q; over any other ring
+    (a PolyRing, for the global algebra) the entries themselves are
+    multiplied.
 
     Why this is exact.  The engine uses only ring operations: it writes
     2 q_ij as q_ij + q_ij and never divides.  Each rewrite is an identity
@@ -282,18 +283,16 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     that image.  The generic run has integer coefficients (checked), which
     reduce mod p over F_p.
     """
-    q = [[domain(q[i][j]) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(i):
-            if q[i][j] != q[j][i]:
-                raise ValueError("relation matrix must be symmetric")
-    entries = [x for i, row in enumerate(q) for x in row[i:]]
+    flat = [q[i][j] for i in range(3) for j in range(3)]
+    scalar = isinstance(domain, (PrimeField, Rationals))
+    flat, den = lower(domain, flat) if scalar else ([domain(x) for x in flat], 1)
+    if any(flat[3 * i + j] != flat[3 * j + i] for i in range(3) for j in range(i)):
+        raise ValueError("relation matrix must be symmetric")
+    entries = [flat[3 * i + j] for i in range(3) for j in range(i, 3)]
     zero = domain.zero
-    if isinstance(domain, (PrimeField, Rationals)):
-        xs, den = lower(domain, entries)
-
+    if scalar:
         def value(degree, terms):
-            v = sum(c * math.prod(map(pow, xs, exps)) for exps, c in terms)
+            v = sum(c * math.prod(map(pow, entries, exps)) for exps, c in terms)
             return domain(v) if den == 1 else domain.from_pair(v, den ** degree)
     else:
         def value(degree, terms):
@@ -451,7 +450,8 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     type 4 unless some product of traceless basis elements survives (type
     3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
     x = e_i is the first traceless basis element with a = P_ii != 0, and
-    type 2 otherwise.
+    type 2 otherwise.  Validation makes P symmetric (checked), so r is
+    read off its upper triangle by ``linalg.symmetric_rank``.
 
     Why the trace decides r = 1 (characteristic != 2).  Validation makes
     x^2 central, so x^2 = a.  L_x maps 1 to x and x to a: it keeps span(1, x)
@@ -466,7 +466,10 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     validate_fiber_algebra(alg)
     c = alg.constants
     pairing = trace_pairing_fiber(alg)
-    r = linalg.rank(pairing, alg.domain)
+    if any(pairing[i][j] != pairing[j][i] for i in range(3) for j in range(i)):
+        raise InternalInvariantError("trace pairing of a valid algebra is asymmetric")
+    upper, _ = lower(alg.domain, [pairing[i][j] for i in range(3) for j in range(i, 3)])
+    r = linalg.symmetric_rank(upper, alg.domain.characteristic)
     if r >= 2:
         return AlgebraType.CENTRAL_SIMPLE
     if r == 0:

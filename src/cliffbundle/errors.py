@@ -62,6 +62,10 @@ class ExponentLimitError(CliffBundleError):
     """A variable's exponent would pass the packed-monomial limit."""
 
 
+class OrderTooLargeError(CliffBundleError):
+    """A requested series order passes its limit."""
+
+
 # ----------------------------------------------------------- math-failure band
 
 class MathFailureError(CliffBundleError):

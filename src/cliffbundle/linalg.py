@@ -48,6 +48,22 @@ def rank(m, domain) -> int:
     return len(pivots)
 
 
+def symmetric_rank(upper, p: int) -> int:
+    """Rank over F_p (over Q for p = 0) of the symmetric 3x3 matrix whose
+    upper triangle, row by row, is the six ints ``upper``: the largest
+    order of a nonzero principal minor, as for every symmetric matrix."""
+    a, d, e, b, f, c = upper
+
+    def nonzero(x):
+        return x % p if p else x
+
+    if nonzero(a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)):
+        return 3
+    if nonzero(a * b - d * d) or nonzero(a * c - e * e) or nonzero(b * c - f * f):
+        return 2
+    return 1 if any(map(nonzero, upper)) else 0
+
+
 def kernel_basis(m, domain):
     """Basis of the right kernel, one vector per free column.
 

@@ -26,8 +26,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3,
-                   symmetric_grid, symmetric_values)
-from .scalars import PrimeField
+                   symmetric_grid)
+from .scalars import PrimeField, lower
 
 
 # -------------------------------------------------------------------- points
@@ -155,7 +155,8 @@ def discriminant(q: QForm) -> HomogPoly:
 
 def rank_at(q: QForm, p: FiberPoint) -> int:
     """Rank of the scalar matrix of entry values at p (0..3)."""
-    return linalg.rank(symmetric_values(q.matrix, p.coords), q.domain)
+    values, _ = lower(q.domain, [f.evaluate(p.coords) for f in q.matrix.upper()])
+    return linalg.symmetric_rank(values, q.domain.characteristic)
 
 
 class ConicType(Enum):
@@ -361,10 +362,10 @@ class FiberCensus:
 def fiber_census(q: QForm) -> FiberCensus:
     """Exhaustive fiber-type census over P^2(F_p), in plain ints.
 
-    The rank at each point comes from the six entry values: the
-    determinant of the values, then the principal 2x2 minors, then the
-    entries.  The discriminant polynomial is evaluated on its own, and its
-    value must equal that determinant at every point.
+    The rank at each point comes from the six entry values: rank 3 where
+    their determinant is nonzero, else ``linalg.symmetric_rank``.  The
+    discriminant polynomial is evaluated on its own, and its value must
+    equal that determinant at every point.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
@@ -381,15 +382,8 @@ def fiber_census(q: QForm) -> FiberCensus:
                     f"values disagree at {point}")
             if det:
                 by_rank[3] += 1
-            # A symmetric matrix has rank r exactly when r is the largest
-            # order of a nonzero principal minor, so three 2x2 minors
-            # decide rank 2.
-            elif (a * b - d * d) % p or (a * c - e * e) % p or (b * c - f * f) % p:
-                by_rank[2] += 1
-            elif a % p or b % p or c % p or d % p or e % p or f % p:
-                by_rank[1] += 1
             else:
-                by_rank[0] += 1
+                by_rank[linalg.symmetric_rank((a, d, e, b, f, c), p)] += 1
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
                        sum(by_rank[:3]))
 

@@ -260,6 +260,18 @@ def test_hilbert(tmp_path, capsys):
     assert payload["numerator"] == [1, 0, 3]
 
 
+def test_hilbert_refuses_an_order_past_the_limit(tmp_path, capsys):
+    path = write_doc(tmp_path, DIAG_DOC)
+    limit = cli.HILBERT_ORDER_LIMIT
+    code, report, _ = run_cli(capsys, ["hilbert", path, "--order", str(limit + 1)])
+    assert code == 1
+    assert report["payload"]["error"] == "OrderTooLargeError"
+    assert str(limit) in report["payload"]["message"]
+    code, report, _ = run_cli(capsys, ["hilbert", path, "--order", str(limit)])
+    assert code == 0
+    assert len(report["payload"]["coefficients"]) == limit + 1
+
+
 def test_scan_reduces_rational_doc(tmp_path, capsys):
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["scan", path, "--prime", "5"])

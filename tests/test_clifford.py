@@ -178,6 +178,26 @@ def test_symmetry_is_checked_after_coercion():
                                              PrimeField(5))
 
 
+def test_fiber_algebra_coerces_each_entry_once(monkeypatch):
+    """Nine coercions lower the entries; an integral matrix adds one per
+    nonzero generic constant (34), a fractional one divides instead."""
+    fiber_algebra([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ)  # build the table
+    calls = []
+    coerce = type(QQ).__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return coerce(self, x)
+
+    monkeypatch.setattr(type(QQ), "__call__", counted)
+    fiber_algebra([[1, 2, 3], [2, 5, 7], [3, 7, 11]], QQ)
+    assert len(calls) == 43
+    calls.clear()
+    half = Fraction(1, 2)
+    fiber_algebra([[half, 2, 3], [2, Fraction(5, 3), 7], [3, 7, 11]], QQ)
+    assert len(calls) == 9
+
+
 def test_zero_form_algebra_is_local_commutative():
     alg = fiber_algebra([[0] * 3] * 3, QQ)
     assert classify(alg) is AlgebraType.LOCAL_COMMUTATIVE
@@ -522,6 +542,13 @@ def test_classify_needs_no_root_kernel_or_product(monkeypatch):
         monkeypatch.setattr(owner, name, refuse)
     assert [classify(alg) for alg in algebras] == expected
     assert set(expected) == set(AlgebraType)
+
+
+def test_classify_refuses_an_asymmetric_pairing(monkeypatch):
+    pairing = [[1, 0, 0], [1, 0, 0], [0, 0, 0]]
+    monkeypatch.setattr(clifford, "trace_pairing_fiber", lambda alg: pairing)
+    with pytest.raises(InternalInvariantError, match="asymmetric"):
+        classify(fiber_algebra([[1, 0, 0], [0, 0, 0], [0, 0, 0]], QQ))
 
 
 def reference_validation_error(alg):

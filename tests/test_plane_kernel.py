@@ -1,8 +1,9 @@
 """The packed-line plane scan against two slower routes.
 
-The first oracle is the ``FpElement`` path: ``rank_at`` (``linalg.rank`` on
-evaluated entries), ``HomogPoly.evaluate`` of the discriminant and
-``BiPoly.evaluate`` of the conic equation, each over ``projective_points``.
+The first oracle is the ``FpElement`` path: ``linalg.rank`` (Gaussian
+elimination, not the census's own minor rule) on the evaluated entries,
+``HomogPoly.evaluate`` of the discriminant and ``BiPoly.evaluate`` of the
+conic equation, each over ``projective_points``.
 The second is ``point_walk``, the per-point int walk the packed kernel
 replaced: every term evaluated with ``pow`` at every point of
 ``plane_points``.
@@ -22,8 +23,8 @@ from cliffbundle import (
     conic_equation,
     conic_point_count,
     discriminant,
-    fiber_conic_type,
     is_nowhere_zero,
+    linalg,
     new_qform,
     normalize,
     projective_points,
@@ -32,8 +33,8 @@ from cliffbundle import (
     twist,
 )
 from cliffbundle.errors import InternalInvariantError, ScanTooLargeError
-from cliffbundle.poly import monomials_of_degree
-from cliffbundle.qform import FiberCensus, plane_points
+from cliffbundle.poly import monomials_of_degree, symmetric_values
+from cliffbundle.qform import CONIC_BY_RANK, FiberCensus, plane_points
 from conftest import diag_form, uvw
 
 KINDS = ("generic", "rank_deficient", "vanishing", "monomial")
@@ -111,7 +112,8 @@ def test_kernel_matches_fp_element_path(kind, data):
 
     expected = {t: 0 for t in ConicType}
     for p in points:
-        expected[fiber_conic_type(q, p)] += 1
+        values = symmetric_values(q.matrix, p.coords)
+        expected[CONIC_BY_RANK[linalg.rank(values, q.domain)]] += 1
     result = qform.fiber_census(q)
     assert result.counts == expected
     assert census(q) == expected
