@@ -45,6 +45,7 @@ from .clifford import (
     classify,
     fiber_algebra,
     fiber_algebra_at,
+    fiber_at,
     fiber_type_at,
     gamma_dimension_bruteforce,
     gamma_hilbert_series,

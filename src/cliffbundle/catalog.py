@@ -29,8 +29,8 @@ from .errors import (
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
 from .poly import (HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid,
                    symmetric_values)
-from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
-from .scalars import lower
+from .qform import (FiberPoint, QForm, discriminant, new_qform, qform_from_upper,
+                    values_rank)
 
 
 class DelPezzoTag(Enum):
@@ -260,9 +260,7 @@ class F25PlusProvider:
         return [[pair(basis[r], basis[s]) for s in range(3)] for r in range(3)]
 
     def rank_at(self, p: FiberPoint) -> int:
-        form, dom = self.fiber_form(p), self.net.domain
-        values, _ = lower(dom, [form[i][j] for i in range(3) for j in range(i, 3)])
-        return linalg.symmetric_rank(values, dom.characteristic)
+        return values_rank(self.net.domain, self.fiber_form(p))
 
     def degenerate_at(self, p: FiberPoint) -> bool:
         return self.rank_at(p) < 3

@@ -105,6 +105,8 @@ def document_entries(doc: dict, body: str) -> tuple:
 
 
 def form_from_document(doc: dict) -> QForm:
+    if "form" not in doc:
+        raise ValueError("this command needs a 'form' document, got a 'net' document")
     _, entries = document_entries(doc, "form")
     if len(entries) != 6:
         raise ValueError("form needs 6 upper-triangle entries")
@@ -177,8 +179,7 @@ def cmd_disc(args):
 
 
 def _fiber_payload(q: QForm, p: FiberPoint) -> dict:
-    rank = qform.rank_at(q, p)
-    algebra = clifford.fiber_type_at(q, p)
+    rank, algebra = clifford.fiber_at(q, p)
     return {"point": str(p),
             "rank": rank,
             "conic_type": qform.CONIC_BY_RANK[rank].value,

@@ -25,7 +25,6 @@ from enum import IntEnum
 from functools import cache
 from operator import mul
 
-from . import linalg
 from .errors import (
     InternalInvariantError,
     InvalidAlgebraError,
@@ -43,7 +42,7 @@ from .poly import (
     symmetric_grid,
     symmetric_values,
 )
-from .qform import FiberPoint, QForm, discriminant
+from .qform import FiberPoint, QForm, values_rank
 from .scalars import QQ, PrimeField, Rationals, lower
 from .series import RationalSeries, poly_mul_1d
 
@@ -451,7 +450,7 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
     x = e_i is the first traceless basis element with a = P_ii != 0, and
     type 2 otherwise.  Validation makes P symmetric (checked), so r is
-    read off its upper triangle by ``linalg.symmetric_rank``.
+    read off its upper triangle by ``qform.values_rank``.
 
     Why the trace decides r = 1 (characteristic != 2).  Validation makes
     x^2 central, so x^2 = a.  L_x maps 1 to x and x to a: it keeps span(1, x)
@@ -468,8 +467,7 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     pairing = trace_pairing_fiber(alg)
     if any(pairing[i][j] != pairing[j][i] for i in range(3) for j in range(i)):
         raise InternalInvariantError("trace pairing of a valid algebra is asymmetric")
-    upper, _ = lower(alg.domain, [pairing[i][j] for i in range(3) for j in range(i, 3)])
-    r = linalg.symmetric_rank(upper, alg.domain.characteristic)
+    r = values_rank(alg.domain, pairing)
     if r >= 2:
         return AlgebraType.CENTRAL_SIMPLE
     if r == 0:
@@ -489,15 +487,24 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     return AlgebraType.DEGENERATE_CLIFFORD
 
 
-def fiber_type_at(q: QForm, p: FiberPoint) -> AlgebraType:
-    """Isomorphism type of the fiber algebra at p, cross-checked against the
-    discriminant: the fiber is central simple exactly where it is nonzero."""
-    open_locus = bool(discriminant(q).evaluate(p.coords))
-    algebra = classify(fiber_algebra_at(q, p))
-    if open_locus != (algebra is AlgebraType.CENTRAL_SIMPLE):
+def fiber_at(q: QForm, p: FiberPoint) -> tuple:
+    """Rank of the conic and type of the algebra at p, from one evaluation
+    of the six entries.  The type must be 4 - rank (the fiberwise
+    bijection).  Rank 3 is a nonzero determinant of the values, which is
+    the discriminant at p: so the fiber is checked to be central simple
+    exactly off the discriminant curve, with no polynomial built."""
+    values = symmetric_values(q.matrix, p.coords)
+    rank = values_rank(q.domain, values)
+    algebra = classify(fiber_algebra(values, q.domain))
+    if algebra != 4 - rank:
         raise InternalInvariantError(
-            f"discriminant and classifier disagree at {p}")
-    return algebra
+            f"rank {rank} and classifier ({algebra.name}) disagree at {p}")
+    return rank, algebra
+
+
+def fiber_type_at(q: QForm, p: FiberPoint) -> AlgebraType:
+    """Isomorphism type of the fiber algebra at p.  See fiber_at."""
+    return fiber_at(q, p)[1]
 
 
 def azumaya_at(q: QForm, p: FiberPoint) -> bool:

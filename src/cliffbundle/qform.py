@@ -26,7 +26,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3,
-                   symmetric_grid)
+                   symmetric_grid, symmetric_values)
 from .scalars import PrimeField, lower
 
 
@@ -153,10 +153,15 @@ def discriminant(q: QForm) -> HomogPoly:
     return det3(q.matrix)
 
 
+def values_rank(domain, values) -> int:
+    """Rank (0..3) of a symmetric 3x3 grid of ``domain`` values."""
+    upper, _ = lower(domain, [values[i][j] for i in range(3) for j in range(i, 3)])
+    return linalg.symmetric_rank(upper, domain.characteristic)
+
+
 def rank_at(q: QForm, p: FiberPoint) -> int:
     """Rank of the scalar matrix of entry values at p (0..3)."""
-    values, _ = lower(q.domain, [f.evaluate(p.coords) for f in q.matrix.upper()])
-    return linalg.symmetric_rank(values, q.domain.characteristic)
+    return values_rank(q.domain, symmetric_values(q.matrix, p.coords))
 
 
 class ConicType(Enum):

@@ -422,12 +422,16 @@ def test_catalog_over_a_large_prime_is_prompt(capsys):
     assert "PRIME_LIMIT" in report["payload"]["message"]
 
 
-# A planted discriminant that is zero where the fiber is central simple, and
-# one that is nonzero where the fiber degenerates.
-@pytest.mark.parametrize("point, planted", [("1:1:1", "zero"), ("0:1:1", "one")])
-def test_planted_wrong_discriminant_exits_3(tmp_path, capsys, monkeypatch,
-                                            point, planted):
-    monkeypatch.setattr(clifford, "discriminant", lambda q: getattr(q.ring, planted))
+# A classifier that answers central simple at a rank-2 point or type 2 at a
+# rank-3 point; and type 2 at the rank-1 point 0:0:1, which a check of
+# central simplicity against the discriminant alone lets through.
+@pytest.mark.parametrize("point, planted", [("0:1:1", "CENTRAL_SIMPLE"),
+                                            ("1:1:1", "DEGENERATE_CLIFFORD"),
+                                            ("0:0:1", "DEGENERATE_CLIFFORD")])
+def test_planted_wrong_classifier_exits_3(tmp_path, capsys, monkeypatch,
+                                          point, planted):
+    monkeypatch.setattr(clifford, "classify",
+                        lambda alg: clifford.AlgebraType[planted])
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["fiber", path, "--point", point])
     assert code == 3
@@ -435,8 +439,21 @@ def test_planted_wrong_discriminant_exits_3(tmp_path, capsys, monkeypatch,
     assert report["payload"]["error"] == "InternalInvariantError"
     assert "disagree" in report["payload"]["message"]
     q = cli.form_from_document(DIAG_DOC)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="disagree"):
         clifford.azumaya_at(q, cli.parse_point(point, q.domain))
+
+
+@pytest.mark.parametrize("command", [["fiber", "--point", "1:1:1"], ["disc"]],
+                         ids=lambda argv: argv[0])
+def test_form_commands_refuse_a_net_document(tmp_path, capsys, command):
+    assert cli.main(["catalog", "--type", "F25plus"]) == 0
+    net = json.loads(capsys.readouterr().out)["payload"]
+    path = write_doc(tmp_path, net)
+    code, report, _ = run_cli(capsys, [command[0], path, *command[1:]])
+    assert code == 1
+    assert report["payload"] == {
+        "error": "ValueError",
+        "message": "this command needs a 'form' document, got a 'net' document"}
 
 
 # ------------------------------------------------------------------ fuzzing

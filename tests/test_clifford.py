@@ -1,6 +1,8 @@
 """Rewriting engine, fiber algebras, trace pairing, recovery, classification."""
 
+import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from cliffbundle import (
     discriminant,
     fiber_algebra,
     fiber_algebra_at,
+    fiber_at,
     gamma_dimension_bruteforce,
     gamma_hilbert_series,
     kronecker_quiver_algebra,
@@ -37,7 +40,8 @@ from cliffbundle import (
     trace_pairing_global,
     validate_fiber_algebra,
 )
-from cliffbundle import clifford, linalg
+from cliffbundle import clifford, linalg, qform
+from cliffbundle.cli import main
 from cliffbundle.clifford import FiberAlgebra, _engine_constants
 from cliffbundle.errors import (
     InternalInvariantError,
@@ -45,7 +49,7 @@ from cliffbundle.errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from cliffbundle.poly import symmetric_grid
+from cliffbundle.poly import HomogPoly, symmetric_grid, symmetric_values
 from conftest import diag_form, symbolic_scalar_grid, uvw
 
 
@@ -706,6 +710,73 @@ def test_azumaya_exhaustive_f5(ring_f5):
     disc = discriminant(q)
     for p in projective_points(ring_f5.domain):
         assert azumaya_at(q, p) == bool(disc.evaluate(p.coords))
+
+
+# ------------------------------------------------------------------- fiber_at
+
+@functools.cache
+def catalog_form(tag, domain, seed):
+    """A catalog form and, over F_p, the points of P^2(F_p) on its
+    discriminant curve."""
+    q = make_type(tag, domain=domain, seed=seed)
+    if domain is QQ:
+        return q, []
+    columns = qform.plane_values(domain, [discriminant(q)])
+    return q, [point for points, (values,) in columns
+               for point, x in zip(points, values) if not x % domain.p]
+
+
+@st.composite
+def catalog_fibers(draw):
+    """A catalog F23, F24 or F25minus form (seeds 0-2) over F_3, F_5, F_101
+    or Q and a point of P^2; over F_p, half the draws that can take a point
+    on the discriminant curve do."""
+    domain = draw(st.sampled_from((PrimeField(3), PrimeField(5), PrimeField(101), QQ)))
+    tag = draw(st.sampled_from(("F23", "F24", "F25minus")))
+    q, zeros = catalog_form(tag, domain, draw(st.integers(0, 2)))
+    if zeros and draw(st.booleans()):
+        coords = draw(st.sampled_from(zeros))
+    else:
+        coords = draw(st.lists(st.integers(-20, 20), min_size=3, max_size=3)
+                      .filter(lambda xs: any(map(domain, xs))))
+    return q, FiberPoint.make(domain, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=catalog_fibers())
+def test_fiber_at_agrees_with_the_polynomial_route(case):
+    q, p = case
+    rank, algebra = fiber_at(q, p)
+    assert rank == linalg.rank(symmetric_values(q.matrix, p.coords), q.domain)
+    assert (rank == 3) == bool(discriminant(q).evaluate(p.coords))
+    assert algebra == 4 - rank
+
+
+def test_a_fiber_job_builds_no_polynomial_product(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polynomial product was built")
+
+    evaluated = []
+    evaluate = HomogPoly.evaluate
+
+    def counted(f, point):
+        evaluated.append(f)
+        return evaluate(f, point)
+
+    monkeypatch.setattr(HomogPoly, "__mul__", refuse)
+    monkeypatch.setattr(qform, "discriminant", refuse)
+    monkeypatch.setattr(HomogPoly, "evaluate", counted)
+    for spec in ("rational", {"prime": 5}):
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({
+            "scalar_domain": spec,
+            "form": {"a": [0, 0, 0], "d": 1, "entries": ["u", "0", "0", "v", "0", "w"]},
+        }), encoding="utf-8")
+        for point, rank in (("1:2:3", 3), ("1:1:0", 2), ("1:0:0", 1)):
+            evaluated.clear()
+            assert main(["fiber", str(path), "--point", point]) == 0
+            assert json.loads(capsys.readouterr().out)["payload"]["rank"] == rank
+            assert len(evaluated) == 6
 
 
 # ------------------------------------------------------------- hilbert series

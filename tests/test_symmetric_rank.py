@@ -1,7 +1,7 @@
 """The principal-minor rank rule for symmetric 3x3 matrices.
 
 ``linalg.symmetric_rank`` decides the rank of the census, ``rank_at``,
-``classify`` and the F25plus provider.  Gaussian elimination
+``fiber_at``, ``classify`` and the F25plus provider.  Gaussian elimination
 (``linalg.rank``) stays its oracle: over F_3, F_5, F_101 and Q, on sums of
 rank-one terms c v v^T and on matrices with a zero diagonal, whose rank no
 diagonal entry reveals.
