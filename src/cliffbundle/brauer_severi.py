@@ -36,24 +36,24 @@ from .errors import (
 from . import linalg
 from .clifford import fiber_algebra
 from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly)
+                   divide_exact_bipoly, symmetric_values)
 from .qform import FiberPoint, QForm, plane_values
 from .scalars import PrimeField
 
 
 # --------------------------------------------------------------- conic & matrix
 
+def _conic_terms(grid) -> dict:
+    """{alpha exponents: coefficient} of sum q_ii alpha_i^2 + 2 sum_{i<j}
+    q_ij alpha_i alpha_j, for a symmetric 3x3 grid of polynomials or values."""
+    return {tuple((k == i) + (k == j) for k in range(3)):
+            grid[i][j] if i == j else grid[i][j] + grid[i][j]
+            for i in range(3) for j in range(i, 3)}
+
+
 def conic_equation(q: QForm) -> BiPoly:
     """q(alpha) = sum q_ii alpha_i^2 + 2 sum_{i<j} q_ij alpha_i alpha_j."""
-    mapping = {}
-    for i in range(3):
-        for j in range(i, 3):
-            aex = [0, 0, 0]
-            aex[i] += 1
-            aex[j] += 1
-            entry = q.entry(i, j)
-            mapping[tuple(aex)] = entry if i == j else entry + entry
-    return bipoly_from_alpha_map(q.ring, q.a, mapping)
+    return bipoly_from_alpha_map(q.ring, q.a, _conic_terms(q.matrix.entries))
 
 
 @dataclass(frozen=True)
@@ -228,12 +228,11 @@ def bs_membership(q: QForm, base: FiberPoint, alpha) -> bool:
 
 
 def conic_point_count(q: QForm, base: FiberPoint) -> int:
-    """Number of alpha in P^2(F_p) on the conic fiber over base."""
+    """Number of alpha in P^2(F_p) on the conic fiber over base, whose
+    coefficients are the form's six entry values there."""
     if not isinstance(q.domain, PrimeField):
         raise TypeError("point counting needs a prime-field form")
-    cq = conic_equation(q)
-    conic = q.ring.poly({aex: cq.coefficient(aex).evaluate(base.coords)
-                         for aex in cq.alpha_support()})
+    conic = q.ring.poly(_conic_terms(symmetric_values(q.matrix, base.coords)))
     p = q.domain.p
     return sum(1 for _, (values,) in plane_values(q.domain, [conic])
                for value in values if not value % p)

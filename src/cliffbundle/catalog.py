@@ -15,22 +15,21 @@ locus is the quintic det5 = 0; all fiber operations accept its output.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from . import linalg
 from .errors import (
-    BasePointSingularError,
     DegenerateAfterRetriesError,
     DegreePatternError,
     UnknownTagError,
 )
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
-from .poly import (HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid,
-                   symmetric_values)
+from .poly import HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid
 from .qform import (FiberPoint, QForm, discriminant, new_qform, qform_from_upper,
                     values_rank)
+from .scalars import lower
 
 
 class DelPezzoTag(Enum):
@@ -149,6 +148,12 @@ def make_type(tag, entries=None, *, domain=None, seed=None) -> QForm:
 
 # ------------------------------------------------------------ nets of quadrics
 
+def last_row(ring: PolyRing) -> list:
+    """The last row (u, v, w, 0, 0) of a net in normalized position."""
+    return [ring.variable(0), ring.variable(1), ring.variable(2),
+            ring.zero, ring.zero]
+
+
 @dataclass(frozen=True)
 class QuadricNet:
     """A net of quadrics in P^4 in normalized position.
@@ -167,17 +172,13 @@ class QuadricNet:
             raise ValueError("a net needs a 5x5 matrix")
         if not m.is_symmetric():
             raise ValueError("net matrix must be symmetric")
-        ring = m.ring
         for row in m.entries:
             for f in row:
                 if f and f.degree != 1:
                     raise DegreePatternError("net entries must be linear or zero")
-        expected = [ring.variable(0), ring.variable(1), ring.variable(2),
-                    ring.zero, ring.zero]
-        for j in range(5):
-            if m.entry(4, j) != expected[j]:
-                raise DegreePatternError(
-                    "normalized position requires the last row (u, v, w, 0, 0)")
+        if list(m.entries[4]) != last_row(m.ring):
+            raise DegreePatternError(
+                "normalized position requires the last row (u, v, w, 0, 0)")
 
     @property
     def ring(self) -> PolyRing:
@@ -201,8 +202,7 @@ def make_net(*, domain=None, seed=None) -> QuadricNet:
         raise ValueError("need a domain")
     ring = PolyRing(domain)
     rng = random.Random(seed)
-    fixed = [ring.variable(0), ring.variable(1), ring.variable(2),
-             ring.zero, ring.zero]
+    fixed = last_row(ring)
     for _ in range(GENERATION_RETRIES):
         # The last column is fixed; the other entries are drawn row by row.
         upper = [ring.random_homogeneous(1, rng) if j < 4 else fixed[i]
@@ -217,47 +217,36 @@ def make_net(*, domain=None, seed=None) -> QuadricNet:
 class F25PlusProvider:
     """Fiberwise conic forms of the projected net.
 
-    At a base point q0, restrict the quadric A(q0) to the hyperplane
-    W = ker(p^T A(q0)) (which contains p) and descend to W / <p>; the
-    deterministic basis is the reduced-echelon kernel basis with the p
-    direction pivoted away.  The resulting 3x3 scalar form is degenerate
-    exactly on the quintic det5 = 0.
+    At q0 = (x0 : x1 : x2) the normalized last row gives p^T A(q0) =
+    (x0, x1, x2, 0, 0).  With k the first index of a nonzero x_k (x3 = 0),
+    W / <p> for W = ker(p^T A) has the basis b_j = e_j - (x_j/x_k) e_k,
+    j in (0, 1, 2, 3) without k, and the form is b_i^T A b_j: computed on
+    the lowered ints of the entry values, boxed once per entry, and
+    degenerate exactly on the quintic det5 = 0.
     """
 
     def __init__(self, net: QuadricNet):
         self.net = net
-        self._det5 = None
 
-    @property
+    @functools.cached_property
     def det5(self) -> HomogPoly:
-        if self._det5 is None:
-            self._det5 = det(self.net.matrix)
-        return self._det5
+        return det(self.net.matrix)
 
     def fiber_form(self, p: FiberPoint):
         dom = self.net.domain
-        values = symmetric_values(self.net.matrix, p.coords)
-        row = values[4]
-        if not any(row):
-            raise BasePointSingularError(
-                f"projection point is singular on the quadric over {p}")
-        kernel = linalg.kernel_basis([row], dom)
-        basis = [v for v in kernel if not v[4]]
-        if len(basis) != 3:
-            raise BasePointSingularError(
-                f"kernel at {p} does not split off the projection point")
+        ints, den = lower(dom, [f.evaluate(p.coords) for f in self.net.matrix.upper()])
+        a = symmetric_grid(ints)
+        x = a[4]
+        k = next(j for j in range(3) if x[j])
+        xk = x[k]
 
-        def pair(x, y):
-            acc = dom.zero
-            for i in range(5):
-                if not x[i]:
-                    continue
-                for j in range(5):
-                    if y[j]:
-                        acc = acc + x[i] * values[i][j] * y[j]
-            return acc
+        def entry(i, j):
+            num = (xk * xk * a[i][j] - xk * x[j] * a[i][k] - xk * x[i] * a[k][j]
+                   + x[i] * x[j] * a[k][k])
+            return dom.from_pair(num, xk * xk * den)
 
-        return [[pair(basis[r], basis[s]) for s in range(3)] for r in range(3)]
+        basis = [j for j in range(4) if j != k]
+        return [[entry(i, j) for j in basis] for i in basis]
 
     def rank_at(self, p: FiberPoint) -> int:
         return values_rank(self.net.domain, self.fiber_form(p))

@@ -50,15 +50,9 @@ HILBERT_ORDER_LIMIT = 500
 # ----------------------------------------------------------------- input side
 
 def json_int(value, name: str) -> int:
-    """A document field that must be a JSON integer; a bool is not one.
-
-    Floats, bools and numeric strings are refused; null, arrays, objects
-    and other strings fail in int() with the error they always gave.
-    """
+    """A document field that must be a JSON integer; a bool is not one."""
     if type(value) is int:
         return value
-    if not isinstance(value, (bool, float)):
-        int(value)
     raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
 
 
@@ -89,11 +83,21 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def body_field(doc: dict, body: str, name: str):
+    """Field ``name`` of ``doc[body]``, a JSON object that must have it."""
+    fields = doc[body]
+    if type(fields) is not dict:
+        raise ValueError(f"{body} must be a JSON object")
+    if name not in fields:
+        raise ValueError(f"{body}.{name} is missing")
+    return fields[name]
+
+
 def document_entries(doc: dict, body: str) -> tuple:
     """The ring of a document and the polynomials of its ``entries``,
     which must be a JSON array of JSON strings."""
     ring = PolyRing(load_domain(doc.get("scalar_domain", "rational")))
-    texts = doc[body]["entries"]
+    texts = body_field(doc, body, "entries")
     if type(texts) is not list:
         raise ValueError(f"{body}.entries must be a JSON array of strings, "
                          f"got {json.dumps(texts)}")
@@ -110,9 +114,13 @@ def form_from_document(doc: dict) -> QForm:
     _, entries = document_entries(doc, "form")
     if len(entries) != 6:
         raise ValueError("form needs 6 upper-triangle entries")
-    body = doc["form"]
-    a = tuple(json_int(x, f"form.a[{i}]") for i, x in enumerate(body["a"]))
-    return qform.qform_from_upper(a, json_int(body["d"], "form.d"), entries)
+    a = body_field(doc, "form", "a")
+    if type(a) is not list:
+        raise ValueError(f"form.a must be a JSON array of integers, "
+                         f"got {json.dumps(a)}")
+    a = tuple(json_int(x, f"form.a[{i}]") for i, x in enumerate(a))
+    d = json_int(body_field(doc, "form", "d"), "form.d")
+    return qform.qform_from_upper(a, d, entries)
 
 
 def net_from_document(doc: dict) -> catalog.QuadricNet:

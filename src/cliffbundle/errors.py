@@ -96,10 +96,6 @@ class DegenerateAfterRetriesError(MathFailureError):
     """Random form generation kept producing zero discriminant."""
 
 
-class BasePointSingularError(MathFailureError):
-    """The projection base point is a singular point of the quadric fiber."""
-
-
 class InconsistentInvariantsError(MathFailureError):
     """Two independent invariant computations disagree."""
 

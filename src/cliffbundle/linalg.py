@@ -1,20 +1,17 @@
-"""Small exact linear algebra helpers over a scalar domain.
-
-Everything here is plain Gaussian elimination on lists of lists.  The
-matrices involved are at most 5x5, so there is no pivoting strategy beyond
-"first nonzero".
+"""Small exact linear algebra in three parts: Gaussian elimination over a
+scalar domain (``rref``, ``rank``, ``kernel_basis``; first nonzero pivot),
+whose one library caller is the 4x4 rank of ``brauer_severi.bs_membership``
+besides the test oracles and the benchmark's own F25plus chain;
+``symmetric_rank`` on plain ints; and ``laplace_minor``, determinants and
+minors with shared smaller minors over any commutative entry type.
 """
 
 from __future__ import annotations
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
-
-
 def rref(m, domain):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    a = mat_copy(m)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []

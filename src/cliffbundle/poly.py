@@ -485,9 +485,6 @@ class BiPoly(SparsePoly):
         return self.ring.poly({exps[3:]: c for exps, c in self.iter_terms()
                                if exps[:3] == alpha_exps})
 
-    def alpha_support(self):
-        return sorted({exps[:3] for exps, _ in self.iter_terms()}, reverse=True)
-
     def __mul__(self, other):
         if isinstance(other, HomogPoly):
             if other.ring != self.ring:

@@ -224,8 +224,7 @@ def sample_nowhere_zero(q: QForm, samples: int = 500, seed: int = 0) -> NowhereZ
         if not any(coords):
             continue
         p = FiberPoint.make(dom, coords)
-        values = q.matrix.evaluate(p.coords)
-        if not any(any(x for x in row) for row in values):
+        if not any(map(any, symmetric_values(q.matrix, p.coords))):
             return NowhereZeroResult(False, p, conclusive=True)
     return NowhereZeroResult(True, None, conclusive=False)
 

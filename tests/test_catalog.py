@@ -1,8 +1,11 @@
 """Catalog constructors: degree patterns, nets, the projected F25plus type."""
 
+import functools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffbundle import (
     CATALOG,
@@ -25,6 +28,8 @@ from cliffbundle.errors import (
     UnknownTagError,
 )
 from cliffbundle.invariants import CotangentTwist, LineBundle
+from cliffbundle.poly import symmetric_values
+from cliffbundle.qform import plane_values
 from conftest import uvw
 
 
@@ -121,6 +126,67 @@ def test_f25plus_rank3_off_quintic_and_symmetric():
             assert prov.rank_at(p) == 3
             seen_rank3 = True
     assert seen_rank3
+
+
+def kernel_route_form(net, p):
+    """The F25plus form by elimination: x^T A y over the kernel basis of the
+    row p^T A, with the direction of the projection point dropped."""
+    dom = net.domain
+    a = symmetric_values(net.matrix, p.coords)
+    basis = [v for v in linalg.kernel_basis([a[4]], dom) if not v[4]]
+    return [[sum((x[i] * a[i][j] * y[j] for i in range(5) for j in range(5)),
+                 dom.zero) for y in basis] for x in basis]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_provider(domain, seed):
+    return make_f25plus(make_net(domain=domain, seed=seed))
+
+
+@functools.lru_cache(maxsize=None)
+def quintic_points(domain, seed):
+    """The points of P^2(F_p) on det5 = 0, as triples of least residues."""
+    p = domain.p
+    return [point for points, (values,) in
+            plane_values(domain, [cached_provider(domain, seed).det5])
+            for point, value in zip(points, values) if not value % p]
+
+
+@st.composite
+def net_points(draw):
+    dom = draw(st.sampled_from([PrimeField(3), PrimeField(5), PrimeField(101), QQ]))
+    seed = draw(st.integers(0, 40))
+    if dom is QQ:
+        coords = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
+                  for _ in range(3)]
+    elif draw(st.booleans()) and quintic_points(dom, seed):
+        coords = draw(st.sampled_from(quintic_points(dom, seed)))
+    else:
+        coords = [draw(st.integers(0, dom.p - 1)) for _ in range(3)]
+    if not any(coords):
+        coords[2] = 1
+    return cached_provider(dom, seed), FiberPoint.make(dom, coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=net_points())
+def test_f25plus_fiber_form_matches_the_kernel_route(case):
+    prov, p = case
+    assert prov.fiber_form(p) == kernel_route_form(prov.net, p)
+
+
+def test_f25plus_fibers_need_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elimination called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    for dom in (PrimeField(5), PrimeField(101), QQ):
+        prov = make_f25plus(make_net(domain=dom, seed=2))
+        for coords in ((1, 2, 3), (0, 1, 4), (0, 0, 1), (Fraction(1, 2), 0, 3)):
+            p = FiberPoint.make(dom, [dom(c) for c in coords])
+            assert len(prov.fiber_form(p)) == 3
+            assert prov.degenerate_at(p) == (not prov.det5.evaluate(p.coords))
 
 
 def test_f25plus_fiber_feeds_clifford():

@@ -142,30 +142,66 @@ def test_point_with_zero_denominator_exits_1(tmp_path, capsys, command, doc, poi
     assert "denominator" in report["payload"]["message"]
 
 
-@pytest.mark.parametrize("doc", [
-    ["form"],
-    {"scalar_domain": {"prime": 101.9}, "form": DIAG_DOC["form"]},
-    {"scalar_domain": {"prime": True}, "form": DIAG_DOC["form"]},
-    {"scalar_domain": {"prime": "101"}, "form": DIAG_DOC["form"]},
-    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=0.7)},
-    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=True)},
-    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[0, 1.2, 1.9])},
-    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[False, 0, 0])},
-    {"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=float("inf"))},
+def without(body: dict, name: str) -> dict:
+    return {k: v for k, v in body.items() if k != name}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (["form"], "document"),
+    ({"scalar_domain": {"prime": 101.9}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": {"prime": True}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": {"prime": "101"}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=0.7)},
+     "form.d"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=True)},
+     "form.d"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[0, 1.2, 1.9])},
+     "form.a[1]"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[False, 0, 0])},
+     "form.a[0]"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=float("inf"))},
+     "form.d"),
+    ({"scalar_domain": {"prime": None}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": {"prime": [101]}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": {"prime": {"p": 101}}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": {"prime": "eleven"}, "form": DIAG_DOC["form"]},
+     "scalar_domain.prime"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], d=None)},
+     "form.d"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=[None, 0, 0])},
+     "form.a[0]"),
+    ({"scalar_domain": "rational", "form": dict(DIAG_DOC["form"], a=5)}, "form.a"),
+    ({"scalar_domain": "rational", "form": without(DIAG_DOC["form"], "a")},
+     "form.a is missing"),
+    ({"scalar_domain": "rational", "form": without(DIAG_DOC["form"], "d")},
+     "form.d is missing"),
+    ({"scalar_domain": "rational", "form": []}, "form must be a JSON object"),
 ], ids=["array", "float-prime", "bool-prime", "string-prime", "float-d",
-        "bool-d", "float-a", "bool-a", "infinite-d"])
-def test_document_fields_must_be_json_integers(tmp_path, capsys, doc):
+        "bool-d", "float-a", "bool-a", "infinite-d", "null-prime",
+        "array-prime", "object-prime", "text-prime", "null-d", "null-a",
+        "int-a", "missing-a", "missing-d", "array-form"])
+def test_document_fields_must_be_json_integers(tmp_path, capsys, doc, field):
     path = write_doc(tmp_path, doc)
     for argv in (["validate", path], ["fiber", path, "--point", "1:2:1"]):
         code, report, _ = run_cli(capsys, argv)
         assert code == 1
         assert report["status"] == "invalid-input"
         assert report["payload"]["error"] == "ValueError"
+        assert field in report["payload"]["message"]
 
 
 NET_DOC = {"scalar_domain": {"prime": 101},
            "net": {"entries": cli.upper_entries(
                catalog.make_net(domain=PrimeField(101), seed=1).matrix)}}
+
+
+MISSING = object()
 
 
 @pytest.mark.parametrize("body, entries", [
@@ -176,11 +212,17 @@ NET_DOC = {"scalar_domain": {"prime": 101},
     ("net", [[0, 1.2, 1.9]] + NET_DOC["net"]["entries"][1:]),
     ("net", "uvwuvwuvwuvwuvw"),
     ("net", [7] + NET_DOC["net"]["entries"][1:]),
+    ("form", MISSING),
+    ("net", MISSING),
 ], ids=["form-array-entry", "form-string", "form-int-entry", "form-null",
-        "net-array-entry", "net-string", "net-int-entry"])
+        "net-array-entry", "net-string", "net-int-entry", "form-missing",
+        "net-missing"])
 def test_entries_must_be_an_array_of_strings(tmp_path, capsys, body, entries):
     doc = copy.deepcopy(DIAG_DOC if body == "form" else NET_DOC)
-    doc[body]["entries"] = entries
+    if entries is MISSING:
+        del doc[body]["entries"]
+    else:
+        doc[body]["entries"] = entries
     path = write_doc(tmp_path, doc)
     commands = [["validate", path]]
     if body == "form":
@@ -189,6 +231,7 @@ def test_entries_must_be_an_array_of_strings(tmp_path, capsys, body, entries):
         code, report, _ = run_cli(capsys, argv)
         assert code == 1
         assert report["status"] == "invalid-input"
+        assert report["payload"]["error"] == "ValueError"
         assert f"{body}.entries" in report["payload"]["message"]
 
 
