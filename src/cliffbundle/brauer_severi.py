@@ -22,11 +22,18 @@ matrix satisfies, and the test suite pins them symbolically.)
 
 Alpha variables carry weight -a_i so that all constructions stay
 weighted-homogeneous for every degree pattern.  ``poly`` owns BiPoly.
+
+The minors are expanded and divided by the conic once per process, on the
+generic form over Q[q11, ..., q33] (``_generic_quotients``, 24 integer
+terms).  Per document, ``verify_minors`` builds the conic and substitutes
+the six entries into that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import mul
 
 from .errors import (
     InternalInvariantError,
@@ -34,11 +41,11 @@ from .errors import (
     NotDivisibleError,
 )
 from . import linalg
-from .clifford import fiber_algebra
-from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly, symmetric_values)
-from .qform import FiberPoint, QForm, plane_values
-from .scalars import PrimeField
+from .clifford import _GENERIC_ENTRIES, fiber_algebra
+from .poly import (BiPoly, PolyRing, alpha_variable, bipoly_from_alpha_map,
+                   divide_exact_bipoly, symmetric_grid, symmetric_values)
+from .qform import FiberPoint, QForm, new_qform, plane_values
+from .scalars import QQ, PrimeField
 
 
 # --------------------------------------------------------------- conic & matrix
@@ -171,11 +178,11 @@ class MinorReport:
         return self.quotients[r - 1][c - 1]
 
 
-def verify_minors(q: QForm) -> MinorReport:
-    """Divide all sixteen 3x3 minors of the kernel matrix by the conic
-    equation and check the three extremal identities.  Failure raises
-    MinorNotDivisibleError: the identities are universal in the q_ij, so
-    only an implementation bug can trip it."""
+def divide_minors(q: QForm) -> tuple:
+    """The 4x4 grid of quotients minor(r, c) / q(alpha), by expanding the
+    sixteen 3x3 minors of the kernel matrix (sharing their 2x2 minors) and
+    dividing each by the conic.  A remainder raises MinorNotDivisibleError.
+    It builds the generic table; the tests keep it as the oracle."""
     m = bs_matrix(q)
     cq = conic_equation(q)
     memo = {}
@@ -183,29 +190,76 @@ def verify_minors(q: QForm) -> MinorReport:
     for r in range(1, 5):
         row = []
         for c in range(1, 5):
-            mn = bipoly_minor(m, r, c, memo)
-            if cq.is_zero:
-                if not mn.is_zero:
-                    raise MinorNotDivisibleError(
-                        f"minor ({r},{c}) nonzero over a zero conic")
-                row.append(mn)
-                continue
             try:
-                row.append(divide_exact_bipoly(mn, cq))
+                row.append(divide_exact_bipoly(bipoly_minor(m, r, c, memo), cq))
             except NotDivisibleError as exc:
                 raise MinorNotDivisibleError(
                     f"minor ({r},{c}) is not a multiple of the conic: {exc}"
                 ) from exc
         quotients.append(tuple(row))
+    return tuple(quotients)
+
+
+@cache
+def _generic_quotients() -> tuple:
+    """The sixteen quotients of the generic form, built once per process by
+    ``divide_minors`` over Q[q11, ..., q33] (degree pattern 0, d = 1).
+
+    ``_generic_quotients()[r - 1][c - 1]`` holds the terms ``(alpha exps,
+    q exps, coeff)`` of quotient (r, c), int coefficients, q exponents in
+    the order of ``_GENERIC_ENTRIES``.
+    """
+    ring = PolyRing(QQ, _GENERIC_ENTRIES)
+    q = new_qform((0, 0, 0), 1, symmetric_grid(map(ring.variable, _GENERIC_ENTRIES)))
+
+    def integral(quotient):
+        terms = []
+        for exps, coeff in quotient.iter_terms():
+            if coeff.denominator != 1:
+                raise InternalInvariantError(
+                    f"generic minor quotient {quotient} is not integral")
+            terms.append((exps[:3], exps[3:], coeff.numerator))
+        return tuple(terms)
+
+    return tuple(tuple(map(integral, row)) for row in divide_minors(q))
+
+
+def verify_minors(q: QForm) -> MinorReport:
+    """The sixteen quotients minor(r, c) / q(alpha) and whether the three
+    extremal identities hold.  The quotients of the generic form are built
+    once per process (``_generic_quotients``; a failed division raises
+    MinorNotDivisibleError); per document the conic is built and the six
+    entries are substituted into them.  minor = quotient * conic holds over
+    Z[q_ij, alpha], so after substitution too, and exact quotients over Q
+    and F_p are unique: the result is what ``divide_minors`` gives.  The
+    zero form has zero minors, hence zero quotients."""
+    ring, weights = q.ring, q.a
+    cq = conic_equation(q)
+    if cq.is_zero:
+        zero = bipoly_from_alpha_map(ring, weights, {})
+        return MinorReport(conic=cq, quotients=((zero,) * 4,) * 4, named_ok=True)
+    entries = q.matrix.upper()
+    products = {}
+
+    def specialize(terms):
+        coeffs = {}
+        for aex, qex, c in terms:
+            if qex not in products:
+                factors = [x for x, e in zip(entries, qex) for _ in range(e)]
+                products[qex] = reduce(mul, factors) if factors else ring.one
+            f = products[qex].scale(c)
+            coeffs[aex] = coeffs[aex] + f if aex in coeffs else f
+        return bipoly_from_alpha_map(ring, weights, coeffs)
+
+    quotients = tuple(tuple(map(specialize, row)) for row in _generic_quotients())
     named_ok = True
-    if not cq.is_zero:
-        for (r, c), (idx, sign) in NAMED_MINOR_IDENTITIES.items():
-            expect = alpha_variable(q.ring, q.a, idx)
-            if sign < 0:
-                expect = -expect
-            if quotients[r - 1][c - 1] != expect:
-                named_ok = False
-    return MinorReport(conic=cq, quotients=tuple(quotients), named_ok=named_ok)
+    for (r, c), (idx, sign) in NAMED_MINOR_IDENTITIES.items():
+        expect = alpha_variable(ring, weights, idx)
+        if sign < 0:
+            expect = -expect
+        if quotients[r - 1][c - 1] != expect:
+            named_ok = False
+    return MinorReport(conic=cq, quotients=quotients, named_ok=named_ok)
 
 
 # ----------------------------------------------------------------- membership

@@ -446,10 +446,36 @@ def test_a_minor_off_the_conic_exits_3(tmp_path, capsys, monkeypatch):
     def not_divisible(f, g):
         raise NotDivisibleError("planted")
     monkeypatch.setattr(brauer_severi, "divide_exact_bipoly", not_divisible)
+    # The division runs when the generic table is built, once per process.
+    brauer_severi._generic_quotients.cache_clear()
     code, report, _ = run_cli(capsys, ["bsv-verify", write_doc(tmp_path, DIAG_DOC)])
     assert code == 3
     assert report["status"] == "internal-error"
     assert report["payload"]["error"] == "MinorNotDivisibleError"
+
+
+def test_the_minor_division_runs_once_per_process(tmp_path, capsys, monkeypatch):
+    calls = {"divide": 0, "minor": 0}
+    divide, minor = brauer_severi.divide_exact_bipoly, brauer_severi.bipoly_minor
+
+    def counted_divide(f, g):
+        calls["divide"] += 1
+        return divide(f, g)
+
+    def counted_minor(*args):
+        calls["minor"] += 1
+        return minor(*args)
+
+    monkeypatch.setattr(brauer_severi, "divide_exact_bipoly", counted_divide)
+    monkeypatch.setattr(brauer_severi, "bipoly_minor", counted_minor)
+    brauer_severi._generic_quotients.cache_clear()
+    assert run_cli(capsys, ["bsv-verify", write_doc(tmp_path, DIAG_DOC)])[0] == 0
+    assert calls == {"divide": 16, "minor": 16}
+    for field in ([], ["--prime", "5"], ["--rational"]):
+        _, report, _ = run_cli(capsys, ["catalog", "--type", "F24", *field])
+        path = write_doc(tmp_path, report["payload"])
+        assert run_cli(capsys, ["bsv-verify", path])[0] == 0
+    assert calls == {"divide": 16, "minor": 16}
 
 
 def test_catalog_over_a_large_prime_is_prompt(capsys):

@@ -182,6 +182,44 @@ GOLDEN = {
         'validate':
             '167c0dd4231eaee22cbca78a3c283a571e0294b1a1778a7c00c0290446955406',
     },
+    # Small primes, where the coefficients 2 and 4 of the minor quotients
+    # reduce (4 = 1 mod 3, 2 = -1 mod 3, 4 = -1 mod 5).
+    'F23 F3 0': {
+        'catalog':
+            'a494f36b61c72c493517bf8850f0eec2030f6113daf871e9e686e01f27fb5fe0',
+        'bsv-verify':
+            'da72feef68091f9b8afa778a8c9e280b9d378737db1cbbee47b8c2be83e23ace',
+    },
+    'F24 F3 0': {
+        'catalog':
+            'b6d39f7f4c0ed2a9f54578114ceb6dcee5753f4f4cfac72a6b92fa46b9f21799',
+        'bsv-verify':
+            '94108261ebbb009e64cc2434055000d6ed66a399fdd211a6d7ea11bf9d90e90b',
+    },
+    'F25minus F3 0': {
+        'catalog':
+            '2aa4581608bbf9184ff053cc597220a3d2553753ad7f3b4839f8263539f9800c',
+        'bsv-verify':
+            '32b4d1ce3b9007b8bec57d816b96c36e52717337a21688dc799ab074412e89a8',
+    },
+    'F23 F5 0': {
+        'catalog':
+            'c4417d82eb5a1f232591ea7cef6d0be3a71c8e93ad15a3108549ad8530733e92',
+        'bsv-verify':
+            '624461361c298a4d83bec7022422422525d51e1ae5059646202a641d50151472',
+    },
+    'F24 F5 0': {
+        'catalog':
+            'eb3961841d893665974189f3fddf0fc3b0a582235571d54413326cc808b3c206',
+        'bsv-verify':
+            '930cc6ffca54c4d8abded4aa63c6152a077bfef262ca7584469e53ea43853744',
+    },
+    'F25minus F5 0': {
+        'catalog':
+            '47326a3a4a0d26654e9c69bb1b68e71da07f5e95853df1369423ea20d1713f32',
+        'bsv-verify':
+            'fc9ed41707c8782ccbad2f5106487dcb860d88f6d30cd1e1e747775bbbabb973',
+    },
 }
 
 
@@ -360,7 +398,8 @@ def _stdout(capsys, argv):
 def test_stdout_matches_pinned_hash(case, tmp_path, capsys):
     tag, field, seed = case.split()
     argv = ["catalog", "--type", tag, "--seed", seed]
-    text = _stdout(capsys, argv + (["--rational"] if field == "Q" else []))
+    text = _stdout(capsys, argv + (["--rational"] if field == "Q" else
+                                   ["--prime", field[1:]]))
     got = {"catalog": hashlib.sha256(text.encode()).hexdigest()}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(json.loads(text)["payload"]), encoding="utf-8")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import cliffbundle.poly as poly_core
 from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, det3
-from cliffbundle.brauer_severi import bipoly_minor, bs_matrix, verify_minors
+from cliffbundle.brauer_severi import bipoly_minor, bs_matrix, divide_minors
 from cliffbundle.catalog import make_net, make_type
 from cliffbundle.linalg import det_cofactor
 from cliffbundle.poly import minor, monomials_of_degree
@@ -173,7 +173,7 @@ def test_sixteen_minors_share_their_2x2_minors(products, domain):
     products, plus 15 that build the kernel matrix (159 without sharing)."""
     q = make_type("F24", domain=domain, seed=7)
     products.clear()
-    verify_minors(q)
+    divide_minors(q)
     assert len(products) <= 90
 
 
