@@ -32,8 +32,7 @@ the six entries into that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import mul
+from functools import cache
 
 from .errors import (
     InternalInvariantError,
@@ -41,7 +40,7 @@ from .errors import (
     NotDivisibleError,
 )
 from . import linalg
-from .clifford import _GENERIC_ENTRIES, fiber_algebra
+from .clifford import _GENERIC_ENTRIES, fiber_algebra, specializer
 from .poly import (BiPoly, PolyRing, alpha_variable, bipoly_from_alpha_map,
                    divide_exact_bipoly, symmetric_grid, symmetric_values)
 from .qform import FiberPoint, QForm, new_qform, plane_values
@@ -205,21 +204,22 @@ def _generic_quotients() -> tuple:
     """The sixteen quotients of the generic form, built once per process by
     ``divide_minors`` over Q[q11, ..., q33] (degree pattern 0, d = 1).
 
-    ``_generic_quotients()[r - 1][c - 1]`` holds the terms ``(alpha exps,
-    q exps, coeff)`` of quotient (r, c), int coefficients, q exponents in
-    the order of ``_GENERIC_ENTRIES``.
+    ``_generic_quotients()[r - 1][c - 1]`` holds quotient (r, c) as pairs
+    ``(alpha exps, ((q exps, coeff), ...))``, one per alpha monomial: its
+    coefficient as int terms in the entries, q exponents in the order of
+    ``_GENERIC_ENTRIES``.
     """
     ring = PolyRing(QQ, _GENERIC_ENTRIES)
     q = new_qform((0, 0, 0), 1, symmetric_grid(map(ring.variable, _GENERIC_ENTRIES)))
 
     def integral(quotient):
-        terms = []
+        coefficients = {}
         for exps, coeff in quotient.iter_terms():
             if coeff.denominator != 1:
                 raise InternalInvariantError(
                     f"generic minor quotient {quotient} is not integral")
-            terms.append((exps[:3], exps[3:], coeff.numerator))
-        return tuple(terms)
+            coefficients.setdefault(exps[:3], []).append((exps[3:], coeff.numerator))
+        return tuple((aex, tuple(terms)) for aex, terms in coefficients.items())
 
     return tuple(tuple(map(integral, row)) for row in divide_minors(q))
 
@@ -229,29 +229,23 @@ def verify_minors(q: QForm) -> MinorReport:
     extremal identities hold.  The quotients of the generic form are built
     once per process (``_generic_quotients``; a failed division raises
     MinorNotDivisibleError); per document the conic is built and the six
-    entries are substituted into them.  minor = quotient * conic holds over
-    Z[q_ij, alpha], so after substitution too, and exact quotients over Q
-    and F_p are unique: the result is what ``divide_minors`` gives.  The
-    zero form has zero minors, hence zero quotients."""
+    entries are substituted into them (``clifford.specializer``, each
+    distinct product of entries built once).  minor = quotient * conic
+    holds over Z[q_ij, alpha], so after substitution too, and exact
+    quotients over Q and F_p are unique: the result is what
+    ``divide_minors`` gives.  The zero form has zero minors, hence zero
+    quotients."""
     ring, weights = q.ring, q.a
     cq = conic_equation(q)
     if cq.is_zero:
         zero = bipoly_from_alpha_map(ring, weights, {})
         return MinorReport(conic=cq, quotients=((zero,) * 4,) * 4, named_ok=True)
-    entries = q.matrix.upper()
-    products = {}
-
-    def specialize(terms):
-        coeffs = {}
-        for aex, qex, c in terms:
-            if qex not in products:
-                factors = [x for x, e in zip(entries, qex) for _ in range(e)]
-                products[qex] = reduce(mul, factors) if factors else ring.one
-            f = products[qex].scale(c)
-            coeffs[aex] = coeffs[aex] + f if aex in coeffs else f
-        return bipoly_from_alpha_map(ring, weights, coeffs)
-
-    quotients = tuple(tuple(map(specialize, row)) for row in _generic_quotients())
+    at = specializer(q.matrix.upper(), ring)
+    quotients = tuple(
+        tuple(bipoly_from_alpha_map(ring, weights, {aex: at(terms)
+                                                    for aex, terms in quotient})
+              for quotient in row)
+        for row in _generic_quotients())
     named_ok = True
     for (r, c), (idx, sign) in NAMED_MINOR_IDENTITIES.items():
         expect = alpha_variable(ring, weights, idx)

@@ -11,10 +11,14 @@ the last three traceless.  The trace functional is 2 on 1 and 0 on the
 Xbar/Ybar/Zbar span, so half the trace of a product is its 1-component.
 The whole construction is generic over the coefficient ring: scalar entries
 give the fiber algebra at a point, polynomial entries give the algebra of
-a global form, which is how the global trace pairing is computed.  The
-engine runs once per process, on the generic symmetric matrix over
-Q[q11, ..., q33]; each algebra evaluates the integer structure constants
-that run yields at its own entries (``fiber_algebra``).
+a global form.  The engine runs once per process, on the generic symmetric
+matrix over Q[q11, ..., q33]; each algebra evaluates the integer structure
+constants that run yields at its own entries (``fiber_algebra``).  The
+global trace pairing needs only nine of the 64 constants, the 1-components
+c_ij0 of e_i e_j for traceless e_i, e_j; ``trace_pairing_global`` evaluates
+those nine at the polynomial entries of the form (``specializer``), and
+``recover_form`` inverts it through six cofactors, a square root and six
+exact divisions.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .errors import (
 from .poly import (
     PolyMatrix,
     PolyRing,
-    adjugate3,
     divide_exact,
+    minor,
     poly_sqrt,
     symmetric_grid,
     symmetric_values,
@@ -252,12 +256,30 @@ def _generic_table() -> tuple:
                  for row in _engine_constants(q, ring))
 
 
-def _term(coeff, xs, exps):
-    """coeff times the monomial xs^exps, by repeated multiplication."""
-    for x, e in zip(xs, exps):
-        for _ in range(e):
-            coeff = coeff * x
-    return coeff
+def specializer(entries, ring):
+    """Evaluation of integer polynomials in the generic entries at the
+    polynomial ``entries`` of ``ring`` (one per generic entry, in the same
+    order).  The returned function maps terms ``((exps, coeff), ...)`` to
+    sum coeff * entries^exps.  Its calls share one memo of products of
+    entries: each distinct product is built once, by one multiplication of
+    the product with one factor fewer."""
+    n = len(entries)
+    products = {(0,) * n: ring.one}
+    for k, x in enumerate(entries):
+        products[tuple(int(i == k) for i in range(n))] = x
+
+    def product(exps):
+        f = products.get(exps)
+        if f is None:
+            k = max(i for i, e in enumerate(exps) if e)
+            rest = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+            f = products[exps] = product(rest) * entries[k]
+        return f
+
+    def value(terms):
+        return sum((product(exps).scale(c) for exps, c in terms), ring.zero)
+
+    return value
 
 
 def fiber_algebra(q, domain) -> FiberAlgebra:
@@ -269,9 +291,9 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     generic symmetric matrix (``_generic_table``), and each call evaluates
     that table at the entries of q.  Over F_p and Q the coercion lowers the
     entries to plain ints (``scalars.lower``), each constant is summed in
-    ints and boxed once, divided by den^degree over Q; over any other ring
-    (a PolyRing, for the global algebra) the entries themselves are
-    multiplied.
+    ints and boxed once, divided by den^degree over Q; over a PolyRing (the
+    global algebra) the entries themselves are multiplied, each distinct
+    product once (``specializer``).
 
     Why this is exact.  The engine uses only ring operations: it writes
     2 q_ij as q_ij + q_ij and never divides.  Each rewrite is an identity
@@ -294,9 +316,10 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
             v = sum(c * math.prod(map(pow, entries, exps)) for exps, c in terms)
             return domain(v) if den == 1 else domain.from_pair(v, den ** degree)
     else:
+        at = specializer(entries, domain)
+
         def value(degree, terms):
-            return sum((_term(domain(c), entries, exps) for exps, c in terms),
-                       zero)
+            return at(terms)
     constants = tuple(tuple(tuple(value(degree, terms) if terms else zero
                                   for degree, terms in v)
                             for v in row)
@@ -391,27 +414,39 @@ def trace_pairing_fiber(alg: FiberAlgebra):
 
 
 def trace_pairing_global(q: QForm) -> PolyMatrix:
-    """Trace pairing of the global algebra: the engine-built generic
-    constants evaluated at the polynomial entries of q.  Equals
-    -adjugate3(q.matrix) as an exact polynomial identity; the test suite
-    checks the two routes against each other."""
-    alg = fiber_algebra(q.matrix.entries, q.ring)
-    return PolyMatrix(trace_pairing_fiber(alg))
+    """Trace pairing of the global algebra: the nine constants c_ij0
+    (i, j in 1..3) of the engine-built generic table, evaluated at the six
+    polynomial entries of q through one ``specializer``.  All nine are
+    evaluated, none mirrored, so ``recover_form``'s symmetry check still
+    tests the table; a dense form costs 12 products of entries.  Equals
+    -adjugate3(q.matrix) as an exact polynomial identity, and the full
+    table's ``trace_pairing_fiber(fiber_algebra(...))``; the test suite
+    checks the routes against each other."""
+    at = specializer(q.matrix.upper(), q.ring)
+    table = _generic_table()
+    return PolyMatrix([[at(table[i][j][0][1]) for j in range(1, 4)]
+                       for i in range(1, 4)])
 
 
 def recover_form(pairing: PolyMatrix) -> PolyMatrix:
     """Solve P = -Adj Q for Q, up to a global sign.
 
-    Requires -det P to be a nonzero perfect square s^2 (s is then det Q up
-    to sign); the result is adjugate3(P) / s entrywise.  Round trip:
+    P must be symmetric, and 3x3 (else ValueError).  Its adjugate is then
+    symmetric: the six cofactors of the upper triangle (2x2 minors) are
+    computed and mirrored.  -det P, expanded along the first row, must be a
+    nonzero perfect square s^2 (s is then det Q up to sign); the result is
+    the six cofactors divided by s.  Round trip:
     recover_form(trace_pairing_global(q)) is q.matrix or its negative.
     """
     if not pairing.is_symmetric():
         raise NotRecoverableError("trace pairing must be symmetric")
-    adj = adjugate3(pairing)
-    # det P by expansion along the first row, from the adjugate's cofactors.
-    d = -sum((pairing.entry(0, j) * adj.entry(j, 0) for j in range(3)),
-             pairing.ring.zero)
+    if pairing.rows != 3:
+        raise ValueError("adjugate3 needs a 3x3 matrix")
+    g = pairing.entries
+    cofactors = [minor(g, i + 1, j + 1).scale((-1) ** (i + j))
+                 for i in range(3) for j in range(i, 3)]
+    # det P by expansion along the first row; cofactors[:3] is row 0.
+    d = -sum((g[0][j] * cofactors[j] for j in range(3)), pairing.ring.zero)
     if d.is_zero:
         raise NotRecoverableError("det of the pairing vanishes")
     try:
@@ -419,7 +454,7 @@ def recover_form(pairing: PolyMatrix) -> PolyMatrix:
     except NotAPerfectSquareError as exc:
         raise NotRecoverableError(f"-det P is not a perfect square: {exc}") from exc
     try:
-        return adj.map(lambda f: divide_exact(f, s))
+        return PolyMatrix(symmetric_grid(divide_exact(f, s) for f in cofactors))
     except NotDivisibleError as exc:
         raise NotRecoverableError(f"adjugate not divisible by sqrt: {exc}") from exc
 

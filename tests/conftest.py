@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from cliffbundle import PolyRing, PrimeField, QQ, new_qform
+from cliffbundle.poly import monomials_of_degree, symmetric_grid
 
 
 @pytest.fixture
@@ -61,3 +63,31 @@ def term_bidegrees(f):
     return {(sum(exps[:3]),
              sum(exps[3:]) - sum(w * e for w, e in zip(f.weights, exps[:3])))
             for exps, _ in f.iter_terms()}
+
+
+@st.composite
+def sparse_polys(draw, ring, degree):
+    """A homogeneous polynomial of the given degree, zero half the time;
+    otherwise every coefficient is drawn (small fractions over Q)."""
+    if draw(st.booleans()):
+        return ring.zero
+    if ring.domain is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    else:
+        scalar = st.integers(0, ring.domain.p - 1)
+    return ring.poly({e: draw(scalar) for e in monomials_of_degree(3, degree)})
+
+
+@st.composite
+def forms(draw):
+    """Forms over F_3, F_5, F_101 and Q with a random degree pattern.  Each
+    entry is zero half the time, and one form in eight is the zero form."""
+    domain = draw(st.sampled_from((PrimeField(3), PrimeField(5),
+                                   PrimeField(101), QQ)))
+    ring = PolyRing(domain)
+    a = tuple(draw(st.integers(-1, 1)) for _ in range(3))
+    d = draw(st.integers(0, 1)) - 2 * min(a)
+    zero_form = draw(st.integers(0, 7)) == 0
+    return new_qform(a, d, symmetric_grid(
+        ring.zero if zero_form else draw(sparse_polys(ring, a[i] + a[j] + d))
+        for i in range(3) for j in range(i, 3)))

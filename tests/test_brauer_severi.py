@@ -3,12 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from cliffbundle import (
-    QQ,
     FiberPoint,
-    PolyRing,
     PrimeField,
     bipoly_from_alpha_map,
     bs_matrix,
@@ -29,8 +27,7 @@ from cliffbundle.brauer_severi import (
     divide_minors,
 )
 from cliffbundle.errors import DegreeMismatchError, NotDivisibleError
-from cliffbundle.poly import monomials_of_degree, symmetric_grid
-from conftest import diag_form, symbolic_qform, uvw
+from conftest import diag_form, forms, symbolic_qform, uvw
 
 
 # ---------------------------------------------------------------- conic equation
@@ -160,30 +157,6 @@ def test_minors_zero_form(ring_q):
     for r in range(1, 5):
         for c in range(1, 5):
             assert report.quotient(r, c).is_zero
-
-
-@st.composite
-def forms(draw):
-    """Forms over F_3, F_5, F_101 and Q with a random degree pattern.  Each
-    entry is zero half the time, and one form in eight is the zero form."""
-    domain = draw(st.sampled_from((PrimeField(3), PrimeField(5),
-                                   PrimeField(101), QQ)))
-    ring = PolyRing(domain)
-    if domain is QQ:
-        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-    else:
-        scalar = st.integers(0, domain.p - 1)
-    a = tuple(draw(st.integers(-1, 1)) for _ in range(3))
-    d = draw(st.integers(0, 1)) - 2 * min(a)
-    zero_form = draw(st.integers(0, 7)) == 0
-
-    def entry(degree):
-        if zero_form or draw(st.booleans()):
-            return ring.zero
-        return ring.poly({e: draw(scalar) for e in monomials_of_degree(3, degree)})
-
-    return new_qform(a, d, symmetric_grid(entry(a[i] + a[j] + d)
-                                          for i in range(3) for j in range(i, 3)))
 
 
 @settings(max_examples=150, deadline=None)

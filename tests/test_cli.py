@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PrimeField, brauer_severi, catalog, cli, clifford, qform
+from cliffbundle import PrimeField, brauer_severi, catalog, cli, clifford, poly, qform
 from cliffbundle.errors import InternalInvariantError, NotDivisibleError
 from cliffbundle.poly import EXP_LIMIT
 from cliffbundle.scalars import PRIME_LIMIT
@@ -476,6 +476,30 @@ def test_the_minor_division_runs_once_per_process(tmp_path, capsys, monkeypatch)
         path = write_doc(tmp_path, report["payload"])
         assert run_cli(capsys, ["bsv-verify", path])[0] == 0
     assert calls == {"divide": 16, "minor": 16}
+
+
+@pytest.mark.parametrize("tag, field", [("F25minus", ["--rational"]), ("F23", [])],
+                         ids=["F25minus_Q", "F23_F101"])
+def test_the_global_pairing_and_recovery_product_counts(tmp_path, capsys, monkeypatch,
+                                                        tag, field):
+    """trace-pairing multiplies the 12 distinct products of two entries that
+    the nine pairing constants need; recover adds 12 for the six cofactors,
+    3 for the determinant and 1 to check the square root."""
+    _, report, _ = run_cli(capsys, ["catalog", "--type", tag, "--seed", "7", *field])
+    path = write_doc(tmp_path, report["payload"])
+    assert run_cli(capsys, ["trace-pairing", path])[0] == 0  # builds the table
+    calls = []
+    mul_terms = poly.mul_terms
+
+    def counted(*args):
+        calls.append(args)
+        return mul_terms(*args)
+
+    monkeypatch.setattr(poly, "mul_terms", counted)
+    for command, bound in (("trace-pairing", 12), ("recover", 28)):
+        calls.clear()
+        assert run_cli(capsys, [command, path])[0] == 0
+        assert len(calls) <= bound, command
 
 
 def test_catalog_over_a_large_prime_is_prompt(capsys):

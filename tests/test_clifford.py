@@ -46,11 +46,14 @@ from cliffbundle.clifford import FiberAlgebra, _engine_constants
 from cliffbundle.errors import (
     InternalInvariantError,
     InvalidAlgebraError,
+    NotAPerfectSquareError,
+    NotDivisibleError,
     NotRecoverableError,
     OddDegreeError,
 )
-from cliffbundle.poly import HomogPoly, symmetric_grid, symmetric_values
-from conftest import diag_form, symbolic_scalar_grid, uvw
+from cliffbundle.poly import (HomogPoly, divide_exact, poly_sqrt, symmetric_grid,
+                              symmetric_values)
+from conftest import diag_form, forms, sparse_polys, symbolic_scalar_grid, uvw
 
 
 # ------------------------------------------------------------------ rewriting
@@ -372,6 +375,93 @@ def test_recover_rejects_degenerate(ring_q):
     q = new_qform((0, 0, 0), 1, [[u, z, z], [z, v, z], [z, z, z]])
     with pytest.raises(NotRecoverableError):
         recover_form(trace_pairing_global(q))
+
+
+def reference_recover(pairing):
+    """recover_form by the whole adjugate and a division of all nine
+    entries: the oracle for the upper-triangle route."""
+    if not pairing.is_symmetric():
+        raise NotRecoverableError("trace pairing must be symmetric")
+    adj = adjugate3(pairing)
+    # det P by expansion along the first row, from the adjugate's cofactors.
+    d = -sum((pairing.entry(0, j) * adj.entry(j, 0) for j in range(3)),
+             pairing.ring.zero)
+    if d.is_zero:
+        raise NotRecoverableError("det of the pairing vanishes")
+    try:
+        s = poly_sqrt(d)
+    except NotAPerfectSquareError as exc:
+        raise NotRecoverableError(f"-det P is not a perfect square: {exc}") from exc
+    try:
+        return adj.map(lambda f: divide_exact(f, s))
+    except NotDivisibleError as exc:
+        raise NotRecoverableError(f"adjugate not divisible by sqrt: {exc}") from exc
+
+
+def as_printed(m):
+    """A polynomial matrix as its entries' strings and degrees."""
+    return [[(str(f), f.degree) for f in row] for row in m.entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=forms())
+def test_the_nine_constants_match_the_full_table_and_the_adjugate(q):
+    pairing = trace_pairing_global(q)
+    full = PolyMatrix(trace_pairing_fiber(fiber_algebra(q.matrix.entries, q.ring)))
+    adjugate = -adjugate3(q.matrix)
+    assert pairing == full == adjugate
+    assert as_printed(pairing) == as_printed(full) == as_printed(adjugate)
+
+
+@st.composite
+def pairings(draw):
+    """Matrices for recover_form: the pairing of a form, as is or scaled; a
+    random symmetric matrix with the pairing's degree pattern; a diagonal
+    one, diag(-f1^2, f2^2, f3^2), whose -det is a square; the pairing with
+    one off-diagonal entry changed; or a symmetric corner of it that is
+    not 3x3."""
+    q = draw(forms())
+    pairing = trace_pairing_global(q)
+    kind = draw(st.sampled_from(("pairing", "scaled", "random", "diagonal",
+                                 "asymmetric", "small")))
+    # Entry (i, j) of the pairing is a 2x2 minor of q, of degree top - a_i - a_j.
+    a, top = q.a, 2 * q.d + 2 * sum(q.a)
+    if kind == "scaled":
+        return pairing * draw(st.sampled_from((-1, 2, 3, 4)))
+    if kind == "random":
+        return PolyMatrix(symmetric_grid(
+            draw(sparse_polys(q.ring, top - a[i] - a[j]))
+            for i in range(3) for j in range(i, 3)))
+    if kind == "diagonal":
+        zero = q.ring.zero
+        roots = [draw(sparse_polys(q.ring, top // 2 - a[i])) for i in range(3)]
+        grid = [[zero] * 3 for _ in range(3)]
+        for i, f in enumerate(roots):
+            grid[i][i] = -(f * f) if i == 0 else f * f
+        return PolyMatrix(grid)
+    if kind == "asymmetric":
+        grid = [list(row) for row in pairing.entries]
+        grid[0][1] = grid[0][1] + q.ring.monomial(1, (top - a[0] - a[1], 0, 0))
+        return PolyMatrix(grid)
+    if kind == "small":
+        n = draw(st.integers(1, 2))
+        return PolyMatrix([row[:n] for row in pairing.entries[:n]])
+    return pairing
+
+
+def recovery_outcome(recover, pairing):
+    try:
+        recovered = recover(pairing)
+    except (NotRecoverableError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return recovered, as_printed(recovered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing=pairings())
+def test_recover_form_matches_the_whole_adjugate_route(pairing):
+    assert recovery_outcome(recover_form, pairing) == \
+        recovery_outcome(reference_recover, pairing)
 
 
 # --------------------------------------------------------------- classification
