@@ -23,10 +23,12 @@ matrix satisfies, and the test suite pins them symbolically.)
 Alpha variables carry weight -a_i so that all constructions stay
 weighted-homogeneous for every degree pattern.  ``poly`` owns BiPoly.
 
-The minors are expanded and divided by the conic once per process, on the
-generic form over Q[q11, ..., q33] (``_generic_quotients``, 24 integer
-terms).  Per document, ``verify_minors`` builds the conic and substitutes
-the six entries into that table.
+The minors are expanded and divided by the conic once per process, on
+``clifford.generic_form()`` (``_generic_quotients``), and each quotient is
+read per alpha monomial as integer terms in the six entries
+(``clifford.integer_terms``, 24 terms in all).  Per document,
+``verify_minors`` builds the conic and substitutes the six entries into
+that table.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from .errors import (
     NotDivisibleError,
 )
 from . import linalg
-from .clifford import _GENERIC_ENTRIES, fiber_algebra, specializer
-from .poly import (BiPoly, PolyRing, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly, symmetric_grid, symmetric_values)
-from .qform import FiberPoint, QForm, new_qform, plane_values
-from .scalars import QQ, PrimeField
+from .clifford import fiber_algebra, generic_form, integer_terms, specializer
+from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
+                   divide_exact_bipoly, symmetric_values)
+from .qform import FiberPoint, QForm, plane_values
+from .scalars import PrimeField
 
 
 # --------------------------------------------------------------- conic & matrix
@@ -201,27 +203,20 @@ def divide_minors(q: QForm) -> tuple:
 
 @cache
 def _generic_quotients() -> tuple:
-    """The sixteen quotients of the generic form, built once per process by
-    ``divide_minors`` over Q[q11, ..., q33] (degree pattern 0, d = 1).
+    """The sixteen quotients of ``generic_form()``, built once per process
+    by ``divide_minors``.
 
     ``_generic_quotients()[r - 1][c - 1]`` holds quotient (r, c) as pairs
     ``(alpha exps, ((q exps, coeff), ...))``, one per alpha monomial: its
-    coefficient as int terms in the entries, q exponents in the order of
-    ``_GENERIC_ENTRIES``.
+    coefficient as int terms in the entries (``integer_terms``), q
+    exponents in the order of ``GENERIC_ENTRIES``.
     """
-    ring = PolyRing(QQ, _GENERIC_ENTRIES)
-    q = new_qform((0, 0, 0), 1, symmetric_grid(map(ring.variable, _GENERIC_ENTRIES)))
+    def by_alpha(quotient):
+        monomials = dict.fromkeys(exps[:3] for exps, _ in quotient.iter_terms())
+        return tuple((aex, integer_terms(quotient.coefficient(aex)))
+                     for aex in monomials)
 
-    def integral(quotient):
-        coefficients = {}
-        for exps, coeff in quotient.iter_terms():
-            if coeff.denominator != 1:
-                raise InternalInvariantError(
-                    f"generic minor quotient {quotient} is not integral")
-            coefficients.setdefault(exps[:3], []).append((exps[3:], coeff.numerator))
-        return tuple((aex, tuple(terms)) for aex, terms in coefficients.items())
-
-    return tuple(tuple(map(integral, row)) for row in divide_minors(q))
+    return tuple(tuple(map(by_alpha, row)) for row in divide_minors(generic_form()))
 
 
 def verify_minors(q: QForm) -> MinorReport:

@@ -11,9 +11,11 @@ the last three traceless.  The trace functional is 2 on 1 and 0 on the
 Xbar/Ybar/Zbar span, so half the trace of a product is its 1-component.
 The whole construction is generic over the coefficient ring: scalar entries
 give the fiber algebra at a point, polynomial entries give the algebra of
-a global form.  The engine runs once per process, on the generic symmetric
-matrix over Q[q11, ..., q33]; each algebra evaluates the integer structure
-constants that run yields at its own entries (``fiber_algebra``).  The
+a global form.  The engine runs once per process, on ``generic_form()``,
+the symmetric matrix of the six entries over Q[q11, ..., q33]; its
+constants are read as integer terms (``integer_terms``, which also reads
+the generic minor quotients of ``brauer_severi``), and each algebra
+evaluates them at its own entries (``fiber_algebra``).  The
 global trace pairing needs only nine of the 64 constants, the 1-components
 c_ij0 of e_i e_j for traceless e_i, e_j; ``trace_pairing_global`` evaluates
 those nine at the polynomial entries of the form (``specializer``), and
@@ -46,7 +48,7 @@ from .poly import (
     symmetric_grid,
     symmetric_values,
 )
-from .qform import FiberPoint, QForm, values_rank
+from .qform import FiberPoint, QForm, new_qform, values_rank
 from .scalars import QQ, PrimeField, Rationals, lower
 from .series import RationalSeries, poly_mul_1d
 
@@ -142,7 +144,8 @@ class FiberAlgebra:
 
     ``constants[i][j][k]`` is the e_k-coefficient of e_i * e_j.  ``domain``
     is the coefficient ring (a scalar domain, or a PolyRing for global
-    computations).  The trace functional is 2 on e_0 and 0 on the rest.
+    computations; ``validate_fiber_algebra`` and ``classify`` take F_p and
+    Q only).  The trace functional is 2 on e_0 and 0 on the rest.
     """
 
     domain: object
@@ -184,7 +187,28 @@ class FiberAlgebra:
 
 
 #: The generic entries: the upper triangle row by row, as in symmetric_grid.
-_GENERIC_ENTRIES = ("q11", "q12", "q13", "q22", "q23", "q33")
+GENERIC_ENTRIES = ("q11", "q12", "q13", "q22", "q23", "q33")
+
+
+@cache
+def generic_form() -> QForm:
+    """The generic form: the symmetric matrix of the six entries
+    ``GENERIC_ENTRIES``, as degree-1 variables over Q, with pattern
+    a = (0, 0, 0), d = 1.  Identities that hold for it hold for every form
+    over every commutative ring.  Built once per process."""
+    ring = PolyRing(QQ, GENERIC_ENTRIES)
+    return new_qform((0, 0, 0), 1, symmetric_grid(map(ring.variable, GENERIC_ENTRIES)))
+
+
+def integer_terms(f) -> tuple:
+    """The terms ``((exps, int), ...)`` of a polynomial over Q whose
+    coefficients are integers; InternalInvariantError names f otherwise."""
+    terms = []
+    for exps, coeff in f.iter_terms():
+        if coeff.denominator != 1:
+            raise InternalInvariantError(f"generic polynomial {f} is not integral")
+        terms.append((exps, coeff.numerator))
+    return tuple(terms)
 
 
 def _engine_constants(q, domain) -> tuple:
@@ -230,30 +254,15 @@ def _engine_constants(q, domain) -> tuple:
 @cache
 def _generic_table() -> tuple:
     """The structure constants of the generic even Clifford algebra, built
-    once per process by the rewriting engine over Q[q11, ..., q33].
+    once per process by the rewriting engine on ``generic_form()``.
 
-    ``_generic_table()[i][j][k]`` is ``(degree, ((exps, coeff), ...))``: the
-    constant c_ijk as a homogeneous polynomial with int coefficients in the
-    entries ``_GENERIC_ENTRIES``, exponents in that order.
+    ``_generic_table()[i][j][k]`` is the constant c_ijk as int terms
+    ``((exps, coeff), ...)`` in the entries ``GENERIC_ENTRIES``, exponents
+    in that order (``integer_terms``).
     """
-    ring = PolyRing(QQ, _GENERIC_ENTRIES)
-    q = symmetric_grid(ring.variable(name) for name in _GENERIC_ENTRIES)
-
-    def integral(c):
-        terms = []
-        for exps, coeff in c.iter_terms():
-            if coeff.denominator != 1:
-                raise InternalInvariantError(
-                    f"generic structure constant {c} is not integral")
-            terms.append((exps, coeff.numerator))
-        degrees = {sum(exps) for exps, _ in terms}
-        if len(degrees) > 1:
-            raise InternalInvariantError(
-                f"generic structure constant {c} is not homogeneous")
-        return degrees.pop() if degrees else 0, tuple(terms)
-
-    return tuple(tuple(tuple(integral(c) for c in v) for v in row)
-                 for row in _engine_constants(q, ring))
+    q = generic_form()
+    return tuple(tuple(tuple(map(integer_terms, v)) for v in row)
+                 for row in _engine_constants(q.matrix.entries, q.ring))
 
 
 def specializer(entries, ring):
@@ -288,12 +297,12 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     Entries of q are coerced into the domain once, and symmetry is checked
     on the result.  The structure constants come from the rewriting engine,
     never from closed formulas: the engine runs once per process on the
-    generic symmetric matrix (``_generic_table``), and each call evaluates
-    that table at the entries of q.  Over F_p and Q the coercion lowers the
-    entries to plain ints (``scalars.lower``), each constant is summed in
-    ints and boxed once, divided by den^degree over Q; over a PolyRing (the
-    global algebra) the entries themselves are multiplied, each distinct
-    product once (``specializer``).
+    generic form (``_generic_table``), and each call evaluates that table
+    at the entries of q.  Over F_p and Q the coercion lowers the entries to
+    plain ints (``scalars.lower``), each constant is summed in ints and
+    boxed once, divided by den^degree over Q; over a PolyRing (the global
+    algebra) the table's terms go to ``specializer``, which multiplies the
+    entries themselves, each distinct product once.
 
     Why this is exact.  The engine uses only ring operations: it writes
     2 q_ij as q_ij + q_ij and never divides.  Each rewrite is an identity
@@ -312,16 +321,15 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     entries = [flat[3 * i + j] for i in range(3) for j in range(i, 3)]
     zero = domain.zero
     if scalar:
-        def value(degree, terms):
+        def value(terms):
             v = sum(c * math.prod(map(pow, entries, exps)) for exps, c in terms)
-            return domain(v) if den == 1 else domain.from_pair(v, den ** degree)
+            if den == 1:
+                return domain(v)
+            # A constant is homogeneous: its first term carries its degree.
+            return domain.from_pair(v, den ** sum(terms[0][0]))
     else:
-        at = specializer(entries, domain)
-
-        def value(degree, terms):
-            return at(terms)
-    constants = tuple(tuple(tuple(value(degree, terms) if terms else zero
-                                  for degree, terms in v)
+        value = specializer(entries, domain)
+    constants = tuple(tuple(tuple(value(terms) if terms else zero for terms in v)
                             for v in row)
                       for row in _generic_table())
     return FiberAlgebra(domain=domain, constants=constants)
@@ -363,6 +371,9 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     central (which is the polarized form of the degree-2 Cayley-Hamilton
     identity).  The trace is 2 on 1 and 0 on the traceless basis by
     definition (FiberAlgebra.trace_of).
+
+    The constants must lie in F_p or Q: over a PolyRing (a global algebra)
+    ``scalars.lower`` raises TypeError after the unit check.
 
     After the unit check the constants c_ijk are lowered once to plain ints
     (``scalars.lower``): least residues over F_p, and over Q the constants
@@ -424,7 +435,7 @@ def trace_pairing_global(q: QForm) -> PolyMatrix:
     checks the routes against each other."""
     at = specializer(q.matrix.upper(), q.ring)
     table = _generic_table()
-    return PolyMatrix([[at(table[i][j][0][1]) for j in range(1, 4)]
+    return PolyMatrix([[at(table[i][j][0]) for j in range(1, 4)]
                        for i in range(1, 4)])
 
 
@@ -441,7 +452,7 @@ def recover_form(pairing: PolyMatrix) -> PolyMatrix:
     if not pairing.is_symmetric():
         raise NotRecoverableError("trace pairing must be symmetric")
     if pairing.rows != 3:
-        raise ValueError("adjugate3 needs a 3x3 matrix")
+        raise ValueError("trace pairing must be 3x3")
     g = pairing.entries
     cofactors = [minor(g, i + 1, j + 1).scale((-1) ** (i + j))
                  for i in range(3) for j in range(i, 3)]
@@ -476,10 +487,10 @@ def cayley_hamilton_check(alg: FiberAlgebra, element) -> bool:
 # -------------------------------------------------------------- classification
 
 def classify(alg: FiberAlgebra) -> AlgebraType:
-    """Isomorphism type of a rank-4 algebra with trace, over a field.
+    """Isomorphism type of a rank-4 algebra with trace, over F_p or Q.
 
-    The algebra is validated first; everything after that reads the
-    structure constants only.  Case split on the rank r of the trace pairing
+    The algebra is validated first, so a PolyRing domain raises TypeError;
+    everything after that reads the structure constants only.  Case split on the rank r of the trace pairing
     P restricted to the traceless part: r >= 2 is central simple; r = 0 is
     type 4 unless some product of traceless basis elements survives (type
     3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where

@@ -750,14 +750,6 @@ class PolyMatrix:
     def __neg__(self):
         return self.map(lambda f: -f)
 
-    def __add__(self, other):
-        return PolyMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, PolyMatrix):
             return self.map(lambda f: f * other)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cliffbundle import PolyRing, PrimeField, QQ, new_qform
+from cliffbundle.clifford import generic_form
 from cliffbundle.poly import monomials_of_degree, symmetric_grid
 
 
@@ -31,20 +32,11 @@ def diag_form(ring):
     return new_qform((0, 0, 0), 1, [[u, z, z], [z, v, z], [z, z, w]])
 
 
-def symbolic_entry_ring():
-    """Six independent symbols for the entries of a symmetric 3x3 matrix,
-    realized as degree-1 variables (substituting independent transcendentals
-    is the generic case, so identities proved here are universal)."""
-    return PolyRing(QQ, ("q11", "q12", "q13", "q22", "q23", "q33"))
-
-
 def symbolic_qform():
-    ring = symbolic_entry_ring()
-    s = {name: ring.variable(name) for name in ring.variables}
-    grid = [[s["q11"], s["q12"], s["q13"]],
-            [s["q12"], s["q22"], s["q23"]],
-            [s["q13"], s["q23"], s["q33"]]]
-    return new_qform((0, 0, 0), 1, grid)
+    """The generic form: six independent degree-1 symbols q11, ..., q33 for
+    the entries (substituting independent transcendentals is the generic
+    case, so identities proved here are universal)."""
+    return generic_form()
 
 
 def symbolic_scalar_grid():

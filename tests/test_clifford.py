@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,8 @@ from cliffbundle import (
 )
 from cliffbundle import clifford, linalg, qform
 from cliffbundle.cli import main
-from cliffbundle.clifford import FiberAlgebra, _engine_constants
+from cliffbundle.clifford import (FiberAlgebra, _engine_constants, generic_form,
+                                  integer_terms)
 from cliffbundle.errors import (
     InternalInvariantError,
     InvalidAlgebraError,
@@ -170,6 +172,17 @@ def test_the_engine_runs_once_per_process(monkeypatch, ring_q):
     fiber_algebra(eye, PrimeField(101))
     trace_pairing_global(diag_form(ring_q))
     assert len(calls) == 16
+
+
+def test_a_fractional_generic_coefficient_is_refused():
+    q12, q33 = map(generic_form().ring.variable, ("q12", "q33"))
+    f = q12.scale(Fraction(1, 2)) + q33
+    with pytest.raises(InternalInvariantError,
+                       match=f"^generic polynomial {re.escape(str(f))} is not integral$"):
+        integer_terms(f)
+    terms = integer_terms(f.scale(2))
+    assert sorted(terms) == [((0, 0, 0, 0, 0, 1), 2), ((0, 1, 0, 0, 0, 0), 1)]
+    assert all(type(c) is int for _, c in terms)
 
 
 def test_an_asymmetric_relation_matrix_is_refused(ring_q):
@@ -377,11 +390,21 @@ def test_recover_rejects_degenerate(ring_q):
         recover_form(trace_pairing_global(q))
 
 
+def test_recover_refuses_a_pairing_that_is_not_3x3(ring_q):
+    u, v, _ = uvw(ring_q)
+    pairing = PolyMatrix([[u, v], [v, u]])
+    assert pairing.is_symmetric()
+    with pytest.raises(ValueError, match="^trace pairing must be 3x3$"):
+        recover_form(pairing)
+
+
 def reference_recover(pairing):
     """recover_form by the whole adjugate and a division of all nine
     entries: the oracle for the upper-triangle route."""
     if not pairing.is_symmetric():
         raise NotRecoverableError("trace pairing must be symmetric")
+    if pairing.rows != 3:
+        raise ValueError("trace pairing must be 3x3")
     adj = adjugate3(pairing)
     # det P by expansion along the first row, from the adjugate's cofactors.
     d = -sum((pairing.entry(0, j) * adj.entry(j, 0) for j in range(3)),
@@ -735,6 +758,15 @@ def test_a_constant_shifted_by_p_still_validates():
         shifted = with_constant(alg, i, j, k, alg.constants[i][j][k].value + field.p)
         validate_fiber_algebra(shifted)
         assert reference_validation_error(shifted) is None
+
+
+def test_validation_and_classification_need_scalar_constants(ring_q):
+    """A global algebra multiplies, but its constants lower to no ints."""
+    alg = fiber_algebra(diag_form(ring_q).matrix.entries, ring_q)
+    message = f"^no plain ints under the elements of {re.escape(repr(ring_q))}$"
+    for check in (validate_fiber_algebra, classify):
+        with pytest.raises(TypeError, match=message):
+            check(alg)
 
 
 def test_validation_does_no_element_arithmetic(monkeypatch):

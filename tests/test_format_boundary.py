@@ -4,6 +4,9 @@ Every other module of the package works through exponent tuples and domain
 elements (``iter_terms``, ``coefficient``, ``evaluate``, the ring and BiPoly
 constructors).  So none of them may import the term kernel or read a
 ``terms`` attribute; this test reads their source with ``ast``.
+
+Likewise no module of the package imports a sibling's underscore-prefixed
+name: what two modules share is public in the module that owns it.
 """
 
 import ast
@@ -20,6 +23,8 @@ KERNEL = {"pack", "unpack", "div_coeff", "add_multiple", "mul_terms",
           "SparsePoly"}
 
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "poly.py")
+
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def format_leaks(source: str) -> list:
@@ -56,3 +61,37 @@ def test_only_poly_knows_the_term_format(path):
 ])
 def test_a_planted_leak_is_caught(source):
     assert format_leaks(source)
+
+
+def private_imports(source: str) -> list:
+    """Lines of ``source`` that import an underscore-prefixed name from a
+    module of the package, by a relative or an absolute import."""
+    return [f"line {node.lineno}: imports {alias.name} from {node.module or '.'}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "cliffbundle")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .clifford import _GENERIC_ENTRIES, fiber_algebra",
+    "from cliffbundle.clifford import (\n    specializer,\n    _generic_table)",
+    "def f():\n    from .poly import _grid\n    return _grid",
+    "from . import _private",
+])
+def test_a_planted_private_import_is_caught(source):
+    assert private_imports(source)
+
+
+@pytest.mark.parametrize("source", [
+    "from __future__ import annotations",
+    "from functools import _lru_cache_wrapper",
+    "from .clifford import GENERIC_ENTRIES, generic_form",
+])
+def test_public_and_outside_imports_pass(source):
+    assert private_imports(source) == []

@@ -29,16 +29,18 @@ def square_matrices(draw, n):
                         for _ in range(n)] for _ in range(n)])
 
 
-def transpose(m: PolyMatrix) -> PolyMatrix:
-    return PolyMatrix(tuple(zip(*m.entries)))
+def symmetrized(m: PolyMatrix) -> PolyMatrix:
+    """m plus its transpose, entry by entry."""
+    return PolyMatrix([[f + g for f, g in zip(row, col)]
+                       for row, col in zip(m.entries, zip(*m.entries))])
 
 
 @pytest.mark.parametrize("n", [3, 5], ids=["form", "net"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_symmetric_grid_inverts_upper(n, data):
-    a = data.draw(square_matrices(n))
-    m = a + transpose(a)   # every symmetric matrix, in odd characteristic
+    # Every symmetric matrix, in odd characteristic.
+    m = symmetrized(data.draw(square_matrices(n)))
     assert symmetric_grid(m.upper()) == m.entries
 
 
