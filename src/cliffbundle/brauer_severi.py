@@ -44,7 +44,7 @@ from .errors import (
 from . import linalg
 from .clifford import fiber_algebra, generic_form, integer_terms, specializer
 from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly, symmetric_values)
+                   divide_exact_bipoly, minor, symmetric_values)
 from .qform import FiberPoint, QForm, plane_values
 from .scalars import PrimeField
 
@@ -151,12 +151,9 @@ def bipoly_minor(m: BSMatrix, drop_row: int, drop_col: int, memo=None) -> BiPoly
     """3x3 minor of the kernel matrix (delete 1-based row and column).
 
     Calls on one matrix that pass the same ``memo`` dict compute each of
-    its 2x2 minors once (``linalg.laplace_minor``).
+    its 2x2 minors once (``poly.minor``).
     """
-    rows = tuple(r for r in range(4) if r != drop_row - 1)
-    cols = tuple(c for c in range(4) if c != drop_col - 1)
-    return linalg.laplace_minor(m.entries, rows, cols,
-                                {} if memo is None else memo)
+    return minor(m.entries, drop_row, drop_col, memo)
 
 
 #: The exact extremal-minor identities: position -> (alpha index, sign).

@@ -43,8 +43,10 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     divide_exact,
+    linear_combination,
     minor,
     poly_sqrt,
+    sum_of_products,
     symmetric_grid,
     symmetric_values,
 )
@@ -269,9 +271,10 @@ def specializer(entries, ring):
     """Evaluation of integer polynomials in the generic entries at the
     polynomial ``entries`` of ``ring`` (one per generic entry, in the same
     order).  The returned function maps terms ``((exps, coeff), ...)`` to
-    sum coeff * entries^exps.  Its calls share one memo of products of
-    entries: each distinct product is built once, by one multiplication of
-    the product with one factor fewer."""
+    sum coeff * entries^exps, summed in place (``linear_combination``).
+    Its calls share one memo of products of entries: each distinct product
+    is built once, by one multiplication of the product with one factor
+    fewer."""
     n = len(entries)
     products = {(0,) * n: ring.one}
     for k, x in enumerate(entries):
@@ -286,7 +289,8 @@ def specializer(entries, ring):
         return f
 
     def value(terms):
-        return sum((product(exps).scale(c) for exps, c in terms), ring.zero)
+        return linear_combination(((c, product(exps)) for exps, c in terms),
+                                  ring.zero)
 
     return value
 
@@ -457,7 +461,8 @@ def recover_form(pairing: PolyMatrix) -> PolyMatrix:
     cofactors = [minor(g, i + 1, j + 1).scale((-1) ** (i + j))
                  for i in range(3) for j in range(i, 3)]
     # det P by expansion along the first row; cofactors[:3] is row 0.
-    d = -sum((g[0][j] * cofactors[j] for j in range(3)), pairing.ring.zero)
+    d = sum_of_products(((-1, g[0][j], cofactors[j]) for j in range(3)),
+                        pairing.ring.zero)
     if d.is_zero:
         raise NotRecoverableError("det of the pairing vanishes")
     try:

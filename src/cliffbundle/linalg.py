@@ -1,9 +1,9 @@
-"""Small exact linear algebra in three parts: Gaussian elimination over a
-scalar domain (``rref``, ``rank``, ``kernel_basis``; first nonzero pivot),
-whose one library caller is the 4x4 rank of ``brauer_severi.bs_membership``
-besides the test oracles and the benchmark's own F25plus chain;
-``symmetric_rank`` on plain ints; and ``laplace_minor``, determinants and
-minors with shared smaller minors over any commutative entry type.
+"""Small exact linear algebra on scalars in two parts: Gaussian elimination
+over a scalar domain (``rref``, ``rank``, ``kernel_basis``; first nonzero
+pivot), whose one library caller is the 4x4 rank of
+``brauer_severi.bs_membership`` besides the test oracles and the
+benchmark's own F25plus chain; and ``symmetric_rank`` on plain ints.
+Determinants and minors of polynomial matrices live in ``poly``.
 """
 
 from __future__ import annotations
@@ -80,45 +80,3 @@ def kernel_basis(m, domain):
             v[pc] = -a[r][fc]
         basis.append(v)
     return basis
-
-
-def laplace_minor(m, rows, cols, memo):
-    """Determinant of ``m`` restricted to the sorted index tuples ``rows`` x
-    ``cols``, by Laplace expansion along ``rows[0]``.
-
-    Every minor of two or more rows is cached in ``memo`` under ``(rows,
-    cols)``, so calls on one matrix that share a memo compute each smaller
-    minor once.  Zero entries of the expansion row are skipped, and terms at
-    odd positions are subtracted.  A row of zeros yields its first entry, a
-    zero of the entry type.  Works over any commutative coefficient type
-    (scalars or polynomials).
-    """
-    if len(rows) == 1:
-        return m[rows[0]][cols[0]]
-    key = (rows, cols)
-    total = memo.get(key)
-    if total is not None:
-        return total
-    top, rest = m[rows[0]], rows[1:]
-    for j, c in enumerate(cols):
-        entry = top[c]
-        if not entry:
-            continue
-        term = entry * laplace_minor(m, rest, cols[:j] + cols[j + 1:], memo)
-        if total is None:
-            total = -term if j % 2 else term
-        elif j % 2:
-            total = total - term
-        else:
-            total = total + term
-    if total is None:
-        total = top[cols[0]]
-    memo[key] = total
-    return total
-
-
-def det_cofactor(m):
-    """Determinant by Laplace expansion along the first row, every smaller
-    minor computed once (``laplace_minor``); intended for n <= 5."""
-    span = tuple(range(len(m)))
-    return laplace_minor(m, span, span, {})

@@ -11,9 +11,17 @@ one subtraction.  Coefficients are least residues over F_p, and over Q ints
 when integral and Fractions otherwise.  Only this module knows the format;
 public methods take exponent tuples and return domain elements.
 
-The term kernel (``add_multiple``, ``mul_terms``, ``divide_terms``; ``p`` is
-the characteristic) and ``SparsePoly`` serve HomogPoly and BiPoly alike.
-Polynomials from different rings never mix.
+The term kernel (``add_multiple``, ``add_product``, ``reduce_terms``,
+``mul_terms``, ``divide_terms``; ``p`` is the characteristic) and
+``SparsePoly`` serve HomogPoly and BiPoly alike.  Polynomials from
+different rings never mix.
+
+A sum of products is summed in one accumulator, as Monagan and Pearce do:
+``add_product`` adds each signed product into an unreduced term dict and
+``reduce_terms`` reduces it once (``mul_terms`` is one product).  Other
+modules reach it through ``sum_of_products`` and ``linear_combination``;
+the Laplace expansion behind ``det``, ``minor`` and ``adjugate3`` sums
+every minor that way.  Printing reads exponents off the packed keys.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import groupby
 from math import isqrt
 from operator import or_
 
@@ -34,7 +43,6 @@ from .errors import (
     PolyParseError,
     UnknownVariableError,
 )
-from .linalg import det_cofactor, laplace_minor
 from .scalars import lower
 
 #: Bits per variable in a packed exponent vector, guard bit included.
@@ -106,25 +114,36 @@ def add_multiple(acc: dict, key: int, coeff, terms: dict, p) -> dict:
     return acc
 
 
-def mul_terms(a: dict, b: dict, p, nfields: int) -> dict:
-    """Product of two term dicts with ``nfields`` fields per key.  Each
-    output coefficient accumulates unreduced and is reduced once."""
-    acc = {}
+def add_product(acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """acc += sign * a * b, in place and unreduced: coefficients are summed
+    as they come, not reduced mod p, and zero terms stay until
+    ``reduce_terms``.  ``sign`` is 1 or -1."""
     get = acc.get
     inner = list(b.items())
     for e1, c1 in a.items():
+        if sign < 0:
+            c1 = -c1
         for e2, c2 in inner:
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
-    if p:
-        out = {e: r for e, c in acc.items() if (r := c % p)}
-    else:
-        out = {e: c if type(c) is int else _rational(c)
-               for e, c in acc.items() if c}
-    if reduce(or_, out, 0) & guard_bits(nfields):
+    return acc
+
+
+def reduce_terms(acc: dict, p, nfields: int) -> dict:
+    """The term dict of an unreduced accumulator with ``nfields`` fields per
+    key.  Its keys are checked for a set guard bit before zero terms are
+    dropped, so a product past EXP_LIMIT is refused even when it cancels."""
+    if reduce(or_, acc, 0) & guard_bits(nfields):
         raise ExponentLimitError(
             f"a product has an exponent larger than EXP_LIMIT = {EXP_LIMIT}")
-    return out
+    if p:
+        return {e: r for e, c in acc.items() if (r := c % p)}
+    return {e: c if type(c) is int else _rational(c) for e, c in acc.items() if c}
+
+
+def mul_terms(a: dict, b: dict, p, nfields: int) -> dict:
+    """Product of two term dicts with ``nfields`` fields per key."""
+    return reduce_terms(add_product({}, a, b), p, nfields)
 
 
 def _quotient_key(re: int, ge: int, guard: int):
@@ -158,8 +177,9 @@ class SparsePoly:
     """A term dict over a PolyRing, with the arithmetic that HomogPoly and
     BiPoly share.  Every polynomial carries its ``degree``, what the operands
     of a sum must agree on (``None`` for zero).  A subclass defines
-    ``_like(terms)`` (a result with the same setting and degree), and
-    extends ``_setting`` and ``_fields`` (fields per key)."""
+    ``_new(terms, degree)`` (a result with the same setting) and
+    ``_degree_of_product(other)``, and extends ``_setting`` and ``_fields``
+    (fields per key)."""
 
     __slots__ = ("ring", "terms", "degree")
 
@@ -192,6 +212,10 @@ class SparsePoly:
     def _check(self, other):
         if self._setting != other._setting:
             raise TypeError(f"{type(self).__name__} operands from different settings")
+
+    def _like(self, terms):
+        """A result with the setting and degree of self."""
+        return self._new(terms, self.degree)
 
     def iter_terms(self):
         """(exponent tuple, coefficient in the domain) for every term."""
@@ -266,6 +290,51 @@ class SparsePoly:
         if den == 1:
             return dom(sum(sums.values()))
         return dom(sum(Fraction(c, den ** d) for d, c in sums.items()))
+
+
+# ---------------------------------------------------------- sums of products
+
+def sum_of_products(products, like: SparsePoly) -> SparsePoly:
+    """sum sign * f * g over the triples (sign, f, g), sign 1 or -1, of
+    polynomials of the class and setting of ``like``.  Every product is
+    added into one unreduced term dict (``add_product``), which is reduced
+    once; a product with a zero factor is skipped.  The nonzero products
+    must agree in degree, as the operands of a sum do."""
+    acc, degree = {}, None
+    for sign, f, g in products:
+        if not (f.terms and g.terms):
+            continue
+        like._check(f)
+        like._check(g)
+        d = f._degree_of_product(g)
+        if degree is None:
+            degree = d
+        elif d != degree:
+            raise DegreeMismatchError(f"adding degrees {degree} and {d}")
+        add_product(acc, f.terms, g.terms, sign)
+    terms = reduce_terms(acc, like.ring.modulus, like._fields)
+    return like._new(terms, degree)
+
+
+def linear_combination(pairs, like: SparsePoly) -> SparsePoly:
+    """sum c * f over the pairs (c, f) of a scalar and a polynomial of the
+    class and setting of ``like``, summed in one unreduced term dict and
+    reduced once.  The terms with c * f nonzero must agree in degree."""
+    ring = like.ring
+    acc, degree = {}, None
+    get = acc.get
+    for c, f in pairs:
+        c = ring.coerce(c)
+        if not (c and f.terms):
+            continue
+        like._check(f)
+        if degree is None:
+            degree = f.degree
+        elif f.degree != degree:
+            raise DegreeMismatchError(f"adding degrees {degree} and {f.degree}")
+        for e, fc in f.terms.items():
+            acc[e] = get(e, 0) + c * fc
+    return like._new(reduce_terms(acc, ring.modulus, like._fields), degree)
 
 
 # ---------------------------------------------------------------------- ring
@@ -386,8 +455,11 @@ class HomogPoly(SparsePoly):
         self.degree = degree if terms else None
         return self
 
-    def _like(self, terms):
-        return HomogPoly._make(self.ring, terms, self.degree)
+    def _new(self, terms, degree):
+        return HomogPoly._make(self.ring, terms, degree)
+
+    def _degree_of_product(self, other):
+        return self.degree + other.degree
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
@@ -404,7 +476,7 @@ class HomogPoly(SparsePoly):
         if terms is NotImplemented:
             return terms
         if type(other) is HomogPoly and terms:
-            return HomogPoly._make(self.ring, terms, self.degree + other.degree)
+            return self._new(terms, self._degree_of_product(other))
         return self._like(terms)
 
     __rmul__ = __mul__
@@ -460,8 +532,12 @@ class BiPoly(SparsePoly):
         self.degree = degree if terms else None
         return self
 
-    def _like(self, terms):
-        return BiPoly._make(self.ring, self.weights, terms, self.degree)
+    def _new(self, terms, degree):
+        return BiPoly._make(self.ring, self.weights, terms, degree)
+
+    def _degree_of_product(self, other):
+        (a, w), (b, v) = self.degree, other.degree
+        return a + b, w + v
 
     @property
     def _setting(self):
@@ -509,14 +585,15 @@ class BiPoly(SparsePoly):
         return self._evaluate(list(alpha_point) + list(base_point))
 
     def __str__(self):
-        groups = {}
-        for key, c in self.terms.items():
-            alpha, base = divmod(key, 1 << EXP_BITS * self.ring.nvars)
-            groups.setdefault(alpha, {})[base] = c
+        """One group per alpha monomial, its base coefficient in brackets:
+        the keys are sorted once, and the sorted run is split wherever the
+        alpha exponents (the fields above the base) change."""
+        shift, shifts = EXP_BITS * self.ring.nvars, _shifts(self.ring.variables)
         return " + ".join(
-            f"({terms_to_string(groups[alpha], self.ring.variables)})*"
-            f"{monomial_string(ALPHA_NAMES, unpack(alpha, 3)) or '1'}"
-            for alpha in sorted(groups, reverse=True)) or "0"
+            f"({_terms_string(keys, self.terms, shifts)})*"
+            f"{_monomial(alpha, _shifts(ALPHA_NAMES)) or '1'}"
+            for alpha, keys in groupby(sorted(self.terms, reverse=True),
+                                       lambda key: key >> shift)) or "0"
 
     __repr__ = __str__
 
@@ -561,14 +638,35 @@ def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
 
 # ------------------------------------------------------------------ printing
 
-def monomial_string(variables, exps):
-    parts = []
-    for name, e in zip(variables, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+@lru_cache(maxsize=None)
+def _shifts(variables) -> tuple:
+    """(name, shift) per variable: its exponent in a key is key >> shift &
+    _FIELD, in a key of these fields or with more fields above them."""
+    top = EXP_BITS * (len(variables) - 1)
+    return tuple((name, top - EXP_BITS * k) for k, name in enumerate(variables))
+
+
+def _monomial(key: int, shifts) -> str:
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, s in shifts if (e := key >> s & _FIELD)])
+
+
+def _terms_string(keys, terms: dict, shifts) -> str:
+    """The terms of ``keys``, in their order, in the input grammar."""
+    out = []
+    for key in keys:
+        c = terms[key]
+        # _monomial, inlined: a call per term costs a tenth of the printing.
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, s in shifts if (e := key >> s & _FIELD)])
+        if c < 0:
+            out.append(" - ")
+            c = -c
+        else:
+            out.append(" + ")
+        out.append(f"{c}*{mono}" if mono and c != 1 else mono or str(c))
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def terms_to_string(terms: dict, variables) -> str:
@@ -576,22 +674,7 @@ def terms_to_string(terms: dict, variables) -> str:
     coefficients are least residues and never get a sign."""
     if not terms:
         return "0"
-    out = []
-    for key in sorted(terms, reverse=True):
-        c = terms[key]
-        neg, mag = c < 0, str(abs(c))
-        mono = monomial_string(variables, unpack(key, len(variables)))
-        if mono and mag == "1":
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = mag
-        if not out:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f" - {body}" if neg else f" + {body}")
-    return "".join(out)
+    return _terms_string(sorted(terms, reverse=True), terms, _shifts(variables))
 
 
 # ------------------------------------------------------------------- parsing
@@ -756,16 +839,10 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         zero = self.ring.zero
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(tuple(out))
+        return PolyMatrix(tuple(
+            tuple(sum_of_products(((1, f, g) for f, g in zip(row, col)), zero)
+                  for col in zip(*other.entries))
+            for row in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -789,13 +866,39 @@ def _grid(m):
     return tuple(tuple(row) for row in m)
 
 
-def det(m) -> HomogPoly:
+def _laplace(g, rows, cols, memo):
+    """Determinant of the grid ``g`` restricted to the sorted index tuples
+    ``rows`` x ``cols``, by Laplace expansion along ``rows[0]`` summed by
+    ``sum_of_products``.
+
+    Every minor of two or more rows is cached in ``memo`` under ``(rows,
+    cols)``, so calls on one grid that share a memo compute each smaller
+    minor once.  Zero entries of the expansion row are skipped, and terms
+    at odd positions are subtracted.  A row of zeros yields a zero of the
+    entry class.
+    """
+    if len(rows) == 1:
+        return g[rows[0]][cols[0]]
+    key = (rows, cols)
+    total = memo.get(key)
+    if total is None:
+        top, rest = g[rows[0]], rows[1:]
+        total = memo[key] = sum_of_products(
+            ((-1 if j % 2 else 1, top[c],
+              _laplace(g, rest, cols[:j] + cols[j + 1:], memo))
+             for j, c in enumerate(cols) if top[c]),
+            top[cols[0]])
+    return total
+
+
+def det(m) -> SparsePoly:
     """Exact determinant of a square polynomial matrix (Laplace expansion,
     each smaller minor computed once)."""
     g = _grid(m)
     if len(g) != len(g[0]):
         raise ValueError("determinant of a non-square matrix")
-    return det_cofactor(g)
+    span = tuple(range(len(g)))
+    return _laplace(g, span, span, {})
 
 
 def det3(m) -> HomogPoly:
@@ -806,9 +909,10 @@ def det3(m) -> HomogPoly:
     return det(g)
 
 
-def minor(m, drop_row: int, drop_col: int) -> HomogPoly:
+def minor(m, drop_row: int, drop_col: int, memo=None) -> SparsePoly:
     """Determinant of the submatrix with 1-based row ``drop_row`` and column
-    ``drop_col`` removed."""
+    ``drop_col`` removed.  Calls on one matrix that pass the same ``memo``
+    dict compute each smaller minor once."""
     g = _grid(m)
     if not (1 <= drop_row <= len(g) and 1 <= drop_col <= len(g[0])):
         raise IndexOutOfRangeError(
@@ -817,7 +921,7 @@ def minor(m, drop_row: int, drop_col: int) -> HomogPoly:
         raise ValueError("determinant of a non-square matrix")
     rows = tuple(i for i in range(len(g)) if i != drop_row - 1)
     cols = tuple(j for j in range(len(g)) if j != drop_col - 1)
-    return laplace_minor(g, rows, cols, {})
+    return _laplace(g, rows, cols, {} if memo is None else memo)
 
 
 def adjugate3(m) -> PolyMatrix:

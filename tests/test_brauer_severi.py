@@ -137,7 +137,7 @@ def test_universal_det_is_minus_conic_squared():
     m = bs_matrix(q)
     cq = conic_equation(q)
     grid = [[m.entry(r, c) for c in range(1, 5)] for r in range(1, 5)]
-    from cliffbundle.linalg import det_cofactor
+    from test_laplace import det_cofactor
     assert det_cofactor(grid) == -(cq * cq)
 
 

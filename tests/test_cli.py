@@ -489,13 +489,13 @@ def test_the_global_pairing_and_recovery_product_counts(tmp_path, capsys, monkey
     path = write_doc(tmp_path, report["payload"])
     assert run_cli(capsys, ["trace-pairing", path])[0] == 0  # builds the table
     calls = []
-    mul_terms = poly.mul_terms
+    add_product = poly.add_product
 
     def counted(*args):
         calls.append(args)
-        return mul_terms(*args)
+        return add_product(*args)
 
-    monkeypatch.setattr(poly, "mul_terms", counted)
+    monkeypatch.setattr(poly, "add_product", counted)
     for command, bound in (("trace-pairing", 12), ("recover", 28)):
         calls.clear()
         assert run_cli(capsys, [command, path])[0] == 0

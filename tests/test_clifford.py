@@ -41,7 +41,7 @@ from cliffbundle import (
     trace_pairing_global,
     validate_fiber_algebra,
 )
-from cliffbundle import clifford, linalg, qform
+from cliffbundle import brauer_severi, clifford, linalg, qform
 from cliffbundle.cli import main
 from cliffbundle.clifford import (FiberAlgebra, _engine_constants, generic_form,
                                   integer_terms)
@@ -485,6 +485,34 @@ def recovery_outcome(recover, pairing):
 def test_recover_form_matches_the_whole_adjugate_route(pairing):
     assert recovery_outcome(recover_form, pairing) == \
         recovery_outcome(reference_recover, pairing)
+
+
+def reference_specialize(entries, ring, terms):
+    """sum c * entries^exps by the operators: each product multiplied out
+    afresh, scaled by a copy and added by a copy."""
+    def product(exps):
+        factors = [x for x, e in zip(entries, exps) for _ in range(e)]
+        return functools.reduce(lambda f, g: f * g, factors, ring.one)
+    return sum((product(exps).scale(c) for exps, c in terms), ring.zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=forms(), factor=st.sampled_from((1, -1, 2, 3, 5, 101)),
+       data=st.data())
+def test_the_specializer_sums_in_place_what_scaled_copies_sum(q, factor, data):
+    """Every table the specializer reads: the 64 generic structure
+    constants and the 24 coefficients of the generic minor quotients, with
+    every coefficient times ``factor`` (3, 5 and 101 vanish mod some p)."""
+    tables = [v for row in clifford._generic_table() for cell in row for v in cell]
+    tables += [terms for row in brauer_severi._generic_quotients()
+               for quotient in row for _, terms in quotient]
+    at = clifford.specializer(q.matrix.upper(), q.ring)
+    for terms in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=12)):
+        terms = tuple((exps, factor * c) for exps, c in terms)
+        got = at(terms)
+        want = reference_specialize(q.matrix.upper(), q.ring, terms)
+        assert got == want
+        assert (str(got), got.degree, type(got)) == (str(want), want.degree, type(want))
 
 
 # --------------------------------------------------------------- classification

@@ -18,9 +18,9 @@ from cliffbundle import poly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliffbundle"
 
-KERNEL = {"pack", "unpack", "div_coeff", "add_multiple", "mul_terms",
-          "divide_terms", "guard_bits", "terms_to_string", "monomial_string",
-          "SparsePoly"}
+KERNEL = {"pack", "unpack", "div_coeff", "add_multiple", "add_product",
+          "reduce_terms", "mul_terms", "divide_terms", "guard_bits",
+          "terms_to_string", "SparsePoly"}
 
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "poly.py")
 

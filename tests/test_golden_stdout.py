@@ -512,3 +512,54 @@ def test_sparse_form_stdout_matches_pinned_hash(case, tmp_path, capsys):
         text = _stdout(capsys, [command, str(path)])
         got[command] = hashlib.sha256(text.encode()).hexdigest()
     assert got == SPARSE_GOLDEN[case]
+
+
+# Hand-written documents over Q whose entries have fractional and negative
+# leading coefficients, so that every printed sign and denominator of the
+# sums of products is pinned: patterns F23 (a = (0, 0, 0), d = 1) and F24
+# (a = (0, 1, 1), d = 0).  The hashes were taken before sums of products
+# were summed in one accumulator and before the printer read packed keys.
+FRACTIONAL_DOCUMENTS = {
+    'F23 Q': {"form": {"a": [0, 0, 0], "d": 1, "entries": [
+        "-3/2*u + v - 2/7*w", "5/3*u - w", "-u + 4/9*v",
+        "-7/4*v + 3*w", "2/5*u - 1/3*v + w", "-5/6*w"]},
+        "scalar_domain": "rational"},
+    'F24 Q': {"form": {"a": [0, 1, 1], "d": 0, "entries": [
+        "-1/2", "3/4*u - v", "-w + 2/3*v",
+        "-5/3*u^2 + v*w - 1/7*w^2", "-u*v + 9/2*w^2", "7/5*v^2 - 1/4*u*w"]},
+        "scalar_domain": "rational"},
+}
+
+FRACTIONAL_GOLDEN = {
+    'F23 Q': {
+        'disc':
+            'cbb35d27677d4bb35bf8a9efade3c7b375ef776408f9236b14f54724545b160e',
+        'trace-pairing':
+            '641e9025847db311cd28294b69ed76494b32b41219794cfcf63024affe0923d1',
+        'recover':
+            '6b3aaff7698b0b962c63072172ad54ba3d354694588bb1c8039e327c89ed06d9',
+        'bsv-verify':
+            '184fc9ed29188982844ea94d40f92337fe4eb619bf16a898b014425576bb7950',
+    },
+    'F24 Q': {
+        'disc':
+            'a721a9d96ed9d1741ca00a4501af3b917a7ec40a2c803fe988691ab71a538995',
+        'trace-pairing':
+            '669ac9531e0e0b33991b03c3bb240820795bd25595787562aec83324687641c3',
+        'recover':
+            '6d6afb3c435b0b9204cdb012763dc0066ab021a5aba93ecb8ba496ad5cc499af',
+        'bsv-verify':
+            'c44d2dc450922902a712562e3f19100091311aa5a01a60b65d6502eef4cb3775',
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_GOLDEN))
+def test_fractional_form_stdout_matches_pinned_hash(case, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(FRACTIONAL_DOCUMENTS[case]), encoding="utf-8")
+    got = {}
+    for command in FRACTIONAL_GOLDEN[case]:
+        text = _stdout(capsys, [command, str(path)])
+        got[command] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == FRACTIONAL_GOLDEN[case]

@@ -1,11 +1,13 @@
 """Determinants and minors by memoized Laplace expansion.
 
 ``reference_det`` is the plain recursion along the first row that
-recomputes every smaller minor.  It is the oracle for ``det``,
-``det_cofactor`` on scalars, every ``minor``, ``adjugate3`` and the sixteen
-``bipoly_minor`` calls of one kernel matrix that share a memo, over F_5,
-F_101 and Q, with planted zero entries, a zero first row and the zero
-matrix.  A product-count guard pins what the shared minors save.
+recomputes every smaller minor.  It is the oracle for ``det``, every
+``minor``, ``adjugate3`` and the sixteen ``bipoly_minor`` calls of one
+kernel matrix that share a memo, over F_5, F_101 and Q, with planted zero
+entries, a zero first row and the zero matrix.  ``det_cofactor``, the
+memoized recursion over any commutative entry type that the library used
+before its sums of products were summed in one accumulator, is the scalar
+oracle beside it.  A product-count guard pins what the shared minors save.
 """
 
 from fractions import Fraction
@@ -14,11 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffbundle.poly as poly_core
-from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, det3
+from cliffbundle import (PolyRing, PrimeField, QQ, adjugate3, det, det3,
+                         trace_pairing_global)
 from cliffbundle.brauer_severi import bipoly_minor, bs_matrix, divide_minors
 from cliffbundle.catalog import make_net, make_type
-from cliffbundle.linalg import det_cofactor
-from cliffbundle.poly import minor, monomials_of_degree
+from cliffbundle.errors import DegreeMismatchError, ExponentLimitError
+from cliffbundle.poly import SparsePoly, minor, monomials_of_degree
 from cliffbundle.qform import new_qform
 from conftest import term_bidegrees
 
@@ -41,6 +44,42 @@ def reference_det(m):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def laplace_minor(m, rows, cols, memo):
+    """Determinant of ``m`` restricted to the sorted index tuples ``rows`` x
+    ``cols``, by Laplace expansion along ``rows[0]``, every minor of two or
+    more rows cached in ``memo``.  Zero entries of the expansion row are
+    skipped, and a row of zeros yields its first entry."""
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    key = (rows, cols)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    top, rest = m[rows[0]], rows[1:]
+    for j, c in enumerate(cols):
+        entry = top[c]
+        if not entry:
+            continue
+        term = entry * laplace_minor(m, rest, cols[:j] + cols[j + 1:], memo)
+        if total is None:
+            total = -term if j % 2 else term
+        elif j % 2:
+            total = total - term
+        else:
+            total = total + term
+    if total is None:
+        total = top[cols[0]]
+    memo[key] = total
+    return total
+
+
+def det_cofactor(m):
+    """Determinant by Laplace expansion along the first row, every smaller
+    minor computed once (``laplace_minor``)."""
+    span = tuple(range(len(m)))
+    return laplace_minor(m, span, span, {})
 
 
 def submatrix(m, r, c):
@@ -154,16 +193,16 @@ def test_sixteen_minors_sharing_a_memo_match_the_recursion(data):
 
 @pytest.fixture
 def products(monkeypatch):
-    """A list that grows by one at every call of the term-product kernel;
-    a test clears it once its inputs are built."""
+    """A list that grows by one at every call of the per-product kernel
+    ``add_product``; a test clears it once its inputs are built."""
     calls = []
-    real = poly_core.mul_terms
+    real = poly_core.add_product
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(poly_core, "mul_terms", counting)
+    monkeypatch.setattr(poly_core, "add_product", counting)
     return calls
 
 
@@ -197,3 +236,38 @@ def test_det3_and_adjugate3_product_counts(products, domain):
     products.clear()
     adjugate3(grid)
     assert len(products) == 18
+
+
+@pytest.mark.parametrize("domain", (PrimeField(101), QQ), ids=str)
+def test_determinants_and_the_global_pairing_sum_without_copies(monkeypatch, domain):
+    """Each sum of products is summed in one accumulator: no ``+``, ``-``
+    or scaling of a partial sum (``_combine``, ``scale``)."""
+    q = make_type("F24", domain=domain, seed=7)
+    assert all(q.matrix.upper())
+    trace_pairing_global(q)  # builds the generic table
+    calls = []
+    for name in ("_combine", "scale"):
+        real = getattr(SparsePoly, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(SparsePoly, name, counting)
+    det3(q.matrix)
+    trace_pairing_global(q)
+    assert calls == []
+
+
+def test_a_product_past_the_exponent_limit_is_refused_even_if_it_cancels():
+    ring = PolyRing(QQ)
+    f = ring.monomial(1, (20000, 0, 0))
+    with pytest.raises(ExponentLimitError):
+        det([[f, f], [f, f]])
+
+
+def test_products_of_different_degrees_do_not_add():
+    ring = PolyRing(PrimeField(5))
+    u, one = ring.variable(0), ring.one
+    with pytest.raises(DegreeMismatchError):
+        det([[u, one], [one, u]])
