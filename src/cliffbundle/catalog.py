@@ -26,10 +26,9 @@ from .errors import (
     UnknownTagError,
 )
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
-from .poly import HomogPoly, PolyMatrix, PolyRing, det, symmetric_grid
+from .poly import HomogPoly, PolyMatrix, PolyRing, det, lowered_values, symmetric_grid
 from .qform import (FiberPoint, QForm, discriminant, new_qform, qform_from_upper,
                     values_rank)
-from .scalars import lower
 
 
 class DelPezzoTag(Enum):
@@ -234,7 +233,7 @@ class F25PlusProvider:
 
     def fiber_form(self, p: FiberPoint):
         dom = self.net.domain
-        ints, den = lower(dom, [f.evaluate(p.coords) for f in self.net.matrix.upper()])
+        ints, den = lowered_values(self.net.matrix.upper(), p.coords, dom)
         a = symmetric_grid(ints)
         x = a[4]
         k = next(j for j in range(3) if x[j])

@@ -145,11 +145,17 @@ def parse_point(text: str, domain) -> FiberPoint:
 
 
 def reduce_mod(q: QForm, p: int) -> QForm:
-    """Reduce a rational form modulo p (fails if a denominator vanishes)."""
+    """Reduce a rational form modulo p.  A coefficient whose denominator
+    vanishes mod p is bad input: ValueError names the entry and p."""
     field = PrimeField(p)
     ring = PolyRing(field, q.ring.variables)
-    upper = [ring.poly({e: field(c) for e, c in f.iter_terms()})
-             for f in q.matrix.upper()]
+    upper = []
+    for i, f in enumerate(q.matrix.upper()):
+        terms = dict(f.iter_terms())
+        if any(c.denominator % p == 0 for c in terms.values()):
+            raise ValueError(f"form.entries[{i}] ({f}) has a coefficient whose "
+                             f"denominator vanishes mod {p}")
+        upper.append(ring.poly({e: field(c) for e, c in terms.items()}))
     return qform.qform_from_upper(q.a, q.d, upper)
 
 

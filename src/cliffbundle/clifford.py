@@ -15,22 +15,26 @@ a global form.  The engine runs once per process, on ``generic_form()``,
 the symmetric matrix of the six entries over Q[q11, ..., q33]; its
 constants are read as integer terms (``integer_terms``, which also reads
 the generic minor quotients of ``brauer_severi``), and each algebra
-evaluates them at its own entries (``fiber_algebra``).  The
-global trace pairing needs only nine of the 64 constants, the 1-components
-c_ij0 of e_i e_j for traceless e_i, e_j; ``trace_pairing_global`` evaluates
-those nine at the polynomial entries of the form (``specializer``), and
-``recover_form`` inverts it through six cofactors, a square root and six
-exact divisions.
+evaluates them at its own entries (``fiber_algebra``).  The fiber path
+(``fiber_at``) stays on plain ints: ``_int_constants`` sums the table from
+a flat plan, and ``_check_axioms`` and ``_int_type`` validate and classify
+on the same ints; ``validate_fiber_algebra`` and ``classify`` lower a
+``FiberAlgebra`` and run the same kernels.  The global trace pairing
+needs only nine of the 64 constants, the 1-components c_ij0 of e_i e_j for
+traceless e_i, e_j; ``trace_pairing_global`` evaluates those nine at the
+polynomial entries of the form (``specializer``), and ``recover_form``
+inverts it through six cofactors, a square root and six exact divisions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache
-from operator import mul
+from itertools import combinations_with_replacement, product
+from operator import add, itemgetter, mul
 
+from . import linalg
 from .errors import (
     InternalInvariantError,
     InvalidAlgebraError,
@@ -44,13 +48,14 @@ from .poly import (
     PolyRing,
     divide_exact,
     linear_combination,
+    lowered_values,
     minor,
     poly_sqrt,
     sum_of_products,
     symmetric_grid,
     symmetric_values,
 )
-from .qform import FiberPoint, QForm, new_qform, values_rank
+from .qform import FiberPoint, QForm, new_qform
 from .scalars import QQ, PrimeField, Rationals, lower
 from .series import RationalSeries, poly_mul_1d
 
@@ -295,6 +300,56 @@ def specializer(entries, ring):
     return value
 
 
+@cache
+def _constant_plan() -> tuple:
+    """The generic table as a flat plan over plain ints, built on first use
+    from ``_generic_table()``.
+
+    A generic constant has degree at most 2, so it is a sum over the 28
+    monomials of degree <= 2 in the six entries: monomial 0 is 1, 1-6 are
+    the entries and 7-27 the products of two of them.  Returns ``(left,
+    right, positions, coefficients, gather, degrees)``: ``left`` and
+    ``right`` gather the two factors of each product from the entries;
+    term n of the table adds coefficients[n] times the n-th value of
+    ``gather(monomials)`` into constant positions[n] (c_ijk is at
+    16 i + 4 j + k); ``degrees[x]`` is the degree of constant x, None where
+    the generic constant is 0.
+    """
+    def monomial(*factors):
+        return tuple(map(factors.count, range(6)))
+
+    pairs = list(combinations_with_replacement(range(6), 2))
+    index = ({monomial(): 0} | {monomial(a): 1 + a for a in range(6)}
+             | {monomial(a, b): 7 + n for n, (a, b) in enumerate(pairs)})
+    positions, coefficients, monomials, degrees = [], [], [], []
+    table = (v for row in _generic_table() for cell in row for v in cell)
+    for x, terms in enumerate(table):
+        degrees.append(sum(terms[0][0]) if terms else None)
+        for exps, c in terms:
+            if exps not in index:
+                raise InternalInvariantError(
+                    f"generic constant {x} has degree {sum(exps)}")
+            positions.append(x)
+            coefficients.append(c)
+            monomials.append(index[exps])
+    return (itemgetter(*(a for a, _ in pairs)), itemgetter(*(b for _, b in pairs)),
+            tuple(positions), tuple(coefficients), itemgetter(*monomials),
+            tuple(degrees))
+
+
+def _int_constants(entries) -> list:
+    """The 64 structure constants, flat (c_ijk at 16 i + 4 j + k), of the
+    even Clifford algebra of the symmetric matrix whose upper triangle is
+    the six ints ``entries``, summed from ``_constant_plan`` and not
+    reduced."""
+    left, right, positions, coefficients, gather, _ = _constant_plan()
+    monomials = [1, *entries, *map(mul, left(entries), right(entries))]
+    out = [0] * 64
+    for x, c, m in zip(positions, coefficients, gather(monomials)):
+        out[x] += c * m
+    return out
+
+
 def fiber_algebra(q, domain) -> FiberAlgebra:
     """Even Clifford algebra of a symmetric 3x3 matrix over ``domain``.
 
@@ -302,9 +357,10 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     on the result.  The structure constants come from the rewriting engine,
     never from closed formulas: the engine runs once per process on the
     generic form (``_generic_table``), and each call evaluates that table
-    at the entries of q.  Over F_p and Q the coercion lowers the entries to
-    plain ints (``scalars.lower``), each constant is summed in ints and
-    boxed once, divided by den^degree over Q; over a PolyRing (the global
+    at the entries of q.  Over F_p and Q the entries are lowered to plain
+    ints (``scalars.lower``), the constants are summed in ints by the flat
+    plan that ``fiber_at`` uses (``_int_constants``) and each is boxed
+    once, divided by den^degree over Q; over a PolyRing (the global
     algebra) the table's terms go to ``specializer``, which multiplies the
     entries themselves, each distinct product once.
 
@@ -324,19 +380,19 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
         raise ValueError("relation matrix must be symmetric")
     entries = [flat[3 * i + j] for i in range(3) for j in range(i, 3)]
     zero = domain.zero
-    if scalar:
-        def value(terms):
-            v = sum(c * math.prod(map(pow, entries, exps)) for exps, c in terms)
-            if den == 1:
-                return domain(v)
-            # A constant is homogeneous: its first term carries its degree.
-            return domain.from_pair(v, den ** sum(terms[0][0]))
-    else:
+    if not scalar:
         value = specializer(entries, domain)
-    constants = tuple(tuple(tuple(value(terms) if terms else zero for terms in v)
-                            for v in row)
-                      for row in _generic_table())
-    return FiberAlgebra(domain=domain, constants=constants)
+        constants = [value(terms) if terms else zero
+                     for row in _generic_table() for cell in row for terms in cell]
+    elif den == 1:
+        constants = [zero if d is None else domain(v)
+                     for v, d in zip(_int_constants(entries), _constant_plan()[-1])]
+    else:
+        constants = [zero if d is None else domain.from_pair(v, den ** d)
+                     for v, d in zip(_int_constants(entries), _constant_plan()[-1])]
+    return FiberAlgebra(domain=domain, constants=tuple(
+        tuple(tuple(constants[x:x + 4]) for x in range(16 * i, 16 * i + 16, 4))
+        for i in range(4)))
 
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
@@ -367,6 +423,73 @@ def kronecker_quiver_algebra(domain) -> FiberAlgebra:
 
 # ----------------------------------------------------------------- validation
 
+#: The basis triples and traceless pairs the axiom check walks, in the
+#: order of its messages.  With e_0 a two-sided unit, every triple that
+#: contains 0 associates.
+_TRIPLES = tuple(product((1, 2, 3), repeat=3))
+_TRACELESS_PAIRS = tuple(product((1, 2, 3), repeat=2))
+
+
+@cache
+def _axiom_plan() -> tuple:
+    """The fixed gather plan of ``_check_axioms``, built on first use, on
+    64 flat constants t (c_ijk at 16 i + 4 j + k) followed by their
+    negatives (at 64 + 16 i + 4 j + k).  Returns ``(unit_off, unit_diag,
+    assoc_left, assoc_right, anti, anti_swapped)``: c_0jk and c_j0k off and
+    on the diagonal j = k; the two factors of every product in coordinate
+    n of (e_i e_j) e_k - e_i (e_j e_k), which is
+    sum_m c_ijm c_mkn + sum_m (-c_jkm) c_imn, 8 products, n = 0..3 for
+    each triple; and the traceless coordinates k of e_i e_j and of e_j e_i,
+    3 per pair."""
+    unit = [(j, k, x) for j in range(4) for k in range(4)
+            for x in (4 * j + k, 16 * j + k)]
+    left, right = [], []
+    for i, j, k in _TRIPLES:
+        for n in range(4):
+            left += [16 * i + 4 * j + m for m in range(4)]
+            left += [64 + 16 * j + 4 * k + m for m in range(4)]
+            right += [16 * m + 4 * k + n for m in range(4)]
+            right += [16 * i + 4 * m + n for m in range(4)]
+    return tuple(itemgetter(*xs) for xs in (
+        [x for j, k, x in unit if j != k], [x for j, k, x in unit if j == k],
+        left, right,
+        [16 * i + 4 * j + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3)],
+        [16 * j + 4 * i + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3)]))
+
+
+def _check_axioms(t, one: int, p: int) -> None:
+    """The checks of ``validate_fiber_algebra`` on 64 flat int constants
+    ``t``: least residues over F_p, and over Q (p = 0) ints under which e_0
+    is ``one``, the constants times one common nonzero scalar.  Raises
+    InvalidAlgebraError for the first failure, in the order and with the
+    messages of ``validate_fiber_algebra``."""
+    unit_off, unit_diag, assoc_left, assoc_right, anti, anti_swapped = _axiom_plan()
+    if any(unit_off(t)) or any(x != one for x in unit_diag(t)):
+        raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
+    products = map(mul, assoc_left(t + [-x for x in t]), assoc_right(t))
+    n = _first_nonzero(map(sum, zip(*[products] * 8)), p)
+    if n is not None:
+        i, j, k = _TRIPLES[n // 4]
+        raise InvalidAlgebraError(f"associativity fails on basis triple ({i},{j},{k})")
+    n = _first_nonzero(map(add, anti(t), anti_swapped(t)), p)
+    if n is not None:
+        i, j = _TRACELESS_PAIRS[n // 3]
+        raise InvalidAlgebraError(
+            f"anticommutator of traceless elements {i},{j} is not central")
+
+
+def _first_nonzero(sums, p: int):
+    """The index of the first of the int ``sums`` that is nonzero (mod p
+    over F_p), or None."""
+    sums = [s % p for s in sums] if p else list(sums)
+    return next(n for n, s in enumerate(sums) if s) if any(sums) else None
+
+
+def _lowered_constants(alg: FiberAlgebra) -> tuple:
+    """The 64 constants of alg, flat, through ``scalars.lower``."""
+    return lower(alg.domain, [x for r in alg.constants for v in r for x in v])
+
+
 def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     """Check the rank-4 algebra axioms; raise InvalidAlgebraError if broken.
 
@@ -379,10 +502,12 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     The constants must lie in F_p or Q: over a PolyRing (a global algebra)
     ``scalars.lower`` raises TypeError after the unit check.
 
-    After the unit check the constants c_ijk are lowered once to plain ints
-    (``scalars.lower``): least residues over F_p, and over Q the constants
-    times D, the lcm of their denominators.  Triple (i, j, k) associates
-    when sum_m c_ijm c_mkn - c_jkm c_imn vanishes for every n; over F_p only
+    A thin wrapper: the shape and the unit are read on the domain
+    elements, then the constants c_ijk are lowered once to plain ints
+    (``scalars.lower``), least residues over F_p and over Q the constants
+    times D, the lcm of their denominators, and ``_check_axioms`` runs the
+    int check that ``fiber_at`` runs.  Triple (i, j, k) associates when
+    sum_m c_ijm c_mkn - c_jkm c_imn vanishes for every n; over F_p only
     that sum is reduced mod p.  Scaling by D changes no verdict: the sum is
     homogeneous of degree 2 in the constants, so it only gains a factor
     D^2, and the anticommutator test c_ijk + c_jik is linear.
@@ -390,35 +515,14 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     c = alg.constants
     if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
         raise InvalidAlgebraError("structure constants are not 4x4x4")
+    # The unit is read on domain elements too, so that a global algebra
+    # with a broken unit is refused for it before lower refuses its domain.
     basis = [alg.basis(k) for k in range(4)]
     for j in range(4):
         if c[0][j] != basis[j] or c[j][0] != basis[j]:
             raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
-    flat, _ = lower(alg.domain, [x for r in c for v in r for x in v])
-    p = alg.domain.characteristic
-    t = [[flat[4 * r:4 * r + 4] for r in range(4 * i, 4 * i + 4)] for i in range(4)]
-    # by_left[i][n][m] = c_imn and by_right[k][n][m] = c_mkn, so that
-    # coordinate n of (e_i e_j) e_k - e_i (e_j e_k) is two dot products.
-    by_left = [list(zip(*t[i])) for i in range(4)]
-    by_right = [list(zip(*(t[m][k] for m in range(4)))) for k in range(4)]
-    # With e_0 a two-sided unit, every triple that contains 0 associates.
-    for i in range(1, 4):
-        for j in range(1, 4):
-            ij = t[i][j]
-            for k in range(1, 4):
-                jk = t[j][k]
-                for right, left in zip(by_right[k], by_left[i]):
-                    s = sum(map(mul, ij, right)) - sum(map(mul, jk, left))
-                    if (s % p) if p else s:
-                        raise InvalidAlgebraError(
-                            f"associativity fails on basis triple ({i},{j},{k})")
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in (1, 2, 3):
-                s = t[i][j][k] + t[j][i][k]
-                if (s % p) if p else s:
-                    raise InvalidAlgebraError(
-                        f"anticommutator of traceless elements {i},{j} is not central")
+    t, den = _lowered_constants(alg)
+    _check_axioms(t, den, alg.domain.characteristic)
 
 
 # -------------------------------------------------------------- trace pairing
@@ -491,17 +595,54 @@ def cayley_hamilton_check(alg: FiberAlgebra, element) -> bool:
 
 # -------------------------------------------------------------- classification
 
+#: The trace pairing P_ij = c_ij0 among 64 flat constants, its upper
+#: triangle (i <= j) row by row and its transpose, and the products c_ijk
+#: of traceless basis elements (i, j = 1..3).
+_PAIRING_UPPER = itemgetter(*(16 * i + 4 * j for i in (1, 2, 3) for j in range(i, 4)))
+_PAIRING_LOWER = itemgetter(*(16 * j + 4 * i for i in (1, 2, 3) for j in range(i, 4)))
+_TRACELESS_PRODUCTS = itemgetter(*(16 * i + 4 * j + k for i, j in _TRACELESS_PAIRS
+                                   for k in range(4)))
+
+
+def _int_type(t, p: int) -> AlgebraType:
+    """The type of a valid algebra from its 64 flat int constants ``t``,
+    least residues over F_p, and over Q (p = 0) the constants times one
+    nonzero scalar, which moves no test below.  See ``classify``."""
+    upper = _PAIRING_UPPER(t)
+    if upper != _PAIRING_LOWER(t):
+        raise InternalInvariantError("trace pairing of a valid algebra is asymmetric")
+    r = linalg.symmetric_rank(upper, p)
+    if r >= 2:
+        return AlgebraType.CENTRAL_SIMPLE
+    if r == 0:
+        if any(_TRACELESS_PRODUCTS(t)):
+            return AlgebraType.DOUBLE_LINE_CLIFFORD
+        return AlgebraType.LOCAL_COMMUTATIVE
+    # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
+    # away from characteristic 2.
+    pivot = next((i for i in (1, 2, 3) if t[20 * i]), None)  # P_ii = c_ii0
+    if pivot is None:
+        raise InternalInvariantError("rank-1 pairing with zero diagonal")
+    # c_xkk for x = e_pivot sum to tr(L_x).
+    trace = sum(t[16 * pivot + 5 * k] for k in range(4))
+    if trace % p if p else trace:
+        return AlgebraType.KRONECKER_QUIVER
+    return AlgebraType.DEGENERATE_CLIFFORD
+
+
 def classify(alg: FiberAlgebra) -> AlgebraType:
     """Isomorphism type of a rank-4 algebra with trace, over F_p or Q.
 
     The algebra is validated first, so a PolyRing domain raises TypeError;
-    everything after that reads the structure constants only.  Case split on the rank r of the trace pairing
-    P restricted to the traceless part: r >= 2 is central simple; r = 0 is
+    everything after that reads the structure constants only, lowered to
+    plain ints as in ``validate_fiber_algebra``, by the int classifier that
+    ``fiber_at`` runs.  Case split on the rank r of the trace pairing P
+    restricted to the traceless part: r >= 2 is central simple; r = 0 is
     type 4 unless some product of traceless basis elements survives (type
     3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
     x = e_i is the first traceless basis element with a = P_ii != 0, and
     type 2 otherwise.  Validation makes P symmetric (checked), so r is
-    read off its upper triangle by ``qform.values_rank``.
+    read off its upper triangle by ``linalg.symmetric_rank``.
 
     Why the trace decides r = 1 (characteristic != 2).  Validation makes
     x^2 central, so x^2 = a.  L_x maps 1 to x and x to a: it keeps span(1, x)
@@ -514,39 +655,38 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     its trace is 2 P(x, v) = 0, and P(x, xv) = a v_0 = 0.
     """
     validate_fiber_algebra(alg)
-    c = alg.constants
-    pairing = trace_pairing_fiber(alg)
-    if any(pairing[i][j] != pairing[j][i] for i in range(3) for j in range(i)):
-        raise InternalInvariantError("trace pairing of a valid algebra is asymmetric")
-    r = values_rank(alg.domain, pairing)
-    if r >= 2:
-        return AlgebraType.CENTRAL_SIMPLE
-    if r == 0:
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if any(c[i][j]):
-                    return AlgebraType.DOUBLE_LINE_CLIFFORD
-        return AlgebraType.LOCAL_COMMUTATIVE
-    # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
-    # away from characteristic 2.
-    pivot = next((i for i in range(3) if pairing[i][i]), None)
-    if pivot is None:
-        raise InternalInvariantError("rank-1 pairing with zero diagonal")
-    # c[pivot + 1][k] is x e_k, so its k-th coordinates sum to tr(L_x).
-    if sum((c[pivot + 1][k][k] for k in range(4)), alg.domain.zero):
-        return AlgebraType.KRONECKER_QUIVER
-    return AlgebraType.DEGENERATE_CLIFFORD
+    return _int_type(_lowered_constants(alg)[0], alg.domain.characteristic)
 
 
 def fiber_at(q: QForm, p: FiberPoint) -> tuple:
-    """Rank of the conic and type of the algebra at p, from one evaluation
-    of the six entries.  The type must be 4 - rank (the fiberwise
+    """Rank of the conic and type of the algebra at p, on plain ints.
+
+    The point is lowered once and the six entries are evaluated on its ints
+    (``poly.lowered_values``); nothing is boxed and no ``FiberAlgebra`` is
+    built.  The rank is ``linalg.symmetric_rank`` of the six values; the
+    64 structure constants come from the flat plan of the generic table,
+    and the axiom check and the classifier of ``validate_fiber_algebra``
+    and ``classify`` run on them.  The type must be 4 - rank (the fiberwise
     bijection).  Rank 3 is a nonzero determinant of the values, which is
     the discriminant at p: so the fiber is checked to be central simple
-    exactly off the discriminant curve, with no polynomial built."""
-    values = symmetric_values(q.matrix, p.coords)
-    rank = values_rank(q.domain, values)
-    algebra = classify(fiber_algebra(values, q.domain))
+    exactly off the discriminant curve, with no polynomial built.
+
+    Over Q the ints are the values times one common positive scalar
+    lambda, the values of the matrix lambda q(x).  That verdict is the one
+    at x: a generic constant of degree delta scales by lambda^delta (c_ij0
+    has degree 2 and c_ijk, k >= 1, degree 1 for traceless e_i, e_j), so the
+    constants of lambda q are those of q in the basis (1, lambda e_1,
+    lambda e_2, lambda e_3), an isomorphic algebra, and lambda q has the
+    rank of q.
+    """
+    char = q.domain.characteristic
+    values, _ = lowered_values(q.matrix.upper(), p.coords, q.domain)
+    rank = linalg.symmetric_rank(values, char)
+    t = _int_constants(values)
+    if char:
+        t = [x % char for x in t]
+    _check_axioms(t, 1, char)
+    algebra = _int_type(t, char)
     if algebra != 4 - rank:
         raise InternalInvariantError(
             f"rank {rank} and classifier ({algebra.name}) disagree at {p}")

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
-from math import isqrt
+from math import isqrt, lcm
 from operator import or_
 
 from .errors import (
@@ -265,16 +265,10 @@ class SparsePoly:
             return NotImplemented
         return self.scale(c).terms
 
-    def _evaluate(self, point):
-        """The value at a point, summed in plain ints and boxed once.
-
-        The point goes through ``scalars.lower``: least residues over F_p;
-        over Q the coordinates are x = X / den with X integral, so a term
-        c * x^e of total degree d is c * X^e / den^d.  Terms are summed per
-        total degree and each sum is divided once.
-        """
-        dom, mod = self.ring.domain, self.ring.modulus or None
-        xs, den = lower(dom, point)
+    def _degree_sums(self, xs, mod) -> dict:
+        """{total degree: sum of c * xs^e over the terms of that degree} at
+        the plain ints ``xs`` of a point (``scalars.lower``), unboxed.  Over
+        F_p (mod = p) the powers are reduced mod p and the sums are not."""
         if len(xs) != self._fields:
             raise ValueError("wrong number of coordinates")
         shifts = range(EXP_BITS * (len(xs) - 1), -1, -EXP_BITS)
@@ -287,6 +281,19 @@ class SparsePoly:
                     c = c * (x if e == 1 else pow(x, e, mod))
                     d += e
             sums[d] = sums.get(d, 0) + c
+        return sums
+
+    def _evaluate(self, point):
+        """The value at a point, summed in plain ints and boxed once.
+
+        The point goes through ``scalars.lower``: least residues over F_p;
+        over Q the coordinates are x = X / den with X integral, so a term
+        c * x^e of total degree d is c * X^e / den^d.  Terms are summed per
+        total degree and each sum is divided once.
+        """
+        dom = self.ring.domain
+        xs, den = lower(dom, point)
+        sums = self._degree_sums(xs, self.ring.modulus or None)
         if den == 1:
             return dom(sum(sums.values()))
         return dom(sum(Fraction(c, den ** d) for d, c in sums.items()))
@@ -484,6 +491,14 @@ class HomogPoly(SparsePoly):
     def evaluate(self, point):
         """Value at a point, as an element of the domain."""
         return self._evaluate(point)
+
+    def int_value(self, xs, p: int):
+        """The value at the plain ints ``xs`` of a point (``scalars.lower``),
+        unboxed: a least residue over F_p; over Q (p = 0) sum c * xs^e, an
+        int or, for a fractional coefficient, a Fraction, which is the value
+        times den^degree."""
+        s = sum(self._degree_sums(xs, p or None).values())
+        return s % p if p else s
 
     def partial(self, which) -> "HomogPoly":
         """Formal partial derivative with respect to one variable."""
@@ -779,6 +794,23 @@ def symmetric_grid(upper) -> tuple:
         for j in range(i, n):
             grid[i][j] = grid[j][i] = next(it)
     return tuple(map(tuple, grid))
+
+
+def lowered_values(polys, point, domain) -> tuple:
+    """The values of homogeneous polynomials at one point as plain ints, in
+    the shape of ``scalars.lower``: ``(ints, den)``, value k being
+    ints[k] / den.  Over F_p they are least residues and den = 1; over Q den
+    is a common denominator of the values, not always the least.  The point
+    is lowered once (``HomogPoly.int_value``) and no value is boxed."""
+    xs, den = lower(domain, point)
+    p = domain.characteristic
+    sums = [f.int_value(xs, p) for f in polys]
+    if p:
+        return sums, 1
+    # Over Q the value of f is s / den^degree, with s an int or a Fraction.
+    dens = [s.denominator * den ** (f.degree or 0) for f, s in zip(polys, sums)]
+    common = lcm(*dens)
+    return [s.numerator * (common // d) for s, d in zip(sums, dens)], common
 
 
 def symmetric_values(matrix, point) -> tuple:

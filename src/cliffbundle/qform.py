@@ -15,7 +15,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
 
 from . import linalg
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     ScanTooLargeError,
     ZeroPolynomialError,
 )
-from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3,
+from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3, lowered_values,
                    symmetric_grid, symmetric_values)
 from .scalars import PrimeField, lower
 
@@ -161,7 +161,8 @@ def values_rank(domain, values) -> int:
 
 def rank_at(q: QForm, p: FiberPoint) -> int:
     """Rank of the scalar matrix of entry values at p (0..3)."""
-    return values_rank(q.domain, symmetric_values(q.matrix, p.coords))
+    values, _ = lowered_values(q.matrix.upper(), p.coords, q.domain)
+    return linalg.symmetric_rank(values, q.domain.characteristic)
 
 
 class ConicType(Enum):
@@ -206,8 +207,10 @@ def is_nowhere_zero(q: QForm) -> NowhereZeroResult:
                         "use sample_nowhere_zero over the rationals")
     p = dom.p
     for points, columns in plane_values(dom, q.matrix.upper()):
-        for point, *values in zip(points, *columns):
-            if not any(x % p for x in values):
+        reduced = [[x % p for x in column] for column in columns]
+        for i, values in enumerate(zip(*reduced)):
+            if not any(values):
+                point = next(islice(points, i, None))
                 return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
     return NowhereZeroResult(True, None)
 
@@ -293,10 +296,11 @@ def fermat_exponent(e: int, p: int) -> int:
 def plane_values(field: PrimeField, polys):
     """Walk P^2(F_p) line by line, in the order of plane_points.
 
-    Yields ``(points, columns)``: the points of one line as triples of least
-    residues and, per polynomial, the list of its values there.  The lines
-    are (a, b, 1) for each a, then (a, 1, 0), then the point (1, 0, 0).  A
-    value is congruent to the true one mod p but not reduced.
+    Yields ``(points, columns)``: an iterator over the points of one line,
+    as triples of least residues built only when read, and, per
+    polynomial, the list of its values there.  The lines are (a, b, 1) for
+    each a, then (a, 1, 0), then the point (1, 0, 0).  A value is congruent
+    to the true one mod p but not reduced.
 
     Exponents are first reduced by Fermat and the terms grouped by reduced
     exponent, so neither time nor memory grows with the degree.  A sum
@@ -347,12 +351,11 @@ def plane_values(field: PrimeField, polys):
         lines.append(compile_terms(line))
         corners.append([corner])
 
-    walk = plane_points(p)
     for a in range(p):
         columns = [along_line((b_row, g[a]) for b_row, g in chart) for chart in charts]
-        yield list(islice(walk, p)), columns
-    yield list(islice(walk, p)), lines
-    yield list(walk), corners
+        yield zip(repeat(a), range(p), repeat(1)), columns
+    yield zip(range(p), repeat(1), repeat(0)), lines
+    yield iter([(1, 0, 0)]), corners
 
 
 @dataclass(frozen=True)
@@ -377,13 +380,13 @@ def fiber_census(q: QForm) -> FiberCensus:
     p = dom.p
     by_rank = [0, 0, 0, 0]
     for points, columns in plane_values(dom, q.matrix.upper() + (discriminant(q),)):
-        for point, a, d, e, b, f, c, disc in zip(points, *columns):
+        for i, (a, d, e, b, f, c, disc) in enumerate(zip(*columns)):
             det = (a * (b * c - f * f) - d * (d * c - e * f)
                    + e * (d * f - b * e)) % p
             if det != disc % p:
                 raise InternalInvariantError(
                     f"discriminant {disc % p} and determinant {det} of the entry "
-                    f"values disagree at {point}")
+                    f"values disagree at {next(islice(points, i, None))}")
             if det:
                 by_rank[3] += 1
             else:

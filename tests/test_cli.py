@@ -326,6 +326,23 @@ def test_scan_reduces_rational_doc(tmp_path, capsys):
     assert report["payload"]["discriminant_zero_points"] == 15
 
 
+def test_scan_refuses_a_denominator_that_vanishes_mod_the_prime(tmp_path, capsys):
+    doc = copy.deepcopy(DIAG_DOC)
+    doc["form"]["entries"][3] = "1/3*v"
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli(capsys, ["scan", path, "--prime", "3"])
+    assert code == 1
+    assert report["status"] == "invalid-input"
+    assert report["payload"] == {
+        "error": "ValueError",
+        "message": "form.entries[3] (1/3*v) has a coefficient whose "
+                   "denominator vanishes mod 3"}
+    code, report, _ = run_cli(capsys, ["scan", path, "--prime", "5"])
+    assert code == 0
+    assert report["payload"]["census"] == {"SmoothConic": 16, "LinePair": 12,
+                                           "DoubleLine": 3, "WholePlane": 0}
+
+
 def test_scan_prime_mismatch(tmp_path, capsys):
     doc = {"scalar_domain": {"prime": 7}, "form": DIAG_DOC["form"]}
     path = write_doc(tmp_path, doc)
@@ -523,8 +540,8 @@ def test_catalog_over_a_large_prime_is_prompt(capsys):
                                             ("0:0:1", "DEGENERATE_CLIFFORD")])
 def test_planted_wrong_classifier_exits_3(tmp_path, capsys, monkeypatch,
                                           point, planted):
-    monkeypatch.setattr(clifford, "classify",
-                        lambda alg: clifford.AlgebraType[planted])
+    monkeypatch.setattr(clifford, "_int_type",
+                        lambda t, p: clifford.AlgebraType[planted])
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["fiber", path, "--point", point])
     assert code == 3

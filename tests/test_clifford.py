@@ -6,6 +6,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -41,7 +42,7 @@ from cliffbundle import (
     trace_pairing_global,
     validate_fiber_algebra,
 )
-from cliffbundle import brauer_severi, clifford, linalg, qform
+from cliffbundle import PolyRing, brauer_severi, clifford, linalg, qform
 from cliffbundle.cli import main
 from cliffbundle.clifford import (FiberAlgebra, _engine_constants, generic_form,
                                   integer_terms)
@@ -55,6 +56,8 @@ from cliffbundle.errors import (
 )
 from cliffbundle.poly import (HomogPoly, divide_exact, poly_sqrt, symmetric_grid,
                               symmetric_values)
+from cliffbundle.qform import values_rank
+from cliffbundle.scalars import lower
 from conftest import diag_form, forms, sparse_polys, symbolic_scalar_grid, uvw
 
 
@@ -165,6 +168,7 @@ def test_the_engine_runs_once_per_process(monkeypatch, ring_q):
 
     monkeypatch.setattr(clifford, "reduce_word", counted)
     clifford._generic_table.cache_clear()
+    clifford._constant_plan.cache_clear()  # the flat plan is read off the table
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     fiber_algebra(eye, QQ)
     assert len(calls) == 16
@@ -690,10 +694,14 @@ def test_classify_needs_no_root_kernel_or_product(monkeypatch):
 
 
 def test_classify_refuses_an_asymmetric_pairing(monkeypatch):
-    pairing = [[1, 0, 0], [1, 0, 0], [0, 0, 0]]
-    monkeypatch.setattr(clifford, "trace_pairing_fiber", lambda alg: pairing)
+    """The int classifier compares the pairing's upper triangle with its
+    transpose; both classify and fiber_at refuse an asymmetric one."""
+    monkeypatch.setattr(clifford, "_PAIRING_LOWER", lambda t: (1, 1, 0, 0, 0, 0))
     with pytest.raises(InternalInvariantError, match="asymmetric"):
         classify(fiber_algebra([[1, 0, 0], [0, 0, 0], [0, 0, 0]], QQ))
+    q = diag_form(PolyRing(PrimeField(5)))
+    with pytest.raises(InternalInvariantError, match="asymmetric"):
+        fiber_at(q, FiberPoint.make(q.domain, (1, 0, 0)))
 
 
 def reference_validation_error(alg):
@@ -907,15 +915,15 @@ def test_a_fiber_job_builds_no_polynomial_product(tmp_path, capsys, monkeypatch)
         raise AssertionError("a polynomial product was built")
 
     evaluated = []
-    evaluate = HomogPoly.evaluate
+    int_value = HomogPoly.int_value
 
-    def counted(f, point):
+    def counted(f, xs, p):
         evaluated.append(f)
-        return evaluate(f, point)
+        return int_value(f, xs, p)
 
     monkeypatch.setattr(HomogPoly, "__mul__", refuse)
     monkeypatch.setattr(qform, "discriminant", refuse)
-    monkeypatch.setattr(HomogPoly, "evaluate", counted)
+    monkeypatch.setattr(HomogPoly, "int_value", counted)
     for spec in ("rational", {"prime": 5}):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps({
@@ -927,6 +935,192 @@ def test_a_fiber_job_builds_no_polynomial_product(tmp_path, capsys, monkeypatch)
             assert main(["fiber", str(path), "--point", point]) == 0
             assert json.loads(capsys.readouterr().out)["payload"]["rank"] == rank
             assert len(evaluated) == 6
+
+
+# The boxed route: validate_fiber_algebra and classify as they were before
+# the fiber path moved to plain ints, copied verbatim but for their names
+# (and the validation that classify calls); the oracle of the int kernels.
+
+def boxed_validate_fiber_algebra(alg: FiberAlgebra) -> None:
+    """Check the rank-4 algebra axioms; raise InvalidAlgebraError if broken.
+
+    Checked: 1 is a two-sided unit, multiplication is associative on all
+    basis triples, and squares/anticommutators of traceless elements are
+    central (which is the polarized form of the degree-2 Cayley-Hamilton
+    identity).  The trace is 2 on 1 and 0 on the traceless basis by
+    definition (FiberAlgebra.trace_of).
+
+    The constants must lie in F_p or Q: over a PolyRing (a global algebra)
+    ``scalars.lower`` raises TypeError after the unit check.
+
+    After the unit check the constants c_ijk are lowered once to plain ints
+    (``scalars.lower``): least residues over F_p, and over Q the constants
+    times D, the lcm of their denominators.  Triple (i, j, k) associates
+    when sum_m c_ijm c_mkn - c_jkm c_imn vanishes for every n; over F_p only
+    that sum is reduced mod p.  Scaling by D changes no verdict: the sum is
+    homogeneous of degree 2 in the constants, so it only gains a factor
+    D^2, and the anticommutator test c_ijk + c_jik is linear.
+    """
+    c = alg.constants
+    if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
+        raise InvalidAlgebraError("structure constants are not 4x4x4")
+    basis = [alg.basis(k) for k in range(4)]
+    for j in range(4):
+        if c[0][j] != basis[j] or c[j][0] != basis[j]:
+            raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
+    flat, _ = lower(alg.domain, [x for r in c for v in r for x in v])
+    p = alg.domain.characteristic
+    t = [[flat[4 * r:4 * r + 4] for r in range(4 * i, 4 * i + 4)] for i in range(4)]
+    # by_left[i][n][m] = c_imn and by_right[k][n][m] = c_mkn, so that
+    # coordinate n of (e_i e_j) e_k - e_i (e_j e_k) is two dot products.
+    by_left = [list(zip(*t[i])) for i in range(4)]
+    by_right = [list(zip(*(t[m][k] for m in range(4)))) for k in range(4)]
+    # With e_0 a two-sided unit, every triple that contains 0 associates.
+    for i in range(1, 4):
+        for j in range(1, 4):
+            ij = t[i][j]
+            for k in range(1, 4):
+                jk = t[j][k]
+                for right, left in zip(by_right[k], by_left[i]):
+                    s = sum(map(mul, ij, right)) - sum(map(mul, jk, left))
+                    if (s % p) if p else s:
+                        raise InvalidAlgebraError(
+                            f"associativity fails on basis triple ({i},{j},{k})")
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for k in (1, 2, 3):
+                s = t[i][j][k] + t[j][i][k]
+                if (s % p) if p else s:
+                    raise InvalidAlgebraError(
+                        f"anticommutator of traceless elements {i},{j} is not central")
+
+
+def boxed_classify(alg: FiberAlgebra) -> AlgebraType:
+    """Isomorphism type of a rank-4 algebra with trace, over F_p or Q.
+
+    The algebra is validated first, so a PolyRing domain raises TypeError;
+    everything after that reads the structure constants only.  Case split on the rank r of the trace pairing
+    P restricted to the traceless part: r >= 2 is central simple; r = 0 is
+    type 4 unless some product of traceless basis elements survives (type
+    3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
+    x = e_i is the first traceless basis element with a = P_ii != 0, and
+    type 2 otherwise.  Validation makes P symmetric (checked), so r is
+    read off its upper triangle by ``qform.values_rank``.
+
+    Why the trace decides r = 1 (characteristic != 2).  Validation makes
+    x^2 central, so x^2 = a.  L_x maps 1 to x and x to a: it keeps span(1, x)
+    and has trace 0 there.  On the 2-dimensional quotient L_x^2 = a, so L_x
+    there is either a scalar l, with l^2 = a and trace 2l != 0 (the quiver
+    algebra, where x / l acts on the complement of span(1, x) as the
+    identity), or it has minimal polynomial t^2 - a and trace 0 (type 2,
+    whether or not a is a square).  The complement is P-orthogonal to x and
+    L_x keeps it: for v traceless with P(x, v) = 0, xv is traceless, since
+    its trace is 2 P(x, v) = 0, and P(x, xv) = a v_0 = 0.
+    """
+    boxed_validate_fiber_algebra(alg)
+    c = alg.constants
+    pairing = trace_pairing_fiber(alg)
+    if any(pairing[i][j] != pairing[j][i] for i in range(3) for j in range(i)):
+        raise InternalInvariantError("trace pairing of a valid algebra is asymmetric")
+    r = values_rank(alg.domain, pairing)
+    if r >= 2:
+        return AlgebraType.CENTRAL_SIMPLE
+    if r == 0:
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if any(c[i][j]):
+                    return AlgebraType.DOUBLE_LINE_CLIFFORD
+        return AlgebraType.LOCAL_COMMUTATIVE
+    # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
+    # away from characteristic 2.
+    pivot = next((i for i in range(3) if pairing[i][i]), None)
+    if pivot is None:
+        raise InternalInvariantError("rank-1 pairing with zero diagonal")
+    # c[pivot + 1][k] is x e_k, so its k-th coordinates sum to tr(L_x).
+    if sum((c[pivot + 1][k][k] for k in range(4)), alg.domain.zero):
+        return AlgebraType.KRONECKER_QUIVER
+    return AlgebraType.DEGENERATE_CLIFFORD
+
+
+
+@st.composite
+def fiber_cases(draw):
+    """A form and a point of P^2 for fiber_at.  The form is a catalog F23,
+    F24 or F25minus form (seeds 0-2) over F_3, F_5, F_101 or Q, or one
+    draw in four a form of ``forms()`` (fractional coefficients over Q).
+    Over F_p half the draws that can take a point on the discriminant
+    curve do; Q points mix denominators."""
+    if draw(st.integers(0, 3)) == 0:
+        q, zeros = draw(forms()), []
+    else:
+        domain = draw(st.sampled_from((PrimeField(3), PrimeField(5),
+                                       PrimeField(101), QQ)))
+        tag = draw(st.sampled_from(("F23", "F24", "F25minus")))
+        q, zeros = catalog_form(tag, domain, draw(st.integers(0, 2)))
+    domain = q.domain
+    if zeros and draw(st.booleans()):
+        coords = draw(st.sampled_from(zeros))
+    elif domain is QQ:
+        value = st.one_of(st.just(0), st.integers(-9, 9), mixed_denominators,
+                          st.fractions(min_value=-9, max_value=9, max_denominator=12))
+        coords = draw(st.lists(value, min_size=3, max_size=3).filter(any))
+    else:
+        coords = draw(st.lists(st.integers(-20, 20), min_size=3, max_size=3)
+                      .filter(lambda xs: any(map(domain, xs))))
+    return q, FiberPoint.make(domain, coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fiber_cases())
+def test_fiber_at_matches_the_boxed_route(case):
+    q, p = case
+    alg = fiber_algebra_at(q, p)
+    expected = boxed_classify(alg)
+    rank = linalg.rank(symmetric_values(q.matrix, p.coords), q.domain)
+    assert fiber_at(q, p) == (rank, expected)
+    assert classify(alg) is expected
+
+
+def test_the_generic_table_is_a_quaternion_ring_identically():
+    """Associativity and central anticommutators hold for the generic table
+    as polynomial identities in Z[q11, ..., q33], so for every form over
+    every commutative ring; validate_fiber_algebra still checks each
+    scalar algebra that the specialization builds."""
+    q = generic_form()
+    assert reference_validation_error(fiber_algebra(q.matrix.entries, q.ring)) is None
+
+
+def test_a_fiber_call_boxes_nothing_past_the_point(monkeypatch):
+    """fiber_at lowers the point once and works on plain ints: over F_101
+    it creates at most 3 FpElements, and over Q it makes at most 3
+    coercions, the point's coordinates."""
+    created, coerced = [], []
+    fp_init, qq_call = FpElement.__init__, type(QQ).__call__
+
+    def counted_init(self, value, p):
+        created.append(value)
+        fp_init(self, value, p)
+
+    def counted_call(self, x):
+        coerced.append(x)
+        return qq_call(self, x)
+
+    cases = []
+    for tag in ("F24", "F25minus"):
+        q, zeros = catalog_form(tag, PrimeField(101), 7)
+        cases += [(q, created, FiberPoint.make(q.domain, c))
+                  for c in [(1, 2, 3), (5, 7, 1), (1, 0, 0)] + zeros[:3]]
+        q, _ = catalog_form(tag, QQ, 7)
+        cases += [(q, coerced, FiberPoint.make(QQ, c))
+                  for c in [(1, 2, 3), (Fraction(1, 2), Fraction(-2, 3), 1),
+                            (Fraction(3, 7), 1, 0)]]
+    monkeypatch.setattr(FpElement, "__init__", counted_init)
+    monkeypatch.setattr(type(QQ), "__call__", counted_call)
+    for q, calls, p in cases:
+        created.clear()
+        coerced.clear()
+        fiber_at(q, p)
+        assert len(calls) <= 3
 
 
 # ------------------------------------------------------------- hilbert series

@@ -182,6 +182,7 @@ def test_packed_lines_match_point_walk(kind, data):
     p = q.domain.p
     packed = []
     for points, columns in qform.plane_values(q.domain, polys):
+        points = list(points)  # each line's points come lazily
         assert all(len(column) == len(points) for column in columns)
         packed += [(point, [x % p for x in values])
                    for point, *values in zip(points, *columns)]

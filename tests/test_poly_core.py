@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, divide_exact, poly_sqrt
 from cliffbundle.brauer_severi import bipoly_from_alpha_map, divide_exact_bipoly
 from cliffbundle.errors import ExponentLimitError, NotDivisibleError
-from cliffbundle.poly import EXP_LIMIT, BiPoly, monomials_of_degree
+from cliffbundle.poly import EXP_LIMIT, BiPoly, lowered_values, monomials_of_degree
 from conftest import term_bidegrees
 
 DOMAINS = (PrimeField(5), PrimeField(101), QQ)
@@ -248,6 +248,23 @@ def test_bipoly_evaluate_matches_the_domain_walk(data):
                                       max_size=3)) for _ in range(2))
     assert_same_value(F.evaluate(base, alpha),
                       reference_evaluate(F, alpha + base, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lowered_values_match_the_domain_walk(data):
+    """Polynomials of several degrees at one point: each int over the one
+    denominator is the value, a least residue over F_p."""
+    ring = data.draw(rings)
+    polys = data.draw(st.lists(st.integers(0, 4).flatmap(lambda d: homog(ring, d)),
+                               min_size=1, max_size=6))
+    point = data.draw(st.lists(coordinates(ring.domain), min_size=3, max_size=3))
+    ints, den = lowered_values(polys, point, ring.domain)
+    assert all(type(x) is int for x in ints + [den]) and den > 0
+    if ring.domain is not QQ:
+        assert den == 1 and all(0 <= x < ring.domain.p for x in ints)
+    assert ([ring.domain.from_pair(x, den) for x in ints]
+            == [reference_evaluate(f, point, 3) for f in polys])
 
 
 F5, F101 = PrimeField(5), PrimeField(101)
