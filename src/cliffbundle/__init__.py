@@ -46,7 +46,6 @@ from .clifford import (
     fiber_algebra,
     fiber_algebra_at,
     fiber_at,
-    fiber_type_at,
     gamma_dimension_bruteforce,
     gamma_hilbert_series,
     kronecker_quiver_algebra,

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from . import linalg
 from .errors import (
     DegenerateAfterRetriesError,
     DegreePatternError,
@@ -27,8 +28,7 @@ from .errors import (
 )
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
 from .poly import HomogPoly, PolyMatrix, PolyRing, det, lowered_values, symmetric_grid
-from .qform import (FiberPoint, QForm, discriminant, new_qform, qform_from_upper,
-                    values_rank)
+from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
 
 
 class DelPezzoTag(Enum):
@@ -195,10 +195,8 @@ def net_from_upper(ring: PolyRing, fifteen_entries) -> QuadricNet:
     return QuadricNet(matrix=PolyMatrix(symmetric_grid(fifteen_entries)))
 
 
-def make_net(*, domain=None, seed=None) -> QuadricNet:
+def make_net(*, domain, seed=None) -> QuadricNet:
     """Seeded random net in normalized position with nonzero quintic det5."""
-    if domain is None:
-        raise ValueError("need a domain")
     ring = PolyRing(domain)
     rng = random.Random(seed)
     fixed = last_row(ring)
@@ -219,9 +217,11 @@ class F25PlusProvider:
     At q0 = (x0 : x1 : x2) the normalized last row gives p^T A(q0) =
     (x0, x1, x2, 0, 0).  With k the first index of a nonzero x_k (x3 = 0),
     W / <p> for W = ker(p^T A) has the basis b_j = e_j - (x_j/x_k) e_k,
-    j in (0, 1, 2, 3) without k, and the form is b_i^T A b_j: computed on
-    the lowered ints of the entry values, boxed once per entry, and
-    degenerate exactly on the quintic det5 = 0.
+    j in (0, 1, 2, 3) without k, and the form is b_i^T A b_j, degenerate
+    exactly on the quintic det5 = 0.  Its six upper-triangle values are
+    computed once per point on the lowered ints of the net's entry values:
+    ``rank_at`` reads their rank off the ints (``linalg.symmetric_rank``),
+    and ``fiber_form`` boxes the six and mirrors them.
     """
 
     def __init__(self, net: QuadricNet):
@@ -231,24 +231,28 @@ class F25PlusProvider:
     def det5(self) -> HomogPoly:
         return det(self.net.matrix)
 
-    def fiber_form(self, p: FiberPoint):
-        dom = self.net.domain
-        ints, den = lowered_values(self.net.matrix.upper(), p.coords, dom)
+    def _upper_ints(self, p: FiberPoint) -> tuple:
+        """The six upper-triangle values of the form at p, row by row, as
+        ``(ints, den)`` in the shape of ``scalars.lower``: value n is
+        ints[n] / den, with den = x_k^2 times the net's common denominator."""
+        ints, den = lowered_values(self.net.matrix.upper(), p.coords, self.net.domain)
         a = symmetric_grid(ints)
         x = a[4]
         k = next(j for j in range(3) if x[j])
         xk = x[k]
-
-        def entry(i, j):
-            num = (xk * xk * a[i][j] - xk * x[j] * a[i][k] - xk * x[i] * a[k][j]
-                   + x[i] * x[j] * a[k][k])
-            return dom.from_pair(num, xk * xk * den)
-
         basis = [j for j in range(4) if j != k]
-        return [[entry(i, j) for j in basis] for i in basis]
+        return [xk * xk * a[i][j] - xk * x[j] * a[i][k] - xk * x[i] * a[k][j]
+                + x[i] * x[j] * a[k][k]
+                for n, i in enumerate(basis) for j in basis[n:]], xk * xk * den
+
+    def fiber_form(self, p: FiberPoint):
+        upper, den = self._upper_ints(p)
+        boxed = (self.net.domain.from_pair(v, den) for v in upper)
+        return [list(row) for row in symmetric_grid(boxed)]
 
     def rank_at(self, p: FiberPoint) -> int:
-        return values_rank(self.net.domain, self.fiber_form(p))
+        return linalg.symmetric_rank(self._upper_ints(p)[0],
+                                     self.net.domain.characteristic)
 
     def degenerate_at(self, p: FiberPoint) -> bool:
         return self.rank_at(p) < 3

@@ -18,12 +18,13 @@ the generic minor quotients of ``brauer_severi``), and each algebra
 evaluates them at its own entries (``fiber_algebra``).  The fiber path
 (``fiber_at``) stays on plain ints: ``_int_constants`` sums the table from
 a flat plan, and ``_check_axioms`` and ``_int_type`` validate and classify
-on the same ints; ``validate_fiber_algebra`` and ``classify`` lower a
-``FiberAlgebra`` and run the same kernels.  The global trace pairing
-needs only nine of the 64 constants, the 1-components c_ij0 of e_i e_j for
-traceless e_i, e_j; ``trace_pairing_global`` evaluates those nine at the
-polynomial entries of the form (``specializer``), and ``recover_form``
-inverts it through six cofactors, a square root and six exact divisions.
+on the same ints; ``validate_fiber_algebra`` and ``classify`` lower the
+constants of a ``FiberAlgebra`` once and run the same kernels, the unit
+checked on the ints only.  The global trace pairing needs only nine of
+the 64 constants, the 1-components c_ij0 of e_i e_j for traceless e_i,
+e_j; ``trace_pairing_global`` evaluates those nine at the polynomial
+entries of the form (``specializer``), and ``recover_form`` inverts it
+through six cofactors, a square root and six exact divisions.
 """
 
 from __future__ import annotations
@@ -485,9 +486,18 @@ def _first_nonzero(sums, p: int):
     return next(n for n, s in enumerate(sums) if s) if any(sums) else None
 
 
-def _lowered_constants(alg: FiberAlgebra) -> tuple:
-    """The 64 constants of alg, flat, through ``scalars.lower``."""
-    return lower(alg.domain, [x for r in alg.constants for v in r for x in v])
+def _validated_ints(alg: FiberAlgebra) -> tuple:
+    """The one lowering of ``validate_fiber_algebra`` and ``classify``:
+    checks the 4x4x4 shape, lowers the 64 constants once (``scalars.lower``)
+    and runs ``_check_axioms`` on them.  Returns the flat ints and the
+    characteristic for ``_int_type``."""
+    c = alg.constants
+    if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
+        raise InvalidAlgebraError("structure constants are not 4x4x4")
+    t, den = lower(alg.domain, [x for r in c for v in r for x in v])
+    p = alg.domain.characteristic
+    _check_axioms(t, den, p)
+    return t, p
 
 
 def validate_fiber_algebra(alg: FiberAlgebra) -> None:
@@ -500,29 +510,21 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     definition (FiberAlgebra.trace_of).
 
     The constants must lie in F_p or Q: over a PolyRing (a global algebra)
-    ``scalars.lower`` raises TypeError after the unit check.
+    ``scalars.lower`` raises TypeError after the shape check, whatever the
+    unit.
 
-    A thin wrapper: the shape and the unit are read on the domain
-    elements, then the constants c_ijk are lowered once to plain ints
-    (``scalars.lower``), least residues over F_p and over Q the constants
-    times D, the lcm of their denominators, and ``_check_axioms`` runs the
-    int check that ``fiber_at`` runs.  Triple (i, j, k) associates when
-    sum_m c_ijm c_mkn - c_jkm c_imn vanishes for every n; over F_p only
-    that sum is reduced mod p.  Scaling by D changes no verdict: the sum is
-    homogeneous of degree 2 in the constants, so it only gains a factor
-    D^2, and the anticommutator test c_ijk + c_jik is linear.
+    A thin wrapper: after the shape check the constants c_ijk are lowered
+    once to plain ints (``scalars.lower``), least residues over F_p and
+    over Q the constants times D, the lcm of their denominators, and
+    ``_check_axioms`` runs the int check that ``fiber_at`` runs, the unit
+    check included (e_0 must be D times the unit).  Triple (i, j, k)
+    associates when sum_m c_ijm c_mkn - c_jkm c_imn vanishes for every n;
+    over F_p only that sum is reduced mod p.  Scaling by D changes no
+    verdict: the sum is homogeneous of degree 2 in the constants, so it
+    only gains a factor D^2, and the anticommutator test c_ijk + c_jik is
+    linear.
     """
-    c = alg.constants
-    if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
-        raise InvalidAlgebraError("structure constants are not 4x4x4")
-    # The unit is read on domain elements too, so that a global algebra
-    # with a broken unit is refused for it before lower refuses its domain.
-    basis = [alg.basis(k) for k in range(4)]
-    for j in range(4):
-        if c[0][j] != basis[j] or c[j][0] != basis[j]:
-            raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
-    t, den = _lowered_constants(alg)
-    _check_axioms(t, den, alg.domain.characteristic)
+    _validated_ints(alg)
 
 
 # -------------------------------------------------------------- trace pairing
@@ -634,14 +636,13 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     """Isomorphism type of a rank-4 algebra with trace, over F_p or Q.
 
     The algebra is validated first, so a PolyRing domain raises TypeError;
-    everything after that reads the structure constants only, lowered to
-    plain ints as in ``validate_fiber_algebra``, by the int classifier that
-    ``fiber_at`` runs.  Case split on the rank r of the trace pairing P
-    restricted to the traceless part: r >= 2 is central simple; r = 0 is
-    type 4 unless some product of traceless basis elements survives (type
-    3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
-    x = e_i is the first traceless basis element with a = P_ii != 0, and
-    type 2 otherwise.  Validation makes P symmetric (checked), so r is
+    the constants are lowered once, and the ints the validation checked
+    feed the int classifier that ``fiber_at`` runs.  Case split on the rank
+    r of the trace pairing P restricted to the traceless part: r >= 2 is
+    central simple; r = 0 is type 4 unless some product of traceless basis
+    elements survives (type 3); r = 1 is the quiver algebra iff tr(L_x) =
+    sum_k c_ikk != 0, where x = e_i is the first traceless basis element
+    with a = P_ii != 0, and type 2 otherwise.  Validation makes P symmetric (checked), so r is
     read off its upper triangle by ``linalg.symmetric_rank``.
 
     Why the trace decides r = 1 (characteristic != 2).  Validation makes
@@ -654,8 +655,7 @@ def classify(alg: FiberAlgebra) -> AlgebraType:
     L_x keeps it: for v traceless with P(x, v) = 0, xv is traceless, since
     its trace is 2 P(x, v) = 0, and P(x, xv) = a v_0 = 0.
     """
-    validate_fiber_algebra(alg)
-    return _int_type(_lowered_constants(alg)[0], alg.domain.characteristic)
+    return _int_type(*_validated_ints(alg))
 
 
 def fiber_at(q: QForm, p: FiberPoint) -> tuple:
@@ -693,14 +693,9 @@ def fiber_at(q: QForm, p: FiberPoint) -> tuple:
     return rank, algebra
 
 
-def fiber_type_at(q: QForm, p: FiberPoint) -> AlgebraType:
-    """Isomorphism type of the fiber algebra at p.  See fiber_at."""
-    return fiber_at(q, p)[1]
-
-
 def azumaya_at(q: QForm, p: FiberPoint) -> bool:
-    """Is the fiber at p central simple?  See fiber_type_at."""
-    return fiber_type_at(q, p) is AlgebraType.CENTRAL_SIMPLE
+    """Is the fiber at p central simple?  See fiber_at."""
+    return fiber_at(q, p)[1] is AlgebraType.CENTRAL_SIMPLE
 
 
 # -------------------------------------------------------------- Hilbert series

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3, lowered_values,
                    symmetric_grid, symmetric_values)
-from .scalars import PrimeField, lower
+from .scalars import PrimeField
 
 
 # -------------------------------------------------------------------- points
@@ -151,12 +151,6 @@ def normalize(q: QForm) -> QForm:
 def discriminant(q: QForm) -> HomogPoly:
     """det of the entry matrix; identically zero for degenerate forms."""
     return det3(q.matrix)
-
-
-def values_rank(domain, values) -> int:
-    """Rank (0..3) of a symmetric 3x3 grid of ``domain`` values."""
-    upper, _ = lower(domain, [values[i][j] for i in range(3) for j in range(i, 3)])
-    return linalg.symmetric_rank(upper, domain.characteristic)
 
 
 def rank_at(q: QForm, p: FiberPoint) -> int:

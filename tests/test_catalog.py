@@ -172,12 +172,16 @@ def net_points(draw):
 @given(case=net_points())
 def test_f25plus_fiber_form_matches_the_kernel_route(case):
     prov, p = case
-    assert prov.fiber_form(p) == kernel_route_form(prov.net, p)
+    form = kernel_route_form(prov.net, p)
+    assert prov.fiber_form(p) == form
+    assert prov.rank_at(p) == linalg.rank(form, prov.net.domain)
 
 
 def test_f25plus_fibers_need_no_elimination(monkeypatch):
+    """No elimination anywhere, and the ranks box nothing: they read the
+    six values as ints."""
     def refuse(*args):
-        raise AssertionError("elimination called")
+        raise AssertionError("elimination or boxing called")
 
     monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(linalg, "kernel_basis", refuse)
@@ -186,7 +190,10 @@ def test_f25plus_fibers_need_no_elimination(monkeypatch):
         for coords in ((1, 2, 3), (0, 1, 4), (0, 0, 1), (Fraction(1, 2), 0, 3)):
             p = FiberPoint.make(dom, [dom(c) for c in coords])
             assert len(prov.fiber_form(p)) == 3
-            assert prov.degenerate_at(p) == (not prov.det5.evaluate(p.coords))
+            on_quintic = not prov.det5.evaluate(p.coords)
+            with monkeypatch.context() as m:
+                m.setattr(type(dom), "from_pair", refuse)
+                assert (prov.rank_at(p) < 3) == prov.degenerate_at(p) == on_quintic
 
 
 def test_f25plus_fiber_feeds_clifford():

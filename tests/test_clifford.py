@@ -31,6 +31,8 @@ from cliffbundle import (
     gamma_dimension_bruteforce,
     gamma_hilbert_series,
     kronecker_quiver_algebra,
+    make_f25plus,
+    make_net,
     make_type,
     new_qform,
     projective_points,
@@ -56,7 +58,6 @@ from cliffbundle.errors import (
 )
 from cliffbundle.poly import (HomogPoly, divide_exact, poly_sqrt, symmetric_grid,
                               symmetric_values)
-from cliffbundle.qform import values_rank
 from cliffbundle.scalars import lower
 from conftest import diag_form, forms, sparse_polys, symbolic_scalar_grid, uvw
 
@@ -825,6 +826,26 @@ def test_validation_does_no_element_arithmetic(monkeypatch):
     assert "__mul__" in calls and "__add__" in calls
 
 
+def test_classify_lowers_each_algebra_once(monkeypatch):
+    """Validation and classification share one lowering of the 64
+    constants, on the F25plus fibers the benchmark's chain classifies."""
+    lowered = []
+
+    def counted(domain, values, _original=clifford.lower):
+        lowered.append(len(values))
+        return _original(domain, values)
+
+    for dom in (PrimeField(101), QQ):
+        prov = make_f25plus(make_net(domain=dom, seed=7))
+        for coords in ((1, 2, 3), (0, 1, 4), (1, 0, 0)):
+            alg = fiber_algebra(prov.fiber_form(FiberPoint.make(dom, coords)), dom)
+            with monkeypatch.context() as m:
+                m.setattr(clifford, "lower", counted)
+                lowered.clear()
+                classify(alg)
+            assert lowered == [64]
+
+
 # -------------------------------------------------------------- cayley-hamilton
 
 def test_cayley_hamilton_unit():
@@ -1004,8 +1025,8 @@ def boxed_classify(alg: FiberAlgebra) -> AlgebraType:
     type 4 unless some product of traceless basis elements survives (type
     3); r = 1 is the quiver algebra iff tr(L_x) = sum_k c_ikk != 0, where
     x = e_i is the first traceless basis element with a = P_ii != 0, and
-    type 2 otherwise.  Validation makes P symmetric (checked), so r is
-    read off its upper triangle by ``qform.values_rank``.
+    type 2 otherwise.  Validation makes P symmetric (checked), and r is
+    found by Gaussian elimination on the boxed pairing (``linalg.rank``).
 
     Why the trace decides r = 1 (characteristic != 2).  Validation makes
     x^2 central, so x^2 = a.  L_x maps 1 to x and x to a: it keeps span(1, x)
@@ -1022,7 +1043,7 @@ def boxed_classify(alg: FiberAlgebra) -> AlgebraType:
     pairing = trace_pairing_fiber(alg)
     if any(pairing[i][j] != pairing[j][i] for i in range(3) for j in range(i)):
         raise InternalInvariantError("trace pairing of a valid algebra is asymmetric")
-    r = values_rank(alg.domain, pairing)
+    r = linalg.rank(pairing, alg.domain)
     if r >= 2:
         return AlgebraType.CENTRAL_SIMPLE
     if r == 0:
