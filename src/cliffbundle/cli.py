@@ -8,11 +8,14 @@ Input documents are UTF-8 JSON:
   or
     {"scalar_domain": ..., "net": {"entries": [15 linear forms]}}
 
-with polynomial strings in the grammar
+with polynomial strings in the grammar below, white space allowed around
+every token:
 
-    poly := term (('+'|'-') term)* ; term := coeff ('*' monomial)? | monomial
-    coeff := int ('/' posint)? ; monomial := var ('^' posint)? ('*' ...)
-    var := 'u' | 'v' | 'w'
+    poly     := ['-'] term (('+'|'-') term)*
+    term     := coeff ('*' monomial)? | monomial
+    coeff    := int ('/' posint)?
+    monomial := var ('^' posint)? ('*' var ('^' posint)?)*
+    var      := 'u' | 'v' | 'w'
 
 Machine-readable JSON goes to stdout (byte-identical for a fixed input and
 seed); a one-line human summary with timing goes to stderr.  Exit codes:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from operator import add, itemgetter, mul
 
 from . import linalg
@@ -435,25 +435,32 @@ _TRACELESS_PAIRS = tuple(product((1, 2, 3), repeat=2))
 def _axiom_plan() -> tuple:
     """The fixed gather plan of ``_check_axioms``, built on first use, on
     64 flat constants t (c_ijk at 16 i + 4 j + k) followed by their
-    negatives (at 64 + 16 i + 4 j + k).  Returns ``(unit_off, unit_diag,
-    assoc_left, assoc_right, anti, anti_swapped)``: c_0jk and c_j0k off and
-    on the diagonal j = k; the two factors of every product in coordinate
-    n of (e_i e_j) e_k - e_i (e_j e_k), which is
-    sum_m c_ijm c_mkn + sum_m (-c_jkm) c_imn, 8 products, n = 0..3 for
-    each triple; and the traceless coordinates k of e_i e_j and of e_j e_i,
-    3 per pair."""
+    negatives (at 64 + 16 i + 4 j + k) and a zero (at 128).  Returns
+    ``(unit_off, unit_diag, assoc_left, assoc_right, unit_left,
+    unit_right, anti, anti_swapped)``: c_0jk and c_j0k off and on the
+    diagonal j = k; the terms of coordinate n of
+    (e_i e_j) e_k - e_i (e_j e_k) for every triple, n = 0..3, which is
+    sum_m c_ijm c_mkn + sum_m (-c_jkm) c_imn; and the traceless coordinates
+    k of e_i e_j and of e_j e_i, 3 per pair.  Once the unit check has
+    passed, c_0kn and c_i0n are ``one`` times a Kronecker delta, so the
+    m = 0 pair of the sum is one * (c_ij0 [k = n] - c_jk0 [i = n]):
+    ``unit_left`` and ``unit_right`` gather those two constants (the zero
+    where the delta vanishes), and the two factors of the other 6 products
+    are ``assoc_left`` and ``assoc_right``."""
     unit = [(j, k, x) for j in range(4) for k in range(4)
             for x in (4 * j + k, 16 * j + k)]
-    left, right = [], []
+    left, right, unit_left, unit_right = [], [], [], []
     for i, j, k in _TRIPLES:
         for n in range(4):
-            left += [16 * i + 4 * j + m for m in range(4)]
-            left += [64 + 16 * j + 4 * k + m for m in range(4)]
-            right += [16 * m + 4 * k + n for m in range(4)]
-            right += [16 * i + 4 * m + n for m in range(4)]
+            left += [16 * i + 4 * j + m for m in (1, 2, 3)]
+            left += [64 + 16 * j + 4 * k + m for m in (1, 2, 3)]
+            right += [16 * m + 4 * k + n for m in (1, 2, 3)]
+            right += [16 * i + 4 * m + n for m in (1, 2, 3)]
+            unit_left.append(16 * i + 4 * j if k == n else 128)
+            unit_right.append(64 + 16 * j + 4 * k if i == n else 128)
     return tuple(itemgetter(*xs) for xs in (
         [x for j, k, x in unit if j != k], [x for j, k, x in unit if j == k],
-        left, right,
+        left, right, unit_left, unit_right,
         [16 * i + 4 * j + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3)],
         [16 * j + 4 * i + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3)]))
 
@@ -464,11 +471,16 @@ def _check_axioms(t, one: int, p: int) -> None:
     is ``one``, the constants times one common nonzero scalar.  Raises
     InvalidAlgebraError for the first failure, in the order and with the
     messages of ``validate_fiber_algebra``."""
-    unit_off, unit_diag, assoc_left, assoc_right, anti, anti_swapped = _axiom_plan()
+    (unit_off, unit_diag, assoc_left, assoc_right, unit_left, unit_right,
+     anti, anti_swapped) = _axiom_plan()
     if any(unit_off(t)) or any(x != one for x in unit_diag(t)):
         raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
-    products = map(mul, assoc_left(t + [-x for x in t]), assoc_right(t))
-    n = _first_nonzero(map(sum, zip(*[products] * 8)), p)
+    signed = t + [-x for x in t] + [0]
+    products = map(mul, assoc_left(signed), assoc_right(t))
+    units = map(add, unit_left(signed), unit_right(signed))
+    if one != 1:
+        units = map(mul, units, repeat(one))
+    n = _first_nonzero(map(sum, zip(*[products] * 6), units), p)
     if n is not None:
         i, j, k = _TRIPLES[n // 4]
         raise InvalidAlgebraError(f"associativity fails on basis triple ({i},{j},{k})")

@@ -694,73 +694,80 @@ def terms_to_string(terms: dict, variables) -> str:
 
 # ------------------------------------------------------------------- parsing
 
-# One token after optional white space: an int, a name, an operator, or a
-# character outside the grammar.  ``\d`` matches exactly the digits int()
-# reads; a name starts with a word character that is not one of them.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^])|(\S))")
+# A character outside the grammar, and the tokens: operators, ints and
+# names.  ``\d`` matches exactly the digits int() reads, so a name is a run
+# of word characters that starts with none of them.
+_BAD_CHARACTER = re.compile(r"[^\s\w+\-*/^]").search
+_TOKENS = re.compile(r"[-+*/^]|\d+|\w+").findall
+_OPERATORS = frozenset("+-*/^")
+
+
+def _is_name(token) -> bool:
+    return token is not None and token not in _OPERATORS and not token.isdecimal()
+
+
+def _integer(tokens, i) -> int:
+    token = tokens[i]
+    if token is None:
+        raise PolyParseError("unexpected end of input")
+    if not token.isdecimal():
+        raise PolyParseError(f"expected int, found {token!r}")
+    return int(token)
 
 
 def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
-    """Parse polynomial text (see the CLI grammar) into canonical form.
+    """Parse polynomial text in the grammar of the ``cli`` module docstring
+    (and the README) into canonical form.
 
-    The grammar ``['-'] term (('+'|'-') term)*`` is regular, so one pass
-    over the tokens reads it.  A term is an int with an optional ``/den``
-    and ``*monomial``, or a bare monomial: names with an optional ``^int``,
-    joined by ``*`` only when a name follows."""
-    kinds, values = [], []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 4:
-            raise PolyParseError(f"bad character {m[4]!r} at position {m.start(4)}")
-        kinds.append(("int", "name", m[3])[group - 1])
-        values.append(m[group])
-    if not kinds:
+    The grammar is regular, so one pass reads it.  The text is searched for
+    a bad character and split into tokens in C first; the loop then reads
+    one term at a time, taking a ``*`` only when a name follows it, and
+    adds the term's signed coefficient straight into the term dict."""
+    bad = _BAD_CHARACTER(text)
+    if bad:
+        raise PolyParseError(f"bad character {bad[0]!r} at position {bad.start()}")
+    tokens = _TOKENS(text)
+    if not tokens:
         raise PolyParseError("empty input")
     # Two sentinels, so one token of lookahead never runs past the end.
-    kinds += (None, None)
-    values += (None, None)
-
-    def integer(i):
-        if kinds[i] == "int":
-            return int(values[i])
-        if kinds[i] is None:
-            raise PolyParseError("unexpected end of input")
-        raise PolyParseError(f"expected int, found {values[i]!r}")
-
-    variables, nvars = ring.variables, ring.nvars
+    tokens += (None, None)
+    variables, nvars, p = ring.variables, ring.nvars, ring.modulus
     terms, degree = {}, None
-    sign, i = (-1, 1) if kinds[0] == "-" else (1, 0)
+    sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
     while True:
-        kind, coeff, exps = kinds[i], 1, [0] * nvars
-        if kind == "int":
-            num, den = int(values[i]), 1
-            if kinds[i + 1] == "/":
-                den = integer(i + 2)
+        token, coeff, exps = tokens[i], 1, [0] * nvars
+        if token is not None and token.isdecimal():
+            coeff = int(token)
+            if tokens[i + 1] == "/":
+                den = _integer(tokens, i + 2)
                 if not ring.coerce(den):
                     raise PolyParseError("zero denominator")
+                coeff = ring.coerce(coeff if den == 1
+                                    else ring.domain.from_pair(coeff, den))
                 i += 2
-            coeff = ring.coerce(num if den == 1 else ring.domain.from_pair(num, den))
+            elif p:
+                coeff %= p
             i += 1
-            monomial = kinds[i] == "*" and kinds[i + 1] == "name"
+            monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
             i += monomial
-        elif kind == "name":
+        elif _is_name(token):
             monomial = True
         else:
-            found = "end of input" if kind is None else values[i]
+            found = "end of input" if token is None else token
             raise PolyParseError(f"expected a term, found {found!r}")
         while monomial:
-            name = values[i]
+            name = tokens[i]
             if name not in variables:
                 raise UnknownVariableError(f"unknown variable {name!r}")
             power = 1
-            if kinds[i + 1] == "^":
-                power = integer(i + 2)
+            if tokens[i + 1] == "^":
+                power = _integer(tokens, i + 2)
                 if power < 1:
                     raise PolyParseError("exponent must be positive")
                 i += 2
             exps[variables.index(name)] += power
             i += 1
-            monomial = kinds[i] == "*" and kinds[i + 1] == "name"
+            monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
             i += monomial
         if coeff:
             d = sum(exps)
@@ -768,13 +775,20 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
                 degree = d
             elif d != degree:
                 raise InhomogeneousError(f"mixed degrees {degree} and {d} in input")
-            add_multiple(terms, pack(exps, nvars), sign * coeff, {0: 1}, ring.modulus)
-        kind = kinds[i]
-        if kind is None:
+            key = pack(exps, nvars)
+            s = terms.get(key, 0) + sign * coeff
+            if p:
+                s %= p
+            if s:
+                terms[key] = s if type(s) is int else _rational(s)
+            else:
+                del terms[key]
+        token = tokens[i]
+        if token is None:
             return HomogPoly._make(ring, terms, degree)
-        if kind not in ("+", "-"):
-            raise PolyParseError(f"expected + or -, found {values[i]!r}")
-        sign = 1 if kind == "+" else -1
+        if token not in ("+", "-"):
+            raise PolyParseError(f"expected + or -, found {token!r}")
+        sign = 1 if token == "+" else -1
         i += 1
 
 

@@ -6,15 +6,21 @@ Hypothesis property over Q, F_5 and F_101 draws text from the grammar's
 pieces and a few characters outside it: both parsers must give the same
 polynomial, or raise the same exception type with the same message.  On
 non-ASCII text only refusal messages may differ: a text either parser
-refuses, both refuse.
+refuses, both refuse.  Fixed texts reach the exponent limit, every entry of
+the catalog documents is compared, and a second property draws long texts
+that the grammar accepts.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PolyRing, PrimeField, QQ
-from cliffbundle.errors import InhomogeneousError, PolyParseError, UnknownVariableError
-from cliffbundle.poly import HomogPoly, add_multiple, pack, parse_poly
+from cliffbundle import PolyRing, PrimeField, QQ, cli
+from cliffbundle.errors import (ExponentLimitError, InhomogeneousError,
+                                PolyParseError, UnknownVariableError)
+from cliffbundle.poly import (EXP_LIMIT, HomogPoly, add_multiple,
+                              monomials_of_degree, pack, parse_poly)
 
 RINGS = tuple(PolyRing(domain) for domain in (QQ, PrimeField(5), PrimeField(101)))
 
@@ -197,3 +203,77 @@ def test_non_ascii_text_is_refused_by_both_or_by_neither(ring, text):
     assert refused[0] == refused[1]
     if not refused[0]:
         assert got == want
+
+
+@pytest.mark.parametrize("text, error", [
+    (f"u^{EXP_LIMIT}", None),
+    (f"u^{EXP_LIMIT}*u", ExponentLimitError),
+    (f"u^{EXP_LIMIT + 1}", ExponentLimitError),
+    ("u^99999999999999999999", ExponentLimitError),
+    (f"v^2 + u^{EXP_LIMIT + 1}", InhomogeneousError),
+    (f"0*u^{EXP_LIMIT + 1}", None),
+])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
+def test_the_parser_matches_the_reference_at_the_exponent_limit(ring, text, error):
+    got = outcome(parse_poly, text, ring)
+    assert got == outcome(reference_parse, text, ring)
+    assert got[0] is error if error else isinstance(got[0], HomogPoly)
+
+
+@pytest.mark.parametrize("seed", ["3", "7"])
+@pytest.mark.parametrize("field", ["F101", "Q"])
+@pytest.mark.parametrize("tag", ["F23", "F24", "F25minus", "F25plus"])
+def test_the_parser_matches_the_reference_on_catalog_entries(tag, field, seed, capsys):
+    argv = ["catalog", "--type", tag, "--seed", seed, "--prime", "101"]
+    assert cli.main(argv + (["--rational"] if field == "Q" else [])) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    ring = PolyRing(QQ if field == "Q" else PrimeField(101))
+    entries = payload["form" if "form" in payload else "net"]["entries"]
+    for text in entries:
+        got = outcome(parse_poly, text, ring)
+        assert isinstance(got[0], HomogPoly)
+        assert got == outcome(reference_parse, text, ring)
+
+
+@st.composite
+def well_formed_texts(draw):
+    """Long texts in the grammar, one degree for every term: an optional
+    leading '-', int and int/int coefficients, variables repeated or given
+    a power, and any run of white space around every operator."""
+    def space():
+        return draw(st.sampled_from(("", " ", "  ", "\t")))
+
+    def op(symbol):
+        return space() + symbol + space()
+
+    monomials = list(monomials_of_degree(3, draw(st.integers(0, 4))))
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        factors = []
+        for name, e in zip("uvw", draw(st.sampled_from(monomials))):
+            while e:
+                k = draw(st.integers(1, e))
+                factors.append(name if k == 1 and draw(st.booleans())
+                               else name + op("^") + str(k))
+                e -= k
+        factors = draw(st.permutations(factors))
+        coeff = str(draw(st.integers(0, 300)))
+        if draw(st.booleans()):
+            coeff += op("/") + str(draw(st.integers(1, 30)))
+        if factors and draw(st.booleans()):
+            coeff = None
+        terms.append(op("*").join(([coeff] if coeff else []) + factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += op(draw(st.sampled_from("+-"))) + term
+    return space() + (op("-") if draw(st.booleans()) else "") + text + space()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=well_formed_texts())
+def test_the_parser_matches_the_reference_on_well_formed_texts(text):
+    for ring in RINGS:
+        got = outcome(parse_poly, text, ring)
+        assert got == outcome(reference_parse, text, ring)
+        if ring.domain is QQ:
+            assert isinstance(got[0], HomogPoly)
