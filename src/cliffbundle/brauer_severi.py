@@ -44,7 +44,7 @@ from .errors import (
 from . import linalg
 from .clifford import fiber_algebra, generic_form, integer_terms, specializer
 from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly, minor, symmetric_values)
+                   divide_exact_bipoly, lowered_values, minor, symmetric_grid)
 from .qform import FiberPoint, QForm, plane_values
 from .scalars import PrimeField
 
@@ -272,7 +272,8 @@ def conic_point_count(q: QForm, base: FiberPoint) -> int:
     coefficients are the form's six entry values there."""
     if not isinstance(q.domain, PrimeField):
         raise TypeError("point counting needs a prime-field form")
-    conic = q.ring.poly(_conic_terms(symmetric_values(q.matrix, base.coords)))
+    values, _ = lowered_values(q.matrix.upper(), base.coords, q.domain)
+    conic = q.ring.poly(_conic_terms(symmetric_grid(values)))
     p = q.domain.p
     return sum(1 for _, (values,) in plane_values(q.domain, [conic])
                for value in values if not value % p)

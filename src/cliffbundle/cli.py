@@ -20,7 +20,7 @@ every token:
 Machine-readable JSON goes to stdout (byte-identical for a fixed input and
 seed); a one-line human summary with timing goes to stderr.  Exit codes:
 0 success, 1 invalid input, 2 mathematical failure (the report names the
-violated contract), 3 internal invariant violation.
+violated contract), 3 internal invariant violation or any other bug.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .scalars import QQ, DEFAULT_SCAN_PRIME, PrimeField
 from .series import series_expand
 
 # Builtin exceptions taken as bad input (exit 1), like every CliffBundleError
-# outside the math-failure and bug bands of ``errors``.
-INPUT_ERRORS = (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError)
+# outside the math-failure and bug bands of ``errors``; json.JSONDecodeError
+# and UnicodeDecodeError are ValueErrors.  Any other exception is a bug (exit 3).
+INPUT_ERRORS = (ValueError, OSError)
 
 MATH_ERRORS = (MathFailureError, ZeroDivisionError)
 
@@ -213,7 +214,7 @@ def cmd_fiber(args):
 def cmd_classify(args):
     q = form_from_document(load_document(args.input))
     p = parse_point(args.point, q.domain)
-    algebra = clifford.classify(clifford.fiber_algebra_at(q, p))
+    _, algebra = clifford.fiber_at(q, p)
     return {"point": str(p), "algebra_type": int(algebra),
             "algebra_type_name": algebra.name,
             "is_even_clifford": algebra.is_even_clifford}
@@ -330,12 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("bsv-verify", cmd_bsv_verify)
     add("trace-pairing", cmd_trace_pairing)
     add("recover", cmd_recover)
+    types = [tag.value for tag in catalog.DelPezzoTag]
     p = add("invariants", cmd_invariants, needs_input=False)
-    p.add_argument("--type", required=True,
-                   choices=["F23", "F24", "F25plus", "F25minus"])
+    p.add_argument("--type", required=True, choices=types)
     p = add("catalog", cmd_catalog, needs_input=False)
-    p.add_argument("--type", required=True,
-                   choices=["F23", "F24", "F25plus", "F25minus"])
+    p.add_argument("--type", required=True, choices=types)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prime", type=int, default=DEFAULT_SCAN_PRIME)
     p.add_argument("--rational", action="store_true",
@@ -362,6 +362,9 @@ def main(argv=None) -> int:
                    "contract": str(exc)}
     except (CliffBundleError, *INPUT_ERRORS) as exc:
         status, code = "invalid-input", 1
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+    except Exception as exc:
+        status, code = "internal-error", 3
         payload = {"error": type(exc).__name__, "message": str(exc)}
     report = {"command": args.command, "status": status, "payload": payload}
     print(json.dumps(report, indent=2, sort_keys=True, default=str))

@@ -54,7 +54,6 @@ from .poly import (
     poly_sqrt,
     sum_of_products,
     symmetric_grid,
-    symmetric_values,
 )
 from .qform import FiberPoint, QForm, new_qform
 from .scalars import QQ, PrimeField, Rationals, lower
@@ -158,10 +157,6 @@ class FiberAlgebra:
 
     domain: object
     constants: tuple
-
-    def unit(self) -> tuple:
-        d = self.domain
-        return (d.one, d.zero, d.zero, d.zero)
 
     def basis(self, k: int) -> tuple:
         d = self.domain
@@ -397,8 +392,12 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
 
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
-    """Fiber algebra of a global form at a point of P^2."""
-    return fiber_algebra(symmetric_values(q.matrix, p.coords), q.domain)
+    """Fiber algebra of a global form at a point of P^2: the six entry
+    values are read on the lowered point (``poly.lowered_values``), boxed
+    and mirrored."""
+    ints, den = lowered_values(q.matrix.upper(), p.coords, q.domain)
+    boxed = (q.domain.from_pair(v, den) for v in ints)
+    return fiber_algebra(symmetric_grid(boxed), q.domain)
 
 
 def kronecker_quiver_algebra(domain) -> FiberAlgebra:
@@ -681,7 +680,8 @@ def fiber_at(q: QForm, p: FiberPoint) -> tuple:
     and ``classify`` run on them.  The type must be 4 - rank (the fiberwise
     bijection).  Rank 3 is a nonzero determinant of the values, which is
     the discriminant at p: so the fiber is checked to be central simple
-    exactly off the discriminant curve, with no polynomial built.
+    exactly off the discriminant curve, with no polynomial built.  The
+    ``fiber`` and ``classify`` commands both answer from here.
 
     Over Q the ints are the values times one common positive scalar
     lambda, the values of the matrix lambda q(x).  That verdict is the one

@@ -827,12 +827,6 @@ def lowered_values(polys, point, domain) -> tuple:
     return [s.numerator * (common // d) for s, d in zip(sums, dens)], common
 
 
-def symmetric_values(matrix, point) -> tuple:
-    """Rows of scalar values of a symmetric PolyMatrix at a point, each
-    entry of the upper triangle evaluated once."""
-    return symmetric_grid(f.evaluate(point) for f in matrix.upper())
-
-
 class PolyMatrix:
     """Rectangular grid of polynomials from one ring."""
 

@@ -26,7 +26,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3, lowered_values,
-                   symmetric_grid, symmetric_values)
+                   symmetric_grid)
 from .scalars import PrimeField
 
 
@@ -221,7 +221,7 @@ def sample_nowhere_zero(q: QForm, samples: int = 500, seed: int = 0) -> NowhereZ
         if not any(coords):
             continue
         p = FiberPoint.make(dom, coords)
-        if not any(map(any, symmetric_values(q.matrix, p.coords))):
+        if not any(lowered_values(q.matrix.upper(), p.coords, dom)[0]):
             return NowhereZeroResult(False, p, conclusive=True)
     return NowhereZeroResult(True, None, conclusive=False)
 

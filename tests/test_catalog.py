@@ -28,7 +28,6 @@ from cliffbundle.errors import (
     UnknownTagError,
 )
 from cliffbundle.invariants import CotangentTwist, LineBundle
-from cliffbundle.poly import symmetric_values
 from cliffbundle.qform import plane_values
 from conftest import uvw
 
@@ -132,7 +131,7 @@ def kernel_route_form(net, p):
     """The F25plus form by elimination: x^T A y over the kernel basis of the
     row p^T A, with the direction of the projection point dropped."""
     dom = net.domain
-    a = symmetric_values(net.matrix, p.coords)
+    a = net.matrix.evaluate(p.coords)
     basis = [v for v in linalg.kernel_basis([a[4]], dom) if not v[4]]
     return [[sum((x[i] * a[i][j] * y[j] for i in range(5) for j in range(5)),
                  dom.zero) for y in basis] for x in basis]

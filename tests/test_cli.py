@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -535,15 +536,16 @@ def test_catalog_over_a_large_prime_is_prompt(capsys):
 # A classifier that answers central simple at a rank-2 point or type 2 at a
 # rank-3 point; and type 2 at the rank-1 point 0:0:1, which a check of
 # central simplicity against the discriminant alone lets through.
+@pytest.mark.parametrize("command", ["fiber", "classify"])
 @pytest.mark.parametrize("point, planted", [("0:1:1", "CENTRAL_SIMPLE"),
                                             ("1:1:1", "DEGENERATE_CLIFFORD"),
                                             ("0:0:1", "DEGENERATE_CLIFFORD")])
 def test_planted_wrong_classifier_exits_3(tmp_path, capsys, monkeypatch,
-                                          point, planted):
+                                          point, planted, command):
     monkeypatch.setattr(clifford, "_int_type",
                         lambda t, p: clifford.AlgebraType[planted])
     path = write_doc(tmp_path, DIAG_DOC)
-    code, report, _ = run_cli(capsys, ["fiber", path, "--point", point])
+    code, report, _ = run_cli(capsys, [command, path, "--point", point])
     assert code == 3
     assert report["status"] == "internal-error"
     assert report["payload"]["error"] == "InternalInvariantError"
@@ -551,6 +553,59 @@ def test_planted_wrong_classifier_exits_3(tmp_path, capsys, monkeypatch,
     q = cli.form_from_document(DIAG_DOC)
     with pytest.raises(InternalInvariantError, match="disagree"):
         clifford.azumaya_at(q, cli.parse_point(point, q.domain))
+
+
+@pytest.mark.parametrize("command", ["fiber", "classify"])
+@pytest.mark.parametrize("bug", [TypeError, KeyError], ids=lambda exc: exc.__name__)
+def test_a_stray_builtin_error_exits_3(tmp_path, capsys, monkeypatch, command, bug):
+    """A builtin exception raised inside the library is a bug, not bad input."""
+    def planted(q, p):
+        raise bug("planted")
+
+    monkeypatch.setattr(clifford, "fiber_at", planted)
+    path = write_doc(tmp_path, DIAG_DOC)
+    code, report, _ = run_cli(capsys, [command, path, "--point", "1:1:1"])
+    assert code == 3
+    assert report["status"] == "internal-error"
+    assert report["payload"]["error"] == bug.__name__
+
+
+def _catalog_document(capsys, tag, field):
+    assert cli.main(["catalog", "--type", tag, "--seed", "7", *field]) == 0
+    return json.loads(capsys.readouterr().out)["payload"]
+
+
+def _classify_and_fiber_agree(capsys, path, point):
+    code, classified, _ = run_cli(capsys, ["classify", path, f"--point={point}"])
+    assert code == 0
+    code, fiber, _ = run_cli(capsys, ["fiber", path, f"--point={point}"])
+    assert code == 0
+    keys = ("point", "algebra_type", "algebra_type_name")
+    assert ({k: classified["payload"][k] for k in keys}
+            == {k: fiber["payload"][k] for k in keys})
+    return fiber["payload"]["algebra_type"]
+
+
+@pytest.mark.parametrize("tag", ["F23", "F24", "F25minus"])
+def test_classify_and_fiber_agree_at_every_point_of_f7(tmp_path, capsys, tag):
+    path = write_doc(tmp_path, _catalog_document(capsys, tag, ["--prime", "7"]))
+    points = ([f"{x}:{y}:1" for x in range(7) for y in range(7)]
+              + [f"{x}:1:0" for x in range(7)] + ["1:0:0"])
+    types = {_classify_and_fiber_agree(capsys, path, point) for point in points}
+    assert {1, 2} <= types
+
+
+@pytest.mark.parametrize("tag", ["F23", "F24", "F25minus"])
+def test_classify_and_fiber_agree_at_fractional_rational_points(tmp_path, capsys, tag):
+    path = write_doc(tmp_path, _catalog_document(capsys, tag, ["--rational"]))
+    rng = random.Random(tag)
+    points = 0
+    while points < 30:
+        nums = [rng.randint(-9, 9) for _ in range(3)]
+        if any(nums):
+            point = ":".join(f"{n}/{rng.randint(2, 12)}" for n in nums)
+            _classify_and_fiber_agree(capsys, path, point)
+            points += 1
 
 
 @pytest.mark.parametrize("command", [["fiber", "--point", "1:1:1"], ["disc"]],

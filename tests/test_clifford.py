@@ -56,8 +56,7 @@ from cliffbundle.errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from cliffbundle.poly import (HomogPoly, divide_exact, poly_sqrt, symmetric_grid,
-                              symmetric_values)
+from cliffbundle.poly import HomogPoly, divide_exact, poly_sqrt, symmetric_grid
 from cliffbundle.scalars import lower
 from conftest import diag_form, forms, sparse_polys, symbolic_scalar_grid, uvw
 
@@ -282,7 +281,7 @@ def test_degenerate_fiber_is_not_simple():
 
 def test_trace_vector():
     alg = fiber_algebra([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ)
-    assert alg.trace_of(alg.unit()) == Fraction(2)
+    assert alg.trace_of(alg.basis(0)) == Fraction(2)
     for k in (1, 2, 3):
         assert alg.trace_of(alg.basis(k)) == Fraction(0)
 
@@ -926,7 +925,7 @@ def catalog_fibers(draw):
 def test_fiber_at_agrees_with_the_polynomial_route(case):
     q, p = case
     rank, algebra = fiber_at(q, p)
-    assert rank == linalg.rank(symmetric_values(q.matrix, p.coords), q.domain)
+    assert rank == linalg.rank(q.matrix.evaluate(p.coords), q.domain)
     assert (rank == 3) == bool(discriminant(q).evaluate(p.coords))
     assert algebra == 4 - rank
 
@@ -956,6 +955,24 @@ def test_a_fiber_job_builds_no_polynomial_product(tmp_path, capsys, monkeypatch)
             assert main(["fiber", str(path), "--point", point]) == 0
             assert json.loads(capsys.readouterr().out)["payload"]["rank"] == rank
             assert len(evaluated) == 6
+
+
+def test_a_classify_job_builds_no_fiber_algebra(tmp_path, capsys, monkeypatch):
+    """classify runs fiber_at: no boxed evaluation and no FiberAlgebra."""
+    def refuse(*args):
+        raise AssertionError("the boxed route was taken")
+
+    monkeypatch.setattr(clifford, "fiber_algebra", refuse)
+    monkeypatch.setattr(HomogPoly, "evaluate", refuse)
+    for spec in ("rational", {"prime": 5}):
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({
+            "scalar_domain": spec,
+            "form": {"a": [0, 0, 0], "d": 1, "entries": ["u", "0", "0", "v", "0", "w"]},
+        }), encoding="utf-8")
+        for point, algebra in (("1:2:3", 1), ("1:1:0", 2), ("1:0:0", 3)):
+            assert main(["classify", str(path), "--point", point]) == 0
+            assert json.loads(capsys.readouterr().out)["payload"]["algebra_type"] == algebra
 
 
 # The boxed route: validate_fiber_algebra and classify as they were before
@@ -1095,9 +1112,10 @@ def fiber_cases(draw):
 @given(case=fiber_cases())
 def test_fiber_at_matches_the_boxed_route(case):
     q, p = case
-    alg = fiber_algebra_at(q, p)
+    values = q.matrix.evaluate(p.coords)
+    alg = fiber_algebra(values, q.domain)
     expected = boxed_classify(alg)
-    rank = linalg.rank(symmetric_values(q.matrix, p.coords), q.domain)
+    rank = linalg.rank(values, q.domain)
     assert fiber_at(q, p) == (rank, expected)
     assert classify(alg) is expected
 

@@ -33,7 +33,7 @@ from cliffbundle import (
     twist,
 )
 from cliffbundle.errors import InternalInvariantError, ScanTooLargeError
-from cliffbundle.poly import monomials_of_degree, symmetric_values
+from cliffbundle.poly import monomials_of_degree
 from cliffbundle.qform import CONIC_BY_RANK, FiberCensus, plane_points
 from conftest import diag_form, uvw
 
@@ -112,7 +112,7 @@ def test_kernel_matches_fp_element_path(kind, data):
 
     expected = {t: 0 for t in ConicType}
     for p in points:
-        values = symmetric_values(q.matrix, p.coords)
+        values = q.matrix.evaluate(p.coords)
         expected[CONIC_BY_RANK[linalg.rank(values, q.domain)]] += 1
     result = qform.fiber_census(q)
     assert result.counts == expected
