@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache
-from itertools import combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, product
 from operator import add, itemgetter, mul
 
 from . import linalg
@@ -432,36 +432,56 @@ _TRACELESS_PAIRS = tuple(product((1, 2, 3), repeat=2))
 
 @cache
 def _axiom_plan() -> tuple:
-    """The fixed gather plan of ``_check_axioms``, built on first use, on
-    64 flat constants t (c_ijk at 16 i + 4 j + k) followed by their
-    negatives (at 64 + 16 i + 4 j + k) and a zero (at 128).  Returns
-    ``(unit_off, unit_diag, assoc_left, assoc_right, unit_left,
-    unit_right, anti, anti_swapped)``: c_0jk and c_j0k off and on the
-    diagonal j = k; the terms of coordinate n of
-    (e_i e_j) e_k - e_i (e_j e_k) for every triple, n = 0..3, which is
-    sum_m c_ijm c_mkn + sum_m (-c_jkm) c_imn; and the traceless coordinates
-    k of e_i e_j and of e_j e_i, 3 per pair.  Once the unit check has
-    passed, c_0kn and c_i0n are ``one`` times a Kronecker delta, so the
-    m = 0 pair of the sum is one * (c_ij0 [k = n] - c_jk0 [i = n]):
-    ``unit_left`` and ``unit_right`` gather those two constants (the zero
-    where the delta vanishes), and the two factors of the other 6 products
-    are ``assoc_left`` and ``assoc_right``."""
+    """The fixed gathers of ``_check_axioms`` on 64 flat constants t (c_ijk
+    at 16 i + 4 j + k), built on first use: ``(unit_off, unit_diag,
+    generic_zero, anti, anti_swapped)``, which gather c_0jk and c_j0k off
+    and on the diagonal j = k, the 30 constants whose generic constant is 0
+    (degree None in ``_constant_plan()``), and the traceless coordinates k
+    of e_i e_j and of e_j e_i, 3 per pair."""
     unit = [(j, k, x) for j in range(4) for k in range(4)
             for x in (4 * j + k, 16 * j + k)]
-    left, right, unit_left, unit_right = [], [], [], []
+    return (itemgetter(*(x for j, k, x in unit if j != k)),
+            itemgetter(*(x for j, k, x in unit if j == k)),
+            itemgetter(*(x for x, d in enumerate(_constant_plan()[-1]) if d is None)),
+            itemgetter(*(16 * i + 4 * j + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3))),
+            itemgetter(*(16 * j + 4 * i + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3))))
+
+
+@cache
+def _associator_plan(live: bool) -> tuple:
+    """The gather plan of the 108 associator sums, built on first use, on
+    the 64 flat constants t followed by their negatives (at
+    64 + 16 i + 4 j + k) and the unit scalar ``one`` (at 128).
+
+    Sum 4 s + n is coordinate n of (e_i e_j) e_k - e_i (e_j e_k) for the
+    s-th triple, sum_m c_ijm c_mkn + sum_m (-c_jkm) c_imn.  Once the unit
+    check has passed, c_0kn and c_i0n are ``one`` times a Kronecker delta,
+    so the m = 0 pair is one * (c_ij0 [k = n] - c_jk0 [i = n]): up to two
+    unit terms beside the six products of m = 1..3.  The full plan takes
+    every term; the ``live`` one leaves out each term with a factor whose
+    generic constant is 0, which keeps 324 of the 648 products.  Returns
+    ``(groups, order)``: each group ``(left, right, width)`` gathers the
+    two factors of the terms of its sums, ``width`` terms a sum, and
+    ``order`` puts the group sums, behind a 0 for a sum with no terms,
+    back in the order of the 108 sums."""
+    skip = {x for x, d in enumerate(_constant_plan()[-1]) if live and d is None}
+    sums = []
     for i, j, k in _TRIPLES:
         for n in range(4):
-            left += [16 * i + 4 * j + m for m in (1, 2, 3)]
-            left += [64 + 16 * j + 4 * k + m for m in (1, 2, 3)]
-            right += [16 * m + 4 * k + n for m in (1, 2, 3)]
-            right += [16 * i + 4 * m + n for m in (1, 2, 3)]
-            unit_left.append(16 * i + 4 * j if k == n else 128)
-            unit_right.append(64 + 16 * j + 4 * k if i == n else 128)
-    return tuple(itemgetter(*xs) for xs in (
-        [x for j, k, x in unit if j != k], [x for j, k, x in unit if j == k],
-        left, right, unit_left, unit_right,
-        [16 * i + 4 * j + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3)],
-        [16 * j + 4 * i + k for i, j in _TRACELESS_PAIRS for k in (1, 2, 3)]))
+            terms = [(16 * i + 4 * j + m, 16 * m + 4 * k + n) for m in (1, 2, 3)]
+            terms += [(64 + 16 * j + 4 * k + m, 16 * i + 4 * m + n) for m in (1, 2, 3)]
+            terms += [(16 * i + 4 * j, 128)] * (k == n)
+            terms += [(64 + 16 * j + 4 * k, 128)] * (i == n)
+            sums.append([(a, b) for a, b in terms if a % 64 not in skip and b not in skip])
+    groups, order, at = [], [0] * len(sums), 1
+    for width in sorted({len(terms) for terms in sums} - {0}):
+        members = [s for s, terms in enumerate(sums) if len(terms) == width]
+        for s in members:
+            order[s], at = at, at + 1
+        pairs = [pair for s in members for pair in sums[s]]
+        groups.append((itemgetter(*(a for a, _ in pairs)),
+                       itemgetter(*(b for _, b in pairs)), width))
+    return tuple(groups), itemgetter(*order)
 
 
 def _check_axioms(t, one: int, p: int) -> None:
@@ -469,17 +489,21 @@ def _check_axioms(t, one: int, p: int) -> None:
     ``t``: least residues over F_p, and over Q (p = 0) ints under which e_0
     is ``one``, the constants times one common nonzero scalar.  Raises
     InvalidAlgebraError for the first failure, in the order and with the
-    messages of ``validate_fiber_algebra``."""
-    (unit_off, unit_diag, assoc_left, assoc_right, unit_left, unit_right,
-     anti, anti_swapped) = _axiom_plan()
+    messages of ``validate_fiber_algebra``.
+
+    Associativity sums only the terms that can be nonzero: the live
+    ``_associator_plan`` when the 30 generic zeros of ``t`` are all 0, as
+    in every table ``fiber_algebra`` and ``fiber_at`` build, the full plan
+    otherwise.  Both give the same sums."""
+    unit_off, unit_diag, generic_zero, anti, anti_swapped = _axiom_plan()
     if any(unit_off(t)) or any(x != one for x in unit_diag(t)):
         raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
-    signed = t + [-x for x in t] + [0]
-    products = map(mul, assoc_left(signed), assoc_right(t))
-    units = map(add, unit_left(signed), unit_right(signed))
-    if one != 1:
-        units = map(mul, units, repeat(one))
-    n = _first_nonzero(map(sum, zip(*[products] * 6), units), p)
+    groups, order = _associator_plan(not any(generic_zero(t)))
+    signed = t + [-x for x in t] + [one]
+    sums = [0]
+    for left, right, width in groups:
+        sums += map(sum, zip(*[map(mul, left(signed), right(signed))] * width))
+    n = _first_nonzero(order(sums), p)
     if n is not None:
         i, j, k = _TRIPLES[n // 4]
         raise InvalidAlgebraError(f"associativity fails on basis triple ({i},{j},{k})")

@@ -696,14 +696,41 @@ def terms_to_string(terms: dict, variables) -> str:
 
 # A character outside the grammar, and the tokens: operators, ints and
 # names.  ``\d`` matches exactly the digits int() reads, so a name is a run
-# of word characters that starts with none of them.
+# of word characters that starts with none of them.  Split at white space
+# (``\s`` and ``str.split`` agree on it) with the operators spaced out, a
+# text gives the tokens of ``_TOKENS`` unless a digit runs straight into a
+# letter or ``_`` (``_DIGIT_LETTER``), which ``_TOKENS`` cuts in two.
 _BAD_CHARACTER = re.compile(r"[^\s\w+\-*/^]").search
+_DIGIT_LETTER = re.compile(r"\d[^\W\d]").search
 _TOKENS = re.compile(r"[-+*/^]|\d+|\w+").findall
 _OPERATORS = frozenset("+-*/^")
 
 
+def _tokens(text: str) -> list:
+    if _DIGIT_LETTER(text):
+        return _TOKENS(text)
+    return (text.replace("+", " + ").replace("-", " - ").replace("*", " * ")
+            .replace("/", " / ").replace("^", " ^ ").split())
+
+
 def _is_name(token) -> bool:
     return token is not None and token not in _OPERATORS and not token.isdecimal()
+
+
+@lru_cache(maxsize=None)
+def _units(variables) -> dict:
+    """The key of each variable that a name token can spell."""
+    return {name: 1 << s for name, s in _shifts(variables) if _is_name(name)}
+
+
+def _exponents(factors, variables) -> list:
+    """The exponent list of a monomial's tokens, ``name [^ int]`` joined
+    by ``*``."""
+    exps = [0] * len(variables)
+    for factor in "".join(factors).split("*"):
+        name, _, power = factor.partition("^")
+        exps[variables.index(name)] += int(power or 1)
+    return exps
 
 
 def _integer(tokens, i) -> int:
@@ -720,23 +747,29 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
     (and the README) into canonical form.
 
     The grammar is regular, so one pass reads it.  The text is searched for
-    a bad character and split into tokens in C first; the loop then reads
-    one term at a time, taking a ``*`` only when a name follows it, and
-    adds the term's signed coefficient straight into the term dict."""
+    a bad character and split into tokens in C first (``_tokens``); the
+    loop then reads one term at a time, taking a ``*`` only when a name
+    follows it.  A term's packed key and degree grow as its factors are
+    read, power times the variable's key; only a term whose degree passes
+    EXP_LIMIT, where a field may have carried, is packed again from its
+    exponents, so ``pack`` refuses it.  The term's signed coefficient is
+    added straight into the term dict."""
     bad = _BAD_CHARACTER(text)
     if bad:
         raise PolyParseError(f"bad character {bad[0]!r} at position {bad.start()}")
-    tokens = _TOKENS(text)
+    tokens = _tokens(text)
     if not tokens:
         raise PolyParseError("empty input")
     # Two sentinels, so one token of lookahead never runs past the end.
     tokens += (None, None)
-    variables, nvars, p = ring.variables, ring.nvars, ring.modulus
+    units, p = _units(ring.variables), ring.modulus
     terms, degree = {}, None
     sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
     while True:
-        token, coeff, exps = tokens[i], 1, [0] * nvars
-        if token is not None and token.isdecimal():
+        token, coeff, key, d = tokens[i], 1, 0, 0
+        if token in units:
+            monomial = True
+        elif token is not None and token.isdecimal():
             coeff = int(token)
             if tokens[i + 1] == "/":
                 den = _integer(tokens, i + 2)
@@ -748,34 +781,38 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
             elif p:
                 coeff %= p
             i += 1
-            monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
+            monomial = tokens[i] == "*" and (tokens[i + 1] in units
+                                             or _is_name(tokens[i + 1]))
             i += monomial
         elif _is_name(token):
             monomial = True
         else:
             found = "end of input" if token is None else token
             raise PolyParseError(f"expected a term, found {found!r}")
+        start = i
         while monomial:
-            name = tokens[i]
-            if name not in variables:
-                raise UnknownVariableError(f"unknown variable {name!r}")
+            unit = units.get(tokens[i])
+            if unit is None:
+                raise UnknownVariableError(f"unknown variable {tokens[i]!r}")
             power = 1
             if tokens[i + 1] == "^":
                 power = _integer(tokens, i + 2)
                 if power < 1:
                     raise PolyParseError("exponent must be positive")
                 i += 2
-            exps[variables.index(name)] += power
+            key += power * unit
+            d += power
             i += 1
-            monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
+            monomial = tokens[i] == "*" and (tokens[i + 1] in units
+                                             or _is_name(tokens[i + 1]))
             i += monomial
         if coeff:
-            d = sum(exps)
             if degree is None:
                 degree = d
             elif d != degree:
                 raise InhomogeneousError(f"mixed degrees {degree} and {d} in input")
-            key = pack(exps, nvars)
+            if d > EXP_LIMIT:
+                key = pack(_exponents(tokens[start:i], ring.variables), ring.nvars)
             s = terms.get(key, 0) + sign * coeff
             if p:
                 s %= p

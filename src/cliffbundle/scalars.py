@@ -26,7 +26,9 @@ PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the prime bases 2..41, exact for every
-    n below PRIME_LIMIT; a larger n is refused with ValueError."""
+    n below PRIME_LIMIT; a larger n is refused with ValueError.  Below
+    43^2 the trial division decides: a composite there has a prime factor
+    of at most 41."""
     if n >= PRIME_LIMIT:
         raise ValueError(f"primality is decided only below PRIME_LIMIT = "
                          f"{PRIME_LIMIT}, and {n} is not")
@@ -35,6 +37,8 @@ def _is_prime(n: int) -> bool:
     for b in _WITNESSES:
         if n % b == 0:
             return n == b
+    if n < 43 * 43:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -226,6 +230,8 @@ class PrimeField:
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
     def from_pair(self, num: int, den: int) -> FpElement:
+        if den == 1:
+            return FpElement(num, self.p)
         return FpElement(num, self.p) / FpElement(den, self.p)
 
     def is_square(self, x) -> bool:

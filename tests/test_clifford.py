@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import unittest.mock
 from fractions import Fraction
 from operator import mul
 
@@ -794,6 +795,72 @@ def test_a_constant_shifted_by_p_still_validates():
         shifted = with_constant(alg, i, j, k, alg.constants[i][j][k].value + field.p)
         validate_fiber_algebra(shifted)
         assert reference_validation_error(shifted) is None
+
+
+# The 30 positions c_ijk (at 16 i + 4 j + k) whose generic constant is 0.
+GENERIC_ZEROS = [x for x, d in enumerate(clifford._constant_plan()[-1]) if d is None]
+
+
+def axiom_outcome(t, one, p, plan=None):
+    """The message of ``_check_axioms`` on t, or None; with ``plan`` "full"
+    or "live", every table goes through that associator plan."""
+    associator_plan = clifford._associator_plan
+    forced = (associator_plan if plan is None
+              else lambda live: associator_plan(plan == "live"))
+    try:
+        with unittest.mock.patch.object(clifford, "_associator_plan", forced):
+            clifford._check_axioms(t, one, p)
+    except InvalidAlgebraError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def fiber_tables(draw):
+    """64 flat int constants as ``fiber_at`` and ``validate_fiber_algebra``
+    pass them, with ``one`` and p: the table of six random entries (over Q
+    times a common scalar ``one``), then as drawn one live constant
+    perturbed, or one generic zero made nonzero."""
+    p = draw(st.sampled_from((3, 101, 0)))
+    one = 1 if p else draw(st.sampled_from((1, 2, 6)))
+    entries = draw(st.lists(st.integers(-30, 30), min_size=6, max_size=6))
+    t = [x % p if p else x * one for x in clifford._int_constants(entries)]
+    kind = draw(st.sampled_from(("table", "live", "generic zero")))
+    if kind != "table":
+        x = draw(st.sampled_from(GENERIC_ZEROS if kind == "generic zero"
+                                 else sorted(set(range(64)) - set(GENERIC_ZEROS))))
+        delta = draw(st.integers(1, (p or 7) - 1))
+        t[x] = (t[x] + delta) % p if p else t[x] + delta
+    return kind, t, one, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fiber_tables())
+def test_the_live_axiom_plan_matches_the_full_plan(case):
+    kind, t, one, p = case
+    got = axiom_outcome(t, one, p)
+    assert got == axiom_outcome(t, one, p, "full")
+    if kind != "generic zero":
+        assert got == axiom_outcome(t, one, p, "live")
+    if kind == "table":
+        assert got is None
+
+
+def test_fiber_at_takes_the_live_axiom_plan():
+    """Every table fiber_at builds has its generic zeros at 0."""
+    associator_plan = clifford._associator_plan
+
+    def live_only(live):
+        assert live, "the full axiom plan ran"
+        return associator_plan(live)
+
+    field = PrimeField(7)
+    forms = [make_type(tag, domain=field, seed=7) for tag in ("F23", "F24", "F25minus")]
+    with unittest.mock.patch.object(clifford, "_associator_plan", live_only):
+        for coords in qform.plane_points(7):
+            point = FiberPoint.make(field, coords)
+            for q in forms:
+                fiber_at(q, point)
 
 
 def test_validation_and_classification_need_scalar_constants(ring_q):

@@ -77,6 +77,25 @@ def test_primality_of_large_and_pseudoprime_inputs(n, prime):
     assert _is_prime(n) is prime
 
 
+@pytest.mark.parametrize("n,prime", [(41, True), (1847, True), (43 * 43, False),
+                                     (1851, False), (43 * 47, False), (1861, True)])
+def test_primality_on_both_sides_of_the_trial_division_bound(n, prime):
+    # 43^2 is the least composite with no prime factor up to 41.
+    assert _is_prime(n) is prime
+
+
+@pytest.mark.parametrize("p", [3, 101, 2 ** 61 - 1])
+def test_from_pair_over_one_is_the_element(p):
+    F = PrimeField(p)
+    for n in (-2 * p - 1, -1, 0, 1, 2, p - 1, p, 10 ** 30 + 7):
+        assert F.from_pair(n, 1) == F(n)
+        assert F.from_pair(n, 1).value == n % p
+    assert F.from_pair(10, 5) == F(2)
+    for den in (0, p, -3 * p):
+        with pytest.raises(ZeroDivisionError, match=f"inverse of 0 in F_{p}"):
+            F.from_pair(1, den)
+
+
 def test_primality_refuses_past_its_limit():
     with pytest.raises(ValueError, match="PRIME_LIMIT"):
         PrimeField(PRIME_LIMIT + 2)

@@ -16,7 +16,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PolyRing, PrimeField, QQ, cli
+from cliffbundle import PolyRing, PrimeField, QQ, cli, poly
 from cliffbundle.errors import (ExponentLimitError, InhomogeneousError,
                                 PolyParseError, UnknownVariableError)
 from cliffbundle.poly import (EXP_LIMIT, HomogPoly, add_multiple,
@@ -277,3 +277,50 @@ def test_the_parser_matches_the_reference_on_well_formed_texts(text):
         assert got == outcome(reference_parse, text, ring)
         if ring.domain is QQ:
             assert isinstance(got[0], HomogPoly)
+
+
+# Texts on both sides of the tokenizer switch: a digit directly followed by
+# a letter or "_" sends a text to the ``_TOKENS`` regex, any other text is
+# split at white space with the operators spaced out.
+@pytest.mark.parametrize("text", [
+    "3u", "2*3u", "u^2v", "12_a", "\u0663u", "3*u\u0663", "u*v+w-3/4*u",
+    "u*v+w-3/4*uv", "u\t+\tv", "u*v\n-\n2*w^2", "u\u00a0+\u00a02*v",
+    "\n3\t*\u00a0u ", "u+\t-v", "2 u",
+])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
+def test_the_parser_matches_the_reference_across_the_tokenizer_switch(ring, text):
+    assert outcome(parse_poly, text, ring) == outcome(reference_parse, text, ring)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("u^20000*v^20000", None),
+    ("u^20000*u^20000", ExponentLimitError),
+    (f"u^{EXP_LIMIT}*u", ExponentLimitError),
+    ("v^2 + u^20000*u^20000", InhomogeneousError),
+    ("u^20000*v^20000 - v^20000*u^20000", None),
+    (f"w*u^{EXP_LIMIT} + u^{EXP_LIMIT}*w^2", InhomogeneousError),
+])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
+def test_a_term_past_the_exponent_limit_in_degree_is_packed_by_pack(ring, text, error):
+    got = outcome(parse_poly, text, ring)
+    assert got == outcome(reference_parse, text, ring)
+    assert got[0] is error if error else isinstance(got[0], HomogPoly)
+
+
+def test_the_token_regex_runs_only_where_a_digit_meets_a_letter(monkeypatch):
+    texts = []
+    monkeypatch.setattr(poly, "_TOKENS",
+                        lambda text, findall=poly._TOKENS: texts.append(text) or findall(text))
+    ring = RINGS[0]
+    for text in ("3*u + v", "u2*v3 - 4*w^2", "2 * 3", "\u0663*u", "3u", "u^2v", "2_"):
+        outcome(parse_poly, text, ring)
+    assert texts == ["3u", "u^2v", "2_"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(
+    (*PIECES, "\n", "\u00a0", "\u3000", "\u0663", "\u00b2", "\u00e9", "ab", "12", "u3")),
+    max_size=10).map("".join)
+    .filter(lambda text: not poly._DIGIT_LETTER(text) and not poly._BAD_CHARACTER(text)))
+def test_split_tokens_are_the_regex_tokens(text):
+    assert poly._tokens(text) == poly._TOKENS(text)
