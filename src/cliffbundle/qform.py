@@ -281,54 +281,83 @@ def check_scan_size(p: int) -> int:
 #: point.  A slot stays below p^3 < 2^30 for every p the scan accepts.
 SLOT_BITS = 32
 
+#: Bits per slot of a packed line product in the census: one coefficient,
+#: in the line parameter, of a side of det = disc.  A slot stays below
+#: 3 * (p * (p - 1))^3 + p * (p - 1) < 2^62 for every p the scan accepts.
+PRODUCT_SLOT_BITS = 64
+
 
 def fermat_exponent(e: int, p: int) -> int:
     """The least e' with x^e' = x^e for every x in F_p, 0 included."""
     return 0 if e == 0 else (e - 1) % (p - 1) + 1
 
 
-def plane_values(field: PrimeField, polys):
-    """Walk P^2(F_p) line by line, in the order of plane_points.
+def _array_type(bits: int) -> str:
+    typecode = next((t for t in "BHILQ" if array(t).itemsize * 8 == bits), None)
+    if typecode is None:
+        raise InternalInvariantError(f"no array type has {bits}-bit items")
+    return typecode
 
-    Yields ``(points, columns)``: an iterator over the points of one line,
-    as triples of least residues built only when read, and, per
-    polynomial, the list of its values there.  The lines are (a, b, 1) for
-    each a, then (a, 1, 0), then the point (1, 0, 0).  A value is congruent
-    to the true one mod p but not reduced.
 
-    Exponents are first reduced by Fermat and the terms grouped by reduced
-    exponent, so neither time nor memory grows with the degree.  A sum
-    sum_e c_e x^e over all x in F_p at once is sum_e (c_e mod p) * B_e,
-    where B_e = sum_x (x^e mod p) << SLOT_BITS*x packs one power per slot:
-    one big-int multiply-add per exponent.  On the line (a, b, 1) a
-    polynomial is sum_j g_j(a) b^j, and the g_j are packed over a the same
-    way first.  A slot sums at most p products of least residues, so it
-    stays below p^3 and never carries into its neighbour.
+class _PowerRows(dict):
+    """B_e = sum_x (x^e mod p) << SLOT_BITS*x for every x in F_p, by e.
+
+    B_e packs one power per slot, so the values of sum c * t^e at all of
+    F_p are the slots of sum c * B_e: one big-int multiply-add per
+    exponent.  With least residues c and distinct e < p a slot sums at
+    most p products of least residues, so it stays below p^3 and never
+    carries into its neighbour.
+    """
+
+    def __init__(self, p: int):
+        super().__init__()
+        if p * (p - 1) ** 2 >= 1 << SLOT_BITS:
+            raise InternalInvariantError(f"a packed value mod {p} overflows its slot")
+        self.p = p
+        self.typecode = _array_type(SLOT_BITS)
+
+    def __missing__(self, e):
+        p = self.p
+        row = array(self.typecode, [pow(x, e, p) for x in range(p)])
+        self[e] = packed = int.from_bytes(row.tobytes(), sys.byteorder)
+        return packed
+
+    def along(self, terms, size):
+        """The values at t = 0, ..., size - 1 of sum c * t^e over (e, c)
+        pairs, as a memoryview of ints congruent to them mod p."""
+        total = 0
+        for e, c in terms:
+            total += c * self[e]
+        width = SLOT_BITS // 8 * self.p
+        return memoryview(total.to_bytes(width, sys.byteorder)).cast(self.typecode)[:size]
+
+
+def plane_lines(field: PrimeField, polys):
+    """Every polynomial's restriction to each line of P^2(F_p), in the
+    order of plane_points.
+
+    Returns an iterator of ``(points, size, restrictions)``: the line's
+    points, as triples of least residues built only when read; their
+    number; and, per polynomial, its restriction to the line as a sequence
+    of (e, c) pairs with distinct e: the coefficients c (least residues,
+    some possibly 0) of t^e in the line parameter t, which is the point's
+    index on the line.  The lines are (a, t, 1) for each a, then
+    (t, 1, 0), then the point (1, 0, 0), where only t = 0 is read.
+    Refuses p past the scan limit at once.
+
+    Exponents are reduced by Fermat (``fermat_exponent``), so every e is
+    below p: the restriction is the one polynomial of degree < p that
+    takes the polynomial's values on the line, and neither time nor memory
+    grows with the degree.  On the line (a, t, 1) a polynomial is
+    sum_j g_j(a) t^j, and each g_j is evaluated at every a in F_p at once,
+    as a packed line of its own.
     """
     p = field.p
     check_scan_size(p)
-    if p * (p - 1) ** 2 >= 1 << SLOT_BITS:
-        raise InternalInvariantError(f"a packed value mod {p} overflows its slot")
-    width = SLOT_BITS // 8
-    typecode = next((t for t in "BHILQ" if array(t).itemsize == width), None)
-    if typecode is None:
-        raise InternalInvariantError(f"no array type has {SLOT_BITS}-bit items")
-    packed = {}
+    rows = _PowerRows(p)
 
-    def power_row(e):
-        if e not in packed:
-            row = array(typecode, [pow(x, e, p) for x in range(p)])
-            packed[e] = int.from_bytes(row.tobytes(), sys.byteorder)
-        return packed[e]
-
-    def along_line(terms):
-        """Values over all x in F_p of sum c * x^e, from (B_e, c) pairs."""
-        total = sum(c % p * row for row, c in terms)
-        values = memoryview(total.to_bytes(width * p, sys.byteorder))
-        return values.cast(typecode).tolist()
-
-    def compile_terms(coefficients):
-        return along_line((power_row(e), c) for e, c in coefficients.items())
+    def reduced(coefficients):
+        return [(e, c % p) for e, c in coefficients.items() if c % p]
 
     charts, lines, corners = [], [], []
     for f in polys:
@@ -341,15 +370,37 @@ def plane_values(field: PrimeField, polys):
                 line[i] = line.get(i, 0) + c
                 if not j:
                     corner += c
-        charts.append([(power_row(j), compile_terms(row)) for j, row in chart.items()])
-        lines.append(compile_terms(line))
-        corners.append([corner])
+        charts.append([(j, list(map(p.__rmod__, rows.along(reduced(row), p))))
+                       for j, row in chart.items()])
+        lines.append(reduced(line))
+        corners.append(reduced({0: corner}))
 
-    for a in range(p):
-        columns = [along_line((b_row, g[a]) for b_row, g in chart) for chart in charts]
-        yield zip(repeat(a), range(p), repeat(1)), columns
-    yield zip(range(p), repeat(1), repeat(0)), lines
-    yield iter([(1, 0, 0)]), corners
+    def walk():
+        # Per polynomial, an iterator over a of the pairs (j, g_j(a)).
+        chart_lines = zip(*(zip(*[zip(repeat(j), g) for j, g in chart]) if chart
+                            else repeat((), p) for chart in charts))
+        for a, restrictions in enumerate(chart_lines):
+            yield zip(repeat(a), range(p), repeat(1)), p, restrictions
+        yield zip(range(p), repeat(1), repeat(0)), p, lines
+        yield iter([(1, 0, 0)]), 1, corners
+
+    return walk()
+
+
+def plane_values(field: PrimeField, polys):
+    """Walk P^2(F_p) line by line, in the order of plane_points.
+
+    Yields ``(points, columns)``: an iterator over the points of one line,
+    as triples of least residues built only when read, and, per
+    polynomial, the list of its values there.  A value is congruent to the
+    true one mod p but not reduced.  Each column evaluates the
+    polynomial's restriction from ``plane_lines`` at every point of the
+    line at once: one packed multiply-add per exponent.
+    """
+    lines = plane_lines(field, polys)
+    rows = _PowerRows(field.p)
+    for points, size, restrictions in lines:
+        yield points, [rows.along(terms, size).tolist() for terms in restrictions]
 
 
 @dataclass(frozen=True)
@@ -360,31 +411,101 @@ class FiberCensus:
     discriminant_zeros: int
 
 
-def fiber_census(q: QForm) -> FiberCensus:
-    """Exhaustive fiber-type census over P^2(F_p), in plain ints.
+def _disagreement(p, points, values_at) -> InternalInvariantError:
+    """The error at the first point of a line where the determinant of the
+    entry values differs from the discriminant's value; ``values_at(t)``
+    gives the six entry values and the discriminant's at index t."""
+    for t, point in enumerate(points):
+        a, d, e, b, f, c, disc = values_at(t)
+        det = (a * (b * c - f * f) - d * (d * c - e * f)
+               + e * (d * f - b * e)) % p
+        if det != disc % p:
+            return InternalInvariantError(
+                f"discriminant {disc % p} and determinant {det} of the entry "
+                f"values disagree at {point}")
+    return InternalInvariantError(
+        "det and disc differ as polynomials of degree < p on a line where "
+        "they agree at every point")
 
-    The rank at each point comes from the six entry values: rank 3 where
-    their determinant is nonzero, else ``linalg.symmetric_rank``.  The
-    discriminant polynomial is evaluated on its own, and its value must
-    equal that determinant at every point.
+
+def fiber_census(q: QForm) -> FiberCensus:
+    """Exhaustive fiber-type census over P^2(F_p), one line at a time.
+
+    On each line of ``plane_lines`` the six entry restrictions are packed
+    into ints, PRODUCT_SLOT_BITS bits per coefficient, and their
+    determinant is formed as a polynomial in the line parameter t: the
+    sides a*b*c + 2*d*e*f and a*f^2 + d^2*c + e^2*b are big-int products,
+    folded mod t^p - t (t^e -> t^(e - p + 1) for e >= p) without leaving
+    the packed form.  Their difference must equal the discriminant's
+    restriction mod p, slot by slot, or ``InternalInvariantError`` names
+    the first point of the line where the two values differ.  That is the
+    same check as comparing the values at every point of the line: each
+    function F_p -> F_p is exactly one polynomial of degree < p, and
+    folding by Fermat computes it.
+
+    Then only the discriminant is evaluated along the line.  The fiber is
+    a smooth conic wherever it is nonzero; at its zeros the six entries
+    are evaluated, one multiply each, and ``linalg.symmetric_rank`` gives
+    the rank.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
         raise TypeError("census needs a prime-field form")
     p = dom.p
+    lines = plane_lines(dom, q.matrix.upper() + (discriminant(q),))
+    # A side's slot sums at most its coefficients: below (p (p - 1))^3 for
+    # each of its three products, plus p (p - 1) for the discriminant.
+    bits = PRODUCT_SLOT_BITS
+    if 3 * (p * (p - 1)) ** 3 + p * (p - 1) >= 1 << bits:
+        raise InternalInvariantError(f"a packed line product mod {p} overflows its slot")
+    typecode = _array_type(bits)
+    rows = _PowerRows(p)
+    top = bits * p
+    low = (1 << top) - 1
+    slot = (1 << bits) - 1
+
+    def pack(terms):
+        x = 0
+        for e, c in terms:
+            x += c << bits * e
+        return x
+
+    def fold(x):
+        while x >> top:
+            x = (x & low) + (x >> top << bits)
+        return x
+
+    def slots(x, n):
+        return memoryview(x.to_bytes(n * bits // 8, sys.byteorder)).cast(typecode)
+
+    def values_at(packed, t):
+        # Slot m of x * sum_e (t^e mod p) << bits*(m - e) is x's value at
+        # t, for m the top slot in use (a coefficient < p never fills one).
+        m = max(packed).bit_length() // bits
+        powers = power = 1
+        for _ in range(m):
+            power = power * t % p
+            powers = powers << bits | power
+        shift = bits * m
+        return [x * powers >> shift & slot for x in packed]
+
     by_rank = [0, 0, 0, 0]
-    for points, columns in plane_values(dom, q.matrix.upper() + (discriminant(q),)):
-        for i, (a, d, e, b, f, c, disc) in enumerate(zip(*columns)):
-            det = (a * (b * c - f * f) - d * (d * c - e * f)
-                   + e * (d * f - b * e)) % p
-            if det != disc % p:
-                raise InternalInvariantError(
-                    f"discriminant {disc % p} and determinant {det} of the entry "
-                    f"values disagree at {next(islice(points, i, None))}")
-            if det:
-                by_rank[3] += 1
-            else:
-                by_rank[linalg.symmetric_rank((a, d, e, b, f, c), p)] += 1
+    for points, size, (*entries, disc) in lines:
+        packed = [pack(terms) for terms in entries]
+        a, d, e, b, f, c = packed
+        lhs = fold(a * b * c + 2 * d * e * f)
+        rhs = fold(a * f * f + d * d * c + e * e * b + pack(disc))
+        n = (max(lhs.bit_length(), rhs.bit_length()) + bits - 1) // bits
+        if any((x - y) % p for x, y in zip(slots(lhs, n), slots(rhs, n))):
+            packed.append(pack(disc))
+            raise _disagreement(p, points, lambda t: values_at(packed, t))
+        values = [x % p for x in rows.along(disc, size)]
+        zeros = values.count(0)
+        by_rank[3] += size - zeros
+        t = -1
+        for _ in range(zeros):
+            t = values.index(0, t + 1)
+            by_rank[linalg.symmetric_rank(values_at(packed, t), p)] += 1
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
                        sum(by_rank[:3]))
 

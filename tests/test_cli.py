@@ -364,6 +364,7 @@ def test_scan_refuses_oversized_prime_before_scanning(tmp_path, capsys, monkeypa
     def no_scan(*args):
         raise AssertionError("the scan started")
 
+    monkeypatch.setattr(qform, "plane_lines", no_scan)
     monkeypatch.setattr(qform, "plane_values", no_scan)
     monkeypatch.setattr(cli, "reduce_mod", no_scan)
     path = write_doc(tmp_path, DIAG_DOC)
@@ -371,6 +372,22 @@ def test_scan_refuses_oversized_prime_before_scanning(tmp_path, capsys, monkeypa
     assert code == 1
     assert report["payload"]["error"] == "ScanTooLargeError"
     assert str(qform.SCAN_POINT_LIMIT) in report["payload"]["message"]
+
+
+def test_scan_never_evaluates_the_entries_along_a_line(tmp_path, capsys, monkeypatch):
+    # The census evaluates only the discriminant along each line, and the
+    # six entries only where it vanishes: plane_values is never called.
+    code, report, _ = run_cli(capsys, ["catalog", "--type", "F25minus", "--seed", "7"])
+    path = write_doc(tmp_path, report["payload"])
+
+    def no_line_values(*args):
+        raise AssertionError("the census evaluated every polynomial along a line")
+
+    monkeypatch.setattr(qform, "plane_values", no_line_values)
+    code, report, _ = run_cli(capsys, ["scan", path, "--prime", "101"])
+    assert code == 0
+    assert sum(report["payload"]["census"].values()) == 101 * 101 + 101 + 1
+    assert report["payload"]["discriminant_zero_points"] > 0
 
 
 @pytest.mark.parametrize("tag", ["F23", "F24", "F25plus", "F25minus"])

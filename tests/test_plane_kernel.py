@@ -1,4 +1,4 @@
-"""The packed-line plane scan against two slower routes.
+"""The packed-line plane scan against slower routes.
 
 The first oracle is the ``FpElement`` path: ``linalg.rank`` (Gaussian
 elimination, not the census's own minor rule) on the evaluated entries,
@@ -7,6 +7,9 @@ conic equation, each over ``projective_points``.
 The second is ``point_walk``, the per-point int walk the packed kernel
 replaced: every term evaluated with ``pow`` at every point of
 ``plane_points``.
+The third is ``point_census``, the per-point census that the per-line
+identity check replaced: the determinant of the six entry values from
+``plane_values`` against the discriminant's value at every point.
 """
 
 import tracemalloc
@@ -138,16 +141,81 @@ def test_kernel_matches_fp_element_path(kind, data):
         assert expected[ConicType.WHOLE_PLANE] >= 1
 
 
+def point_census(q):
+    """The census one point at a time: at each point of ``plane_values``,
+    the determinant of the six entry values must equal the discriminant's
+    value mod p; ``linalg.symmetric_rank`` where it vanishes."""
+    p = q.domain.p
+    by_rank = [0, 0, 0, 0]
+    polys = q.matrix.upper() + (qform.discriminant(q),)
+    for points, columns in qform.plane_values(q.domain, polys):
+        for point, (a, d, e, b, f, c, disc) in zip(points, zip(*columns)):
+            det = (a * (b * c - f * f) - d * (d * c - e * f)
+                   + e * (d * f - b * e)) % p
+            if det != disc % p:
+                raise InternalInvariantError(
+                    f"discriminant {disc % p} and determinant {det} of the entry "
+                    f"values disagree at {point}")
+            by_rank[3 if det else linalg.symmetric_rank((a, d, e, b, f, c), p)] += 1
+    return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
+                       sum(by_rank[:3]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_line_identity_census_matches_point_census(kind, data):
+    q = data.draw(forms(kind, primes=(3, 5, 7, 11, 101)))
+    assert qform.fiber_census(q) == point_census(q)
+
+
+def _planted_message(census_fn, q):
+    with pytest.raises(InternalInvariantError) as raised:
+        census_fn(q)
+    return str(raised.value)
+
+
 def test_planted_wrong_discriminant_raises(monkeypatch):
     ring = PolyRing(PrimeField(5))
     u, v, w = uvw(ring)
     monkeypatch.setattr(qform, "discriminant", lambda q: u * v * w + u * u * u)
-    with pytest.raises(InternalInvariantError):
-        qform.fiber_census(diag_form(ring))
+    q = diag_form(ring)
+    assert _planted_message(qform.fiber_census, q) == _planted_message(point_census, q)
+
+
+def _fourth(x):
+    return x * x * x * x
+
+
+@pytest.mark.parametrize("planted, point", [
+    # Zero at every point of the chart w = 1 and at (1 : 0 : 0), not on w = 0.
+    (lambda u, v, w: _fourth(v) * (_fourth(v) - _fourth(w)), "(0, 1, 0)"),
+    # Zero on both lines, not at the corner (1 : 0 : 0).
+    (lambda u, v, w: _fourth(u) * (_fourth(u) - _fourth(v)) * (_fourth(u) - _fourth(w)),
+     "(1, 0, 0)"),
+])
+def test_wrong_discriminant_off_the_chart_raises(monkeypatch, planted, point):
+    # diag(u, v, 0) has discriminant 0; each planted one vanishes as a
+    # function on the chart, though not as a polynomial in its parameter.
+    ring = PolyRing(PrimeField(5))
+    u, v, w = uvw(ring)
+    z = ring.zero
+    q = new_qform((0, 0, 0), 1, [[u, z, z], [z, v, z], [z, z, z]])
+    monkeypatch.setattr(qform, "discriminant", lambda q: planted(u, v, w))
+    message = _planted_message(qform.fiber_census, q)
+    assert message == ("discriminant 1 and determinant 0 of the entry values "
+                       f"disagree at {point}")
+    assert message == _planted_message(point_census, q)
 
 
 def test_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "SLOT_BITS", 16)  # 101 * 100^2 > 2^16
+    with pytest.raises(InternalInvariantError, match="overflows its slot"):
+        census(diag_form(PolyRing(PrimeField(101))))
+
+
+def test_line_product_slot_overflow_is_refused(monkeypatch):
+    monkeypatch.setattr(qform, "PRODUCT_SLOT_BITS", 32)  # 3 * (101 * 100)^3 > 2^32
     with pytest.raises(InternalInvariantError, match="overflows its slot"):
         census(diag_form(PolyRing(PrimeField(101))))
 
