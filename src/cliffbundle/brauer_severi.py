@@ -45,7 +45,7 @@ from . import linalg
 from .clifford import fiber_algebra, generic_form, integer_terms, specializer
 from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
                    divide_exact_bipoly, lowered_values, minor, symmetric_grid)
-from .qform import FiberPoint, QForm, plane_values
+from .qform import FiberPoint, PackedLines, QForm, plane_lines
 from .scalars import PrimeField
 
 
@@ -274,6 +274,7 @@ def conic_point_count(q: QForm, base: FiberPoint) -> int:
         raise TypeError("point counting needs a prime-field form")
     values, _ = lowered_values(q.matrix.upper(), base.coords, q.domain)
     conic = q.ring.poly(_conic_terms(symmetric_grid(values)))
-    p = q.domain.p
-    return sum(1 for _, (values,) in plane_values(q.domain, [conic])
-               for value in values if not value % p)
+    rows = PackedLines(q.domain.p)
+    _, lines = plane_lines(rows, [conic])
+    return sum(rows.zeros(rows.packed(conic_line), size).bit_count()
+               for _, size, (conic_line,) in lines)

@@ -31,7 +31,7 @@ import json
 import sys
 import time
 
-from . import brauer_severi, catalog, clifford, invariants, qform
+from . import brauer_severi, catalog, clifford, invariants, poly, qform
 from .errors import (CliffBundleError, InternalInvariantError, MathFailureError,
                      OrderTooLargeError)
 from .poly import PolyRing
@@ -151,15 +151,14 @@ def parse_point(text: str, domain) -> FiberPoint:
 def reduce_mod(q: QForm, p: int) -> QForm:
     """Reduce a rational form modulo p.  A coefficient whose denominator
     vanishes mod p is bad input: ValueError names the entry and p."""
-    field = PrimeField(p)
-    ring = PolyRing(field, q.ring.variables)
+    ring = PolyRing(PrimeField(p), q.ring.variables)
     upper = []
     for i, f in enumerate(q.matrix.upper()):
-        terms = dict(f.iter_terms())
-        if any(c.denominator % p == 0 for c in terms.values()):
+        try:
+            upper.append(poly.reduce_mod(f, ring))
+        except ZeroDivisionError:
             raise ValueError(f"form.entries[{i}] ({f}) has a coefficient whose "
-                             f"denominator vanishes mod {p}")
-        upper.append(ring.poly({e: field(c) for e, c in terms.items()}))
+                             f"denominator vanishes mod {p}") from None
     return qform.qform_from_upper(q.a, q.d, upper)
 
 

@@ -864,6 +864,24 @@ def lowered_values(polys, point, domain) -> tuple:
     return [s.numerator * (common // d) for s, d in zip(sums, dens)], common
 
 
+def reduce_mod(f: HomogPoly, ring: PolyRing) -> HomogPoly:
+    """A polynomial over Q reduced into ``ring`` over F_p, each coefficient
+    n / d straight to the least residue of n * d^-1.  ZeroDivisionError
+    when some d vanishes mod p."""
+    p = ring.modulus
+    terms = {}
+    for key, c in f.terms.items():
+        if type(c) is not int:
+            den = c.denominator % p
+            if not den:
+                raise ZeroDivisionError(f"denominator {c.denominator} vanishes mod {p}")
+            c = c.numerator * pow(den, -1, p)
+        c %= p
+        if c:
+            terms[key] = c
+    return HomogPoly._make(ring, terms, f.degree)
+
+
 class PolyMatrix:
     """Rectangular grid of polynomials from one ring."""
 

@@ -199,10 +199,8 @@ def is_nowhere_zero(q: QForm) -> NowhereZeroResult:
     if not isinstance(dom, PrimeField):
         raise TypeError("exhaustive scan needs a prime-field form; "
                         "use sample_nowhere_zero over the rationals")
-    p = dom.p
     for points, columns in plane_values(dom, q.matrix.upper()):
-        reduced = [[x % p for x in column] for column in columns]
-        for i, values in enumerate(zip(*reduced)):
+        for i, values in enumerate(zip(*columns)):
             if not any(values):
                 point = next(islice(points, i, None))
                 return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
@@ -278,8 +276,9 @@ def check_scan_size(p: int) -> int:
 
 
 #: Bits per slot of a packed line: one value of one polynomial at one
-#: point.  A slot stays below p^3 < 2^30 for every p the scan accepts.
-SLOT_BITS = 32
+#: point.  A value stays below p^3 < 2^30, and its product with the
+#: multiplier of ``PackedLines`` below 2^61, for every p the scan accepts.
+SLOT_BITS = 64
 
 #: Bits per slot of a packed line product in the census: one coefficient,
 #: in the line parameter, of a side of det = disc.  A slot stays below
@@ -299,22 +298,43 @@ def _array_type(bits: int) -> str:
     return typecode
 
 
-class _PowerRows(dict):
-    """B_e = sum_x (x^e mod p) << SLOT_BITS*x for every x in F_p, by e.
+class PackedLines(dict):
+    """Packed values along the lines of P^2(F_p), for a p within the scan
+    limit: B_e = sum_x (x^e mod p) << SLOT_BITS*x for every x in F_p, by e.
 
-    B_e packs one power per slot, so the values of sum c * t^e at all of
-    F_p are the slots of sum c * B_e: one big-int multiply-add per
-    exponent.  With least residues c and distinct e < p a slot sums at
-    most p products of least residues, so it stays below p^3 and never
-    carries into its neighbour.
+    B_e packs one power per slot, so the values at all of F_p of a
+    restriction, sum c * t^e, are the slots of sum c * B_e (``packed``):
+    one big-int multiply-add per exponent.  With least residues c and
+    distinct e < p a slot holds v < p^3, so it never carries into its
+    neighbour.
+
+    Every slot is reduced at once by Barrett's method, with s = 4 *
+    bitlen(p), so that 2^s > p^4, and m = ceil(2^s / p).  Write
+    v = q p + r with 0 <= r < p and e = p m - 2^s < p; then
+    v m = q 2^s + q e + r m, where q e < p^3 < m and, for r > 0,
+    m <= q e + r m <= 2^s - (m - (q + 1) e) < 2^s.  So v m >> s is q
+    (``reduce`` subtracts p q), and p divides v exactly when the low s
+    bits of v m are below m (``zeros``).  The constructor checks
+    p^3 m < 2^SLOT_BITS, so every slot's product stays in its slot and one
+    multiply of the packed line forms them all.
     """
 
     def __init__(self, p: int):
         super().__init__()
-        if p * (p - 1) ** 2 >= 1 << SLOT_BITS:
-            raise InternalInvariantError(f"a packed value mod {p} overflows its slot")
-        self.p = p
-        self.typecode = _array_type(SLOT_BITS)
+        check_scan_size(p)
+        bits = SLOT_BITS
+        shift = 4 * p.bit_length()
+        multiplier = -(-(1 << shift) // p)
+        if p ** 3 * multiplier >= 1 << bits:
+            raise InternalInvariantError(
+                f"a packed value mod {p} times its Barrett multiplier overflows its slot")
+        self.p, self.shift, self.multiplier = p, shift, multiplier
+        self.typecode = _array_type(bits)
+        ones = ((1 << bits * p) - 1) // ((1 << bits) - 1)
+        self.quotients = ((1 << bits - shift) - 1) * ones
+        self.low_bits = ((1 << shift) - 1) * ones
+        self.below_m = ((1 << shift) - multiplier) * ones
+        self.marks = ones << shift
 
     def __missing__(self, e):
         p = self.p
@@ -322,69 +342,108 @@ class _PowerRows(dict):
         self[e] = packed = int.from_bytes(row.tobytes(), sys.byteorder)
         return packed
 
-    def along(self, terms, size):
-        """The values at t = 0, ..., size - 1 of sum c * t^e over (e, c)
-        pairs, as a memoryview of ints congruent to them mod p."""
+    def packed(self, coefficients) -> int:
+        """sum c * B_e over the coefficients c of t^e of a restriction,
+        least residues indexed by e < p: slot t holds an int below p^3
+        congruent to the value at t."""
         total = 0
-        for e, c in terms:
-            total += c * self[e]
+        for e, c in enumerate(coefficients):
+            if c:
+                total += c * self[e]
+        return total
+
+    def reduce(self, packed: int) -> int:
+        """A packed line with every slot, below p^3, reduced mod p."""
+        return packed - self.p * (packed * self.multiplier >> self.shift & self.quotients)
+
+    def residues(self, coefficients, size: int):
+        """The values of a restriction at t = 0, ..., size - 1, as least
+        residues in a memoryview of ints."""
+        reduced = self.reduce(self.packed(coefficients))
         width = SLOT_BITS // 8 * self.p
-        return memoryview(total.to_bytes(width, sys.byteorder)).cast(self.typecode)[:size]
+        return memoryview(reduced.to_bytes(width, sys.byteorder)).cast(self.typecode)[:size]
+
+    def zeros(self, packed: int, size: int) -> int:
+        """The slots t < size of a packed line, each below p^3, that p
+        divides: bit SLOT_BITS*t + s is set for each.  ``bit_count()``
+        counts them."""
+        nonzero = ((packed * self.multiplier & self.low_bits) + self.below_m) & self.marks
+        zeros = self.marks ^ nonzero
+        return zeros if size == self.p else zeros & (1 << SLOT_BITS * size) - 1
 
 
-def plane_lines(field: PrimeField, polys):
+def _zero_indices(zeros: int):
+    """The slot indices of the marks of a ``PackedLines.zeros`` mask."""
+    while zeros:
+        low = zeros & -zeros
+        yield (low.bit_length() - 1) // SLOT_BITS
+        zeros ^= low
+
+
+def plane_lines(rows: PackedLines, polys):
     """Every polynomial's restriction to each line of P^2(F_p), in the
     order of plane_points.
 
-    Returns an iterator of ``(points, size, restrictions)``: the line's
-    points, as triples of least residues built only when read; their
-    number; and, per polynomial, its restriction to the line as a sequence
-    of (e, c) pairs with distinct e: the coefficients c (least residues,
-    some possibly 0) of t^e in the line parameter t, which is the point's
-    index on the line.  The lines are (a, t, 1) for each a, then
-    (t, 1, 0), then the point (1, 0, 0), where only t = 0 is read.
-    Refuses p past the scan limit at once.
+    Returns ``(degrees, lines)``.  ``degrees`` holds, per polynomial, its
+    largest exponent of the first variable after Fermat reduction: on the
+    line (a, t, 1) each coefficient in t is a polynomial in a of at most
+    that degree.  ``lines`` is an iterator of ``(points, size,
+    restrictions)``: the line's points, as triples of least residues built
+    only when read; their number; and, per polynomial, its restriction to
+    the line as a memoryview of PRODUCT_SLOT_BITS-bit ints whose item e is
+    the coefficient (a least residue, possibly 0) of t^e in the line
+    parameter t, which is the point's index on the line.  ``int.from_bytes``
+    of a restriction packs it with PRODUCT_SLOT_BITS bits per coefficient.
+    The lines are (a, t, 1) for each a, then (t, 1, 0), then the point
+    (1, 0, 0), where only t = 0 is read.
 
     Exponents are reduced by Fermat (``fermat_exponent``), so every e is
     below p: the restriction is the one polynomial of degree < p that
     takes the polynomial's values on the line, and neither time nor memory
     grows with the degree.  On the line (a, t, 1) a polynomial is
     sum_j g_j(a) t^j, and each g_j is evaluated at every a in F_p at once,
-    as a packed line of its own.
+    as a packed line of its own (``PackedLines.residues``).  The values are
+    interleaved into one array per polynomial whose row a is g_0(a),
+    g_1(a), ..., so each chart line's restriction is one slice of it.
     """
-    p = field.p
-    check_scan_size(p)
-    rows = _PowerRows(p)
+    p = rows.p
+    typecode = _array_type(PRODUCT_SLOT_BITS)
 
-    def reduced(coefficients):
-        return [(e, c % p) for e, c in coefficients.items() if c % p]
+    def dense(coefficients):
+        out = [0] * (max(coefficients, default=-1) + 1)
+        for e, c in coefficients.items():
+            out[e] = c % p
+        return out
 
-    charts, lines, corners = [], [], []
+    degrees, charts, lines, corners = [], [], [], []
     for f in polys:
-        chart, line, corner = {}, {}, 0
+        chart, line, corner, degree = {}, {}, 0, 0
         for (i, j, k), c in f.iter_terms():
             i, j, c = fermat_exponent(i, p), fermat_exponent(j, p), c.value
+            degree = max(degree, i)
             row = chart.setdefault(j, {})
             row[i] = row.get(i, 0) + c
             if not k:
                 line[i] = line.get(i, 0) + c
                 if not j:
                     corner += c
-        charts.append([(j, list(map(p.__rmod__, rows.along(reduced(row), p))))
-                       for j, row in chart.items()])
-        lines.append(reduced(line))
-        corners.append(reduced({0: corner}))
+        width = max(chart, default=-1) + 1
+        interleaved = array(typecode, bytes(PRODUCT_SLOT_BITS // 8 * p * width))
+        for j, row in chart.items():
+            interleaved[j::width] = array(typecode, rows.residues(dense(row), p))
+        degrees.append(degree)
+        charts.append((memoryview(interleaved), width))
+        lines.append(memoryview(array(typecode, dense(line))))
+        corners.append(memoryview(array(typecode, [corner % p])))
 
     def walk():
-        # Per polynomial, an iterator over a of the pairs (j, g_j(a)).
-        chart_lines = zip(*(zip(*[zip(repeat(j), g) for j, g in chart]) if chart
-                            else repeat((), p) for chart in charts))
-        for a, restrictions in enumerate(chart_lines):
-            yield zip(repeat(a), range(p), repeat(1)), p, restrictions
+        for a in range(p):
+            yield (zip(repeat(a), range(p), repeat(1)), p,
+                   [chart[a * width:(a + 1) * width] for chart, width in charts])
         yield zip(range(p), repeat(1), repeat(0)), p, lines
         yield iter([(1, 0, 0)]), 1, corners
 
-    return walk()
+    return degrees, walk()
 
 
 def plane_values(field: PrimeField, polys):
@@ -392,15 +451,15 @@ def plane_values(field: PrimeField, polys):
 
     Yields ``(points, columns)``: an iterator over the points of one line,
     as triples of least residues built only when read, and, per
-    polynomial, the list of its values there.  A value is congruent to the
-    true one mod p but not reduced.  Each column evaluates the
-    polynomial's restriction from ``plane_lines`` at every point of the
-    line at once: one packed multiply-add per exponent.
+    polynomial, the list of its values there as least residues.  Each
+    column evaluates the polynomial's restriction from ``plane_lines`` at
+    every point of the line at once: one packed multiply-add per exponent
+    and one packed reduction.
     """
-    lines = plane_lines(field, polys)
-    rows = _PowerRows(field.p)
+    rows = PackedLines(field.p)
+    _, lines = plane_lines(rows, polys)
     for points, size, restrictions in lines:
-        yield points, [rows.along(terms, size).tolist() for terms in restrictions]
+        yield points, [rows.residues(r, size).tolist() for r in restrictions]
 
 
 @dataclass(frozen=True)
@@ -431,44 +490,53 @@ def _disagreement(p, points, values_at) -> InternalInvariantError:
 def fiber_census(q: QForm) -> FiberCensus:
     """Exhaustive fiber-type census over P^2(F_p), one line at a time.
 
-    On each line of ``plane_lines`` the six entry restrictions are packed
-    into ints, PRODUCT_SLOT_BITS bits per coefficient, and their
-    determinant is formed as a polynomial in the line parameter t: the
-    sides a*b*c + 2*d*e*f and a*f^2 + d^2*c + e^2*b are big-int products,
-    folded mod t^p - t (t^e -> t^(e - p + 1) for e >= p) without leaving
-    the packed form.  Their difference must equal the discriminant's
-    restriction mod p, slot by slot, or ``InternalInvariantError`` names
-    the first point of the line where the two values differ.  That is the
-    same check as comparing the values at every point of the line: each
-    function F_p -> F_p is exactly one polynomial of degree < p, and
-    folding by Fermat computes it.
+    The identity det = disc is checked as an identity of polynomials in
+    the line parameter t.  On a checked line of ``plane_lines`` the six
+    entry restrictions are packed into ints, PRODUCT_SLOT_BITS bits per
+    coefficient, and the sides a*b*c + 2*d*e*f and a*f^2 + d^2*c + e^2*b
+    are big-int products, folded mod t^p - t (t^e -> t^(e - p + 1) for
+    e >= p) without leaving the packed form.  Their difference must equal
+    the discriminant's restriction mod p, slot by slot, or
+    ``InternalInvariantError`` names the first point of the line where the
+    two values differ.  That is the same check as comparing the values at
+    every point of the line: each function F_p -> F_p is exactly one
+    polynomial of degree < p, and folding by Fermat computes it.
 
-    Then only the discriminant is evaluated along the line.  The fiber is
-    a smooth conic wherever it is nonzero; at its zeros the six entries
-    are evaluated, one multiply each, and ``linalg.symmetric_rank`` gives
-    the rank.
+    Only the lines (a, t, 1) with a <= B are checked, besides (t, 1, 0)
+    and (1, 0, 0), where B = max(3 * D(entry), D(disc)) over the
+    ``degrees`` of ``plane_lines``.  On the line (a, t, 1) each
+    coefficient in t of the folded det - disc is a polynomial h(a) of
+    degree <= B, since a side's coefficients are sums of products of
+    three entry coefficients.  If the lines a = 0, ..., B all pass, h has
+    B + 1 roots and is zero, so every chart line passes; for B >= p - 1
+    every chart line is checked.  If some chart line fails, some h is
+    nonzero and so nonzero at an a <= B: the first failing line in the
+    order of plane_points is checked, and the raised message is the one a
+    check at every point gives.
+
+    Then only the discriminant is evaluated along each line, and
+    ``PackedLines.zeros`` marks its zeros.  The fiber is a smooth conic
+    wherever it is nonzero; at its zeros the six entries are evaluated,
+    one multiply each, and ``linalg.symmetric_rank`` gives the rank.  On a
+    line where the discriminant vanishes at every point, the six entries
+    are evaluated along the whole line instead, one packed line each.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
         raise TypeError("census needs a prime-field form")
     p = dom.p
-    lines = plane_lines(dom, q.matrix.upper() + (discriminant(q),))
+    rows = PackedLines(p)
+    degrees, lines = plane_lines(rows, q.matrix.upper() + (discriminant(q),))
+    bound = max(3 * max(degrees[:6]), degrees[6])
     # A side's slot sums at most its coefficients: below (p (p - 1))^3 for
     # each of its three products, plus p (p - 1) for the discriminant.
     bits = PRODUCT_SLOT_BITS
     if 3 * (p * (p - 1)) ** 3 + p * (p - 1) >= 1 << bits:
         raise InternalInvariantError(f"a packed line product mod {p} overflows its slot")
     typecode = _array_type(bits)
-    rows = _PowerRows(p)
     top = bits * p
     low = (1 << top) - 1
     slot = (1 << bits) - 1
-
-    def pack(terms):
-        x = 0
-        for e, c in terms:
-            x += c << bits * e
-        return x
 
     def fold(x):
         while x >> top:
@@ -490,22 +558,27 @@ def fiber_census(q: QForm) -> FiberCensus:
         return [x * powers >> shift & slot for x in packed]
 
     by_rank = [0, 0, 0, 0]
-    for points, size, (*entries, disc) in lines:
-        packed = [pack(terms) for terms in entries]
-        a, d, e, b, f, c = packed
-        lhs = fold(a * b * c + 2 * d * e * f)
-        rhs = fold(a * f * f + d * d * c + e * e * b + pack(disc))
-        n = (max(lhs.bit_length(), rhs.bit_length()) + bits - 1) // bits
-        if any((x - y) % p for x, y in zip(slots(lhs, n), slots(rhs, n))):
-            packed.append(pack(disc))
-            raise _disagreement(p, points, lambda t: values_at(packed, t))
-        values = [x % p for x in rows.along(disc, size)]
-        zeros = values.count(0)
-        by_rank[3] += size - zeros
-        t = -1
-        for _ in range(zeros):
-            t = values.index(0, t + 1)
-            by_rank[linalg.symmetric_rank(values_at(packed, t), p)] += 1
+    for line, (points, size, (*entries, disc)) in enumerate(lines):
+        zeros = rows.zeros(rows.packed(disc), size)
+        count = zeros.bit_count()
+        checked = line <= bound or line >= p
+        if checked or 0 < count < size:
+            packed = [int.from_bytes(r, sys.byteorder) for r in entries]
+        if checked:
+            a, d, e, b, f, c = packed
+            g = int.from_bytes(disc, sys.byteorder)
+            lhs = fold(a * b * c + 2 * d * e * f)
+            rhs = fold(a * f * f + d * d * c + e * e * b + g)
+            n = (max(lhs.bit_length(), rhs.bit_length()) + bits - 1) // bits
+            if any((x - y) % p for x, y in zip(slots(lhs, n), slots(rhs, n))):
+                raise _disagreement(p, points, lambda t: values_at(packed + [g], t))
+        by_rank[3] += size - count
+        if count == size:
+            for values in zip(*[rows.residues(r, size) for r in entries]):
+                by_rank[linalg.symmetric_rank(values, p)] += 1
+        elif count:
+            for t in _zero_indices(zeros):
+                by_rank[linalg.symmetric_rank(values_at(packed, t), p)] += 1
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
                        sum(by_rank[:3]))
 

@@ -12,7 +12,10 @@ identity check replaced: the determinant of the six entry values from
 ``plane_values`` against the discriminant's value at every point.
 """
 
+import random
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +211,109 @@ def test_wrong_discriminant_off_the_chart_raises(monkeypatch, planted, point):
     assert message == _planted_message(point_census, q)
 
 
+def _zero_on_chart_lines(u, w, count):
+    """prod_{a < count} (u - a w): zero on the chart lines (a, t, 1), a < count."""
+    product = u
+    for a in range(1, count):
+        product = product * (u - w * a)
+    return product
+
+
+@pytest.mark.parametrize("p, diagonal, planted, point", [
+    # B = max(3 * 1, 5) = 5 < p - 1: det - disc vanishes on the chart lines
+    # a < 5, and line 5, the last one the degree bound checks, fails.
+    (13, lambda u, v, w: (u, v, w),
+     lambda u, v, w: u * v * w * w * w + _zero_on_chart_lines(u, w, 5), "(5, 0, 1)"),
+    # The a-degree is 4 = p - 1, so every chart line is checked; only the
+    # last one fails.
+    (5, lambda u, v, w: (u, v, w),
+     lambda u, v, w: u * v * w * w + _zero_on_chart_lines(u, w, 4), "(4, 0, 1)"),
+    # B = 3 * 2 comes from the entries: det = prod_{a < 6} (u - a w) is zero
+    # on the chart lines a < 6, and the planted discriminant is zero.
+    (11, lambda u, v, w: (u * (u - w), (u - w * 2) * (u - w * 3), (u - w * 4) * (u - w * 5)),
+     lambda u, v, w: u - u, "(6, 0, 1)"),
+])
+def test_wrong_discriminant_on_the_last_checked_line_raises(monkeypatch, p, diagonal,
+                                                            planted, point):
+    ring = PolyRing(PrimeField(p))
+    u, v, w = uvw(ring)
+    q11, q22, q33 = diagonal(u, v, w)
+    z = ring.zero
+    q = new_qform((0, 0, 0), q11.degree, [[q11, z, z], [z, q22, z], [z, z, q33]])
+    monkeypatch.setattr(qform, "discriminant", lambda q: planted(u, v, w))
+    message = _planted_message(qform.fiber_census, q)
+    assert message.endswith(f"disagree at {point}")
+    assert message == _planted_message(point_census, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_planted_discriminants_fail_where_the_point_census_does(data):
+    # disc * w^k + c * v^l * prod_{a < n} (u - a w): a fault on w = 0 for
+    # k > 0, and on the chart lines a >= n only, up to a-degree p - 1.
+    q = data.draw(forms("generic", primes=(3, 5, 7, 11, 13)))
+    p = q.domain.p
+    u, v, w = uvw(q.ring)
+    disc = discriminant(q)
+    k = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(1, p))
+    degree = max(n, (disc.degree or 0) + k)
+    fault = (_zero_on_chart_lines(u, w, n) * q.ring.monomial(1, (0, degree - n, 0))
+             * data.draw(st.integers(0, p - 1)))
+    planted = disc * q.ring.monomial(1, (0, 0, degree - (disc.degree or 0))) + fault
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qform, "discriminant", lambda q: planted)
+        try:
+            expected = point_census(q)
+        except InternalInvariantError as raised:
+            assert _planted_message(qform.fiber_census, q) == str(raised)
+        else:
+            assert qform.fiber_census(q) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 101, 997)), seed=st.integers(0, 2 ** 32),
+       share=st.sampled_from((0.0, 0.3, 1.0)), size=st.integers(1, 997))
+def test_packed_zero_marks_match_remainders(p, seed, share, size):
+    # Slots below p^3, a share of them forced to multiples of p, and the
+    # extremes p^3 - 1 and p^3 - p.
+    rng = random.Random(seed)
+    slots = [p * rng.randrange(p * p) if rng.random() < share else rng.randrange(p ** 3)
+             for _ in range(p)]
+    slots[rng.randrange(p)] = p ** 3 - 1
+    slots[rng.randrange(p)] = p ** 3 - p
+    size = min(size, p)
+    rows = qform.PackedLines(p)
+    packed = int.from_bytes(array(rows.typecode, slots).tobytes(), sys.byteorder)
+    zeros = rows.zeros(packed, size)
+    assert zeros.bit_count() == [x % p for x in slots[:size]].count(0)
+    assert list(qform._zero_indices(zeros)) == [t for t, x in enumerate(slots[:size])
+                                                if not x % p]
+    assert rows.reduce(packed) == int.from_bytes(
+        array(rows.typecode, [x % p for x in slots]).tobytes(), sys.byteorder)
+
+
+def test_discriminant_zero_on_every_point_reads_whole_lines(monkeypatch):
+    # l l^T + 3 m m^T has rank <= 2 everywhere, so its discriminant vanishes
+    # at every point: the census reads the entries along each whole line
+    # and never visits the zeros one at a time.
+    ring = PolyRing(PrimeField(101))
+    rng = random.Random(7)
+    l, m = ([ring.poly({e: rng.randrange(101) for e in monomials_of_degree(3, 1)})
+             for _ in range(3)] for _ in range(2))
+    q = new_qform((0, 0, 0), 2, [[l[i] * l[j] + m[i] * m[j] * 3 for j in range(3)]
+                                 for i in range(3)])
+    assert discriminant(q).is_zero
+    expected = point_census(q)
+
+    def one_zero_at_a_time(zeros):
+        raise AssertionError("the census visited the zeros one at a time")
+
+    monkeypatch.setattr(qform, "_zero_indices", one_zero_at_a_time)
+    assert qform.fiber_census(q) == expected
+    assert expected.discriminant_zeros == 101 * 101 + 101 + 1
+
+
 def test_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "SLOT_BITS", 16)  # 101 * 100^2 > 2^16
     with pytest.raises(InternalInvariantError, match="overflows its slot"):
@@ -217,6 +323,14 @@ def test_slot_overflow_is_refused(monkeypatch):
 def test_line_product_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "PRODUCT_SLOT_BITS", 32)  # 3 * (101 * 100)^3 > 2^32
     with pytest.raises(InternalInvariantError, match="overflows its slot"):
+        census(diag_form(PolyRing(PrimeField(101))))
+
+
+def test_barrett_slot_overflow_is_refused(monkeypatch):
+    # 101^3 < 2^40, but 101^3 * ceil(2^28 / 101) > 2^40.
+    monkeypatch.setattr(qform, "SLOT_BITS", 40)
+    with pytest.raises(InternalInvariantError,
+                       match="Barrett multiplier overflows its slot"):
         census(diag_form(PolyRing(PrimeField(101))))
 
 

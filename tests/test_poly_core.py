@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, divide_exact, poly_sqrt
 from cliffbundle.brauer_severi import bipoly_from_alpha_map, divide_exact_bipoly
 from cliffbundle.errors import ExponentLimitError, NotDivisibleError
-from cliffbundle.poly import EXP_LIMIT, BiPoly, lowered_values, monomials_of_degree
+from cliffbundle.poly import (EXP_LIMIT, BiPoly, lowered_values, monomials_of_degree,
+                             reduce_mod)
 from conftest import term_bidegrees
 
 DOMAINS = (PrimeField(5), PrimeField(101), QQ)
@@ -265,6 +266,23 @@ def test_lowered_values_match_the_domain_walk(data):
         assert den == 1 and all(0 <= x < ring.domain.p for x in ints)
     assert ([ring.domain.from_pair(x, den) for x in ints]
             == [reference_evaluate(f, point, 3) for f in polys])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_reduce_mod_matches_the_domain_walk(data):
+    """Reducing a rational polynomial mod p is coercing each coefficient
+    into F_p, or, when a denominator vanishes mod p, ZeroDivisionError."""
+    field = data.draw(st.sampled_from(tuple(map(PrimeField, (3, 5, 7, 101)))))
+    ring = PolyRing(field)
+    f = data.draw(st.integers(0, 4).flatmap(lambda d: homog(PolyRing(QQ), d)))
+    if any(c.denominator % field.p == 0 for _, c in f.iter_terms()):
+        with pytest.raises(ZeroDivisionError):
+            reduce_mod(f, ring)
+        return
+    reduced = reduce_mod(f, ring)
+    assert reduced == ring.poly({e: field(c) for e, c in f.iter_terms()})
+    assert reduced.degree == (f.degree if reduced else None)
 
 
 F5, F101 = PrimeField(5), PrimeField(101)
