@@ -514,6 +514,68 @@ def test_sparse_form_stdout_matches_pinned_hash(case, tmp_path, capsys):
     assert got == SPARSE_GOLDEN[case]
 
 
+
+# ``scan --prime 7`` and ``--prime 101`` of the sparse documents and of a
+# form l l^T + 3 m m^T over Q, whose discriminant is 0, so every fiber is
+# degenerate.  Unlike the dense catalog documents these have DoubleLine and
+# WholePlane fibers.  The F_101 documents refuse --prime 7 (exit 1); that
+# report is pinned too.  Each pin is (exit code, sha256 of stdout).
+RANK_TWO_DOCUMENT = {"form": {"a": [0, 0, 0], "d": 2, "entries": [
+    "13*u^2 - 8*u*v - 2*u*w + 7*v^2 - 4*v*w + w^2",
+    "6*u^2 + 31*u*w + 6*v^2 - 16*v*w - w^2",
+    "u^2 + 14*u*v + 13*u*w - 6*v^2 - 17*v*w + 4*w^2",
+    "3*u^2 + 30*u*w + 9*v^2 + 6*v*w + 76*w^2",
+    "9*u*v + 10*u*w + 18*v*w + 41*w^2",
+    "u^2 - 8*u*w + 12*v^2 + 36*v*w + 43*w^2"]},
+    "scalar_domain": "rational"}
+
+DEGENERATE_SCAN_GOLDEN = {
+    'diag Q': {
+        '7': (0,
+                '1aa90a383814147da4a6d0f49104d5178c2b1936df87e535f0f56adec7095122'),
+        '101': (0,
+                '7e43709912c9c0cc3e7e00297b992c558fdaf1a6cc3ec3bf0fbdb7dede5ee243'),
+    },
+    'diag F101': {
+        '7': (1,
+                '31559c048126117cd705ec286b0f8c30697b73ef9d05174a030c1c2d56a0491a'),
+        '101': (0,
+                '7e43709912c9c0cc3e7e00297b992c558fdaf1a6cc3ec3bf0fbdb7dede5ee243'),
+    },
+    'F24 Q': {
+        '7': (0,
+                'cb2de54fb27a24e408707d98b4a052b91a6f1eb6abcb87424df127f155c1ba16'),
+        '101': (0,
+                '3b4331289f85ae6bf8cfc9b4015970d810a5e9a596d509e2f8a33e907647b610'),
+    },
+    'F25minus F101': {
+        '7': (1,
+                '31559c048126117cd705ec286b0f8c30697b73ef9d05174a030c1c2d56a0491a'),
+        '101': (0,
+                'a15b59d2ca9fdcfe5a1201f47b07087e4a4ed2a0932b84bc53172bd9e1599f80'),
+    },
+    'rank2 Q': {
+        '7': (0,
+                '8ff0886cfb54dfc798afd49374dbad05a65cf8fdf4b81ade6be0c2c6f031697b'),
+        '101': (0,
+                'cf6a6982c0f9ce8435f1df1fdfbd34e530ee62b0ed54f237117f2917c4a0d65d'),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_SCAN_GOLDEN))
+def test_degenerate_scan_stdout_matches_pinned_hash(case, tmp_path, capsys):
+    document = (RANK_TWO_DOCUMENT if case == "rank2 Q"
+                else _sparse_document(capsys, case))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    got = {}
+    for prime in DEGENERATE_SCAN_GOLDEN[case]:
+        code = cli.main(["scan", str(path), "--prime", prime])
+        text = capsys.readouterr().out
+        got[prime] = (code, hashlib.sha256(text.encode()).hexdigest())
+    assert got == DEGENERATE_SCAN_GOLDEN[case]
+
 # Hand-written documents over Q whose entries have fractional and negative
 # leading coefficients, so that every printed sign and denominator of the
 # sums of products is pinned: patterns F23 (a = (0, 0, 0), d = 1) and F24
