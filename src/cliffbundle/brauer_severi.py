@@ -275,6 +275,5 @@ def conic_point_count(q: QForm, base: FiberPoint) -> int:
     values, _ = lowered_values(q.matrix.upper(), base.coords, q.domain)
     conic = q.ring.poly(_conic_terms(symmetric_grid(values)))
     rows = PackedLines(q.domain.p)
-    _, lines = plane_lines(rows, [conic])
-    return sum(rows.zeros(rows.packed(conic_line), size).bit_count()
-               for _, size, (conic_line,) in lines)
+    _, (columns,) = plane_lines(rows, [conic])
+    return sum(map(int.bit_count, rows.line_zeros(columns)))

@@ -8,6 +8,8 @@ Determinants and minors of polynomial matrices live in ``poly``.
 
 from __future__ import annotations
 
+from operator import pos
+
 
 def rref(m, domain):
     """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
@@ -50,10 +52,7 @@ def symmetric_rank(upper, p: int) -> int:
     upper triangle, row by row, is the six ints ``upper``: the largest
     order of a nonzero principal minor, as for every symmetric matrix."""
     a, d, e, b, f, c = upper
-
-    def nonzero(x):
-        return x % p if p else x
-
+    nonzero = p.__rmod__ if p else pos  # x % p, a C-level call per minor
     if nonzero(a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)):
         return 3
     if nonzero(a * b - d * d) or nonzero(a * c - e * e) or nonzero(b * c - f * f):

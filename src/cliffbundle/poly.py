@@ -80,8 +80,8 @@ def pack(exps, nfields: int) -> int:
 
 
 def unpack(key: int, nfields: int) -> tuple:
-    return tuple(key >> s & _FIELD
-                 for s in range(EXP_BITS * (nfields - 1), -1, -EXP_BITS))
+    return tuple([key >> s & _FIELD
+                  for s in range(EXP_BITS * (nfields - 1), -1, -EXP_BITS)])
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +222,13 @@ class SparsePoly:
         n, dom = self._fields, self.ring.domain
         for key, c in self.terms.items():
             yield unpack(key, n), dom(c)
+
+    def int_terms(self):
+        """(exponent tuple, coefficient) for every term, unboxed: a least
+        residue over F_p; an int or a Fraction over Q."""
+        n = self._fields
+        for key, c in self.terms.items():
+            yield unpack(key, n), c
 
     def _combine(self, other, sign):
         if type(other) is not type(self):

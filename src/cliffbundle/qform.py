@@ -15,7 +15,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, repeat
+from operator import add, and_, mul
 
 from . import linalg
 from .errors import (
@@ -193,18 +194,17 @@ def is_nowhere_zero(q: QForm) -> NowhereZeroResult:
 
     Only available over a prime field; vanishing of the whole matrix at a
     point is exactly rank 0 there (a non-flat point of the conic bundle).
-    The witness is the first such point in the order of plane_points.
+    Such a point is a zero of the discriminant, so ``fiber_census`` meets
+    it; the witness is the first in the order of plane_points.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
         raise TypeError("exhaustive scan needs a prime-field form; "
                         "use sample_nowhere_zero over the rationals")
-    for points, columns in plane_values(dom, q.matrix.upper()):
-        for i, values in enumerate(zip(*columns)):
-            if not any(values):
-                point = next(islice(points, i, None))
-                return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
-    return NowhereZeroResult(True, None)
+    point = fiber_census(q).first_whole_plane
+    if point is None:
+        return NowhereZeroResult(True, None)
+    return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
 
 
 def sample_nowhere_zero(q: QForm, samples: int = 500, seed: int = 0) -> NowhereZeroResult:
@@ -298,6 +298,18 @@ def _array_type(bits: int) -> str:
     return typecode
 
 
+def line_size(p: int, line: int) -> int:
+    """The number of points of a line of ``plane_lines``."""
+    return p if line <= p else 1
+
+
+def line_point(p: int, line: int, t: int) -> tuple:
+    """Point t of a line of ``plane_lines``, as a triple of least residues."""
+    if line < p:
+        return line, t, 1
+    return (t, 1, 0) if line == p else (1, 0, 0)
+
+
 class PackedLines(dict):
     """Packed values along the lines of P^2(F_p), for a p within the scan
     limit: B_e = sum_x (x^e mod p) << SLOT_BITS*x for every x in F_p, by e.
@@ -316,7 +328,9 @@ class PackedLines(dict):
     (``reduce`` subtracts p q), and p divides v exactly when the low s
     bits of v m are below m (``zeros``).  The constructor checks
     p^3 m < 2^SLOT_BITS, so every slot's product stays in its slot and one
-    multiply of the packed line forms them all.
+    multiply of the packed line forms them all.  ``line_zeros`` keeps the
+    rows B_e m, whose sum over a restriction is its packed
+    line times m.
     """
 
     def __init__(self, p: int):
@@ -335,10 +349,11 @@ class PackedLines(dict):
         self.low_bits = ((1 << shift) - 1) * ones
         self.below_m = ((1 << shift) - multiplier) * ones
         self.marks = ones << shift
+        self._scaled = []
 
     def __missing__(self, e):
         p = self.p
-        row = array(self.typecode, [pow(x, e, p) for x in range(p)])
+        row = array(self.typecode, map(pow, range(p), repeat(e), repeat(p)))
         self[e] = packed = int.from_bytes(row.tobytes(), sys.byteorder)
         return packed
 
@@ -367,9 +382,26 @@ class PackedLines(dict):
         """The slots t < size of a packed line, each below p^3, that p
         divides: bit SLOT_BITS*t + s is set for each.  ``bit_count()``
         counts them."""
-        nonzero = ((packed * self.multiplier & self.low_bits) + self.below_m) & self.marks
-        zeros = self.marks ^ nonzero
+        zeros = self._marks(packed * self.multiplier)
         return zeros if size == self.p else zeros & (1 << SLOT_BITS * size) - 1
+
+    def _marks(self, scaled: int) -> int:
+        # The zero marks of every slot of a packed line times m.
+        return self.marks ^ ((scaled & self.low_bits) + self.below_m) & self.marks
+
+    def line_zeros(self, columns):
+        """The ``zeros`` mask of one polynomial on each line of
+        ``plane_lines`` in turn, from its columns there: a line's
+        coefficients g times the rows B_e m, one ``sum(map(mul, g, ...))``,
+        is its packed line times m, which ``zeros`` would form with one more
+        multiply.  The masks come lazily, one line's at a time."""
+        scaled = self._scaled
+        while len(scaled) < len(columns):
+            scaled.append(self[len(scaled)] * self.multiplier)
+        masks = map(self._marks, map(sum, map(map, repeat(mul), zip(*columns),
+                                              repeat(scaled))))
+        # The point (1, 0, 0) reads t = 0 only; x & -1 is x.
+        return map(and_, masks, chain(repeat(-1, self.p + 1), [(1 << SLOT_BITS) - 1]))
 
 
 def _zero_indices(zeros: int):
@@ -381,45 +413,37 @@ def _zero_indices(zeros: int):
 
 
 def plane_lines(rows: PackedLines, polys):
-    """Every polynomial's restriction to each line of P^2(F_p), in the
-    order of plane_points.
+    """Every polynomial's restriction to each line of P^2(F_p), as columns.
 
-    Returns ``(degrees, lines)``.  ``degrees`` holds, per polynomial, its
-    largest exponent of the first variable after Fermat reduction: on the
-    line (a, t, 1) each coefficient in t is a polynomial in a of at most
-    that degree.  ``lines`` is an iterator of ``(points, size,
-    restrictions)``: the line's points, as triples of least residues built
-    only when read; their number; and, per polynomial, its restriction to
-    the line as a memoryview of PRODUCT_SLOT_BITS-bit ints whose item e is
-    the coefficient (a least residue, possibly 0) of t^e in the line
-    parameter t, which is the point's index on the line.  ``int.from_bytes``
-    of a restriction packs it with PRODUCT_SLOT_BITS bits per coefficient.
-    The lines are (a, t, 1) for each a, then (t, 1, 0), then the point
-    (1, 0, 0), where only t = 0 is read.
+    The lines are numbered in the order of plane_points: line a < p is the
+    chart line (a, t, 1), line p is (t, 1, 0), and line p + 1 is the point
+    (1, 0, 0), read at t = 0 only (``line_point``, ``line_size``).  The line
+    parameter t is the point's index on its line.
+
+    Returns ``(degrees, columns)``.  ``columns`` holds, per polynomial, one
+    column per power t^j, at least one: a memoryview of p + 2 ints whose
+    item l is the coefficient of t^j in the restriction to line l, a least
+    residue.  On the line (a, t, 1) a polynomial is sum_j g_j(a) t^j, and
+    column j over the chart lines is g_j evaluated at every a in F_p at
+    once, as a packed line of its own (``PackedLines.reduce``).
+    ``degrees`` holds, per polynomial, its largest exponent of the first
+    variable after Fermat reduction: the degree in a of every g_j.
 
     Exponents are reduced by Fermat (``fermat_exponent``), so every e is
     below p: the restriction is the one polynomial of degree < p that
     takes the polynomial's values on the line, and neither time nor memory
-    grows with the degree.  On the line (a, t, 1) a polynomial is
-    sum_j g_j(a) t^j, and each g_j is evaluated at every a in F_p at once,
-    as a packed line of its own (``PackedLines.residues``).  The values are
-    interleaved into one array per polynomial whose row a is g_0(a),
-    g_1(a), ..., so each chart line's restriction is one slice of it.
+    grows with the degree.
     """
     p = rows.p
-    typecode = _array_type(PRODUCT_SLOT_BITS)
-
-    def dense(coefficients):
-        out = [0] * (max(coefficients, default=-1) + 1)
-        for e, c in coefficients.items():
-            out[e] = c % p
-        return out
-
-    degrees, charts, lines, corners = [], [], [], []
+    width = SLOT_BITS // 8 * (p + 2)
+    degrees, columns = [], []
     for f in polys:
         chart, line, corner, degree = {}, {}, 0, 0
-        for (i, j, k), c in f.iter_terms():
-            i, j, c = fermat_exponent(i, p), fermat_exponent(j, p), c.value
+        for (i, j, k), c in f.int_terms():
+            if i >= p:
+                i = fermat_exponent(i, p)
+            if j >= p:
+                j = fermat_exponent(j, p)
             degree = max(degree, i)
             row = chart.setdefault(j, {})
             row[i] = row.get(i, 0) + c
@@ -427,80 +451,98 @@ def plane_lines(rows: PackedLines, polys):
                 line[i] = line.get(i, 0) + c
                 if not j:
                     corner += c
-        width = max(chart, default=-1) + 1
-        interleaved = array(typecode, bytes(PRODUCT_SLOT_BITS // 8 * p * width))
-        for j, row in chart.items():
-            interleaved[j::width] = array(typecode, rows.residues(dense(row), p))
+        polynomial = []
+        for j in range(max(max(chart, default=0), max(line, default=0)) + 1):
+            row = chart.get(j, {})
+            coefficients = [0] * (max(row, default=0) + 1)
+            for i, c in row.items():
+                coefficients[i] = c % p
+            column = (rows.reduce(rows.packed(coefficients))
+                      | line.get(j, 0) % p << SLOT_BITS * p
+                      | (0 if j else corner % p) << SLOT_BITS * (p + 1))
+            polynomial.append(memoryview(column.to_bytes(width, sys.byteorder))
+                              .cast(rows.typecode))
         degrees.append(degree)
-        charts.append((memoryview(interleaved), width))
-        lines.append(memoryview(array(typecode, dense(line))))
-        corners.append(memoryview(array(typecode, [corner % p])))
-
-    def walk():
-        for a in range(p):
-            yield (zip(repeat(a), range(p), repeat(1)), p,
-                   [chart[a * width:(a + 1) * width] for chart, width in charts])
-        yield zip(range(p), repeat(1), repeat(0)), p, lines
-        yield iter([(1, 0, 0)]), 1, corners
-
-    return degrees, walk()
-
-
-def plane_values(field: PrimeField, polys):
-    """Walk P^2(F_p) line by line, in the order of plane_points.
-
-    Yields ``(points, columns)``: an iterator over the points of one line,
-    as triples of least residues built only when read, and, per
-    polynomial, the list of its values there as least residues.  Each
-    column evaluates the polynomial's restriction from ``plane_lines`` at
-    every point of the line at once: one packed multiply-add per exponent
-    and one packed reduction.
-    """
-    rows = PackedLines(field.p)
-    _, lines = plane_lines(rows, polys)
-    for points, size, restrictions in lines:
-        yield points, [rows.residues(r, size).tolist() for r in restrictions]
+        columns.append(polynomial)
+    return degrees, columns
 
 
 @dataclass(frozen=True)
 class FiberCensus:
-    """Fiber types over P^2(F_p) and the zeros of the discriminant."""
+    """Fiber types over P^2(F_p), the zeros of the discriminant, and the
+    first point in the order of plane_points whose fiber is the whole plane
+    (rank 0), as a triple of least residues, or None."""
 
     counts: dict
     discriminant_zeros: int
+    first_whole_plane: tuple | None = None
 
 
-def _disagreement(p, points, values_at) -> InternalInvariantError:
+def _disagreement(p, line, restrictions) -> InternalInvariantError:
     """The error at the first point of a line where the determinant of the
-    entry values differs from the discriminant's value; ``values_at(t)``
-    gives the six entry values and the discriminant's at index t."""
-    for t, point in enumerate(points):
-        a, d, e, b, f, c, disc = values_at(t)
+    entry values differs from the discriminant's value; ``restrictions``
+    are the coefficients in t of the six entries and the discriminant."""
+    for t in range(line_size(p, line)):
+        a, d, e, b, f, c, disc = (sum(x * pow(t, j, p) for j, x in enumerate(r)) % p
+                                  for r in restrictions)
         det = (a * (b * c - f * f) - d * (d * c - e * f)
                + e * (d * f - b * e)) % p
-        if det != disc % p:
+        if det != disc:
             return InternalInvariantError(
-                f"discriminant {disc % p} and determinant {det} of the entry "
-                f"values disagree at {point}")
+                f"discriminant {disc} and determinant {det} of the entry "
+                f"values disagree at {line_point(p, line, t)}")
     return InternalInvariantError(
         "det and disc differ as polynomials of degree < p on a line where "
         "they agree at every point")
 
 
-def fiber_census(q: QForm) -> FiberCensus:
-    """Exhaustive fiber-type census over P^2(F_p), one line at a time.
+def _check_identity(p, bound, polys):
+    """Pass 1 of ``fiber_census``: det = disc on the lines a <= bound,
+    (t, 1, 0) and (1, 0, 0), in that order; ``polys`` are the columns of
+    the six entries and the discriminant."""
+    # A side's slot sums at most its coefficients: below (p (p - 1))^3 for
+    # each of its three products, plus p (p - 1) for the discriminant.
+    bits = PRODUCT_SLOT_BITS
+    if 3 * (p * (p - 1)) ** 3 + p * (p - 1) >= 1 << bits:
+        raise InternalInvariantError(f"a packed line product mod {p} overflows its slot")
+    typecode = _array_type(bits)
+    top = bits * p
+    low = (1 << top) - 1
 
-    The identity det = disc is checked as an identity of polynomials in
-    the line parameter t.  On a checked line of ``plane_lines`` the six
-    entry restrictions are packed into ints, PRODUCT_SLOT_BITS bits per
-    coefficient, and the sides a*b*c + 2*d*e*f and a*f^2 + d^2*c + e^2*b
-    are big-int products, folded mod t^p - t (t^e -> t^(e - p + 1) for
-    e >= p) without leaving the packed form.  Their difference must equal
-    the discriminant's restriction mod p, slot by slot, or
-    ``InternalInvariantError`` names the first point of the line where the
-    two values differ.  That is the same check as comparing the values at
-    every point of the line: each function F_p -> F_p is exactly one
-    polynomial of degree < p, and folding by Fermat computes it.
+    def fold(x):
+        while x >> top:
+            x = (x & low) + (x >> top << bits)
+        return x
+
+    def slots(x, n):
+        return memoryview(x.to_bytes(n * bits // 8, sys.byteorder)).cast(typecode)
+
+    for line in chain(range(min(bound, p - 1) + 1), (p, p + 1)):
+        restrictions = [[column[line] for column in columns] for columns in polys]
+        a, d, e, b, f, c, g = (int.from_bytes(array(typecode, r).tobytes(), sys.byteorder)
+                               for r in restrictions)
+        lhs = fold(a * b * c + 2 * d * e * f)
+        rhs = fold(a * f * f + d * d * c + e * e * b + g)
+        n = (max(lhs.bit_length(), rhs.bit_length()) + bits - 1) // bits
+        if any((x - y) % p for x, y in zip(slots(lhs, n), slots(rhs, n))):
+            raise _disagreement(p, line, restrictions)
+
+
+def fiber_census(q: QForm) -> FiberCensus:
+    """Exhaustive fiber-type census over P^2(F_p), in two passes over the
+    columns of ``plane_lines``.
+
+    Pass 1 checks det = disc as an identity of polynomials in the line
+    parameter t.  On a checked line the six entry restrictions are packed
+    into ints, PRODUCT_SLOT_BITS bits per coefficient, and the sides
+    a*b*c + 2*d*e*f and a*f^2 + d^2*c + e^2*b are big-int products, folded
+    mod t^p - t (t^e -> t^(e - p + 1) for e >= p) without leaving the
+    packed form.  Their difference must equal the discriminant's
+    restriction mod p, slot by slot, or ``InternalInvariantError`` names
+    the first point of the line where the two values differ.  That is the
+    same check as comparing the values at every point of the line: each
+    function F_p -> F_p is exactly one polynomial of degree < p, and
+    folding by Fermat computes it.
 
     Only the lines (a, t, 1) with a <= B are checked, besides (t, 1, 0)
     and (1, 0, 0), where B = max(3 * D(entry), D(disc)) over the
@@ -514,73 +556,72 @@ def fiber_census(q: QForm) -> FiberCensus:
     order of plane_points is checked, and the raised message is the one a
     check at every point gives.
 
-    Then only the discriminant is evaluated along each line, and
-    ``PackedLines.zeros`` marks its zeros.  The fiber is a smooth conic
-    wherever it is nonzero; at its zeros the six entries are evaluated,
-    one multiply each, and ``linalg.symmetric_rank`` gives the rank.  On a
-    line where the discriminant vanishes at every point, the six entries
-    are evaluated along the whole line instead, one packed line each.
+    Pass 2 evaluates only the discriminant along each line
+    (``PackedLines.line_zeros``).  The fiber is a smooth conic wherever it
+    is nonzero.  Its zeros are gathered into a batch in the order of
+    plane_points, and the six entries are evaluated at every zero of the
+    batch at once, by C-level maps over the gathered columns and powers of
+    t; the batch is flushed once it holds p points, so memory stays O(p).
+    On a line where the discriminant vanishes at every point, the six
+    entries are read along the whole line instead, one packed line each.
+    ``linalg.symmetric_rank`` gives each zero's rank.  Since det = disc
+    holds, that rank is below 3: a rank of 3 at a zero is a bug, and
+    ``InternalInvariantError`` names the first such point.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
         raise TypeError("census needs a prime-field form")
     p = dom.p
     rows = PackedLines(p)
-    degrees, lines = plane_lines(rows, q.matrix.upper() + (discriminant(q),))
-    bound = max(3 * max(degrees[:6]), degrees[6])
-    # A side's slot sums at most its coefficients: below (p (p - 1))^3 for
-    # each of its three products, plus p (p - 1) for the discriminant.
-    bits = PRODUCT_SLOT_BITS
-    if 3 * (p * (p - 1)) ** 3 + p * (p - 1) >= 1 << bits:
-        raise InternalInvariantError(f"a packed line product mod {p} overflows its slot")
-    typecode = _array_type(bits)
-    top = bits * p
-    low = (1 << top) - 1
-    slot = (1 << bits) - 1
-
-    def fold(x):
-        while x >> top:
-            x = (x & low) + (x >> top << bits)
-        return x
-
-    def slots(x, n):
-        return memoryview(x.to_bytes(n * bits // 8, sys.byteorder)).cast(typecode)
-
-    def values_at(packed, t):
-        # Slot m of x * sum_e (t^e mod p) << bits*(m - e) is x's value at
-        # t, for m the top slot in use (a coefficient < p never fills one).
-        m = max(packed).bit_length() // bits
-        powers = power = 1
-        for _ in range(m):
-            power = power * t % p
-            powers = powers << bits | power
-        shift = bits * m
-        return [x * powers >> shift & slot for x in packed]
-
+    degrees, polys = plane_lines(rows, q.matrix.upper() + (discriminant(q),))
+    _check_identity(p, max(3 * max(degrees[:6]), degrees[6]), polys)
+    *entries, disc = polys
+    powers = [rows.residues([0] * j + [1], p) for j in range(1, max(map(len, entries)))]
     by_rank = [0, 0, 0, 0]
-    for line, (points, size, (*entries, disc)) in enumerate(lines):
-        zeros = rows.zeros(rows.packed(disc), size)
+    whole_plane = []
+    lines, ts = [], []
+
+    def tally(values, point):
+        ranks = list(map(linalg.symmetric_rank, zip(*values), repeat(p)))
+        if 3 in ranks:
+            raise InternalInvariantError(
+                f"the entry values have rank 3 at {point(ranks.index(3))}, "
+                "a zero of the discriminant")
+        if not whole_plane and 0 in ranks:
+            whole_plane.append(point(ranks.index(0)))
+        for r in range(3):
+            by_rank[r] += ranks.count(r)
+
+    def flush():
+        if not lines:
+            return
+        gathered = [list(map(row.__getitem__, ts)) for row in powers]
+        values = []
+        for columns in entries:
+            total = list(map(columns[0].__getitem__, lines))
+            for column, power in zip(columns[1:], gathered):
+                total = list(map(add, total, map(mul, map(column.__getitem__, lines), power)))
+            values.append(total)  # unreduced: symmetric_rank works mod p
+        tally(values, lambda k: line_point(p, lines[k], ts[k]))
+        lines.clear()
+        ts.clear()
+
+    for line, zeros in enumerate(rows.line_zeros(disc)):
         count = zeros.bit_count()
-        checked = line <= bound or line >= p
-        if checked or 0 < count < size:
-            packed = [int.from_bytes(r, sys.byteorder) for r in entries]
-        if checked:
-            a, d, e, b, f, c = packed
-            g = int.from_bytes(disc, sys.byteorder)
-            lhs = fold(a * b * c + 2 * d * e * f)
-            rhs = fold(a * f * f + d * d * c + e * e * b + g)
-            n = (max(lhs.bit_length(), rhs.bit_length()) + bits - 1) // bits
-            if any((x - y) % p for x, y in zip(slots(lhs, n), slots(rhs, n))):
-                raise _disagreement(p, points, lambda t: values_at(packed + [g], t))
+        size = line_size(p, line)
         by_rank[3] += size - count
         if count == size:
-            for values in zip(*[rows.residues(r, size) for r in entries]):
-                by_rank[linalg.symmetric_rank(values, p)] += 1
+            flush()
+            tally([rows.residues([column[line] for column in columns], count)
+                   for columns in entries], lambda t: line_point(p, line, t))
         elif count:
-            for t in _zero_indices(zeros):
-                by_rank[linalg.symmetric_rank(values_at(packed, t), p)] += 1
+            lines += repeat(line, count)
+            ts += _zero_indices(zeros)
+            if len(lines) >= p:
+                flush()
+    flush()
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
-                       sum(by_rank[:3]))
+                       sum(by_rank[:3]), whole_plane[0] if whole_plane else None)
 
 
 def census(q: QForm) -> dict:

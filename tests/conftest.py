@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from cliffbundle import PolyRing, PrimeField, QQ, new_qform
+from cliffbundle import PolyRing, PrimeField, QQ, new_qform, qform
 from cliffbundle.clifford import generic_form
 from cliffbundle.poly import monomials_of_degree, symmetric_grid
 
@@ -83,3 +83,23 @@ def forms(draw):
     return new_qform(a, d, symmetric_grid(
         ring.zero if zero_form else draw(sparse_polys(ring, a[i] + a[j] + d))
         for i in range(3) for j in range(i, 3)))
+
+
+def plane_values(field, polys):
+    """Walk P^2(F_p) line by line, in the order of plane_points: the test
+    oracle that evaluates every polynomial at every point.
+
+    Yields ``(points, columns)``: an iterator over the points of one line,
+    as triples of least residues built only when read, and, per
+    polynomial, the list of its values there as least residues, read off
+    its restriction from ``qform.plane_lines`` with one packed
+    multiply-add per exponent and one packed reduction.
+    """
+    p = field.p
+    rows = qform.PackedLines(p)
+    _, columns = qform.plane_lines(rows, polys)
+    for line in range(p + 2):
+        size = qform.line_size(p, line)
+        yield ((qform.line_point(p, line, t) for t in range(size)),
+               [rows.residues([column[line] for column in polynomial], size).tolist()
+                for polynomial in columns])

@@ -28,8 +28,7 @@ from cliffbundle.errors import (
     UnknownTagError,
 )
 from cliffbundle.invariants import CotangentTwist, LineBundle
-from cliffbundle.qform import plane_values
-from conftest import uvw
+from conftest import plane_values, uvw
 
 
 def test_make_type_diag_f23(ring_q):

@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PrimeField, brauer_severi, catalog, cli, clifford, poly, qform
+from cliffbundle import PrimeField, brauer_severi, catalog, cli, clifford, linalg, poly, qform
 from cliffbundle.errors import InternalInvariantError, NotDivisibleError
 from cliffbundle.poly import EXP_LIMIT
 from cliffbundle.scalars import PRIME_LIMIT
@@ -365,7 +365,7 @@ def test_scan_refuses_oversized_prime_before_scanning(tmp_path, capsys, monkeypa
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(qform, "plane_lines", no_scan)
-    monkeypatch.setattr(qform, "plane_values", no_scan)
+    monkeypatch.setattr(qform, "PackedLines", no_scan)
     monkeypatch.setattr(cli, "reduce_mod", no_scan)
     path = write_doc(tmp_path, DIAG_DOC)
     code, report, _ = run_cli(capsys, ["scan", path, "--prime", "1000003"])
@@ -376,18 +376,46 @@ def test_scan_refuses_oversized_prime_before_scanning(tmp_path, capsys, monkeypa
 
 def test_scan_never_evaluates_the_entries_along_a_line(tmp_path, capsys, monkeypatch):
     # The census evaluates only the discriminant along each line, and the
-    # six entries only where it vanishes: plane_values is never called.
+    # six entries only where it vanishes: one rank per zero, none elsewhere.
     code, report, _ = run_cli(capsys, ["catalog", "--type", "F25minus", "--seed", "7"])
     path = write_doc(tmp_path, report["payload"])
+    ranked = []
+    symmetric_rank = linalg.symmetric_rank
 
-    def no_line_values(*args):
-        raise AssertionError("the census evaluated every polynomial along a line")
+    def counted_rank(upper, p):
+        ranked.append(upper)
+        return symmetric_rank(upper, p)
 
-    monkeypatch.setattr(qform, "plane_values", no_line_values)
+    monkeypatch.setattr(linalg, "symmetric_rank", counted_rank)
     code, report, _ = run_cli(capsys, ["scan", path, "--prime", "101"])
     assert code == 0
     assert sum(report["payload"]["census"].values()) == 101 * 101 + 101 + 1
     assert report["payload"]["discriminant_zero_points"] > 0
+    assert len(ranked) == report["payload"]["discriminant_zero_points"]
+
+
+@pytest.mark.parametrize("diagonal, point", [
+    # diag(u, v, w): the first zero, (0, 0, 1), is on the whole line u = 0.
+    (["u", "v", "w"], "(0, 0, 1)"),
+    # The first zero, (0, 3, 1), is one of a line's few zeros; the whole
+    # line u = 2w comes later.
+    (["u - 2*w", "v - 3*w", "w"], "(0, 3, 1)"),
+])
+def test_rank_three_at_a_discriminant_zero_exits_3(tmp_path, capsys, monkeypatch,
+                                                   diagonal, point):
+    # Where the discriminant vanishes det = disc forces rank < 3, so a rank
+    # of 3 there is a bug, not a smooth conic.
+    q11, q22, q33 = diagonal
+    doc = {"scalar_domain": "rational",
+           "form": {"a": [0, 0, 0], "d": 1, "entries": [q11, "0", "0", q22, "0", q33]}}
+    path = write_doc(tmp_path, doc)
+    monkeypatch.setattr(linalg, "symmetric_rank", lambda upper, p: 3)
+    code, report, _ = run_cli(capsys, ["scan", path, "--prime", "5"])
+    assert code == 3
+    assert report["status"] == "internal-error"
+    assert report["payload"]["error"] == "InternalInvariantError"
+    assert report["payload"]["message"] == (
+        f"the entry values have rank 3 at {point}, a zero of the discriminant")
 
 
 @pytest.mark.parametrize("tag", ["F23", "F24", "F25plus", "F25minus"])

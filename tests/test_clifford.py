@@ -59,7 +59,8 @@ from cliffbundle.errors import (
 )
 from cliffbundle.poly import HomogPoly, divide_exact, poly_sqrt, symmetric_grid
 from cliffbundle.scalars import lower
-from conftest import diag_form, forms, sparse_polys, symbolic_scalar_grid, uvw
+from conftest import (diag_form, forms, plane_values, sparse_polys,
+                      symbolic_scalar_grid, uvw)
 
 
 # ------------------------------------------------------------------ rewriting
@@ -966,7 +967,7 @@ def catalog_form(tag, domain, seed):
     q = make_type(tag, domain=domain, seed=seed)
     if domain is QQ:
         return q, []
-    columns = qform.plane_values(domain, [discriminant(q)])
+    columns = plane_values(domain, [discriminant(q)])
     return q, [point for points, (values,) in columns
                for point, x in zip(points, values) if not x % domain.p]
 

@@ -9,7 +9,8 @@ replaced: every term evaluated with ``pow`` at every point of
 ``plane_points``.
 The third is ``point_census``, the per-point census that the per-line
 identity check replaced: the determinant of the six entry values from
-``plane_values`` against the discriminant's value at every point.
+``plane_values`` (in conftest) against the discriminant's value at every
+point, and the rank at every zero.
 """
 
 import random
@@ -41,9 +42,12 @@ from cliffbundle import (
 from cliffbundle.errors import InternalInvariantError, ScanTooLargeError
 from cliffbundle.poly import monomials_of_degree
 from cliffbundle.qform import CONIC_BY_RANK, FiberCensus, plane_points
-from conftest import diag_form, uvw
+from conftest import diag_form, plane_values, uvw
 
 KINDS = ("generic", "rank_deficient", "vanishing", "monomial")
+# Forms whose discriminant vanishes on whole lines of the scan, or at many
+# points of every line.
+LINE_KINDS = ("whole_lines", "many_zeros")
 
 
 @st.composite
@@ -58,6 +62,13 @@ def forms(draw, kind, primes=(3, 5, 7, 11)):
       that line are WholePlane.
     monomial: every entry is a scalar times one monomial of degree up to
       40, so exponents pass p - 1 for the small primes.
+    whole_lines, many_zeros: a generic form with every entry, or the first
+      row and column, times L, so the discriminant vanishes where L does,
+      with rank 0 or rank <= 2 there.  For whole_lines L is a product of
+      one or two of w and u - c w, each zero on a whole line of
+      ``plane_lines``; for many_zeros L = prod_{c in S} (v - c w) with S a
+      drawn set of up to 12 residues, zero at the points t in S of every
+      chart line (at every point when S is all of F_p).
     """
     field = PrimeField(draw(st.sampled_from(primes)))
     ring = PolyRing(field)
@@ -67,10 +78,12 @@ def forms(draw, kind, primes=(3, 5, 7, 11)):
         return ring.poly({e: draw(scalar) for e in monomials_of_degree(3, degree)
                           if e != exclude})
 
-    if kind == "generic":
+    if kind in ("generic",) + LINE_KINDS:
         a = tuple(draw(st.integers(0, 1)) for _ in range(3))
         d = draw(st.integers(0, 1))
         upper = {(i, j): poly(a[i] + a[j] + d) for i in range(3) for j in range(i, 3)}
+        if kind != "generic":
+            a, d, upper = _times_factors(draw, ring, kind, a, d, upper)
     elif kind == "rank_deficient":
         a, d = (0, 0, 0), 2
         l = [poly(1) for _ in range(3)]
@@ -106,6 +119,30 @@ def forms(draw, kind, primes=(3, 5, 7, 11)):
         upper = {(i, j): line * draw(scalar) for i in range(3) for j in range(i, 3)}
     grid = [[upper[min(i, j), max(i, j)] for j in range(3)] for i in range(3)]
     return new_qform(a, d, grid)
+
+
+def _times_factors(draw, ring, kind, a, d, upper):
+    """The pattern and upper entries of ``forms`` of a LINE_KINDS kind."""
+    p = ring.domain.p
+    u, v, w = uvw(ring)
+    if kind == "whole_lines":
+        lines = st.sampled_from([w] + [u - w * c for c in range(p)])
+        factors = draw(st.lists(lines, min_size=1, max_size=2))
+    else:
+        residues = draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 12)))
+        factors = [v - w * c for c in sorted(residues)]
+    product = ring.one
+    for factor in factors:
+        product = product * factor
+    k = len(factors)
+    if draw(st.booleans()):
+        return a, d + k, {key: f * product for key, f in upper.items()}
+    scaled = {}
+    for (i, j), f in upper.items():
+        for _ in range((i == 0) + (j == 0)):
+            f = f * product
+        scaled[i, j] = f
+    return (a[0] + k, a[1], a[2]), d, scaled
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -147,11 +184,13 @@ def test_kernel_matches_fp_element_path(kind, data):
 def point_census(q):
     """The census one point at a time: at each point of ``plane_values``,
     the determinant of the six entry values must equal the discriminant's
-    value mod p; ``linalg.symmetric_rank`` where it vanishes."""
+    value mod p; ``linalg.symmetric_rank`` where it vanishes.  The first
+    point of rank 0 is kept."""
     p = q.domain.p
     by_rank = [0, 0, 0, 0]
+    whole_plane = None
     polys = q.matrix.upper() + (qform.discriminant(q),)
-    for points, columns in qform.plane_values(q.domain, polys):
+    for points, columns in plane_values(q.domain, polys):
         for point, (a, d, e, b, f, c, disc) in zip(points, zip(*columns)):
             det = (a * (b * c - f * f) - d * (d * c - e * f)
                    + e * (d * f - b * e)) % p
@@ -159,12 +198,15 @@ def point_census(q):
                 raise InternalInvariantError(
                     f"discriminant {disc % p} and determinant {det} of the entry "
                     f"values disagree at {point}")
-            by_rank[3 if det else linalg.symmetric_rank((a, d, e, b, f, c), p)] += 1
+            rank = 3 if det else linalg.symmetric_rank((a, d, e, b, f, c), p)
+            if rank == 0 and whole_plane is None:
+                whole_plane = point
+            by_rank[rank] += 1
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
-                       sum(by_rank[:3]))
+                       sum(by_rank[:3]), whole_plane)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + LINE_KINDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_line_identity_census_matches_point_census(kind, data):
@@ -314,6 +356,33 @@ def test_discriminant_zero_on_every_point_reads_whole_lines(monkeypatch):
     assert expected.discriminant_zeros == 101 * 101 + 101 + 1
 
 
+def test_the_zero_batch_stays_linear_in_p():
+    # diag(M u, v, w) with M = prod_{c < 30} (v - c w): the discriminant
+    # M u v w vanishes at 30 or 31 points of every chart line, 6,723 zeros
+    # at p = 211, nearly all of them batched.  Flushed every p points, the
+    # census peaks near 0.4 MB; a batch held whole takes it to 2.6 MB.
+    p, k = 211, 30
+    ring = PolyRing(PrimeField(p))
+    u, v, w = uvw(ring)
+    m = u
+    for c in range(k):
+        m = m * (v - w * c)
+    z = ring.zero
+    q = new_qform((k // 2, 0, 0), 1, [[m, z, z], [z, v, z], [z, z, w]])
+    tracemalloc.start()
+    try:
+        result = qform.fiber_census(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert result == FiberCensus({ConicType.SMOOTH_CONIC: (p - 1) * (p - k),
+                                  ConicType.LINE_PAIR: (k - 1) * p + (p - k) + (p - 1),
+                                  ConicType.DOUBLE_LINE: p + 1,
+                                  ConicType.WHOLE_PLANE: 1},
+                                 k * p + (p - k) + p + 1, (1, 0, 0))
+
+
 def test_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "SLOT_BITS", 16)  # 101 * 100^2 > 2^16
     with pytest.raises(InternalInvariantError, match="overflows its slot"):
@@ -363,7 +432,7 @@ def test_packed_lines_match_point_walk(kind, data):
     polys = q.matrix.upper() + (discriminant(q),)
     p = q.domain.p
     packed = []
-    for points, columns in qform.plane_values(q.domain, polys):
+    for points, columns in plane_values(q.domain, polys):
         points = list(points)  # each line's points come lazily
         assert all(len(column) == len(points) for column in columns)
         packed += [(point, [x % p for x in values])
