@@ -23,7 +23,6 @@ from .qform import (
     FiberPoint,
     QForm,
     SingularityType,
-    census,
     discriminant,
     fiber_conic_type,
     is_nowhere_zero,
@@ -32,7 +31,6 @@ from .qform import (
     projective_points,
     qform_from_upper,
     rank_at,
-    sample_nowhere_zero,
     singularity_type_at,
     twist,
 )
@@ -91,7 +89,6 @@ from .catalog import (
     make_net,
     make_type,
     net_from_upper,
-    resolution_metadata,
 )
 
 __version__ = "0.1.0"

@@ -111,10 +111,6 @@ LINE_BUNDLE_TAGS = (DelPezzoTag.F23, DelPezzoTag.F24, DelPezzoTag.F25_MINUS)
 GENERATION_RETRIES = 100
 
 
-def resolution_metadata(tag) -> ResolutionData:
-    return CATALOG[DelPezzoTag.coerce(tag)].resolution
-
-
 def make_type(tag, entries=None, *, domain=None, seed=None) -> QForm:
     """A validated form of the given line-bundle type.
 

@@ -380,9 +380,6 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
         value = specializer(entries, domain)
         constants = [value(terms) if terms else zero
                      for row in _generic_table() for cell in row for terms in cell]
-    elif den == 1:
-        constants = [zero if d is None else domain(v)
-                     for v, d in zip(_int_constants(entries), _constant_plan()[-1])]
     else:
         constants = [zero if d is None else domain.from_pair(v, den ** d)
                      for v, d in zip(_int_constants(entries), _constant_plan()[-1])]

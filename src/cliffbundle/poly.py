@@ -430,19 +430,10 @@ class PolyRing:
     def parse(self, text: str) -> "HomogPoly":
         return parse_poly(text, self)
 
-    def random_homogeneous(self, degree: int, rng, nonzero: bool = False) -> "HomogPoly":
+    def random_homogeneous(self, degree: int, rng) -> "HomogPoly":
         """Random homogeneous polynomial with coefficients from the domain."""
-        for _ in range(1000):
-            terms = {}
-            for exps in monomials_of_degree(self.nvars, degree):
-                c = self.domain.random(rng)
-                if c:
-                    terms[exps] = c
-            if terms or not nonzero:
-                break
-        else:
-            raise RuntimeError("random generation kept producing zero")
-        return self.poly(terms)
+        return self.poly({exps: c for exps in monomials_of_degree(self.nvars, degree)
+                          if (c := self.domain.random(rng))})
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PolyRing)
@@ -568,14 +559,6 @@ class BiPoly(SparsePoly):
     @property
     def _fields(self):
         return 3 + self.ring.nvars
-
-    @property
-    def alpha_degree(self):
-        return self.degree and self.degree[0]
-
-    @property
-    def weighted_degree(self):
-        return self.degree and self.degree[1]
 
     def coefficient(self, alpha_exps) -> HomogPoly:
         """The base-polynomial coefficient of one alpha monomial."""

@@ -184,44 +184,27 @@ def fiber_conic_type(q: QForm, p: FiberPoint) -> ConicType:
 
 @dataclass(frozen=True)
 class NowhereZeroResult:
+    """Whether the entry matrix vanishes at no point of P^2(F_p), and the
+    first point where it does vanish (None when there is none)."""
     nowhere_zero: bool
     witness: FiberPoint | None
-    conclusive: bool = True
 
 
 def is_nowhere_zero(q: QForm) -> NowhereZeroResult:
     """Exhaustive P^2(F_p) scan: does the entry matrix vanish anywhere?
 
-    Only available over a prime field; vanishing of the whole matrix at a
-    point is exactly rank 0 there (a non-flat point of the conic bundle).
-    Such a point is a zero of the discriminant, so ``fiber_census`` meets
-    it; the witness is the first in the order of plane_points.
+    Only over a prime field (over Q no finite scan decides it: TypeError).
+    Vanishing of the whole matrix at a point is exactly rank 0 there (a
+    non-flat point of the conic bundle), a zero of the discriminant, so
+    ``fiber_census`` meets it; the witness comes first in plane_points order.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
-        raise TypeError("exhaustive scan needs a prime-field form; "
-                        "use sample_nowhere_zero over the rationals")
+        raise TypeError("exhaustive scan needs a prime-field form")
     point = fiber_census(q).first_whole_plane
     if point is None:
         return NowhereZeroResult(True, None)
     return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
-
-
-def sample_nowhere_zero(q: QForm, samples: int = 500, seed: int = 0) -> NowhereZeroResult:
-    """Sampled heuristic over the rationals: a found zero is definitive,
-    finding none is only 'inconclusive' (conclusive=False)."""
-    import random
-
-    rng = random.Random(seed)
-    dom = q.domain
-    for _ in range(samples):
-        coords = [dom(rng.randint(-20, 20)) for _ in range(3)]
-        if not any(coords):
-            continue
-        p = FiberPoint.make(dom, coords)
-        if not any(lowered_values(q.matrix.upper(), p.coords, dom)[0]):
-            return NowhereZeroResult(False, p, conclusive=True)
-    return NowhereZeroResult(True, None, conclusive=False)
 
 
 # ------------------------------------------------------------- singularities
@@ -622,8 +605,3 @@ def fiber_census(q: QForm) -> FiberCensus:
     flush()
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
                        sum(by_rank[:3]), whole_plane[0] if whole_plane else None)
-
-
-def census(q: QForm) -> dict:
-    """Number of points of P^2(F_p) over which the fiber has each type."""
-    return fiber_census(q).counts

@@ -36,7 +36,7 @@ def test_conic_equation_diag(ring_q):
     q = diag_form(ring_q)
     u, v, w = uvw(ring_q)
     cq = conic_equation(q)
-    assert cq.alpha_degree == 2
+    assert cq.degree[0] == 2
     assert cq.coefficient((2, 0, 0)) == u
     assert cq.coefficient((0, 2, 0)) == v
     assert cq.coefficient((0, 0, 2)) == w
@@ -73,13 +73,13 @@ def test_weighted_homogeneity_across_patterns(ring_f101):
     for tag in ("F23", "F24", "F25minus"):
         q = make_type(tag, domain=ring_f101.domain, seed=4)
         cq = conic_equation(q)
-        assert cq.alpha_degree == 2
-        assert cq.weighted_degree == q.d
+        assert cq.degree[0] == 2
+        assert cq.degree[1] == q.d
         m = bs_matrix(q)
         for r in range(2, 5):
             for c in range(2, 5):
                 entry = m.entry(r, c)
-                assert entry.is_zero or entry.alpha_degree == 1
+                assert entry.is_zero or entry.degree[0] == 1
 
 
 # ----------------------------------------------------------------- the matrix

@@ -21,7 +21,6 @@ from cliffbundle import (
     make_type,
     net_from_upper,
     projective_points,
-    resolution_metadata,
 )
 from cliffbundle.errors import (
     DegreePatternError,
@@ -210,13 +209,13 @@ def test_f25plus_fiber_feeds_clifford():
 # ------------------------------------------------------------------ metadata
 
 def test_resolution_examples():
-    r23 = resolution_metadata("F23")
+    r23 = CATALOG[DelPezzoTag.F23].resolution
     assert r23.source.summands == (LineBundle(-2),) * 3
     assert r23.target.summands == (LineBundle(-1),) * 3
-    r24 = resolution_metadata("F24")
+    r24 = CATALOG[DelPezzoTag.F24].resolution
     assert r24.source.summands == (LineBundle(-2), LineBundle(-3), LineBundle(-3))
     assert r24.target.summands == (LineBundle(-2), LineBundle(-1), LineBundle(-1))
-    r25p = resolution_metadata("F25plus")
+    r25p = CATALOG[DelPezzoTag.F25_PLUS].resolution
     assert r25p.source.summands == (CotangentTwist(-2), LineBundle(-3))
     assert r25p.target.summands == (CotangentTwist(0), LineBundle(-2))
 

@@ -26,7 +26,6 @@ from cliffbundle import (
     FiberPoint,
     PolyRing,
     PrimeField,
-    census,
     conic_equation,
     conic_point_count,
     discriminant,
@@ -159,7 +158,6 @@ def test_kernel_matches_fp_element_path(kind, data):
         expected[CONIC_BY_RANK[linalg.rank(values, q.domain)]] += 1
     result = qform.fiber_census(q)
     assert result.counts == expected
-    assert census(q) == expected
     assert result.discriminant_zeros == sum(
         1 for p in points if not disc.evaluate(p.coords))
 
@@ -386,13 +384,13 @@ def test_the_zero_batch_stays_linear_in_p():
 def test_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "SLOT_BITS", 16)  # 101 * 100^2 > 2^16
     with pytest.raises(InternalInvariantError, match="overflows its slot"):
-        census(diag_form(PolyRing(PrimeField(101))))
+        qform.fiber_census(diag_form(PolyRing(PrimeField(101))))
 
 
 def test_line_product_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "PRODUCT_SLOT_BITS", 32)  # 3 * (101 * 100)^3 > 2^32
     with pytest.raises(InternalInvariantError, match="overflows its slot"):
-        census(diag_form(PolyRing(PrimeField(101))))
+        qform.fiber_census(diag_form(PolyRing(PrimeField(101))))
 
 
 def test_barrett_slot_overflow_is_refused(monkeypatch):
@@ -400,14 +398,14 @@ def test_barrett_slot_overflow_is_refused(monkeypatch):
     monkeypatch.setattr(qform, "SLOT_BITS", 40)
     with pytest.raises(InternalInvariantError,
                        match="Barrett multiplier overflows its slot"):
-        census(diag_form(PolyRing(PrimeField(101))))
+        qform.fiber_census(diag_form(PolyRing(PrimeField(101))))
 
 
 def test_scans_refuse_more_points_than_the_limit():
     field = PrimeField(1009)  # 1009^2 + 1009 + 1 = 1,019,091 points
     q = diag_form(PolyRing(field))
     base = FiberPoint.make(field, (1, 0, 0))
-    for scan in (lambda: census(q), lambda: is_nowhere_zero(q),
+    for scan in (lambda: qform.fiber_census(q), lambda: is_nowhere_zero(q),
                  lambda: conic_point_count(q, base)):
         with pytest.raises(ScanTooLargeError, match="SCAN_POINT_LIMIT"):
             scan()
@@ -463,7 +461,7 @@ def test_only_whole_plane_point_off_the_chart_is_the_witness(p, entries, witness
     found = is_nowhere_zero(q)
     assert not found.nowhere_zero
     assert found.witness == FiberPoint.make(q.domain, witness)
-    assert census(q)[ConicType.WHOLE_PLANE] == 1
+    assert qform.fiber_census(q).counts[ConicType.WHOLE_PLANE] == 1
 
 
 def test_scan_of_huge_exponents_stays_small():

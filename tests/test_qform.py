@@ -9,7 +9,6 @@ from cliffbundle import (
     PrimeField,
     QQ,
     SingularityType,
-    census,
     discriminant,
     fiber_conic_type,
     is_nowhere_zero,
@@ -17,11 +16,11 @@ from cliffbundle import (
     normalize,
     projective_points,
     rank_at,
-    sample_nowhere_zero,
     singularity_type_at,
     twist,
 )
 from cliffbundle import make_type
+from cliffbundle.qform import fiber_census
 from cliffbundle.errors import (
     AsymmetricEntriesError,
     DegreePatternError,
@@ -182,16 +181,9 @@ def test_nowhere_zero_zero_matrix(ring_f5):
     assert result.witness is not None
 
 
-def test_nowhere_zero_rational_is_sampled(ring_q):
-    q = diag_form(ring_q)
-    with pytest.raises(TypeError):
-        is_nowhere_zero(q)
-    result = sample_nowhere_zero(q, samples=50, seed=1)
-    assert not result.conclusive  # no zero found, verdict inconclusive
-    u, _, _ = uvw(ring_q)
-    zq = new_qform((0, 0, 0), 1, [[u, u, u], [u, u, u], [u, u, u]])
-    hit = sample_nowhere_zero(zq, samples=500, seed=1)
-    assert not hit.nowhere_zero and hit.conclusive
+def test_nowhere_zero_refuses_the_rationals(ring_q):
+    with pytest.raises(TypeError, match="prime-field"):
+        is_nowhere_zero(diag_form(ring_q))
 
 
 # ----------------------------------------------------------- rank/disc locus
@@ -210,7 +202,7 @@ def test_rank_locus_equals_discriminant_locus(prime):
 
 
 def test_census_diag_f5(ring_f5):
-    counts = census(diag_form(ring_f5))
+    counts = fiber_census(diag_form(ring_f5)).counts
     assert counts[ConicType.SMOOTH_CONIC] == 16
     assert counts[ConicType.LINE_PAIR] == 12
     assert counts[ConicType.DOUBLE_LINE] == 3
