@@ -28,7 +28,7 @@ The minors are expanded and divided by the conic once per process, on
 read per alpha monomial as integer terms in the six entries
 (``clifford.integer_terms``, 24 terms in all).  Per document,
 ``verify_minors`` builds the conic and substitutes the six entries into
-that table.
+that table (``poly.specializer``), one accumulator per quotient.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from .errors import (
     NotDivisibleError,
 )
 from . import linalg
-from .clifford import fiber_algebra, generic_form, integer_terms, specializer
-from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly, lowered_values, minor, symmetric_grid)
+from .clifford import fiber_algebra, generic_form, integer_terms
+from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map, divide_exact_bipoly,
+                   lowered_values, minor, specializer, symmetric_grid)
 from .qform import FiberPoint, PackedLines, QForm, plane_lines
 from .scalars import PrimeField
 
@@ -221,23 +221,21 @@ def verify_minors(q: QForm) -> MinorReport:
     extremal identities hold.  The quotients of the generic form are built
     once per process (``_generic_quotients``; a failed division raises
     MinorNotDivisibleError); per document the conic is built and the six
-    entries are substituted into them (``clifford.specializer``, each
-    distinct product of entries built once).  minor = quotient * conic
-    holds over Z[q_ij, alpha], so after substitution too, and exact
-    quotients over Q and F_p are unique: the result is what
-    ``divide_minors`` gives.  The zero form has zero minors, hence zero
-    quotients."""
+    entries are substituted into them by the BiPoly form of
+    ``poly.specializer``: each quotient is summed in one accumulator, alpha
+    key above base key, each distinct product of entries built once.
+    minor = quotient * conic holds over Z[q_ij, alpha], so after
+    substitution too, and exact quotients over Q and F_p are unique: the
+    result is what ``divide_minors`` gives.  The zero form has zero minors,
+    hence zero quotients."""
     ring, weights = q.ring, q.a
     cq = conic_equation(q)
     if cq.is_zero:
         zero = bipoly_from_alpha_map(ring, weights, {})
         return MinorReport(conic=cq, quotients=((zero,) * 4,) * 4, named_ok=True)
     at = specializer(q.matrix.upper(), ring)
-    quotients = tuple(
-        tuple(bipoly_from_alpha_map(ring, weights, {aex: at(terms)
-                                                    for aex, terms in quotient})
-              for quotient in row)
-        for row in _generic_quotients())
+    quotients = tuple(tuple(at(quotient, weights) for quotient in row)
+                      for row in _generic_quotients())
     named_ok = True
     for (r, c), (idx, sign) in NAMED_MINOR_IDENTITIES.items():
         expect = alpha_variable(ring, weights, idx)

@@ -23,7 +23,7 @@ constants of a ``FiberAlgebra`` once and run the same kernels, the unit
 checked on the ints only.  The global trace pairing needs only nine of
 the 64 constants, the 1-components c_ij0 of e_i e_j for traceless e_i,
 e_j; ``trace_pairing_global`` evaluates those nine at the polynomial
-entries of the form (``specializer``), and ``recover_form`` inverts it
+entries of the form (``poly.specializer``), and ``recover_form`` inverts it
 through six cofactors, a square root and six exact divisions.
 """
 
@@ -48,10 +48,10 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     divide_exact,
-    linear_combination,
     lowered_values,
     minor,
     poly_sqrt,
+    specializer,
     sum_of_products,
     symmetric_grid,
 )
@@ -268,34 +268,6 @@ def _generic_table() -> tuple:
                  for row in _engine_constants(q.matrix.entries, q.ring))
 
 
-def specializer(entries, ring):
-    """Evaluation of integer polynomials in the generic entries at the
-    polynomial ``entries`` of ``ring`` (one per generic entry, in the same
-    order).  The returned function maps terms ``((exps, coeff), ...)`` to
-    sum coeff * entries^exps, summed in place (``linear_combination``).
-    Its calls share one memo of products of entries: each distinct product
-    is built once, by one multiplication of the product with one factor
-    fewer."""
-    n = len(entries)
-    products = {(0,) * n: ring.one}
-    for k, x in enumerate(entries):
-        products[tuple(int(i == k) for i in range(n))] = x
-
-    def product(exps):
-        f = products.get(exps)
-        if f is None:
-            k = max(i for i, e in enumerate(exps) if e)
-            rest = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-            f = products[exps] = product(rest) * entries[k]
-        return f
-
-    def value(terms):
-        return linear_combination(((c, product(exps)) for exps, c in terms),
-                                  ring.zero)
-
-    return value
-
-
 @cache
 def _constant_plan() -> tuple:
     """The generic table as a flat plan over plain ints, built on first use
@@ -357,8 +329,9 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     ints (``scalars.lower``), the constants are summed in ints by the flat
     plan that ``fiber_at`` uses (``_int_constants``) and each is boxed
     once, divided by den^degree over Q; over a PolyRing (the global
-    algebra) the table's terms go to ``specializer``, which multiplies the
-    entries themselves, each distinct product once.
+    algebra) the table's terms go to ``poly.specializer``, which sums each
+    constant in one accumulator from the products of the entries
+    themselves, each distinct product built once.
 
     Why this is exact.  The engine uses only ring operations: it writes
     2 q_ij as q_ij + q_ij and never divides.  Each rewrite is an identity
@@ -569,10 +542,11 @@ def trace_pairing_fiber(alg: FiberAlgebra):
 def trace_pairing_global(q: QForm) -> PolyMatrix:
     """Trace pairing of the global algebra: the nine constants c_ij0
     (i, j in 1..3) of the engine-built generic table, evaluated at the six
-    polynomial entries of q through one ``specializer``.  All nine are
-    evaluated, none mirrored, so ``recover_form``'s symmetry check still
-    tests the table; a dense form costs 12 products of entries.  Equals
-    -adjugate3(q.matrix) as an exact polynomial identity, and the full
+    polynomial entries of q through one ``poly.specializer``, each summed
+    in one accumulator.  All nine are evaluated, none mirrored, so
+    ``recover_form``'s symmetry check still tests the table; a dense form
+    costs 12 products of entries.  Equals -adjugate3(q.matrix) as an exact
+    polynomial identity, and the full
     table's ``trace_pairing_fiber(fiber_algebra(...))``; the test suite
     checks the routes against each other."""
     at = specializer(q.matrix.upper(), q.ring)

@@ -1,37 +1,35 @@
 """Sparse homogeneous polynomials, BiPolys over them, and polynomial matrices.
 
 A polynomial maps packed exponents to nonzero coefficients and carries its
-total degree (``None`` for zero, which fits any degree slot).  Exponents are
-packed as in Monagan and Pearce (CASC 2007): one int, ``EXP_BITS`` bits per
-variable, the first variable most significant, so a monomial product is one
-int addition and int order is the graded-lex order of one degree.  No stored
-exponent sets the top (guard) bit of its field: fields add without carrying,
-a product that sets a guard bit has passed ``EXP_LIMIT``, and divisibility is
-one subtraction.  Coefficients are least residues over F_p, and over Q ints
-when integral and Fractions otherwise.  Only this module knows the format;
-public methods take exponent tuples and return domain elements.
+total degree (``None`` for zero).  Exponents are packed as in Monagan and
+Pearce (CASC 2007): one int, ``EXP_BITS`` bits per variable, the first most
+significant, so a monomial product is one int addition and int order is
+graded-lex within a degree.  No stored exponent sets the top (guard) bit of
+its field, so fields add without carrying, a product that sets one has
+passed ``EXP_LIMIT``, and divisibility is one subtraction.  Coefficients
+are least residues over F_p, and over Q ints when integral and Fractions
+otherwise.  Only this module knows the format; public methods take
+exponent tuples.  Polynomials from different rings never mix.
 
 The term kernel (``add_multiple``, ``add_product``, ``reduce_terms``,
-``mul_terms``, ``divide_terms``; ``p`` is the characteristic) and
-``SparsePoly`` serve HomogPoly and BiPoly alike.  Polynomials from
-different rings never mix.
-
-A sum of products is summed in one accumulator, as Monagan and Pearce do:
-``add_product`` adds each signed product into an unreduced term dict and
-``reduce_terms`` reduces it once (``mul_terms`` is one product).  Other
-modules reach it through ``sum_of_products`` and ``linear_combination``;
-the Laplace expansion behind ``det``, ``minor`` and ``adjugate3`` sums
-every minor that way.  Printing reads exponents off the packed keys.
+``mul_terms``, ``divide_terms``; ``p`` is the characteristic) serves
+HomogPoly and BiPoly alike.  A sum of products is summed in one
+accumulator, as Monagan and Pearce do: ``add_product`` adds each product
+unreduced and ``reduce_terms`` reduces the sum once.  Other modules reach
+it through ``sum_of_products`` (behind ``det``, ``minor`` and
+``adjugate3``) and ``specializer``.  Printing reads each monomial's text
+from a bounded table.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from itertools import groupby
 from math import isqrt, lcm
-from operator import or_
+from operator import mul, or_
 
 from .errors import (
     DegreeMismatchError,
@@ -84,7 +82,7 @@ def unpack(key: int, nfields: int) -> tuple:
                   for s in range(EXP_BITS * (nfields - 1), -1, -EXP_BITS)])
 
 
-@lru_cache(maxsize=None)
+@cache
 def guard_bits(nfields: int) -> int:
     return sum(1 << EXP_BITS * i + EXP_BITS - 1 for i in range(nfields))
 
@@ -115,9 +113,8 @@ def add_multiple(acc: dict, key: int, coeff, terms: dict, p) -> dict:
 
 
 def add_product(acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
-    """acc += sign * a * b, in place and unreduced: coefficients are summed
-    as they come, not reduced mod p, and zero terms stay until
-    ``reduce_terms``.  ``sign`` is 1 or -1."""
+    """acc += sign * a * b (sign 1 or -1), in place and unreduced: not mod
+    p, zero terms kept until ``reduce_terms``."""
     get = acc.get
     inner = list(b.items())
     for e1, c1 in a.items():
@@ -129,13 +126,17 @@ def add_product(acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
     return acc
 
 
-def reduce_terms(acc: dict, p, nfields: int) -> dict:
-    """The term dict of an unreduced accumulator with ``nfields`` fields per
-    key.  Its keys are checked for a set guard bit before zero terms are
-    dropped, so a product past EXP_LIMIT is refused even when it cancels."""
-    if reduce(or_, acc, 0) & guard_bits(nfields):
+def _refuse_past_limit(keys, nfields: int):
+    if reduce(or_, keys, 0) & guard_bits(nfields):
         raise ExponentLimitError(
             f"a product has an exponent larger than EXP_LIMIT = {EXP_LIMIT}")
+
+
+def reduce_terms(acc: dict, p, nfields: int) -> dict:
+    """The term dict of an unreduced accumulator with ``nfields`` fields per
+    key.  A set guard bit is refused before zero terms drop, so a product
+    past EXP_LIMIT is refused even if it cancels."""
+    _refuse_past_limit(acc, nfields)
     if p:
         return {e: r for e, c in acc.items() if (r := c % p)}
     return {e: c if type(c) is int else _rational(c) for e, c in acc.items() if c}
@@ -156,9 +157,9 @@ def _quotient_key(re: int, ge: int, guard: int):
 
 
 def divide_terms(f: dict, g: dict, p, nfields: int) -> tuple:
-    """(quotient, remainder) of greedy leading-term division of f by g,
-    updating one remainder in place.  The remainder is empty when g divides
-    f; otherwise it is the first whose leading term g's does not divide."""
+    """(quotient, remainder) of greedy leading-term division of f by g in
+    place; the remainder is empty when g divides f, else the first whose
+    leading term g's does not divide."""
     ge, guard = max(g), guard_bits(nfields)
     gc = g[ge]
     rem = dict(f)
@@ -174,12 +175,9 @@ def divide_terms(f: dict, g: dict, p, nfields: int) -> tuple:
 
 
 class SparsePoly:
-    """A term dict over a PolyRing, with the arithmetic that HomogPoly and
-    BiPoly share.  Every polynomial carries its ``degree``, what the operands
-    of a sum must agree on (``None`` for zero).  A subclass defines
-    ``_new(terms, degree)`` (a result with the same setting) and
-    ``_degree_of_product(other)``, and extends ``_setting`` and ``_fields``
-    (fields per key)."""
+    """A term dict over a PolyRing with its ``degree``: what HomogPoly and
+    BiPoly share.  A subclass defines ``_new(terms, degree)`` and
+    ``_degree_of_product``, and extends ``_setting`` and ``_fields``."""
 
     __slots__ = ("ring", "terms", "degree")
 
@@ -224,8 +222,7 @@ class SparsePoly:
             yield unpack(key, n), dom(c)
 
     def int_terms(self):
-        """(exponent tuple, coefficient) for every term, unboxed: a least
-        residue over F_p; an int or a Fraction over Q."""
+        """(exponent tuple, stored coefficient) for every term, unboxed."""
         n = self._fields
         for key, c in self.terms.items():
             yield unpack(key, n), c
@@ -258,9 +255,8 @@ class SparsePoly:
                           if c else {})
 
     def _product(self, other):
-        """The terms of self * other, or NotImplemented for a non-scalar.
-        A polynomial of the other class is handed back at once, before the
-        domain's coercion formats it into a refusal."""
+        """The terms of self * other, or NotImplemented for a non-scalar
+        (a polynomial of the other class before the domain refuses it)."""
         if type(other) is type(self):
             self._check(other)
             return mul_terms(self.terms, other.terms, self.ring.modulus, self._fields)
@@ -273,9 +269,9 @@ class SparsePoly:
         return self.scale(c).terms
 
     def _degree_sums(self, xs, mod) -> dict:
-        """{total degree: sum of c * xs^e over the terms of that degree} at
-        the plain ints ``xs`` of a point (``scalars.lower``), unboxed.  Over
-        F_p (mod = p) the powers are reduced mod p and the sums are not."""
+        """{total degree: sum of c * xs^e over its terms} at the plain ints
+        ``xs`` of a point, unboxed; over F_p (mod = p) only powers are
+        reduced."""
         if len(xs) != self._fields:
             raise ValueError("wrong number of coordinates")
         shifts = range(EXP_BITS * (len(xs) - 1), -1, -EXP_BITS)
@@ -291,13 +287,9 @@ class SparsePoly:
         return sums
 
     def _evaluate(self, point):
-        """The value at a point, summed in plain ints and boxed once.
-
-        The point goes through ``scalars.lower``: least residues over F_p;
-        over Q the coordinates are x = X / den with X integral, so a term
-        c * x^e of total degree d is c * X^e / den^d.  Terms are summed per
-        total degree and each sum is divided once.
-        """
+        """The value at a point, summed in plain ints and boxed once.  Over
+        Q the point is X / den (``scalars.lower``), so the terms of degree d
+        sum to c * X^e and are divided by den^d once."""
         dom = self.ring.domain
         xs, den = lower(dom, point)
         sums = self._degree_sums(xs, self.ring.modulus or None)
@@ -309,46 +301,83 @@ class SparsePoly:
 # ---------------------------------------------------------- sums of products
 
 def sum_of_products(products, like: SparsePoly) -> SparsePoly:
-    """sum sign * f * g over the triples (sign, f, g), sign 1 or -1, of
-    polynomials of the class and setting of ``like``.  Every product is
-    added into one unreduced term dict (``add_product``), which is reduced
-    once; a product with a zero factor is skipped.  The nonzero products
-    must agree in degree, as the operands of a sum do."""
-    acc, degree = {}, None
+    """sum sign * f * g over triples (sign, f, g), sign 1 or -1, of
+    polynomials of the class and setting of ``like``, each added by
+    ``add_product`` into one accumulator, reduced once.  The nonzero
+    products must agree in degree."""
+    acc, degree, setting = {}, None, like._setting
     for sign, f, g in products:
         if not (f.terms and g.terms):
             continue
-        like._check(f)
-        like._check(g)
+        # A HomogPoly's setting is its ring, so identity settles its check.
+        if not (f._setting is setting is g._setting):
+            like._check(f)
+            like._check(g)
         d = f._degree_of_product(g)
-        if degree is None:
-            degree = d
-        elif d != degree:
+        if degree not in (None, d):
             raise DegreeMismatchError(f"adding degrees {degree} and {d}")
+        degree = d
         add_product(acc, f.terms, g.terms, sign)
     terms = reduce_terms(acc, like.ring.modulus, like._fields)
     return like._new(terms, degree)
 
 
-def linear_combination(pairs, like: SparsePoly) -> SparsePoly:
-    """sum c * f over the pairs (c, f) of a scalar and a polynomial of the
-    class and setting of ``like``, summed in one unreduced term dict and
-    reduced once.  The terms with c * f nonzero must agree in degree."""
-    ring = like.ring
-    acc, degree = {}, None
-    get = acc.get
-    for c, f in pairs:
-        c = ring.coerce(c)
-        if not (c and f.terms):
-            continue
-        like._check(f)
-        if degree is None:
-            degree = f.degree
-        elif f.degree != degree:
-            raise DegreeMismatchError(f"adding degrees {degree} and {f.degree}")
-        for e, fc in f.terms.items():
-            acc[e] = get(e, 0) + c * fc
-    return like._new(reduce_terms(acc, ring.modulus, like._fields), degree)
+def specializer(entries, ring):
+    """Integer polynomials evaluated at the HomogPolys ``entries`` of
+    ``ring``: ``at(terms)`` maps int terms ``((exps, c), ...)`` to the
+    HomogPoly sum c * entries^exps, ``at(groups, weights)`` maps
+    ``((alpha exps, terms), ...)`` to the BiPoly of those coefficients.
+    Each sums in one accumulator, reduced once; nonzero products must agree
+    in degree, nonzero groups in bidegree.  Calls share a memo of unreduced
+    products of entries, each built once by one ``add_product``, where one
+    past EXP_LIMIT is refused."""
+    n, p, nvars = len(entries), ring.modulus, ring.nvars
+    products = {(0,) * n: ({0: 1}, 0)}
+    for k, x in enumerate(entries):
+        products[tuple(int(i == k) for i in range(n))] = x.terms, x.degree
+
+    def product(exps):
+        if exps not in products:
+            k = max(i for i, e in enumerate(exps) if e)
+            terms, d = product(exps[:k] + (exps[k] - 1,) + exps[k + 1:])
+            x = entries[k]
+            terms = add_product({}, terms, x.terms)
+            _refuse_past_limit(terms, nvars)
+            products[exps] = terms, d + x.degree if terms else None
+        return products[exps]
+
+    def add(acc, shift, terms):
+        # acc += sum c * entries^exps << shift; the degree or None.
+        get, degree = acc.get, None
+        for exps, c in terms:
+            f, d = product(exps)
+            if p:
+                c %= p
+            if c and f:
+                if degree not in (None, d):
+                    raise DegreeMismatchError(f"adding degrees {degree} and {d}")
+                degree = d
+                for e, fc in f.items():
+                    e += shift
+                    acc[e] = get(e, 0) + c * fc
+        return degree
+
+    def at(terms, weights=None):
+        acc = {}
+        if weights is None:
+            degree = add(acc, 0, terms)
+            return HomogPoly._make(ring, reduce_terms(acc, p, nvars), degree)
+        shift, grades = EXP_BITS * nvars, {}
+        for aex, group in terms:
+            alpha = pack(aex, 3)
+            d = add(acc, alpha << shift, group)
+            if d is not None:
+                grades[alpha] = sum(aex), d - sum(map(mul, weights, aex))
+        acc = reduce_terms(acc, p, 3 + nvars)
+        return BiPoly._make(ring, tuple(weights), acc,
+                            _one_grade({grades[k >> shift] for k in acc}))
+
+    return at
 
 
 # ---------------------------------------------------------------------- ring
@@ -392,9 +421,7 @@ class PolyRing:
             if which not in self.variables:
                 raise UnknownVariableError(f"unknown variable {which!r}")
             which = self.variables.index(which)
-        exps = [0] * self.nvars
-        exps[which] = 1
-        return self.poly({tuple(exps): 1})
+        return self.poly({tuple(int(k == which) for k in range(self.nvars)): 1})
 
     def monomial(self, coeff, exps) -> "HomogPoly":
         return self.poly({tuple(exps): coeff})
@@ -418,9 +445,7 @@ class PolyRing:
         return HomogPoly._make(self, clean, degree)
 
     def __call__(self, x) -> "HomogPoly":
-        # Coercion hook so a PolyRing can stand in for a scalar domain
-        # wherever only zero / one / coercion are needed (e.g. building
-        # algebras whose structure constants are polynomials).
+        # Coercion, so a PolyRing can stand in for a scalar domain.
         if isinstance(x, HomogPoly):
             if x.ring != self:
                 raise TypeError("polynomial from a different ring")
@@ -486,15 +511,12 @@ class HomogPoly(SparsePoly):
 
     __rmul__ = __mul__
 
-    def evaluate(self, point):
-        """Value at a point, as an element of the domain."""
-        return self._evaluate(point)
+    evaluate = SparsePoly._evaluate
 
     def int_value(self, xs, p: int):
         """The value at the plain ints ``xs`` of a point (``scalars.lower``),
-        unboxed: a least residue over F_p; over Q (p = 0) sum c * xs^e, an
-        int or, for a fractional coefficient, a Fraction, which is the value
-        times den^degree."""
+        unboxed: a least residue over F_p; over Q (p = 0) an int or a
+        Fraction, the value times den^degree."""
         s = sum(self._degree_sums(xs, p or None).values())
         return s % p if p else s
 
@@ -526,12 +548,10 @@ ALPHA_NAMES = ("a1", "a2", "a3")
 class BiPoly(SparsePoly):
     """Polynomial in alpha_1..alpha_3 with homogeneous base coefficients.
 
-    A term key packs the alpha exponents above the base exponents, so the
-    term kernel treats a BiPoly as a polynomial in six variables and a
-    HomogPoly key as one whose alpha exponents are zero.  Every nonzero
-    BiPoly is homogeneous in the alpha degree and in the weighted degree
-    deg(coeff) - sum(weights_i * alpha_exp_i); ``degree`` is that pair
-    (alpha degree, weighted degree).
+    A key packs the alpha exponents above the base ones, so the kernel
+    sees six variables, and a HomogPoly key has alpha exponents zero.
+    ``degree`` is the pair (alpha degree, deg(coeff) - sum(weights_i *
+    alpha_exp_i)), which every term of a nonzero BiPoly shares.
     """
 
     __slots__ = ("weights",)
@@ -590,13 +610,12 @@ class BiPoly(SparsePoly):
         return self._evaluate(list(alpha_point) + list(base_point))
 
     def __str__(self):
-        """One group per alpha monomial, its base coefficient in brackets:
-        the keys are sorted once, and the sorted run is split wherever the
-        alpha exponents (the fields above the base) change."""
-        shift, shifts = EXP_BITS * self.ring.nvars, _shifts(self.ring.variables)
+        """One group per alpha monomial, its coefficient in brackets: the
+        sorted keys split where the alpha fields change."""
+        shift, variables = EXP_BITS * self.ring.nvars, self.ring.variables
         return " + ".join(
-            f"({_terms_string(keys, self.terms, shifts)})*"
-            f"{_monomial(alpha, _shifts(ALPHA_NAMES)) or '1'}"
+            f"({_terms_string(keys, self.terms, variables)})*"
+            f"{_texts(ALPHA_NAMES)[alpha] or '1'}"
             for alpha, keys in groupby(sorted(self.terms, reverse=True),
                                        lambda key: key >> shift)) or "0"
 
@@ -615,22 +634,27 @@ def bipoly_from_alpha_map(ring: PolyRing, weights, mapping) -> BiPoly:
             raise TypeError("coefficient from a different ring")
         for base, c in poly.terms.items():
             terms[alpha | base] = c
-        grades.add((sum(aex),
-                    poly.degree - sum(w * e for w, e in zip(weights, aex))))
+        grades.add((sum(aex), poly.degree - sum(map(mul, weights, aex))))
+    return BiPoly._make(ring, weights, terms, _one_grade(grades))
+
+
+def _one_grade(grades):
+    """The bidegree all of ``grades`` share (None if there is none); mixed
+    bidegrees raise DegreeMismatchError."""
     if len(grades) > 1:
         raise DegreeMismatchError(f"mixed bidegrees {sorted(grades)}")
-    return BiPoly._make(ring, weights, terms, next(iter(grades), None))
+    return next(iter(grades), None)
 
 
 def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
     """The coordinate alpha_i (1-based) as a BiPoly."""
-    aex = tuple(1 if k == i - 1 else 0 for k in range(3))
+    aex = tuple(int(k == i - 1) for k in range(3))
     return bipoly_from_alpha_map(ring, weights, {aex: ring.one})
 
 
 def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Exact division of BiPolys by greedy leading-term cancellation in
-    lexicographic order on the combined exponents."""
+    """Exact division of BiPolys by greedy leading-term cancellation (lex
+    order on the combined exponents)."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero BiPoly")
     f._check(g)
@@ -643,33 +667,59 @@ def divide_exact_bipoly(f: BiPoly, g: BiPoly) -> BiPoly:
 
 # ------------------------------------------------------------------ printing
 
-@lru_cache(maxsize=None)
+@cache
 def _shifts(variables) -> tuple:
-    """(name, shift) per variable: its exponent in a key is key >> shift &
-    _FIELD, in a key of these fields or with more fields above them."""
+    """(name, shift) per variable: its exponent is key >> shift & _FIELD."""
     top = EXP_BITS * (len(variables) - 1)
     return tuple((name, top - EXP_BITS * k) for k, name in enumerate(variables))
 
 
-def _monomial(key: int, shifts) -> str:
-    return "*".join([name if e == 1 else f"{name}^{e}"
-                     for name, s in shifts if (e := key >> s & _FIELD)])
+#: Most texts a ``_Texts`` table keeps.
+_TEXTS_BOUND = 4096
+#: Ints below this print by ``str`` under any int-to-str digit limit (640
+#: digits at the least); larger ones go through ``Decimal``, which has none.
+_SHORT = 10 ** 600
 
 
-def _terms_string(keys, terms: dict, shifts) -> str:
+class _Texts(dict):
+    """{key: text of the monomial of the fields of ``variables`` in it},
+    written on a miss and emptied when it holds ``_TEXTS_BOUND`` texts."""
+
+    def __init__(self, variables):
+        self.shifts = _shifts(variables)
+
+    def __missing__(self, key):
+        if len(self) >= _TEXTS_BOUND:
+            self.clear()
+        text = self[key] = "*".join([name if e == 1 else f"{name}^{e}"
+                                     for name, s in self.shifts
+                                     if (e := key >> s & _FIELD)])
+        return text
+
+
+_texts = cache(_Texts)
+
+
+def _number(c) -> str:
+    """A coefficient c >= 0 as text, exact and past any digit limit."""
+    if type(c) is not int:
+        return f"{_number(c.numerator)}/{_number(c.denominator)}"
+    return str(c) if c < _SHORT else str(Decimal(c))
+
+
+def _terms_string(keys, terms: dict, variables) -> str:
     """The terms of ``keys``, in their order, in the input grammar."""
-    out = []
+    texts, out = _texts(variables), []
     for key in keys:
-        c = terms[key]
-        # _monomial, inlined: a call per term costs a tenth of the printing.
-        mono = "*".join([name if e == 1 else f"{name}^{e}"
-                         for name, s in shifts if (e := key >> s & _FIELD)])
+        c, mono = terms[key], texts[key]
         if c < 0:
             out.append(" - ")
             c = -c
         else:
             out.append(" + ")
-        out.append(f"{c}*{mono}" if mono and c != 1 else mono or str(c))
+        if type(c) is not int or c >= _SHORT:
+            c = _number(c)
+        out.append(f"{c}*{mono}" if mono and c != 1 else mono or f"{c}")
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
@@ -679,17 +729,15 @@ def terms_to_string(terms: dict, variables) -> str:
     coefficients are least residues and never get a sign."""
     if not terms:
         return "0"
-    return _terms_string(sorted(terms, reverse=True), terms, _shifts(variables))
+    return _terms_string(sorted(terms, reverse=True), terms, variables)
 
 
 # ------------------------------------------------------------------- parsing
 
 # A character outside the grammar, and the tokens: operators, ints and
-# names.  ``\d`` matches exactly the digits int() reads, so a name is a run
-# of word characters that starts with none of them.  Split at white space
-# (``\s`` and ``str.split`` agree on it) with the operators spaced out, a
-# text gives the tokens of ``_TOKENS`` unless a digit runs straight into a
-# letter or ``_`` (``_DIGIT_LETTER``), which ``_TOKENS`` cuts in two.
+# names (word characters led by no digit int() reads).  Spacing out the
+# operators and splitting at white space gives the tokens of ``_TOKENS``
+# unless a digit runs into a letter or ``_`` (``_DIGIT_LETTER``).
 _BAD_CHARACTER = re.compile(r"[^\s\w+\-*/^]").search
 _DIGIT_LETTER = re.compile(r"\d[^\W\d]").search
 _TOKENS = re.compile(r"[-+*/^]|\d+|\w+").findall
@@ -707,15 +755,14 @@ def _is_name(token) -> bool:
     return token is not None and token not in _OPERATORS and not token.isdecimal()
 
 
-@lru_cache(maxsize=None)
+@cache
 def _units(variables) -> dict:
     """The key of each variable that a name token can spell."""
     return {name: 1 << s for name, s in _shifts(variables) if _is_name(name)}
 
 
 def _exponents(factors, variables) -> list:
-    """The exponent list of a monomial's tokens, ``name [^ int]`` joined
-    by ``*``."""
+    """The exponent list of a monomial's tokens."""
     exps = [0] * len(variables)
     for factor in "".join(factors).split("*"):
         name, _, power = factor.partition("^")
@@ -733,24 +780,19 @@ def _integer(tokens, i) -> int:
 
 
 def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
-    """Parse polynomial text in the grammar of the ``cli`` module docstring
-    (and the README) into canonical form.
-
-    The grammar is regular, so one pass reads it.  The text is searched for
-    a bad character and split into tokens in C first (``_tokens``); the
-    loop then reads one term at a time, taking a ``*`` only when a name
-    follows it.  A term's packed key and degree grow as its factors are
-    read, power times the variable's key; only a term whose degree passes
-    EXP_LIMIT, where a field may have carried, is packed again from its
-    exponents, so ``pack`` refuses it.  The term's signed coefficient is
-    added straight into the term dict."""
+    """Parse text in the grammar of the ``cli`` module docstring, one term
+    at a time over its tokens (``_tokens``), a ``*`` taken only before a
+    name.  A term's key and degree grow as its factors are read; only a
+    term whose degree passes EXP_LIMIT, where a field may have carried, is
+    packed again from its exponents, so ``pack`` refuses it.  The signed
+    coefficient goes straight into the term dict."""
     bad = _BAD_CHARACTER(text)
     if bad:
         raise PolyParseError(f"bad character {bad[0]!r} at position {bad.start()}")
     tokens = _tokens(text)
     if not tokens:
         raise PolyParseError("empty input")
-    # Two sentinels, so one token of lookahead never runs past the end.
+    # Two sentinels: one token of lookahead never runs past the end.
     tokens += (None, None)
     units, p = _units(ring.variables), ring.modulus
     terms, degree = {}, None
@@ -838,11 +880,10 @@ def symmetric_grid(upper) -> tuple:
 
 
 def lowered_values(polys, point, domain) -> tuple:
-    """The values of homogeneous polynomials at one point as plain ints, in
-    the shape of ``scalars.lower``: ``(ints, den)``, value k being
-    ints[k] / den.  Over F_p they are least residues and den = 1; over Q den
-    is a common denominator of the values, not always the least.  The point
-    is lowered once (``HomogPoly.int_value``) and no value is boxed."""
+    """The values of polynomials at one point, unboxed, in the shape of
+    ``scalars.lower``: ``(ints, den)``, value k being ints[k] / den; den is
+    1 over F_p and a common denominator over Q.  The point is lowered once
+    (``HomogPoly.int_value``)."""
     xs, den = lower(domain, point)
     p = domain.characteristic
     sums = [f.int_value(xs, p) for f in polys]
@@ -882,10 +923,8 @@ class PolyMatrix:
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("entries must form a nonempty rectangle")
         ring = rows[0][0].ring
-        for row in rows:
-            for f in row:
-                if f.ring != ring:
-                    raise ValueError("matrix entries from different rings")
+        if any(f.ring != ring for row in rows for f in row):
+            raise ValueError("matrix entries from different rings")
         self.entries = rows
 
     @property
@@ -952,16 +991,12 @@ def _grid(m):
 
 
 def _laplace(g, rows, cols, memo):
-    """Determinant of the grid ``g`` restricted to the sorted index tuples
-    ``rows`` x ``cols``, by Laplace expansion along ``rows[0]`` summed by
-    ``sum_of_products``.
-
-    Every minor of two or more rows is cached in ``memo`` under ``(rows,
-    cols)``, so calls on one grid that share a memo compute each smaller
-    minor once.  Zero entries of the expansion row are skipped, and terms
-    at odd positions are subtracted.  A row of zeros yields a zero of the
-    entry class.
-    """
+    """Determinant of the grid ``g`` on the sorted index tuples ``rows`` x
+    ``cols``, expanded along ``rows[0]`` by ``sum_of_products``, skipping
+    zero entries and subtracting terms at odd positions; a row of zeros
+    yields a zero of the entry class.  Each minor of two or more rows is
+    cached in ``memo`` under ``(rows, cols)``, so calls sharing a memo
+    compute it once."""
     if len(rows) == 1:
         return g[rows[0]][cols[0]]
     key = (rows, cols)
@@ -986,18 +1021,21 @@ def det(m) -> SparsePoly:
     return _laplace(g, span, span, {})
 
 
-def det3(m) -> HomogPoly:
-    """Determinant of a 3x3 polynomial matrix."""
+def _grid3(m, name):
     g = _grid(m)
     if len(g) != 3 or len(g[0]) != 3:
-        raise ValueError("det3 needs a 3x3 matrix")
-    return det(g)
+        raise ValueError(f"{name} needs a 3x3 matrix")
+    return g
+
+
+def det3(m) -> HomogPoly:
+    """Determinant of a 3x3 polynomial matrix."""
+    return det(_grid3(m, "det3"))
 
 
 def minor(m, drop_row: int, drop_col: int, memo=None) -> SparsePoly:
-    """Determinant of the submatrix with 1-based row ``drop_row`` and column
-    ``drop_col`` removed.  Calls on one matrix that pass the same ``memo``
-    dict compute each smaller minor once."""
+    """Determinant without 1-based row ``drop_row`` and column ``drop_col``;
+    calls on one matrix sharing a ``memo`` compute each smaller minor once."""
     g = _grid(m)
     if not (1 <= drop_row <= len(g) and 1 <= drop_col <= len(g[0])):
         raise IndexOutOfRangeError(
@@ -1011,29 +1049,17 @@ def minor(m, drop_row: int, drop_col: int, memo=None) -> SparsePoly:
 
 def adjugate3(m) -> PolyMatrix:
     """Transpose of the cofactor matrix; m * adjugate3(m) = det3(m) * I."""
-    g = _grid(m)
-    if len(g) != 3 or len(g[0]) != 3:
-        raise ValueError("adjugate3 needs a 3x3 matrix")
-    out = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            cof = minor(g, i + 1, j + 1)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[j][i] = cof
-    return PolyMatrix(out)
+    g = _grid3(m, "adjugate3")
+    return PolyMatrix([[minor(g, j + 1, i + 1) * (-1) ** (i + j) for j in range(3)]
+                       for i in range(3)])
 
 
 # ------------------------------------------------------------ exact division
 
 def divide_exact(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    """Quotient h with f = g*h, when it exists.
-
-    Greedy leading-term cancellation in graded-lex order.  When f is a
-    multiple of g this always succeeds (the leading term of a product is the
-    product of leading terms); otherwise some intermediate leading term fails
-    to divide and the offending remainder is attached to the error.
-    """
+    """Quotient h with f = g*h, by greedy leading-term cancellation, which
+    succeeds when g divides f (the leading term of a product is the product
+    of leading terms); otherwise the error carries the remainder."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
@@ -1052,16 +1078,11 @@ def divide_exact(f: HomogPoly, g: HomogPoly) -> HomogPoly:
 
 
 def poly_sqrt(f: HomogPoly) -> HomogPoly:
-    """Polynomial square root g with g*g = f, canonically signed.
-
-    The root is built term by term from the graded-lex leading term (whose
-    exponent must be componentwise even and whose coefficient must be a
-    square in the domain).  Each new term t updates the residual f - g*g in
-    place by -t*(2g + t); its leading term must shrink at every step, and
-    the root is verified by squaring.  Of the two roots the one whose
-    leading coefficient is positive (rationals) respectively the least
-    residue (prime fields) is returned.
-    """
+    """Polynomial square root g with g*g = f, built term by term from the
+    leading term; each term t updates the residual f - g*g in place by
+    -t*(2g + t), whose leading term must shrink.  The root is verified by
+    squaring, and its leading coefficient is positive over Q, the least
+    residue over F_p."""
     if f.is_zero:
         return f
     if f.degree % 2 != 0:

@@ -481,6 +481,17 @@ def test_exponents_past_the_limit_exit_1(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["disc", path])
     assert code == 1
     assert report["payload"]["error"] == "ExponentLimitError"
+    # The pairing and the recovery multiply two diagonal entries, u^(2*limit);
+    # each product in the minor quotients has an off-diagonal factor, here 0.
+    for field in ("rational", {"prime": 7}):
+        doc["scalar_domain"] = field
+        path = write_doc(tmp_path, doc)
+        for command in ("trace-pairing", "recover"):
+            code, report, _ = run_cli(capsys, [command, path])
+            assert code == 1, (field, command)
+            assert report["payload"]["error"] == "ExponentLimitError"
+            assert "EXP_LIMIT" in report["payload"]["message"]
+        assert run_cli(capsys, ["bsv-verify", path])[0] == 0
 
 
 def test_slots_past_three_exp_limits_exit_1(tmp_path, capsys):
@@ -547,10 +558,13 @@ def test_the_global_pairing_and_recovery_product_counts(tmp_path, capsys, monkey
                                                         tag, field):
     """trace-pairing multiplies the 12 distinct products of two entries that
     the nine pairing constants need; recover adds 12 for the six cofactors,
-    3 for the determinant and 1 to check the square root."""
+    3 for the determinant and 1 to check the square root.  bsv-verify
+    multiplies the 6 distinct products of two entries in the quotient
+    table."""
     _, report, _ = run_cli(capsys, ["catalog", "--type", tag, "--seed", "7", *field])
     path = write_doc(tmp_path, report["payload"])
-    assert run_cli(capsys, ["trace-pairing", path])[0] == 0  # builds the table
+    for command in ("trace-pairing", "bsv-verify"):  # build the tables
+        assert run_cli(capsys, [command, path])[0] == 0
     calls = []
     add_product = poly.add_product
 
@@ -559,7 +573,7 @@ def test_the_global_pairing_and_recovery_product_counts(tmp_path, capsys, monkey
         return add_product(*args)
 
     monkeypatch.setattr(poly, "add_product", counted)
-    for command, bound in (("trace-pairing", 12), ("recover", 28)):
+    for command, bound in (("trace-pairing", 12), ("recover", 28), ("bsv-verify", 6)):
         calls.clear()
         assert run_cli(capsys, [command, path])[0] == 0
         assert len(calls) <= bound, command

@@ -45,7 +45,7 @@ from cliffbundle import (
     trace_pairing_global,
     validate_fiber_algebra,
 )
-from cliffbundle import PolyRing, brauer_severi, clifford, linalg, qform
+from cliffbundle import PolyRing, brauer_severi, clifford, linalg, poly, qform
 from cliffbundle.cli import main
 from cliffbundle.clifford import (FiberAlgebra, _engine_constants, generic_form,
                                   integer_terms)
@@ -57,7 +57,8 @@ from cliffbundle.errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from cliffbundle.poly import HomogPoly, divide_exact, poly_sqrt, symmetric_grid
+from cliffbundle.poly import (HomogPoly, bipoly_from_alpha_map, divide_exact, poly_sqrt,
+                             symmetric_grid)
 from cliffbundle.scalars import lower
 from conftest import (diag_form, forms, plane_values, sparse_polys,
                       symbolic_scalar_grid, uvw)
@@ -512,11 +513,32 @@ def test_the_specializer_sums_in_place_what_scaled_copies_sum(q, factor, data):
     tables = [v for row in clifford._generic_table() for cell in row for v in cell]
     tables += [terms for row in brauer_severi._generic_quotients()
                for quotient in row for _, terms in quotient]
-    at = clifford.specializer(q.matrix.upper(), q.ring)
+    at = poly.specializer(q.matrix.upper(), q.ring)
     for terms in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=12)):
         terms = tuple((exps, factor * c) for exps, c in terms)
         got = at(terms)
         want = reference_specialize(q.matrix.upper(), q.ring, terms)
+        assert got == want
+        assert (str(got), got.degree, type(got)) == (str(want), want.degree, type(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=forms(), factor=st.sampled_from((1, -1, 3, 101)), data=st.data())
+def test_the_specializer_builds_each_quotient_as_its_coefficients_do(q, factor, data):
+    """The BiPoly form of the specializer, one accumulator per quotient,
+    against each alpha group summed by the operators and the groups put
+    together by ``bipoly_from_alpha_map``."""
+    quotients = [quotient for row in brauer_severi._generic_quotients()
+                 for quotient in row]
+    at = poly.specializer(q.matrix.upper(), q.ring)
+    for quotient in data.draw(st.lists(st.sampled_from(quotients), min_size=1,
+                                       max_size=6)):
+        quotient = tuple((aex, tuple((exps, factor * c) for exps, c in terms))
+                         for aex, terms in quotient)
+        got = at(quotient, q.a)
+        want = bipoly_from_alpha_map(q.ring, q.a, {
+            aex: reference_specialize(q.matrix.upper(), q.ring, terms)
+            for aex, terms in quotient})
         assert got == want
         assert (str(got), got.degree, type(got)) == (str(want), want.degree, type(want))
 

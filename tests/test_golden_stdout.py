@@ -8,6 +8,7 @@ stdout fails here.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -625,3 +626,43 @@ def test_fractional_form_stdout_matches_pinned_hash(case, tmp_path, capsys):
         text = _stdout(capsys, [command, str(path)])
         got[command] = hashlib.sha256(text.encode()).hexdigest()
     assert got == FRACTIONAL_GOLDEN[case]
+
+
+# A Q document whose diagonal coefficients have 1,500 digits: its
+# discriminant's coefficient has 4,500, past the 4,300 digits str() writes
+# by default, and disc prints it in full (it used to exit 1 with a bare
+# ValueError).  The other three commands print what they printed before.
+LONG = "7" * 1500
+LONG_DOCUMENT = {"form": {"a": [0, 0, 0], "d": 1, "entries": [
+    f"{LONG}*u", "0", "0", f"{LONG}*v", "0", f"{LONG}*w"]},
+    "scalar_domain": "rational"}
+
+LONG_GOLDEN = {
+    'disc':
+        '0ff2faf2c0d78370944bdd84ec9ae121c5862c564da634517de4923822435c74',
+    'recover':
+        '455c457973a3645f43483c3231edfbfe722f1519cf11fb9a156f58dcdf81ea4b',
+    'trace-pairing':
+        'c722280759c80e5504c4f3d30572cbf7e55479a51f1d874882ee417423809697',
+    'bsv-verify':
+        'a6b85c85419eb93eeaa67efc7f6155408ab8914b54c198b12f71bf2961bfea00',
+}
+
+
+def test_long_coefficient_stdout_matches_pinned_hash(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(LONG_DOCUMENT), encoding="utf-8")
+    got = {}
+    for command in LONG_GOLDEN:
+        text = _stdout(capsys, [command, str(path)])
+        got[command] = hashlib.sha256(text.encode()).hexdigest()
+        if command == "disc":
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                want = f"{int(LONG) ** 3}*u*v*w"
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert json.loads(text)["payload"]["discriminant"] == want
+    assert got == LONG_GOLDEN
+

@@ -21,7 +21,8 @@ from cliffbundle import (PolyRing, PrimeField, QQ, adjugate3, det, det3,
 from cliffbundle.brauer_severi import bipoly_minor, bs_matrix, divide_minors
 from cliffbundle.catalog import make_net, make_type
 from cliffbundle.errors import DegreeMismatchError, ExponentLimitError
-from cliffbundle.poly import SparsePoly, minor, monomials_of_degree
+from cliffbundle.poly import (SparsePoly, bipoly_from_alpha_map, minor, monomials_of_degree,
+                             sum_of_products)
 from cliffbundle.qform import new_qform
 from conftest import term_bidegrees
 
@@ -264,6 +265,20 @@ def test_a_product_past_the_exponent_limit_is_refused_even_if_it_cancels():
     f = ring.monomial(1, (20000, 0, 0))
     with pytest.raises(ExponentLimitError):
         det([[f, f], [f, f]])
+
+
+def test_sums_of_products_take_factors_of_one_setting_only():
+    """A factor of the very ring of ``like`` skips the setting check; one of
+    an equal ring passes it, and one of another ring or class is refused."""
+    ring = PolyRing(PrimeField(5))
+    u, v = ring.variable(0), ring.variable(1)
+    twin = PolyRing(PrimeField(5)).variable(1)
+    assert sum_of_products([(1, u, v), (-1, v, twin)], ring.zero) == u * v - v * v
+    for other in (PolyRing(PrimeField(7)).variable(0), PolyRing(QQ).variable(0),
+                  bipoly_from_alpha_map(ring, (0, 0, 0), {(1, 0, 0): u})):
+        for factors in ((1, other, u), (1, u, other)):
+            with pytest.raises(TypeError, match="different settings"):
+                sum_of_products([(1, u, v), factors], ring.zero)
 
 
 def test_products_of_different_degrees_do_not_add():

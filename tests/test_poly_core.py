@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cliffbundle import PolyRing, PrimeField, QQ, adjugate3, det, divide_exact, poly_sqrt
 from cliffbundle.brauer_severi import bipoly_from_alpha_map, divide_exact_bipoly
-from cliffbundle.errors import ExponentLimitError, NotDivisibleError
+from cliffbundle.errors import DegreeMismatchError, ExponentLimitError, NotDivisibleError
 from cliffbundle.poly import (EXP_LIMIT, BiPoly, lowered_values, monomials_of_degree,
-                             reduce_mod)
+                             reduce_mod, specializer)
 from conftest import term_bidegrees
 
 DOMAINS = (PrimeField(5), PrimeField(101), QQ)
@@ -340,6 +340,52 @@ def test_exponent_past_the_limit_is_refused():
     # Dividing u*v^LIMIT by u + v would need v^(LIMIT + 1) in the remainder.
     with pytest.raises(ExponentLimitError):
         divide_exact(u * ring.monomial(1, (0, EXP_LIMIT, 0)), u + v)
+
+
+def test_the_specializer_refuses_a_product_past_the_limit():
+    """Each product of entries is checked as it is built, as the operators
+    checked it: when it cancels in the output, when its coefficient
+    vanishes mod p (c = 7 over F_7), when it only feeds a longer product
+    (u^(3*limit) carries out of its field, clearing the guard bit), and in
+    the BiPoly form."""
+    for domain, c in ((QQ, 1), (PrimeField(7), 7)):
+        ring = PolyRing(domain)
+        entries = (ring.monomial(1, (EXP_LIMIT, 0, 0)), ring.variable(1))
+        cases = [(((2, 0), 1), ((2, 0), -1)),
+                 (((2, 0), c),),
+                 (((3, 0), 1),),
+                 (((2, 1), 1),)]
+        for terms in cases:
+            with pytest.raises(ExponentLimitError, match="EXP_LIMIT"):
+                specializer(entries, ring)(terms)
+        with pytest.raises(ExponentLimitError, match="EXP_LIMIT"):
+            specializer(entries, ring)((((1, 0, 0), cases[0]),), (0, 0, 0))
+        # Below the limit the same products are kept.
+        at = specializer((ring.monomial(1, (EXP_LIMIT // 2, 0, 0)), entries[1]), ring)
+        assert at((((2, 0), 1),)) == ring.monomial(1, (2 * (EXP_LIMIT // 2), 0, 0))
+
+
+def test_the_specializer_sums_one_degree_and_one_bidegree():
+    """Nonzero products of different degrees do not add, nor do nonzero
+    groups of different bidegrees; a group that sums to zero adds none."""
+    ring = PolyRing(QQ)
+    u, v = ring.variable(0), ring.variable(1)
+    at = specializer((u, u * u, v), ring)
+    with pytest.raises(DegreeMismatchError, match="adding degrees"):
+        at((((1, 0, 0), 1), ((0, 1, 0), 1)))
+    assert at((((0, 1, 0), 1), ((2, 0, 0), -1))) == ring.zero
+    assert at((((0, 1, 0), 1), ((2, 0, 0), -1))).degree is None
+    linear = (((1, 0, 0), 1), ((0, 0, 1), 2))
+    with pytest.raises(DegreeMismatchError, match="mixed bidegrees"):
+        at((((1, 0, 0), linear), ((0, 1, 0), (((0, 1, 0), 1),))), (0, 0, 0))
+    zero = (((0, 1, 0), 1), ((2, 0, 0), -1))
+    got = at((((1, 0, 0), linear), ((0, 1, 0), zero)), (0, 0, 0))
+    assert got == bipoly_from_alpha_map(ring, (0, 0, 0), {(1, 0, 0): u + 2 * v})
+    assert got.degree == (1, 1)
+    # With weights (0, 1, 0) the degree-2 group a2 * u^2 has bidegree (1, 1).
+    got = at((((1, 0, 0), linear), ((0, 1, 0), (((0, 1, 0), 3),))), (0, 1, 0))
+    assert got.degree == (1, 1)
+    assert str(got) == "(u + 2*v)*a1 + (3*u^2)*a2"
 
 
 # ------------------------------------------------------------- sympy oracle

@@ -11,9 +11,12 @@ coefficients, multi-digit exponents and the alpha-free ``1`` group, both
 must print the same bytes, and printed HomogPolys parse back.
 """
 
+import sys
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PolyRing, PrimeField, QQ
+from cliffbundle import PolyRing, PrimeField, QQ, poly
 from cliffbundle.clifford import generic_form
 from cliffbundle.poly import (ALPHA_NAMES, EXP_BITS, bipoly_from_alpha_map,
                               monomials_of_degree, unpack)
@@ -138,3 +141,44 @@ def test_fixed_cases():
     f = bipoly_from_alpha_map(ring, (0, 0, 0), {(0, 0, 0): v - w})
     assert str(f) == "(v - w)*1" == reference_bipoly_str(f)
     assert str(bipoly_from_alpha_map(ring, (0, 0, 0), {})) == "0"
+
+
+def test_the_monomial_table_stays_bounded():
+    """More distinct monomials than one variable tuple's table holds: the
+    table never passes its bound, and every text is still the reference's."""
+    ring = PolyRing(PrimeField(101), ("s", "t"))
+    texts = poly._texts(ring.variables)
+    printed = 0
+    for degree in range(110):
+        f = ring.poly({(e, degree - e): 1 + e % 100 for e in range(degree + 1)})
+        assert str(f) == reference_terms_to_string(f.terms, ring.variables)
+        assert len(texts) <= poly._TEXTS_BOUND
+        printed += len(f.terms)
+    assert printed > poly._TEXTS_BOUND
+    assert texts is poly._texts(("s", "t"))
+
+
+def unlimited_text(c):
+    """A rational as ``str`` writes it with the int-to-str digit limit
+    lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(c)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_coefficients_past_the_digit_limit_print_in_full():
+    """Ints from 10^600 up, about where the smallest digit limit Python
+    accepts (640) begins, up to and past its default 4,300 digits, print
+    in full, as numerators, denominators and with either sign."""
+    ring = PolyRing(QQ)
+    for n in (10 ** 600 - 1, 10 ** 600, 10 ** 600 + 1, 10 ** 1200 + 5,
+              7 * (10 ** 4500 - 1) // 9, 3 ** 20000):
+        for c in (n, -n, Fraction(n, 3 * n + 1), Fraction(-1, n)):
+            f = ring.poly({(1, 0, 0): c, (0, 1, 0): 1})
+            assert str(f) == f"{unlimited_text(c)}*u + v"
+            assert str(ring.constant(c)) == unlimited_text(c)
+            if n < 10 ** 4000:
+                assert ring.parse(str(f)) == f
