@@ -762,7 +762,8 @@ def _units(variables) -> dict:
 
 
 def _exponents(factors, variables) -> list:
-    """The exponent list of a monomial's tokens."""
+    """The exponent list of a monomial's tokens, ``name [^ int]`` joined
+    by ``*``."""
     exps = [0] * len(variables)
     for factor in "".join(factors).split("*"):
         name, _, power = factor.partition("^")
@@ -792,7 +793,7 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
     tokens = _tokens(text)
     if not tokens:
         raise PolyParseError("empty input")
-    # Two sentinels: one token of lookahead never runs past the end.
+    # Two sentinels, so one token of lookahead never runs past the end.
     tokens += (None, None)
     units, p = _units(ring.variables), ring.modulus
     terms, degree = {}, None

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -103,3 +105,15 @@ def plane_values(field, polys):
         yield ((qform.line_point(p, line, t) for t in range(size)),
                [rows.residues([column[line] for column in polynomial], size).tolist()
                 for polynomial in columns])
+
+
+def unlimited_text(x):
+    """``str(x)`` with the int-to-str digit limit lifted for the call: the
+    oracle for printing numbers past it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+

@@ -8,11 +8,11 @@ stdout fails here.
 
 import hashlib
 import json
-import sys
 
 import pytest
 
 from cliffbundle import cli
+from conftest import unlimited_text
 
 GOLDEN = {
     'F23 F101 0': {
@@ -657,12 +657,7 @@ def test_long_coefficient_stdout_matches_pinned_hash(tmp_path, capsys):
         text = _stdout(capsys, [command, str(path)])
         got[command] = hashlib.sha256(text.encode()).hexdigest()
         if command == "disc":
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
-                want = f"{int(LONG) ** 3}*u*v*w"
-            finally:
-                sys.set_int_max_str_digits(limit)
+            want = f"{unlimited_text(int(LONG) ** 3)}*u*v*w"
             assert json.loads(text)["payload"]["discriminant"] == want
     assert got == LONG_GOLDEN
 

@@ -11,7 +11,6 @@ coefficients, multi-digit exponents and the alpha-free ``1`` group, both
 must print the same bytes, and printed HomogPolys parse back.
 """
 
-import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +19,7 @@ from cliffbundle import PolyRing, PrimeField, QQ, poly
 from cliffbundle.clifford import generic_form
 from cliffbundle.poly import (ALPHA_NAMES, EXP_BITS, bipoly_from_alpha_map,
                               monomials_of_degree, unpack)
+from conftest import unlimited_text
 
 RINGS = (PolyRing(QQ), PolyRing(PrimeField(3)), PolyRing(PrimeField(101)),
          generic_form().ring)
@@ -156,17 +156,6 @@ def test_the_monomial_table_stays_bounded():
         printed += len(f.terms)
     assert printed > poly._TEXTS_BOUND
     assert texts is poly._texts(("s", "t"))
-
-
-def unlimited_text(c):
-    """A rational as ``str`` writes it with the int-to-str digit limit
-    lifted for the call."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(c)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_coefficients_past_the_digit_limit_print_in_full():
