@@ -43,8 +43,9 @@ from .errors import (
 )
 from . import linalg
 from .clifford import fiber_algebra, generic_form, integer_terms
+from .linalg import symmetric_grid
 from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map, divide_exact_bipoly,
-                   lowered_values, minor, specializer, symmetric_grid)
+                   lowered_values, minor, specializer)
 from .qform import FiberPoint, PackedLines, QForm, plane_lines
 from .scalars import PrimeField
 

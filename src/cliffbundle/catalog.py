@@ -27,7 +27,8 @@ from .errors import (
     UnknownTagError,
 )
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
-from .poly import HomogPoly, PolyMatrix, PolyRing, det, lowered_values, symmetric_grid
+from .linalg import symmetric_grid
+from .poly import HomogPoly, PolyMatrix, PolyRing, det, lowered_values
 from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
 
 

@@ -20,7 +20,9 @@ every token:
 Machine-readable JSON goes to stdout (byte-identical for a fixed input and
 seed); a one-line human summary with timing goes to stderr.  Exit codes:
 0 success, 1 invalid input, 2 mathematical failure (the report names the
-violated contract), 3 internal invariant violation or any other bug.
+violated contract), 3 internal invariant violation or any other bug.  A
+malformed command line is invalid input too: argparse's usage and message
+go to stderr, nothing to stdout, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -305,10 +307,21 @@ def cmd_scan(args):
 
 # ----------------------------------------------------------------- entry point
 
+class CommandLineParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, invalid input, after
+    printing argparse's usage and message to stderr.  Its subparsers are of
+    this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared: do not alter it."""
-    parser = argparse.ArgumentParser(
+def build_parser() -> CommandLineParser:
+    """The argument parser, built once per process and shared: do not alter
+    it.  ``commands`` maps each command to its subparser."""
+    parser = CommandLineParser(
         prog="cliffbundle",
         description="even Clifford algebras of plane conic bundles, exactly")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,11 +356,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=20)
     p = add("scan", cmd_scan)
     p.add_argument("--prime", type=int, required=True)
+    parser.commands = sub.choices
     return parser
 
 
+def parse_command_line(argv) -> argparse.Namespace:
+    """argv parsed by the subparser of its first word, skipping argparse's
+    top-level pass, when that word names a command and the subparser reads
+    every other word.  Otherwise the full parser parses argv, so help and
+    usage errors print the same text on both routes."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_command_line(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
     status, payload, code = "ok", None, 0
     try:

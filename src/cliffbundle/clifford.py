@@ -44,6 +44,7 @@ from .errors import (
     NotRecoverableError,
     OddDegreeError,
 )
+from .linalg import symmetric_grid
 from .poly import (
     PolyMatrix,
     PolyRing,
@@ -53,7 +54,6 @@ from .poly import (
     poly_sqrt,
     specializer,
     sum_of_products,
-    symmetric_grid,
 )
 from .qform import FiberPoint, QForm, new_qform
 from .scalars import QQ, PrimeField, Rationals, lower

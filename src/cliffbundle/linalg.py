@@ -3,11 +3,14 @@ over a scalar domain (``rref``, ``rank``, ``kernel_basis``; first nonzero
 pivot), whose one library caller is the 4x4 rank of
 ``brauer_severi.bs_membership`` besides the test oracles and the
 benchmark's own F25plus chain; and ``symmetric_rank`` on plain ints.
+A symmetric matrix, of scalars or of polynomials, is stored as its upper
+triangle listed row by row; ``symmetric_grid`` builds its rows.
 Determinants and minors of polynomial matrices live in ``poly``.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import pos
 
 
@@ -45,6 +48,22 @@ def rank(m, domain) -> int:
         return 0
     _, pivots = rref(m, domain)
     return len(pivots)
+
+
+def symmetric_grid(upper) -> tuple:
+    """Rows of the symmetric matrix whose upper triangle, listed row by
+    row, is ``upper``; ``PolyMatrix.upper`` reads it back."""
+    upper = tuple(upper)
+    n = (isqrt(8 * len(upper) + 1) - 1) // 2
+    if not n or n * (n + 1) // 2 != len(upper):
+        raise ValueError(f"{len(upper)} entries are not the upper triangle "
+                         "of a square matrix")
+    grid = [[None] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = next(it)
+    return tuple(map(tuple, grid))
 
 
 def symmetric_rank(upper, p: int) -> int:

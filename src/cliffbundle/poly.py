@@ -18,7 +18,12 @@ accumulator, as Monagan and Pearce do: ``add_product`` adds each product
 unreduced and ``reduce_terms`` reduces the sum once.  Other modules reach
 it through ``sum_of_products`` (behind ``det``, ``minor`` and
 ``adjugate3``) and ``specializer``.  Printing reads each monomial's text
-from a bounded table.
+from a bounded table; printing and parsing take a number of more than 600
+digits through ``Decimal``, past any int-to-str digit limit.
+
+``evaluate`` walks the terms with one ``pow`` per exponent and is the
+independent route; ``lowered_values`` evaluates many polynomials in three
+variables at one point from one table of powers per coordinate.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import groupby
-from math import isqrt, lcm
+from math import lcm
 from operator import mul, or_
 
 from .errors import (
@@ -268,12 +273,16 @@ class SparsePoly:
             return NotImplemented
         return self.scale(c).terms
 
-    def _degree_sums(self, xs, mod) -> dict:
-        """{total degree: sum of c * xs^e over its terms} at the plain ints
-        ``xs`` of a point, unboxed; over F_p (mod = p) only powers are
-        reduced."""
+    def _evaluate(self, point):
+        """The value at a point, summed in plain ints, one ``pow`` per
+        exponent (only powers reduced over F_p), and boxed once.  Over Q the
+        point is X / den (``scalars.lower``), so the terms of degree d sum
+        to c * X^e and are divided by den^d once."""
+        dom = self.ring.domain
+        xs, den = lower(dom, point)
         if len(xs) != self._fields:
             raise ValueError("wrong number of coordinates")
+        mod = self.ring.modulus or None
         shifts = range(EXP_BITS * (len(xs) - 1), -1, -EXP_BITS)
         sums = {}
         for key, c in self.terms.items():
@@ -284,15 +293,6 @@ class SparsePoly:
                     c = c * (x if e == 1 else pow(x, e, mod))
                     d += e
             sums[d] = sums.get(d, 0) + c
-        return sums
-
-    def _evaluate(self, point):
-        """The value at a point, summed in plain ints and boxed once.  Over
-        Q the point is X / den (``scalars.lower``), so the terms of degree d
-        sum to c * X^e and are divided by den^d once."""
-        dom = self.ring.domain
-        xs, den = lower(dom, point)
-        sums = self._degree_sums(xs, self.ring.modulus or None)
         if den == 1:
             return dom(sum(sums.values()))
         return dom(sum(Fraction(c, den ** d) for d, c in sums.items()))
@@ -513,13 +513,6 @@ class HomogPoly(SparsePoly):
 
     evaluate = SparsePoly._evaluate
 
-    def int_value(self, xs, p: int):
-        """The value at the plain ints ``xs`` of a point (``scalars.lower``),
-        unboxed: a least residue over F_p; over Q (p = 0) an int or a
-        Fraction, the value times den^degree."""
-        s = sum(self._degree_sums(xs, p or None).values())
-        return s % p if p else s
-
     def partial(self, which) -> "HomogPoly":
         """Formal partial derivative with respect to one variable."""
         if isinstance(which, str):
@@ -676,9 +669,11 @@ def _shifts(variables) -> tuple:
 
 #: Most texts a ``_Texts`` table keeps.
 _TEXTS_BOUND = 4096
-#: Ints below this print by ``str`` under any int-to-str digit limit (640
-#: digits at the least); larger ones go through ``Decimal``, which has none.
-_SHORT = 10 ** 600
+#: Ints of at most this many digits convert to and from text by ``str``
+#: and ``int`` under any int-to-str digit limit (640 digits at the least);
+#: longer ones go through ``Decimal``, which has none.
+_SHORT_DIGITS = 600
+_SHORT = 10 ** _SHORT_DIGITS
 
 
 class _Texts(dict):
@@ -772,12 +767,14 @@ def _exponents(factors, variables) -> list:
 
 
 def _integer(tokens, i) -> int:
+    """The int of a digit token, read through ``Decimal`` when it has more
+    than ``_SHORT_DIGITS`` digits, so no digit limit applies."""
     token = tokens[i]
     if token is None:
         raise PolyParseError("unexpected end of input")
     if not token.isdecimal():
         raise PolyParseError(f"expected int, found {token!r}")
-    return int(token)
+    return int(token) if len(token) <= _SHORT_DIGITS else int(Decimal(token))
 
 
 def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
@@ -803,7 +800,8 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
         if token in units:
             monomial = True
         elif token is not None and token.isdecimal():
-            coeff = int(token)
+            # ``_integer``'s reading, inline: most terms have a coefficient.
+            coeff = int(token) if len(token) <= _SHORT_DIGITS else int(Decimal(token))
             if tokens[i + 1] == "/":
                 den = _integer(tokens, i + 2)
                 if not ring.coerce(den):
@@ -864,30 +862,37 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
 
 # ---------------------------------------------------------- polynomial matrix
 
-def symmetric_grid(upper) -> tuple:
-    """Rows of the symmetric matrix whose upper triangle, listed row by
-    row, is ``upper``; ``PolyMatrix.upper`` reads it back."""
-    upper = tuple(upper)
-    n = (isqrt(8 * len(upper) + 1) - 1) // 2
-    if not n or n * (n + 1) // 2 != len(upper):
-        raise ValueError(f"{len(upper)} entries are not the upper triangle "
-                         "of a square matrix")
-    grid = [[None] * n for _ in range(n)]
-    it = iter(upper)
-    for i in range(n):
-        for j in range(i, n):
-            grid[i][j] = grid[j][i] = next(it)
-    return tuple(map(tuple, grid))
+class _Powers(dict):
+    """{e: x^e, mod p over F_p}, each power computed on its first lookup."""
+
+    def __init__(self, x, mod):
+        self.x, self.mod = x, mod
+
+    def __missing__(self, e):
+        power = self[e] = pow(self.x, e, self.mod)
+        return power
 
 
 def lowered_values(polys, point, domain) -> tuple:
-    """The values of polynomials at one point, unboxed, in the shape of
-    ``scalars.lower``: ``(ints, den)``, value k being ints[k] / den; den is
-    1 over F_p and a common denominator over Q.  The point is lowered once
-    (``HomogPoly.int_value``)."""
+    """The values of polynomials in three variables at a point of P^2,
+    unboxed, in the shape of ``scalars.lower``: ``(ints, den)``, value k
+    being ints[k] / den; den is 1 over F_p and a common denominator over Q.
+    The point is lowered once and the powers of each coordinate are shared
+    by all the polynomials (``_Powers``), so a term is its coefficient
+    times three lookups."""
     xs, den = lower(domain, point)
     p = domain.characteristic
-    sums = [f.int_value(xs, p) for f in polys]
+    if len(xs) != 3:
+        raise ValueError("wrong number of coordinates")
+    tu, tv, tw = (_Powers(x, p or None) for x in xs)
+    sums = []
+    for f in polys:
+        if f._fields != 3:
+            raise ValueError("wrong number of coordinates")
+        s = 0
+        for key, c in f.terms.items():
+            s += c * tu[key >> 2 * EXP_BITS] * tv[key >> EXP_BITS & _FIELD] * tw[key & _FIELD]
+        sums.append(s % p if p else s)
     if p:
         return sums, 1
     # Over Q the value of f is s / den^degree, with s an int or a Fraction.
@@ -944,7 +949,7 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def upper(self) -> tuple:
-        """The upper triangle row by row, as ``symmetric_grid`` takes it."""
+        """The upper triangle row by row, as ``linalg.symmetric_grid`` takes it."""
         return tuple(f for i, row in enumerate(self.entries) for f in row[i:])
 
     def is_symmetric(self) -> bool:

@@ -26,8 +26,8 @@ from .errors import (
     ScanTooLargeError,
     ZeroPolynomialError,
 )
-from .poly import (EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3, lowered_values,
-                   symmetric_grid)
+from .linalg import symmetric_grid
+from .poly import EXP_LIMIT, HomogPoly, PolyMatrix, PolyRing, det3, lowered_values
 from .scalars import PrimeField
 
 

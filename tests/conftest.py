@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from cliffbundle import PolyRing, PrimeField, QQ, new_qform, qform
 from cliffbundle.clifford import generic_form
-from cliffbundle.poly import monomials_of_degree, symmetric_grid
+from cliffbundle.linalg import symmetric_grid
+from cliffbundle.poly import monomials_of_degree
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from cliffbundle import PrimeField, brauer_severi, catalog, cli, clifford, linal
 from cliffbundle.errors import InternalInvariantError, NotDivisibleError
 from cliffbundle.poly import EXP_LIMIT
 from cliffbundle.scalars import PRIME_LIMIT
+from conftest import unlimited_text
 
 DIAG_DOC = {
     "scalar_domain": "rational",
@@ -463,6 +465,110 @@ def test_installed_entry_point_runs():
     report = json.loads(proc.stdout)
     assert report["payload"]["minus_K3"] == 30
     assert "invariants: ok" in proc.stderr
+
+
+def run_argv(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, whether it returns or
+    exits; the timing in the stderr summary reads ``(ms)``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, re.sub(r"\(\d+\.\d ms\)", "(ms)", err)
+
+
+@pytest.mark.parametrize("argv", [["scan", "DOC", "--prime", "abc"], ["fiber", "DOC"],
+                                  ["frobnicate", "DOC"]],
+                         ids=["bad-int", "missing-option", "unknown-command"])
+def test_a_malformed_command_line_exits_1(tmp_path, capsys, monkeypatch, argv):
+    """A usage error is invalid input: exit 1, argparse's usage and message
+    on stderr, nothing on stdout, in process and from ``python -m``.  Both
+    wrap the usage at the same width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [write_doc(tmp_path, DIAG_DOC) if a == "DOC" else a for a in argv]
+    code, out, err = run_argv(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: cliffbundle") and "error: " in err
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "cliffbundle.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["-h"], ["fiber", "-h"]):
+        code, out, err = run_argv(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: cliffbundle")
+
+
+COMMAND_LINES = [
+    ["validate", "DOC"], ["normalize", "DOC"], ["disc", "DOC"],
+    ["fiber", "DOC", "--point", "1:2:3"], ["fiber", "DOC", "--point=1:1:0"],
+    ["fiber", "--point", "1:0:0", "DOC"],
+    ["classify", "DOC", "--point", "1:1:1"], ["classify", "--point=0:1:1", "DOC"],
+    ["bsv-verify", "DOC"], ["trace-pairing", "DOC"], ["recover", "DOC"],
+    ["invariants", "--type", "F24"], ["invariants", "--type=F25plus"],
+    ["catalog", "--type", "F23", "--seed", "3", "--prime", "7"],
+    ["catalog", "--type=F24", "--rational", "--seed=1"],
+    ["catalog", "--type", "F23", "--pri", "11"],
+    ["hilbert", "DOC", "--order", "4"], ["hilbert", "--order=4", "DOC"],
+    ["scan", "DOC", "--prime", "5"], ["scan", "--prime=7", "DOC"],
+    ["scan", "DOC", "--pri", "5"],
+    ["fiber", "-h"], ["scan", "DOC", "-h"],
+    ["fiber", "DOC", "--point", "1:1:1", "--bogus"], ["validate", "DOC", "--bogus=1"],
+    ["validate", "DOC", "extra"],
+    ["fiber", "DOC"], ["scan", "DOC"], ["catalog"],
+    ["scan", "DOC", "--prime", "abc"], ["hilbert", "DOC", "--order=x"],
+    ["frobnicate", "DOC"], ["-h"], [],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_the_direct_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch, argv):
+    """Each command line gives the same exit code, stdout and stderr with
+    the direct route to a subparser and with every line sent through the
+    full parser."""
+    argv = [write_doc(tmp_path, DIAG_DOC) if a == "DOC" else a for a in argv]
+    direct = run_argv(capsys, argv)
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert run_argv(capsys, argv) == direct
+
+
+def test_a_command_skips_the_top_level_pass(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    path = write_doc(tmp_path, DIAG_DOC)
+    for argv in (["fiber", path, "--point", "1:2:3"], ["scan", "--prime=5", path],
+                 ["invariants", "--type", "F23"]):
+        assert run_argv(capsys, argv)[0] == 0
+
+
+@pytest.mark.parametrize("spec", ["rational", {"prime": 101}], ids=["Q", "F101"])
+def test_coefficients_past_the_digit_limit_are_read(tmp_path, capsys, spec):
+    """A 4,400-digit coefficient, past the 4,300 digits int() reads by
+    default, gets its normal report.  It is 10 mod 101, where a repdigit of
+    4,400 digits would be 0."""
+    long = "6" + "7" * 4399
+    doc = {"scalar_domain": spec,
+           "form": {"a": [0, 0, 0], "d": 1, "entries": [f"{long}*u", "0", "0", "v", "0", "w"]}}
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli(capsys, ["validate", path])
+    assert code == 0
+    assert report["payload"]["entry_degrees"] == [[1, 1, 1]] * 3
+    c = 6 * 10 ** 4399 + 7 * (10 ** 4399 - 1) // 9
+    if spec != "rational":
+        c %= 101
+    code, report, _ = run_cli(capsys, ["disc", path])
+    assert code == 0
+    assert report["payload"]["discriminant"] == f"{unlimited_text(c)}*u*v*w"
+    code, report, _ = run_cli(capsys, ["fiber", path, "--point", "1:1:1"])
+    assert (code, report["payload"]["rank"]) == (0, 3)
 
 
 def test_exponents_past_the_limit_exit_1(tmp_path, capsys):

@@ -57,8 +57,9 @@ from cliffbundle.errors import (
     NotRecoverableError,
     OddDegreeError,
 )
-from cliffbundle.poly import (HomogPoly, bipoly_from_alpha_map, divide_exact, poly_sqrt,
-                             symmetric_grid)
+from cliffbundle.linalg import symmetric_grid
+from cliffbundle.poly import (HomogPoly, bipoly_from_alpha_map, divide_exact, lowered_values,
+                             poly_sqrt)
 from cliffbundle.scalars import lower
 from conftest import (diag_form, forms, plane_values, sparse_polys,
                       symbolic_scalar_grid, uvw)
@@ -1024,16 +1025,15 @@ def test_a_fiber_job_builds_no_polynomial_product(tmp_path, capsys, monkeypatch)
     def refuse(*args):
         raise AssertionError("a polynomial product was built")
 
-    evaluated = []
-    int_value = HomogPoly.int_value
+    calls = []
 
-    def counted(f, xs, p):
-        evaluated.append(f)
-        return int_value(f, xs, p)
+    def counted(polys, point, domain):
+        calls.append(len(polys))
+        return lowered_values(polys, point, domain)
 
     monkeypatch.setattr(HomogPoly, "__mul__", refuse)
     monkeypatch.setattr(qform, "discriminant", refuse)
-    monkeypatch.setattr(HomogPoly, "int_value", counted)
+    monkeypatch.setattr(clifford, "lowered_values", counted)
     for spec in ("rational", {"prime": 5}):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps({
@@ -1041,10 +1041,10 @@ def test_a_fiber_job_builds_no_polynomial_product(tmp_path, capsys, monkeypatch)
             "form": {"a": [0, 0, 0], "d": 1, "entries": ["u", "0", "0", "v", "0", "w"]},
         }), encoding="utf-8")
         for point, rank in (("1:2:3", 3), ("1:1:0", 2), ("1:0:0", 1)):
-            evaluated.clear()
+            calls.clear()
             assert main(["fiber", str(path), "--point", point]) == 0
             assert json.loads(capsys.readouterr().out)["payload"]["rank"] == rank
-            assert len(evaluated) == 6
+            assert calls == [6]
 
 
 def test_a_classify_job_builds_no_fiber_algebra(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from cliffbundle import cli
+from cliffbundle import QQ, PolyRing, cli
 from conftest import unlimited_text
 
 GOLDEN = {
@@ -659,5 +659,6 @@ def test_long_coefficient_stdout_matches_pinned_hash(tmp_path, capsys):
         if command == "disc":
             want = f"{unlimited_text(int(LONG) ** 3)}*u*v*w"
             assert json.loads(text)["payload"]["discriminant"] == want
+            assert str(PolyRing(QQ).parse(want)) == want
     assert got == LONG_GOLDEN
 

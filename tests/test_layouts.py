@@ -1,7 +1,7 @@
 """The shared data layouts, each with one owner.
 
 A symmetric matrix is stored as its upper triangle listed row by row:
-``poly.symmetric_grid`` builds the rows from it and ``PolyMatrix.upper``
+``linalg.symmetric_grid`` builds the rows from it and ``PolyMatrix.upper``
 reads it back.  The points of P^2(F_p) come in the order of
 ``qform.plane_points``.  The catalog writes documents in the first layout,
 so a document read back by the CLI is the form the catalog made.
@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from cliffbundle import (PolyMatrix, PolyRing, PrimeField, QQ, catalog, cli,
                          projective_points)
-from cliffbundle.poly import monomials_of_degree, symmetric_grid
+from cliffbundle.linalg import symmetric_grid
+from cliffbundle.poly import monomials_of_degree
 from cliffbundle.qform import plane_points
 
 

@@ -17,7 +17,7 @@ from cliffbundle.brauer_severi import bipoly_from_alpha_map, divide_exact_bipoly
 from cliffbundle.errors import DegreeMismatchError, ExponentLimitError, NotDivisibleError
 from cliffbundle.poly import (EXP_LIMIT, BiPoly, lowered_values, monomials_of_degree,
                              reduce_mod, specializer)
-from conftest import term_bidegrees
+from conftest import term_bidegrees, unlimited_text
 
 DOMAINS = (PrimeField(5), PrimeField(101), QQ)
 
@@ -95,12 +95,39 @@ def test_poly_sqrt_of_square(data):
     assert poly_sqrt(f * f) in (f, -f)
 
 
+def term_texts(f, coefficient_text) -> str:
+    """f in the input grammar, a sign and ``coefficient_text(|c|)*monomial``
+    per term, written without the printer."""
+    names = f.ring.variables
+    text = " ".join(
+        ("-" if c < 0 else "+") + " " + "*".join(
+            [coefficient_text(abs(c))] + [f"{x}^{e}" for x, e in zip(names, exps) if e])
+        for exps, c in f.int_terms())
+    return text.removeprefix("+ ") or "0"
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_parse_inverts_str(data):
+    """Printing and parsing are inverse, also for coefficients on both sides
+    of the 600 digits that ``str`` and ``int`` take under any digit limit
+    and of the 4,300-digit default limit: over Q a multiple of f with long
+    numerators or denominators, over F_p f written with long
+    representatives of its residues."""
     ring = data.draw(rings)
     f = data.draw(homog(ring, data.draw(st.integers(0, 4))))
     assert ring.parse(str(f)) == f
+    digits = data.draw(st.sampled_from((599, 600, 601, 4300, 4301, 4400)))
+    p = ring.modulus
+    big = data.draw(st.integers(10 ** (digits - 1) + p, 10 ** digits - 1 - p))
+    if p:
+        lift = big - big % p  # a multiple of p: lift + c has ``digits`` digits
+        assert ring.parse(term_texts(f, lambda c: unlimited_text(c + lift))) == f
+    else:
+        scale = data.draw(st.sampled_from((big, Fraction(1, big), Fraction(big, big + 2))))
+        g = f.scale(scale)
+        assert ring.parse(str(g)) == g
+        assert ring.parse(term_texts(g, unlimited_text)) == g
 
 
 @st.composite
@@ -255,11 +282,15 @@ def test_bipoly_evaluate_matches_the_domain_walk(data):
 @given(data=st.data())
 def test_lowered_values_match_the_domain_walk(data):
     """Polynomials of several degrees at one point: each int over the one
-    denominator is the value, a least residue over F_p."""
+    denominator is the value, a least residue over F_p.  Exponents reach
+    EXP_LIMIT, and zero polynomials and zero coordinates are drawn."""
     ring = data.draw(rings)
-    polys = data.draw(st.lists(st.integers(0, 4).flatmap(lambda d: homog(ring, d)),
+    polys = data.draw(st.lists(st.one_of(st.integers(0, 4).flatmap(lambda d: homog(ring, d)),
+                                         wide_polys(ring)),
                                min_size=1, max_size=6))
     point = data.draw(st.lists(coordinates(ring.domain), min_size=3, max_size=3))
+    if data.draw(st.integers(0, 3)) == 0:
+        point[data.draw(st.integers(0, 2))] = 0
     ints, den = lowered_values(polys, point, ring.domain)
     assert all(type(x) is int for x in ints + [den]) and den > 0
     if ring.domain is not QQ:
@@ -305,6 +336,8 @@ def test_evaluate_refuses_what_the_domain_walk_refuses(domain, point):
     f = u * u + v * w
     F = bipoly_from_alpha_map(ring, (0, 0, 0), {(1, 0, 0): f, (0, 0, 1): u * v})
     for run, oracle in ((lambda: f.evaluate(point),
+                         lambda: reference_evaluate(f, point, 3)),
+                        (lambda: lowered_values([f, u], point, domain),
                          lambda: reference_evaluate(f, point, 3)),
                         (lambda: F.evaluate(point, (1, 2, 3)),
                          lambda: reference_evaluate(F, (1, 2, 3) + point, 6))):
