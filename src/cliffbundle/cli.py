@@ -17,8 +17,14 @@ every token:
     monomial := var ('^' posint)? ('*' var ('^' posint)?)*
     var      := 'u' | 'v' | 'w'
 
+Polynomial text in the printer's own form (terms joined by " + " and
+" - ", as every report writes them) is read a term at a time; any other
+text of the grammar is read token by token.
+
 Machine-readable JSON goes to stdout (byte-identical for a fixed input and
-seed); a one-line human summary with timing goes to stderr.  Exit codes:
+seed), the text ``json.dumps(report, indent=2, sort_keys=True,
+default=str)`` gives, written by ``json_text``; a one-line human summary
+with timing goes to stderr.  Exit codes:
 0 success, 1 invalid input, 2 mathematical failure (the report names the
 violated contract), 3 internal invariant violation or any other bug.  A
 malformed command line is invalid input too: argparse's usage and message
@@ -32,6 +38,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import brauer_severi, catalog, clifford, invariants, poly, qform
 from .errors import (CliffBundleError, InternalInvariantError, MathFailureError,
@@ -166,6 +173,36 @@ def reduce_mod(q: QForm, p: int) -> QForm:
 
 def upper_entries(matrix) -> list:
     return [str(f) for f in matrix.upper()]
+
+
+# ------------------------------------------------------------------ output side
+
+# The text of each JSON scalar a report holds, by exact type.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {False: "false", True: "true"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=str)``.  The
+    json module writes indented text in pure Python, through closures that
+    only the cyclic collector frees; here the scalars of ``_SCALARS`` and
+    nonempty dicts, lists and tuples are written directly, and any other
+    value (a key that is not a str, too) by ``json.dumps`` without indent,
+    its C encoder.  ``indent`` is the line break and indentation before
+    the value's closing bracket."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + f",{inner}".join([
+            f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+            f"{json_text(v, inner)}" for k, v in sorted(value.items())]) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return ("[" + inner + f",{inner}".join([json_text(v, inner) for v in value])
+                + indent + "]")
+    return json.dumps(value, default=str)
 
 
 # ------------------------------------------------------------------- commands
@@ -395,7 +432,7 @@ def main(argv=None) -> int:
         status, code = "internal-error", 3
         payload = {"error": type(exc).__name__, "message": str(exc)}
     report = {"command": args.command, "status": status, "payload": payload}
-    print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    print(json_text(report))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"{args.command}: {status} ({elapsed_ms:.1f} ms)", file=sys.stderr)
     return code

@@ -18,8 +18,11 @@ accumulator, as Monagan and Pearce do: ``add_product`` adds each product
 unreduced and ``reduce_terms`` reduces the sum once.  Other modules reach
 it through ``sum_of_products`` (behind ``det``, ``minor`` and
 ``adjugate3``) and ``specializer``.  Printing reads each monomial's text
-from a bounded table; printing and parsing take a number of more than 600
-digits through ``Decimal``, past any int-to-str digit limit.
+from a bounded table.  Parsing reads text in the printer's form a term at a
+time (``_read``), each monomial's key from the inverse table, and leaves
+any other text to a token walker (``_walk``), which names every refusal.
+Printing and parsing take a number of more than 600 digits through
+``Decimal``, past any int-to-str digit limit.
 
 ``evaluate`` walks the terms with one ``pow`` per exponent and is the
 independent route; ``lowered_values`` evaluates many polynomials in three
@@ -77,7 +80,7 @@ def pack(exps, nfields: int) -> int:
             raise ValueError(f"bad exponent tuple {tuple(exps)}")
         if e > EXP_LIMIT:
             raise ExponentLimitError(
-                f"exponent {e} is larger than EXP_LIMIT = {EXP_LIMIT}")
+                f"exponent {_number(e)} is larger than EXP_LIMIT = {EXP_LIMIT}")
         key = key << EXP_BITS | e
     return key
 
@@ -322,6 +325,29 @@ def sum_of_products(products, like: SparsePoly) -> SparsePoly:
     return like._new(terms, degree)
 
 
+class _Products(dict):
+    """{exponent tuple: (unreduced terms, degree)} of the products of
+    ``entries``, each built on its first lookup by one ``add_product`` of
+    the product with one factor fewer, where one past EXP_LIMIT is
+    refused."""
+
+    def __init__(self, entries, nvars):
+        self.entries, self.nvars = entries, nvars
+        n = len(entries)
+        self[(0,) * n] = {0: 1}, 0
+        for k, x in enumerate(entries):
+            self[tuple(int(i == k) for i in range(n))] = x.terms, x.degree
+
+    def __missing__(self, exps):
+        k = max(i for i, e in enumerate(exps) if e)
+        terms, d = self[exps[:k] + (exps[k] - 1,) + exps[k + 1:]]
+        x = self.entries[k]
+        terms = add_product({}, terms, x.terms)
+        _refuse_past_limit(terms, self.nvars)
+        product = self[exps] = terms, d + x.degree if terms else None
+        return product
+
+
 def specializer(entries, ring):
     """Integer polynomials evaluated at the HomogPolys ``entries`` of
     ``ring``: ``at(terms)`` maps int terms ``((exps, c), ...)`` to the
@@ -329,28 +355,15 @@ def specializer(entries, ring):
     ``((alpha exps, terms), ...)`` to the BiPoly of those coefficients.
     Each sums in one accumulator, reduced once; nonzero products must agree
     in degree, nonzero groups in bidegree.  Calls share a memo of unreduced
-    products of entries, each built once by one ``add_product``, where one
-    past EXP_LIMIT is refused."""
-    n, p, nvars = len(entries), ring.modulus, ring.nvars
-    products = {(0,) * n: ({0: 1}, 0)}
-    for k, x in enumerate(entries):
-        products[tuple(int(i == k) for i in range(n))] = x.terms, x.degree
-
-    def product(exps):
-        if exps not in products:
-            k = max(i for i, e in enumerate(exps) if e)
-            terms, d = product(exps[:k] + (exps[k] - 1,) + exps[k + 1:])
-            x = entries[k]
-            terms = add_product({}, terms, x.terms)
-            _refuse_past_limit(terms, nvars)
-            products[exps] = terms, d + x.degree if terms else None
-        return products[exps]
+    products of entries (``_Products``), which holds no reference cycle."""
+    p, nvars = ring.modulus, ring.nvars
+    products = _Products(entries, nvars)
 
     def add(acc, shift, terms):
         # acc += sum c * entries^exps << shift; the degree or None.
         get, degree = acc.get, None
         for exps, c in terms:
-            f, d = product(exps)
+            f, d = products[exps]
             if p:
                 c %= p
             if c and f:
@@ -729,41 +742,100 @@ def terms_to_string(terms: dict, variables) -> str:
 
 # ------------------------------------------------------------------- parsing
 
-# A character outside the grammar, and the tokens: operators, ints and
-# names (word characters led by no digit int() reads).  Spacing out the
-# operators and splitting at white space gives the tokens of ``_TOKENS``
-# unless a digit runs into a letter or ``_`` (``_DIGIT_LETTER``).
+class _Keys(dict):
+    """{monomial text: (key, degree)}, the inverse of ``_Texts``, or None
+    for a text that ``_read`` leaves to the walker: one factor ``name`` or
+    ``name^e`` is read on its own, a product sums its factors' entries.
+    Only a variable named by an identifier is read, as the walker reads
+    it, one token.  Written on a miss and emptied when it holds
+    ``_TEXTS_BOUND`` texts."""
+
+    def __init__(self, variables):
+        self.units = {name: 1 << s for name, s in _shifts(variables)
+                      if name.isidentifier()}
+
+    def __missing__(self, text):
+        if len(self) >= _TEXTS_BOUND:
+            self.clear()
+        found = None
+        if "*" in text:
+            key = d = 0
+            for factor in text.split("*"):
+                entry = self[factor]
+                if entry is None:
+                    break
+                key, d = key + entry[0], d + entry[1]
+            else:
+                found = (key, d) if d <= EXP_LIMIT else None
+        else:
+            name, caret, power = text.partition("^")
+            if not caret:
+                power = "1"
+            e = int(power) if power.isdigit() and len(power) < 6 else 0
+            if name in self.units and 0 < e <= EXP_LIMIT:
+                found = e * self.units[name], e
+        self[text] = found
+        return found
+
+
+_keys = cache(_Keys)
+
+
+def _read(text: str, ring: PolyRing):
+    """The polynomial of an ASCII text in the printer's form, or None.
+    ``_terms_string`` joins terms by " + " and " - ", a term being ``c``,
+    ``c*m`` or ``m``; each monomial's key and degree come from ``_keys``.
+    None, for the walker to read or refuse, on anything else: other
+    spacing, an unknown name, more than ``_SHORT_DIGITS`` digits, a zero
+    denominator or coefficient, a repeated monomial or mixed degrees."""
+    if text == "0":
+        return ring.zero
+    if not text.isascii() or " + -" in text:
+        return None
+    keys, p = _keys(ring.variables), ring.modulus
+    parts = text.replace(" - ", " + -").split(" + ")
+    terms, degree = {}, None
+    for term in parts:
+        negative = term[:1] == "-"
+        if negative:
+            term = term[1:]
+        head, star, mono = term.partition("*")
+        num, slash, den = head.partition("/")
+        if num.isdigit() and len(head) <= _SHORT_DIGITS:
+            c = int(num)
+            if slash:
+                den = int(den) if den.isdigit() else 0
+                if not ring.coerce(den):
+                    return None
+                c = ring.coerce(ring.domain.from_pair(c, den))
+            found = keys[mono] if star else (0, 0)
+        else:
+            c, found = 1, keys[term]
+        if found is None:
+            return None
+        key, d = found
+        if negative:
+            c = -c
+        if p:
+            c %= p
+        if not c or degree not in (None, d):
+            return None
+        degree = d
+        terms[key] = c
+    if len(terms) < len(parts):
+        return None
+    return HomogPoly._make(ring, terms, degree)
+
+
+# The walker's refusal of a character outside the grammar, and its tokens:
+# operators, ints and names (word characters led by no digit int() reads).
 _BAD_CHARACTER = re.compile(r"[^\s\w+\-*/^]").search
-_DIGIT_LETTER = re.compile(r"\d[^\W\d]").search
 _TOKENS = re.compile(r"[-+*/^]|\d+|\w+").findall
 _OPERATORS = frozenset("+-*/^")
 
 
-def _tokens(text: str) -> list:
-    if _DIGIT_LETTER(text):
-        return _TOKENS(text)
-    return (text.replace("+", " + ").replace("-", " - ").replace("*", " * ")
-            .replace("/", " / ").replace("^", " ^ ").split())
-
-
 def _is_name(token) -> bool:
     return token is not None and token not in _OPERATORS and not token.isdecimal()
-
-
-@cache
-def _units(variables) -> dict:
-    """The key of each variable that a name token can spell."""
-    return {name: 1 << s for name, s in _shifts(variables) if _is_name(name)}
-
-
-def _exponents(factors, variables) -> list:
-    """The exponent list of a monomial's tokens, ``name [^ int]`` joined
-    by ``*``."""
-    exps = [0] * len(variables)
-    for factor in "".join(factors).split("*"):
-        name, _, power = factor.partition("^")
-        exps[variables.index(name)] += int(power or 1)
-    return exps
 
 
 def _integer(tokens, i) -> int:
@@ -777,80 +849,62 @@ def _integer(tokens, i) -> int:
     return int(token) if len(token) <= _SHORT_DIGITS else int(Decimal(token))
 
 
-def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
-    """Parse text in the grammar of the ``cli`` module docstring, one term
-    at a time over its tokens (``_tokens``), a ``*`` taken only before a
-    name.  A term's key and degree grow as its factors are read; only a
-    term whose degree passes EXP_LIMIT, where a field may have carried, is
-    packed again from its exponents, so ``pack`` refuses it.  The signed
-    coefficient goes straight into the term dict."""
+def _walk(text: str, ring: PolyRing) -> HomogPoly:
+    """Parse any text of the grammar, one term at a time over its
+    ``_TOKENS``, a ``*`` taken only before a name; a term's exponents are
+    packed by ``pack``, which refuses one past EXP_LIMIT.  Every refusal of
+    the parser is named here."""
     bad = _BAD_CHARACTER(text)
     if bad:
         raise PolyParseError(f"bad character {bad[0]!r} at position {bad.start()}")
-    tokens = _tokens(text)
+    tokens = _TOKENS(text)
     if not tokens:
         raise PolyParseError("empty input")
     # Two sentinels, so one token of lookahead never runs past the end.
     tokens += (None, None)
-    units, p = _units(ring.variables), ring.modulus
-    terms, degree = {}, None
+    variables, terms, degree = ring.variables, {}, None
     sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
     while True:
-        token, coeff, key, d = tokens[i], 1, 0, 0
-        if token in units:
-            monomial = True
-        elif token is not None and token.isdecimal():
-            # ``_integer``'s reading, inline: most terms have a coefficient.
-            coeff = int(token) if len(token) <= _SHORT_DIGITS else int(Decimal(token))
+        token, coeff, exps = tokens[i], 1, [0] * len(variables)
+        if token is not None and token.isdecimal():
+            coeff = _integer(tokens, i)
             if tokens[i + 1] == "/":
                 den = _integer(tokens, i + 2)
                 if not ring.coerce(den):
                     raise PolyParseError("zero denominator")
-                coeff = ring.coerce(coeff if den == 1
-                                    else ring.domain.from_pair(coeff, den))
+                coeff = ring.domain.from_pair(coeff, den)
                 i += 2
-            elif p:
-                coeff %= p
+            coeff = ring.coerce(coeff)
             i += 1
-            monomial = tokens[i] == "*" and (tokens[i + 1] in units
-                                             or _is_name(tokens[i + 1]))
+            monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
             i += monomial
         elif _is_name(token):
             monomial = True
         else:
             found = "end of input" if token is None else token
             raise PolyParseError(f"expected a term, found {found!r}")
-        start = i
         while monomial:
-            unit = units.get(tokens[i])
-            if unit is None:
-                raise UnknownVariableError(f"unknown variable {tokens[i]!r}")
-            power = 1
+            name, power = tokens[i], 1
+            if name not in variables:
+                raise UnknownVariableError(f"unknown variable {name!r}")
             if tokens[i + 1] == "^":
                 power = _integer(tokens, i + 2)
                 if power < 1:
                     raise PolyParseError("exponent must be positive")
                 i += 2
-            key += power * unit
-            d += power
+            exps[variables.index(name)] += power
             i += 1
-            monomial = tokens[i] == "*" and (tokens[i + 1] in units
-                                             or _is_name(tokens[i + 1]))
+            monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
             i += monomial
         if coeff:
+            d = sum(exps)
             if degree is None:
                 degree = d
             elif d != degree:
-                raise InhomogeneousError(f"mixed degrees {degree} and {d} in input")
-            if d > EXP_LIMIT:
-                key = pack(_exponents(tokens[start:i], ring.variables), ring.nvars)
-            s = terms.get(key, 0) + sign * coeff
-            if p:
-                s %= p
-            if s:
-                terms[key] = s if type(s) is int else _rational(s)
-            else:
-                del terms[key]
+                raise InhomogeneousError(
+                    f"mixed degrees {_number(degree)} and {_number(d)} in input")
+            add_multiple(terms, pack(exps, len(exps)), sign * coeff, {0: 1},
+                         ring.modulus)
         token = tokens[i]
         if token is None:
             return HomogPoly._make(ring, terms, degree)
@@ -858,6 +912,13 @@ def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
             raise PolyParseError(f"expected + or -, found {token!r}")
         sign = 1 if token == "+" else -1
         i += 1
+
+
+def parse_poly(text: str, ring: PolyRing) -> HomogPoly:
+    """Parse text in the grammar of the ``cli`` module docstring: the
+    printer's own form by ``_read``, any other text by ``_walk``."""
+    f = _read(text, ring)
+    return _walk(text, ring) if f is None else f
 
 
 # ---------------------------------------------------------- polynomial matrix

@@ -571,6 +571,19 @@ def test_coefficients_past_the_digit_limit_are_read(tmp_path, capsys, spec):
     assert (code, report["payload"]["rank"]) == (0, 3)
 
 
+@pytest.mark.parametrize("spec", ["rational", {"prime": 101}], ids=["Q", "F101"])
+def test_an_exponent_past_the_digit_limit_exits_1_by_name(tmp_path, spec, capsys):
+    power = "7" * 4400
+    doc = {"scalar_domain": spec,
+           "form": {"a": [0, 0, 0], "d": 1,
+                    "entries": [f"u^{power}", "0", "0", "v", "0", "w"]}}
+    code, report, _ = run_cli(capsys, ["validate", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert report["payload"] == {
+        "error": "ExponentLimitError",
+        "message": f"exponent {power} is larger than EXP_LIMIT = {EXP_LIMIT}"}
+
+
 def test_exponents_past_the_limit_exit_1(tmp_path, capsys):
     doc = {"scalar_domain": "rational",
            "form": {"a": [0, 0, 0], "d": EXP_LIMIT + 1,

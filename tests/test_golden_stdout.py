@@ -662,3 +662,69 @@ def test_long_coefficient_stdout_matches_pinned_hash(tmp_path, capsys):
             assert str(PolyRing(QQ).parse(want)) == want
     assert got == LONG_GOLDEN
 
+
+
+# Report shapes the pins above leave out: ``invariants`` of every type,
+# ``hilbert --order 20``, ``validate`` on a form (a net is pinned above),
+# ``normalize``, and one report of each failure band, exit 1 (an
+# inhomogeneous entry) and exit 2 (``recover`` on a form of rank 2).  The
+# catalog documents are seed 7.  Each pin is (exit code, sha256 of stdout),
+# taken before the report writer replaced ``json.dumps``.
+DIAG_DOCUMENT = {"form": {"a": [0, 0, 0], "d": 1,
+                          "entries": ["u", "0", "0", "v", "0", "w"]},
+                 "scalar_domain": "rational"}
+
+
+def _with_entry(document, k, text):
+    document = json.loads(json.dumps(document))
+    document["form"]["entries"][k] = text
+    return document
+
+
+REPORT_DOCUMENTS = {
+    "inhomogeneous": _with_entry(DIAG_DOCUMENT, 0, "u + v^2"),
+    "rank2": _with_entry(DIAG_DOCUMENT, 5, "0"),
+}
+
+REPORT_GOLDEN = {
+    'invariants --type F23': (0,
+        'c7afb3de63b3c0fc9ce59e538b803d84fe943af9a7831098fa4864738cffdfd5'),
+    'invariants --type F24': (0,
+        '5be2ca2a20dc216c9f10b732df9e94b12a5ad403d2470bc386b0fc1485daf701'),
+    'invariants --type F25plus': (0,
+        '549be182c3ec8bd743cbb95e37e898a94985bddffd986383a4218de599867bb7'),
+    'invariants --type F25minus': (0,
+        'ffadbcc7c6c9037aef93a782116c6bf6b59ebd50a80b3d4aca5103cdf93c5ef9'),
+    'hilbert F24-Q --order 20': (0,
+        '06508c6fee4b37308179a64ab221fcaada00071ce9e29674428fed10309f675e'),
+    'validate F24-F101': (0,
+        '0c486147869456ca279d013a447d4c4c77c92dd00105bafc109ed0bca6c3f722'),
+    'normalize F25minus-Q': (0,
+        '16af031921a3f1d8bff1902e70b321c58df394d70fceb60b5c92c1a60842ed30'),
+    'validate inhomogeneous': (1,
+        'dfb0c953a587a5d1c2c1cbb95e55f615db0b6de00373f3c7311c6ff056277116'),
+    'recover rank2': (2,
+        '31af856e95f05e44bc759e1015c435bb7dc07958154b9f823863d5e6dfb89cc4'),
+}
+
+
+def _report_document(capsys, name):
+    if name in REPORT_DOCUMENTS:
+        return REPORT_DOCUMENTS[name]
+    tag, field = name.split("-")
+    text = _stdout(capsys, ["catalog", "--type", tag, "--seed", "7"]
+                   + (["--rational"] if field == "Q" else []))
+    return json.loads(text)["payload"]
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_GOLDEN))
+def test_report_stdout_matches_pinned_hash(case, tmp_path, capsys):
+    argv = case.split()
+    if argv[0] != "invariants":
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_report_document(capsys, argv[1])),
+                        encoding="utf-8")
+        argv[1] = str(path)
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == REPORT_GOLDEN[case]

@@ -6,9 +6,12 @@ Hypothesis property over Q, F_5 and F_101 draws text from the grammar's
 pieces and a few characters outside it: both parsers must give the same
 polynomial, or raise the same exception type with the same message.  On
 non-ASCII text only refusal messages may differ: a text either parser
-refuses, both refuse.  Fixed texts reach the exponent limit, every entry of
-the catalog documents is compared, and a second property draws long texts
-that the grammar accepts.
+refuses, both refuse.  The pieces include the printer's " + " and " - ",
+so printed texts and their near misses are drawn too.  Fixed texts reach
+the exponent limit, every entry of the catalog documents is compared, and
+a second property draws long texts that the grammar accepts.  With the
+token walker patched to raise, the printed-text reader alone must read
+every catalog entry back.
 """
 
 import json
@@ -16,7 +19,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import PolyRing, PrimeField, QQ, cli, poly
+from cliffbundle import PolyRing, PrimeField, QQ, catalog, cli, poly
 from cliffbundle.errors import (ExponentLimitError, InhomogeneousError,
                                 PolyParseError, UnknownVariableError)
 from cliffbundle.poly import (EXP_LIMIT, HomogPoly, add_multiple,
@@ -24,7 +27,8 @@ from cliffbundle.poly import (EXP_LIMIT, HomogPoly, add_multiple,
 
 RINGS = tuple(PolyRing(domain) for domain in (QQ, PrimeField(5), PrimeField(101)))
 
-PIECES = (*"0123456789", *"uvwx_", *"+-*/^", " ", "\t", "?", "^0", "/0", "1/3")
+PIECES = (*"0123456789", *"uvwx_", *"+-*/^", " ", "\t", "?", "^0", "/0", "1/3",
+          " + ", " - ", "*u^2")
 
 
 def _tokenize(text: str):
@@ -159,12 +163,13 @@ def reference_parse(text: str, ring: PolyRing) -> HomogPoly:
 
 
 def outcome(parse, text, ring):
-    """The polynomial and its degree, or the exception type and message."""
+    """The polynomial, its degree and the degree's type, or the exception
+    type and message."""
     try:
         f = parse(text, ring)
     except Exception as exc:
         return type(exc), str(exc)
-    return f, f.degree
+    return f, f.degree, type(f.degree)
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,6 +183,9 @@ def test_the_parser_matches_the_reference(text):
     "u + 2*v - 1/3*w", "-u^2*v + v*w^2 - 7", "0", "3*u^1*u", "2/4",
     "u*3", "2*", "u*^2", "u^", "1/", "1/u", "", " \t", "u x", "u^0",
     "1/0", "u + v^2", "u -", "- + u",
+    "u + -v", "u - -v", "--u", "- u", "u  + v", "u + v ", " u", "u +  v",
+    "u + u", "u - u", "u*u + u^2", "0*u + v^2", "5*u + v^2", "2/4*u", "1/5*u",
+    "1/10*u", "u^00001*v", "3*", "3*4", "u**v", "u^2^3", "-3/2*u - 0*v",
 ])
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
 def test_the_parser_matches_the_reference_on_fixed_texts(ring, text):
@@ -279,9 +287,8 @@ def test_the_parser_matches_the_reference_on_well_formed_texts(text):
             assert isinstance(got[0], HomogPoly)
 
 
-# Texts on both sides of the tokenizer switch: a digit directly followed by
-# a letter or "_" sends a text to the ``_TOKENS`` regex, any other text is
-# split at white space with the operators spaced out.
+# Texts where a digit runs straight into a letter or "_", which ``_TOKENS``
+# splits into an int and a name, and texts with other white space.
 @pytest.mark.parametrize("text", [
     "3u", "2*3u", "u^2v", "12_a", "\u0663u", "3*u\u0663", "u*v+w-3/4*u",
     "u*v+w-3/4*uv", "u\t+\tv", "u*v\n-\n2*w^2", "u\u00a0+\u00a02*v",
@@ -307,20 +314,41 @@ def test_a_term_past_the_exponent_limit_in_degree_is_packed_by_pack(ring, text, 
     assert got[0] is error if error else isinstance(got[0], HomogPoly)
 
 
-def test_the_token_regex_runs_only_where_a_digit_meets_a_letter(monkeypatch):
-    texts = []
-    monkeypatch.setattr(poly, "_TOKENS",
-                        lambda text, findall=poly._TOKENS: texts.append(text) or findall(text))
-    ring = RINGS[0]
-    for text in ("3*u + v", "u2*v3 - 4*w^2", "2 * 3", "\u0663*u", "3u", "u^2v", "2_"):
-        outcome(parse_poly, text, ring)
-    assert texts == ["3u", "u^2v", "2_"]
+@pytest.mark.parametrize("text", ["x y", "1a", "2*1a", "w + x y", "w^2*1a", "3*w"])
+def test_a_variable_that_is_no_token_is_left_to_the_walker(text):
+    ring = PolyRing(QQ, ("x y", "1a", "w"))
+    assert outcome(parse_poly, text, ring) == outcome(reference_parse, text, ring)
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=st.lists(st.sampled_from(
-    (*PIECES, "\n", "\u00a0", "\u3000", "\u0663", "\u00b2", "\u00e9", "ab", "12", "u3")),
-    max_size=10).map("".join)
-    .filter(lambda text: not poly._DIGIT_LETTER(text) and not poly._BAD_CHARACTER(text)))
-def test_split_tokens_are_the_regex_tokens(text):
-    assert poly._tokens(text) == poly._TOKENS(text)
+def _no_walk(text, ring):
+    raise AssertionError(f"the walker read {text!r}")
+
+
+@pytest.mark.parametrize("domain", [PrimeField(7), PrimeField(101), QQ], ids=str)
+def test_the_reader_alone_reads_every_catalog_entry(domain, monkeypatch):
+    """Printed text takes the reader's path: with the walker patched to
+    raise, every entry of the catalog documents of every type, seeds 0-11,
+    reads back to itself."""
+    monkeypatch.setattr(poly, "_walk", _no_walk)
+    for tag in catalog.DelPezzoTag:
+        for seed in range(12):
+            if tag is catalog.DelPezzoTag.F25_PLUS:
+                document = catalog.make_net(domain=domain, seed=seed)
+            else:
+                document = catalog.make_type(tag, domain=domain, seed=seed)
+            for f in document.matrix.upper():
+                g = f.ring.parse(str(f))
+                assert (g, g.degree, type(g.degree)) == (f, f.degree, type(f.degree))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: str(r.domain))
+def test_an_exponent_past_the_digit_limit_is_refused_by_name(ring):
+    """An exponent of 4,400 digits, past the int-to-str digit limit, gets
+    the parser's own errors, its digits in full."""
+    power = "7" * 4400
+    with pytest.raises(ExponentLimitError) as info:
+        ring.parse(f"u^{power}")
+    assert str(info.value) == f"exponent {power} is larger than EXP_LIMIT = {EXP_LIMIT}"
+    with pytest.raises(InhomogeneousError) as info:
+        ring.parse(f"v + u^{power}")
+    assert str(info.value) == f"mixed degrees 1 and {power} in input"
