@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Input documents are UTF-8 JSON:
+Input documents are UTF-8 JSON, read as bytes and decoded once, each CRLF
+and lone CR line end read as LF, as text mode reads them:
 
     {"scalar_domain": "rational" | {"prime": p},
      "form": {"a": [a1, a2, a3], "d": d,
@@ -41,8 +42,8 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import brauer_severi, catalog, clifford, invariants, poly, qform
-from .errors import (CliffBundleError, InternalInvariantError, MathFailureError,
-                     OrderTooLargeError)
+from .errors import (CliffBundleError, DigitLimitError, InternalInvariantError,
+                     MathFailureError, OrderTooLargeError)
 from .poly import PolyRing
 from .qform import FiberPoint, QForm
 from .scalars import QQ, DEFAULT_SCAN_PRIME, PrimeField
@@ -59,12 +60,22 @@ MATH_ERRORS = (MathFailureError, ZeroDivisionError)
 #: up to the order takes about order^3 steps.
 HILBERT_ORDER_LIMIT = 500
 
+#: Most decimal digits of an integer in a document field or a ``--point``
+#: coordinate: CPython's default limit on int <-> str conversion, which
+#: Python 3.10 before 3.10.7 does not have.  A longer integer is refused
+#: with DigitLimitError, whose message never writes the integer.
+INT_DIGIT_LIMIT = 4300
+
 
 # ----------------------------------------------------------------- input side
 
 def json_int(value, name: str) -> int:
-    """A document field that must be a JSON integer; a bool is not one."""
+    """A document field that must be a JSON integer of at most
+    INT_DIGIT_LIMIT digits; a bool is not one."""
     if type(value) is int:
+        # An int of more than k digits is at least 10^k > 2^(3k).
+        if value.bit_length() > 3 * INT_DIGIT_LIMIT and abs(value) >= 10 ** INT_DIGIT_LIMIT:
+            raise DigitLimitError(f"{name} has more than {INT_DIGIT_LIMIT} digits")
         return value
     raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
 
@@ -84,11 +95,26 @@ def domain_spec(domain):
 
 
 def load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("document nests too deeply") from None
+    """The JSON object in the file at ``path``: one read of its bytes, one
+    UTF-8 decode, each CRLF and lone CR line end turned into LF as text mode
+    turns it, then ``json.loads``.  So the document, and every exception
+    with its message, is what ``json.load(open(path, encoding="utf-8"))``
+    gives, except two refusals by name: a document that nests too deeply,
+    and one that holds an integer past the interpreter's int <-> str digit
+    limit (DigitLimitError).  A document that is no object, or has both or
+    neither of ``form`` and ``net``, is refused too."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # json's one other ValueError: int() refused a digit run.
+        raise DigitLimitError(f"the document holds an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     if ("form" in doc) == ("net" in doc):
@@ -140,7 +166,17 @@ def net_from_document(doc: dict) -> catalog.QuadricNet:
     return catalog.net_from_upper(*document_entries(doc, "net"))
 
 
+def point_int(text: str) -> int:
+    """An integer of a ``--point`` coordinate, of at most INT_DIGIT_LIMIT
+    digits."""
+    if len(text) > INT_DIGIT_LIMIT and sum(map(str.isdecimal, text)) > INT_DIGIT_LIMIT:
+        raise DigitLimitError(f"a --point coordinate has more than {INT_DIGIT_LIMIT} digits")
+    return int(text)
+
+
 def parse_point(text: str, domain) -> FiberPoint:
+    """The point ``x:y:z``, each coordinate an integer or a fraction
+    ``n/d``; ``FiberPoint.make`` coerces each into the domain once."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--point wants x:y:z, got {text!r}")
@@ -148,12 +184,12 @@ def parse_point(text: str, domain) -> FiberPoint:
     for part in parts:
         part = part.strip()
         if "/" in part:
-            num, den = (int(s) for s in part.split("/", 1))
+            num, den = map(point_int, part.split("/", 1))
             if not domain(den):
                 raise ValueError(f"denominator of {part!r} is zero in {domain!r}")
             coords.append(domain.from_pair(num, den))
         else:
-            coords.append(domain(int(part)))
+            coords.append(point_int(part))
     return FiberPoint.make(domain, coords)
 
 

@@ -66,6 +66,10 @@ class OrderTooLargeError(CliffBundleError):
     """A requested series order passes its limit."""
 
 
+class DigitLimitError(CliffBundleError):
+    """An integer of the input has more decimal digits than the limit."""
+
+
 # ----------------------------------------------------------- math-failure band
 
 class MathFailureError(CliffBundleError):

@@ -41,17 +41,21 @@ class FiberPoint:
 
     @classmethod
     def make(cls, domain, coords) -> "FiberPoint":
-        pt = [domain(x) for x in coords]
+        """The point of three coordinates, each coerced into ``domain`` and
+        divided by the last nonzero one; when that one is already 1, as for
+        every point ``plane_points`` lists, they are kept as they are.
+        ValueError for another count or for (0 : 0 : 0)."""
+        pt = tuple(map(domain, coords))
         if len(pt) != 3:
             raise ValueError("a fiber point needs 3 coordinates")
-        last = None
-        for i in range(2, -1, -1):
-            if pt[i]:
-                last = i
+        for last in reversed(pt):
+            if last:
                 break
-        if last is None:
+        else:
             raise ValueError("(0 : 0 : 0) is not a projective point")
-        inv = domain.one / pt[last]
+        if last == domain.one:
+            return cls(pt)
+        inv = domain.one / last
         return cls(tuple(x * inv for x in pt))
 
     def __str__(self):
@@ -101,42 +105,63 @@ class QForm:
                      for i in range(3))
 
 
-def new_qform(a, d: int, entries) -> QForm:
-    """Build a QForm, checking symmetry and the degree pattern.  A zero
-    entry fits any slot, but no slot may pass 3 * EXP_LIMIT, the largest
-    degree a nonzero entry can have."""
+#: The (row, column) of each entry of a form's upper triangle, in the
+#: order of ``PolyMatrix.upper``: row-major over the whole matrix too.
+UPPER_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def new_qform(a, d: int, entries=None, *, upper=None) -> QForm:
+    """Build a QForm from ``upper``, the six entries of its upper triangle
+    (Q11, Q12, Q13, Q22, Q23, Q33), or from ``entries``, a 3x3 grid or
+    PolyMatrix, whose shape and symmetry are checked first
+    (AsymmetricEntriesError names the first mirrored pair that differs).
+
+    Either way the form is validated once, on its upper triangle, in this
+    order: ``a`` is three integers; the entries share one ring; each
+    nonzero entry has its slot's degree a_i + a_j + d (DegreePatternError
+    names the first that does not, in row-major order); and no slot passes
+    3 * EXP_LIMIT, the largest degree a nonzero entry can have, though a
+    zero entry fits any slot below it."""
     a = tuple(int(x) for x in a)
     if len(a) != 3:
         raise ValueError("degree pattern needs three integers a1, a2, a3")
-    if isinstance(entries, PolyMatrix):
-        grid = entries.entries
-    else:
-        grid = tuple(tuple(row) for row in entries)
-    if len(grid) != 3 or any(len(r) != 3 for r in grid):
-        raise ValueError("entries must form a 3x3 matrix")
-    for i in range(3):
-        for j in range(i):
-            if grid[i][j] != grid[j][i]:
+    if upper is None:
+        given = isinstance(entries, PolyMatrix)
+        grid = entries.entries if given else tuple(map(tuple, entries))
+        if len(grid) != 3 or any(len(r) != 3 for r in grid):
+            raise ValueError("entries must form a 3x3 matrix")
+        for i, j in ((1, 0), (2, 0), (2, 1)):
+            if grid[i][j] is not grid[j][i] and grid[i][j] != grid[j][i]:
                 raise AsymmetricEntriesError(
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
-    q = QForm(a=a, d=d, matrix=PolyMatrix(grid))
-    pattern = q.pattern()
-    for i, row in enumerate(grid):
-        for j, f in enumerate(row):
-            if f and f.degree != pattern[i][j]:
-                raise DegreePatternError(
-                    f"pattern a={a}, d={d}: entry ({i + 1},{j + 1}) has degree "
-                    f"{f.degree}, pattern expects {pattern[i][j]}")
-    top = max(map(max, pattern))
+        upper = tuple(grid[i][j] for i, j in UPPER_SLOTS)
+        matrix = entries if given else PolyMatrix(grid)
+    else:
+        if len(upper) != 6:
+            raise ValueError(f"upper needs the 6 entries of a form's upper "
+                             f"triangle, got {len(upper)}")
+        matrix = PolyMatrix(symmetric_grid(upper))
+    for (i, j), f in zip(UPPER_SLOTS, upper):
+        if f and f.degree != a[i] + a[j] + d:
+            raise DegreePatternError(
+                f"pattern a={a}, d={d}: entry ({i + 1},{j + 1}) has degree "
+                f"{f.degree}, pattern expects {a[i] + a[j] + d}")
+    top = 2 * max(a) + d
     if top > 3 * EXP_LIMIT:
         raise DegreePatternError(f"pattern a={a}, d={d}: slot degree {top} is "
                                  f"larger than 3*EXP_LIMIT = {3 * EXP_LIMIT}")
-    return q
+    return QForm(a=a, d=d, matrix=matrix)
 
 
 def qform_from_upper(a, d: int, six_entries) -> QForm:
-    """Build a QForm from the upper triangle (Q11, Q12, Q13, Q22, Q23, Q33)."""
-    return new_qform(a, d, symmetric_grid(six_entries))
+    """Build a QForm from the upper triangle (Q11, Q12, Q13, Q22, Q23, Q33):
+    ``new_qform(a, d, upper=...)``, validated as ``new_qform`` validates the
+    grid ``symmetric_grid(six_entries)``, with the same results and
+    refusals; a count of entries other than 6 is refused as that grid."""
+    upper = tuple(six_entries)
+    if len(upper) != 6:
+        return new_qform(a, d, symmetric_grid(upper))
+    return new_qform(a, d, upper=upper)
 
 
 def twist(q: QForm, m: int) -> QForm:

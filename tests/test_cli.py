@@ -584,6 +584,81 @@ def test_an_exponent_past_the_digit_limit_exits_1_by_name(tmp_path, spec, capsys
         "message": f"exponent {power} is larger than EXP_LIMIT = {EXP_LIMIT}"}
 
 
+LONG = "6" + "7" * 4399  # 4,400 digits
+
+
+def digit_limit_report(capsys, argv):
+    code, report, out = run_cli(capsys, argv)
+    assert (code, report["status"]) == (1, "invalid-input")
+    assert report["payload"]["error"] == "DigitLimitError"
+    assert "7777" not in out
+    return report["payload"]["message"]
+
+
+@pytest.mark.parametrize("spec", ["rational", {"prime": 101}], ids=["Q", "F101"])
+def test_a_long_json_integer_exits_1_by_name(tmp_path, capsys, spec):
+    """A JSON integer past 4,300 digits, which json.loads refuses with
+    Python's bare ValueError, is refused by name; the message gives the
+    limit, not the integer."""
+    message = "the document holds an integer of more than 4300 digits"
+    for field, value in (("d", LONG), ("d", "-" + LONG), ("a", f"[0, {LONG}, 0]")):
+        text = json.dumps({"scalar_domain": spec, "form": dict(DIAG_DOC["form"], **{field: 0})})
+        path = tmp_path / "doc.json"
+        path.write_text(text.replace(f'"{field}": 0', f'"{field}": {value}'), encoding="utf-8")
+        for argv in (["validate", str(path)], ["fiber", str(path), "--point", "1:2:1"]):
+            assert digit_limit_report(capsys, argv) == message
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps(DIAG_DOC).replace('"rational"', f'{{"prime": {LONG}}}'),
+                    encoding="utf-8")
+    assert digit_limit_report(capsys, ["validate", str(path)]) == message
+
+
+@pytest.mark.parametrize("spec", ["rational", {"prime": 101}], ids=["Q", "F101"])
+def test_document_fields_past_the_digit_limit_exit_1_without_the_interpreter_limit(
+        tmp_path, capsys, spec):
+    """Where the interpreter has no digit limit (as before Python 3.10.7),
+    json.loads reads the integer and the field refuses it by name; 4,300
+    digits still pass the field."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for field, value, name in (("d", 10 ** 4300, "form.d"), ("d", -10 ** 4300, "form.d"),
+                                   ("a", [0, 0, 10 ** 4300], "form.a[2]")):
+            doc = {"scalar_domain": spec, "form": dict(DIAG_DOC["form"], **{field: value})}
+            path = write_doc(tmp_path, doc)
+            assert digit_limit_report(capsys, ["validate", path]) == \
+                f"{name} has more than 4300 digits"
+        doc = {"scalar_domain": {"prime": 10 ** 4300 + 1}, "form": DIAG_DOC["form"]}
+        assert digit_limit_report(capsys, ["validate", write_doc(tmp_path, doc)]) == \
+            "scalar_domain.prime has more than 4300 digits"
+        doc = {"scalar_domain": spec, "form": dict(DIAG_DOC["form"], d=10 ** 4300 - 1)}
+        code, report, _ = run_cli(capsys, ["validate", write_doc(tmp_path, doc)])
+        assert report["payload"]["error"] == "DegreePatternError"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("doc", [DIAG_DOC, F101_DOC], ids=["Q", "F101"])
+@pytest.mark.parametrize("point", [f"{LONG}:1:1", f"1:-{LONG}:1", f"1:1:{LONG}/3",
+                                   f"1:1:3/{LONG}", f" {LONG} :1:1"],
+                         ids=["x", "negative-y", "numerator", "denominator", "spaced"])
+def test_a_long_point_coordinate_exits_1_by_name(tmp_path, capsys, doc, point):
+    path = write_doc(tmp_path, doc)
+    for command in ("fiber", "classify"):
+        assert digit_limit_report(capsys, [command, path, "--point", point]) == \
+            "a --point coordinate has more than 4300 digits"
+
+
+@pytest.mark.parametrize("doc", [DIAG_DOC, F101_DOC], ids=["Q", "F101"])
+def test_a_point_coordinate_of_4300_digits_is_read(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, doc)
+    x = 10 ** 4299 + 1
+    code, report, _ = run_cli(capsys, ["fiber", path, "--point", f"1:{x}:{x}"])
+    assert code == 0
+    assert report["payload"]["point"] == (f"1/{x}:1:1" if doc is DIAG_DOC
+                                          else f"{pow(x, -1, 101)}:1:1")
+
+
 def test_exponents_past_the_limit_exit_1(tmp_path, capsys):
     doc = {"scalar_domain": "rational",
            "form": {"a": [0, 0, 0], "d": EXP_LIMIT + 1,

@@ -1,6 +1,9 @@
 """Quadratic-form layer: patterns, twisting, discriminants, fiber geometry."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffbundle import (
     ConicType,
@@ -20,13 +23,15 @@ from cliffbundle import (
     twist,
 )
 from cliffbundle import make_type
-from cliffbundle.qform import fiber_census
+from cliffbundle.linalg import symmetric_grid
+from cliffbundle.poly import EXP_LIMIT, PolyMatrix
+from cliffbundle.qform import UPPER_SLOTS, QForm, fiber_census, qform_from_upper
 from cliffbundle.errors import (
     AsymmetricEntriesError,
     DegreePatternError,
     ZeroPolynomialError,
 )
-from conftest import diag_form, uvw
+from conftest import diag_form, sparse_polys, uvw
 
 
 # ------------------------------------------------------------------ building
@@ -57,6 +62,152 @@ def test_asymmetric_entries_rejected(ring_q):
     z = ring_q.zero
     with pytest.raises(AsymmetricEntriesError):
         new_qform((0, 0, 0), 1, [[u, u, z], [v, v, z], [z, z, w]])
+
+
+def grid_oracle(a, d, grid):
+    """``new_qform`` on a grid as it was before forms were validated on
+    their upper triangle: every entry of the grid checked against its slot."""
+    a = tuple(int(x) for x in a)
+    if len(a) != 3:
+        raise ValueError("degree pattern needs three integers a1, a2, a3")
+    grid = tuple(tuple(row) for row in grid)
+    if len(grid) != 3 or any(len(r) != 3 for r in grid):
+        raise ValueError("entries must form a 3x3 matrix")
+    for i in range(3):
+        for j in range(i):
+            if grid[i][j] != grid[j][i]:
+                raise AsymmetricEntriesError(
+                    f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
+    q = QForm(a=a, d=d, matrix=PolyMatrix(grid))
+    pattern = q.pattern()
+    for i, row in enumerate(grid):
+        for j, f in enumerate(row):
+            if f and f.degree != pattern[i][j]:
+                raise DegreePatternError(
+                    f"pattern a={a}, d={d}: entry ({i + 1},{j + 1}) has degree "
+                    f"{f.degree}, pattern expects {pattern[i][j]}")
+    top = max(map(max, pattern))
+    if top > 3 * EXP_LIMIT:
+        raise DegreePatternError(f"pattern a={a}, d={d}: slot degree {top} is "
+                                 f"larger than 3*EXP_LIMIT = {3 * EXP_LIMIT}")
+    return q
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+RINGS = (PolyRing(PrimeField(3)), PolyRing(PrimeField(101)), PolyRing(QQ))
+OTHER_RINGS = (PolyRing(PrimeField(5)), PolyRing(QQ, ("x", "y", "z")))
+
+
+@st.composite
+def upper_triangles(draw):
+    """``(a, d, upper)``: entries that fit their slots, zero half the time,
+    with up to two faults: an entry of another degree or from another ring.
+    One draw in ten puts every slot past 3 * EXP_LIMIT, and one in eight
+    has an ``a`` that is no three integers."""
+    ring = draw(st.sampled_from(RINGS))
+    a = tuple(draw(st.integers(-1, 2)) for _ in range(3))
+    d = draw(st.integers(0, 2)) - 2 * min(a)
+    if draw(st.integers(0, 9)) == 0:
+        d += 3 * EXP_LIMIT
+    degrees = [a[i] + a[j] + d for i, j in UPPER_SLOTS]
+    upper = [draw(sparse_polys(ring, e)) if e <= 4 else ring.zero for e in degrees]
+    faults = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(("wrong", "other"))),
+                           max_size=2))
+    for k, kind in faults:
+        if kind == "wrong":
+            other = draw(st.integers(0, 4).filter(lambda e: e != degrees[k]))
+            upper[k] = ring.poly({(other, 0, 0): 1})
+        else:
+            e = min(degrees[k], 4)
+            upper[k] = draw(st.sampled_from(OTHER_RINGS)).poly({(e, 0, 0): 1})
+    bad = draw(st.sampled_from((None,) * 7 + ((0, 0), (0, 0, 0, 0), ("x", 0, 0))))
+    return bad or a, d, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=upper_triangles())
+def test_the_upper_triangle_and_the_grid_build_one_form(form):
+    """One validation, two input shapes: the six entries, their symmetric
+    grid and the full-grid oracle give an equal QForm, or the same refusal
+    (the first wrong degree in row-major order is the one named)."""
+    a, d, upper = form
+    grid = symmetric_grid(upper)
+    expected = outcome(lambda: grid_oracle(a, d, grid))
+    assert outcome(lambda: qform_from_upper(a, d, upper)) == expected
+    assert outcome(lambda: new_qform(a, d, grid)) == expected
+    assert outcome(lambda: new_qform(a, d, upper=upper)) == expected
+
+
+def test_the_first_wrong_degree_in_row_major_order_is_named(ring_q):
+    u, v, w = uvw(ring_q)
+    z = ring_q.zero
+    upper = [u, z, u * u, v, w * w, w]
+    message = ("pattern a=(0, 0, 0), d=1: entry (1,3) has degree 2, "
+               "pattern expects 1")
+    for build in (lambda: qform_from_upper((0, 0, 0), 1, upper),
+                  lambda: new_qform((0, 0, 0), 1, symmetric_grid(upper))):
+        with pytest.raises(DegreePatternError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("pairs", [[(1, 0)], [(2, 0)], [(2, 1)], [(2, 1), (2, 0)]])
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_new_qform_refuses_an_asymmetric_grid_first(ring_q, pairs, as_matrix):
+    """The first mirrored pair that differs is named, before the degree
+    pattern is read: every entry here also has the wrong degree."""
+    u, v, w = uvw(ring_q)
+    grid = [[u * u, v * v, w * w], [v * v, u * v, v * w], [w * w, v * w, u * w]]
+    for i, j in pairs:
+        grid[i][j] = grid[i][j] * 2
+    entries = PolyMatrix(grid) if as_matrix else grid
+    first = min(pairs)
+    with pytest.raises(AsymmetricEntriesError) as caught:
+        new_qform((5, 5, 5), 0, entries)
+    assert str(caught.value) == (f"entries ({first[0] + 1},{first[1] + 1}) and "
+                                 f"({first[1] + 1},{first[0] + 1}) differ")
+    assert outcome(lambda: new_qform((5, 5, 5), 0, entries)) == \
+        outcome(lambda: grid_oracle((5, 5, 5), 0, grid))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 2), (2, 3), (0, 0), "ragged"])
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_new_qform_refuses_a_grid_that_is_not_3x3(ring_q, shape, as_matrix):
+    u = ring_q.variable(0)
+    if shape == "ragged":
+        grid = [[u, u, u], [u, u], [u, u, u]]
+    else:
+        grid = [[u] * shape[1] for _ in range(shape[0])]
+    if as_matrix:
+        if shape in ("ragged", (0, 0)):
+            return  # PolyMatrix holds only nonempty rectangles
+        grid = PolyMatrix(grid)
+    with pytest.raises(ValueError, match="entries must form a 3x3 matrix"):
+        new_qform((0, 0, 0), 1, grid)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 5, 7, 10])
+def test_a_count_of_entries_other_than_six_is_refused(ring_q, count):
+    """``qform_from_upper`` refuses it as the grid of those entries;
+    ``new_qform`` refuses an ``upper`` that is no upper triangle of 3x3."""
+    upper = [ring_q.variable(0)] * count
+    assert outcome(lambda: qform_from_upper((0, 0, 0), 1, upper)) == \
+        outcome(lambda: new_qform((0, 0, 0), 1, symmetric_grid(upper)))
+    with pytest.raises(ValueError, match="6 entries"):
+        new_qform((0, 0, 0), 1, upper=upper)
+
+
+def test_a_polymatrix_is_kept_as_the_form_matrix(ring_q):
+    q = diag_form(ring_q)
+    assert new_qform(q.a, q.d, q.matrix).matrix is q.matrix
+    assert new_qform(q.a, q.d, q.matrix) == q == qform_from_upper(q.a, q.d, q.matrix.upper())
 
 
 # ------------------------------------------------------------------- twisting
@@ -246,6 +397,52 @@ def test_fiber_point_normalization():
     assert p2.coords[1] == QQ(1)
     with pytest.raises(ValueError):
         FiberPoint.make(QQ, (0, 0, 0))
+
+
+def divided_point(domain, coords):
+    """``FiberPoint.make`` as it was: every point divided by its last
+    nonzero coordinate, the oracle."""
+    pt = [domain(x) for x in coords]
+    if len(pt) != 3:
+        raise ValueError("a fiber point needs 3 coordinates")
+    last = None
+    for i in range(2, -1, -1):
+        if pt[i]:
+            last = i
+            break
+    if last is None:
+        raise ValueError("(0 : 0 : 0) is not a projective point")
+    inv = domain.one / pt[last]
+    return FiberPoint(tuple(x * inv for x in pt))
+
+
+COORDINATES = st.one_of(
+    st.sampled_from((0, 0, 1, 1, -1, 4, 102, Fraction(1, 2), Fraction(-3, 4), Fraction(5))),
+    st.integers(-300, 300),
+    st.fractions(-5, 5, max_denominator=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(domain=st.sampled_from((PrimeField(3), PrimeField(101), QQ)),
+       coords=st.lists(COORDINATES, min_size=3, max_size=3))
+def test_make_matches_the_dividing_route(domain, coords):
+    """One point rule: a point whose last nonzero coordinate is already 1
+    is kept as it is, which is what dividing by 1 gives, in coordinates,
+    in their types and in ``str``; over F_3, 4 and 102 are 1 too."""
+    expected = outcome(lambda: divided_point(domain, coords))
+    got = outcome(lambda: FiberPoint.make(domain, coords))
+    assert got == expected
+    if isinstance(got, FiberPoint):
+        assert str(got) == str(expected)
+        assert list(map(type, got.coords)) == list(map(type, expected.coords))
+
+
+@pytest.mark.parametrize("coords", [(1, 1), (1, 2, 3, 1), (0, 0, 0)])
+def test_make_refuses_what_the_dividing_route_refuses(coords):
+    for domain in (PrimeField(3), QQ):
+        with pytest.raises(ValueError) as caught:
+            FiberPoint.make(domain, coords)
+        assert outcome(lambda: divided_point(domain, coords)) == (ValueError, str(caught.value))
 
 
 def test_projective_point_count():
