@@ -60,22 +60,38 @@ MATH_ERRORS = (MathFailureError, ZeroDivisionError)
 #: up to the order takes about order^3 steps.
 HILBERT_ORDER_LIMIT = 500
 
-#: Most decimal digits of an integer in a document field or a ``--point``
-#: coordinate: CPython's default limit on int <-> str conversion, which
-#: Python 3.10 before 3.10.7 does not have.  A longer integer is refused
-#: with DigitLimitError, whose message never writes the integer.
+#: Most decimal digits of an integer in a document or a ``--point``
+#: coordinate where the interpreter sets no lower limit of its own:
+#: CPython's default limit on int <-> str conversion, which Python 3.10
+#: before 3.10.7 does not have.
 INT_DIGIT_LIMIT = 4300
+
+#: The lowest nonzero int <-> str limit CPython accepts: an integer of at
+#: most this many digits passes every limit without looking one up.
+INT_DIGIT_FLOOR = 640
 
 
 # ----------------------------------------------------------------- input side
 
+def int_digit_limit() -> int:
+    """The most decimal digits an integer of a document or a ``--point``
+    coordinate may have: the interpreter's int <-> str limit (as
+    ``PYTHONINTMAXSTRDIGITS`` sets it) where that is lower, else
+    INT_DIGIT_LIMIT.  A longer integer is refused with DigitLimitError,
+    whose message gives this limit and never the integer."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return min(limit, INT_DIGIT_LIMIT) if limit else INT_DIGIT_LIMIT
+
+
 def json_int(value, name: str) -> int:
     """A document field that must be a JSON integer of at most
-    INT_DIGIT_LIMIT digits; a bool is not one."""
+    ``int_digit_limit()`` digits; a bool is not one."""
     if type(value) is int:
         # An int of more than k digits is at least 10^k > 2^(3k).
-        if value.bit_length() > 3 * INT_DIGIT_LIMIT and abs(value) >= 10 ** INT_DIGIT_LIMIT:
-            raise DigitLimitError(f"{name} has more than {INT_DIGIT_LIMIT} digits")
+        if value.bit_length() > 3 * INT_DIGIT_FLOOR:
+            limit = int_digit_limit()
+            if abs(value) >= 10 ** limit:
+                raise DigitLimitError(f"{name} has more than {limit} digits")
         return value
     raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
 
@@ -100,8 +116,8 @@ def load_document(path: str) -> dict:
     turns it, then ``json.loads``.  So the document, and every exception
     with its message, is what ``json.load(open(path, encoding="utf-8"))``
     gives, except two refusals by name: a document that nests too deeply,
-    and one that holds an integer past the interpreter's int <-> str digit
-    limit (DigitLimitError).  A document that is no object, or has both or
+    and one that holds an integer that ``json.loads`` refuses for its
+    digits (DigitLimitError, naming ``int_digit_limit()``).  A document that is no object, or has both or
     neither of ``form`` and ``net``, is refused too."""
     with open(path, "rb", buffering=0) as fh:
         text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
@@ -114,7 +130,7 @@ def load_document(path: str) -> dict:
     except ValueError:
         # json's one other ValueError: int() refused a digit run.
         raise DigitLimitError(f"the document holds an integer of more than "
-                              f"{sys.get_int_max_str_digits()} digits") from None
+                              f"{int_digit_limit()} digits") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     if ("form" in doc) == ("net" in doc):
@@ -167,10 +183,12 @@ def net_from_document(doc: dict) -> catalog.QuadricNet:
 
 
 def point_int(text: str) -> int:
-    """An integer of a ``--point`` coordinate, of at most INT_DIGIT_LIMIT
-    digits."""
-    if len(text) > INT_DIGIT_LIMIT and sum(map(str.isdecimal, text)) > INT_DIGIT_LIMIT:
-        raise DigitLimitError(f"a --point coordinate has more than {INT_DIGIT_LIMIT} digits")
+    """An integer of a ``--point`` coordinate, of at most
+    ``int_digit_limit()`` digits."""
+    if len(text) > INT_DIGIT_FLOOR:
+        limit = int_digit_limit()
+        if sum(map(str.isdecimal, text)) > limit:
+            raise DigitLimitError(f"a --point coordinate has more than {limit} digits")
     return int(text)
 
 

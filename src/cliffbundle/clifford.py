@@ -200,7 +200,7 @@ def generic_form() -> QForm:
     a = (0, 0, 0), d = 1.  Identities that hold for it hold for every form
     over every commutative ring.  Built once per process."""
     ring = PolyRing(QQ, GENERIC_ENTRIES)
-    return new_qform((0, 0, 0), 1, upper=tuple(map(ring.variable, GENERIC_ENTRIES)))
+    return new_qform((0, 0, 0), 1, symmetric_grid(map(ring.variable, GENERIC_ENTRIES)))
 
 
 def integer_terms(f) -> tuple:

@@ -105,47 +105,37 @@ class QForm:
                      for i in range(3))
 
 
-#: The (row, column) of each entry of a form's upper triangle, in the
-#: order of ``PolyMatrix.upper``: row-major over the whole matrix too.
-UPPER_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+def new_qform(a, d: int, entries) -> QForm:
+    """Build a QForm from ``entries``, a 3x3 grid or PolyMatrix, whose
+    shape and symmetry are checked first (AsymmetricEntriesError names the
+    first mirrored pair that differs; a mirror that is the same object
+    passes without a comparison, as in every ``symmetric_grid``).
 
-
-def new_qform(a, d: int, entries=None, *, upper=None) -> QForm:
-    """Build a QForm from ``upper``, the six entries of its upper triangle
-    (Q11, Q12, Q13, Q22, Q23, Q33), or from ``entries``, a 3x3 grid or
-    PolyMatrix, whose shape and symmetry are checked first
-    (AsymmetricEntriesError names the first mirrored pair that differs).
-
-    Either way the form is validated once, on its upper triangle, in this
-    order: ``a`` is three integers; the entries share one ring; each
-    nonzero entry has its slot's degree a_i + a_j + d (DegreePatternError
-    names the first that does not, in row-major order); and no slot passes
-    3 * EXP_LIMIT, the largest degree a nonzero entry can have, though a
-    zero entry fits any slot below it."""
+    The form is then validated once, on its upper triangle, in this order:
+    ``a`` is three integers; the entries share one ring; each nonzero entry
+    has its slot's degree a_i + a_j + d (DegreePatternError names the first
+    that does not, in row-major order); and no slot passes 3 * EXP_LIMIT,
+    the largest degree a nonzero entry can have, though a zero entry fits
+    any slot below it.  A PolyMatrix argument becomes the form's matrix."""
     a = tuple(int(x) for x in a)
     if len(a) != 3:
         raise ValueError("degree pattern needs three integers a1, a2, a3")
-    if upper is None:
-        given = isinstance(entries, PolyMatrix)
-        grid = entries.entries if given else tuple(map(tuple, entries))
-        if len(grid) != 3 or any(len(r) != 3 for r in grid):
-            raise ValueError("entries must form a 3x3 matrix")
-        for i, j in ((1, 0), (2, 0), (2, 1)):
-            if grid[i][j] is not grid[j][i] and grid[i][j] != grid[j][i]:
-                raise AsymmetricEntriesError(
-                    f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
-        upper = tuple(grid[i][j] for i, j in UPPER_SLOTS)
-        matrix = entries if given else PolyMatrix(grid)
-    else:
-        if len(upper) != 6:
-            raise ValueError(f"upper needs the 6 entries of a form's upper "
-                             f"triangle, got {len(upper)}")
-        matrix = PolyMatrix(symmetric_grid(upper))
-    for (i, j), f in zip(UPPER_SLOTS, upper):
-        if f and f.degree != a[i] + a[j] + d:
-            raise DegreePatternError(
-                f"pattern a={a}, d={d}: entry ({i + 1},{j + 1}) has degree "
-                f"{f.degree}, pattern expects {a[i] + a[j] + d}")
+    given = isinstance(entries, PolyMatrix)
+    grid = entries.entries if given else tuple(map(tuple, entries))
+    if len(grid) != 3 or any(len(r) != 3 for r in grid):
+        raise ValueError("entries must form a 3x3 matrix")
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        if grid[i][j] is not grid[j][i] and grid[i][j] != grid[j][i]:
+            raise AsymmetricEntriesError(
+                f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
+    matrix = entries if given else PolyMatrix(grid)
+    for i in range(3):
+        for j in range(i, 3):
+            f = grid[i][j]
+            if f and f.degree != a[i] + a[j] + d:
+                raise DegreePatternError(
+                    f"pattern a={a}, d={d}: entry ({i + 1},{j + 1}) has degree "
+                    f"{f.degree}, pattern expects {a[i] + a[j] + d}")
     top = 2 * max(a) + d
     if top > 3 * EXP_LIMIT:
         raise DegreePatternError(f"pattern a={a}, d={d}: slot degree {top} is "
@@ -155,13 +145,9 @@ def new_qform(a, d: int, entries=None, *, upper=None) -> QForm:
 
 def qform_from_upper(a, d: int, six_entries) -> QForm:
     """Build a QForm from the upper triangle (Q11, Q12, Q13, Q22, Q23, Q33):
-    ``new_qform(a, d, upper=...)``, validated as ``new_qform`` validates the
-    grid ``symmetric_grid(six_entries)``, with the same results and
-    refusals; a count of entries other than 6 is refused as that grid."""
-    upper = tuple(six_entries)
-    if len(upper) != 6:
-        return new_qform(a, d, symmetric_grid(upper))
-    return new_qform(a, d, upper=upper)
+    ``new_qform`` on ``symmetric_grid(six_entries)``, whose mirrored
+    entries are the same objects, so the symmetry check compares none."""
+    return new_qform(a, d, symmetric_grid(six_entries))
 
 
 def twist(q: QForm, m: int) -> QForm:

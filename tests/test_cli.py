@@ -613,15 +613,31 @@ def test_a_long_json_integer_exits_1_by_name(tmp_path, capsys, spec):
     assert digit_limit_report(capsys, ["validate", str(path)]) == message
 
 
+SETS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python has no int <-> str digit limit to set")
+
+
+@contextlib.contextmanager
+def interpreter_digit_limit(limit):
+    """The block runs with the interpreter's int <-> str limit at ``limit``
+    (0: no limit), as ``PYTHONINTMAXSTRDIGITS`` would set it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@SETS_DIGIT_LIMIT
 @pytest.mark.parametrize("spec", ["rational", {"prime": 101}], ids=["Q", "F101"])
 def test_document_fields_past_the_digit_limit_exit_1_without_the_interpreter_limit(
         tmp_path, capsys, spec):
     """Where the interpreter has no digit limit (as before Python 3.10.7),
     json.loads reads the integer and the field refuses it by name; 4,300
     digits still pass the field."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with interpreter_digit_limit(0):
         for field, value, name in (("d", 10 ** 4300, "form.d"), ("d", -10 ** 4300, "form.d"),
                                    ("a", [0, 0, 10 ** 4300], "form.a[2]")):
             doc = {"scalar_domain": spec, "form": dict(DIAG_DOC["form"], **{field: value})}
@@ -634,8 +650,67 @@ def test_document_fields_past_the_digit_limit_exit_1_without_the_interpreter_lim
         doc = {"scalar_domain": spec, "form": dict(DIAG_DOC["form"], d=10 ** 4300 - 1)}
         code, report, _ = run_cli(capsys, ["validate", write_doc(tmp_path, doc)])
         assert report["payload"]["error"] == "DegreePatternError"
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+
+def long_d_doc(tmp_path, spec, digits):
+    """A document whose ``form.d`` has ``digits`` digits, written without
+    formatting the integer."""
+    text = json.dumps({"scalar_domain": spec, "form": dict(DIAG_DOC["form"], d=0)})
+    path = tmp_path / "long_d.json"
+    path.write_text(text.replace('"d": 0', '"d": 6' + "7" * (digits - 1)), encoding="utf-8")
+    return str(path)
+
+
+@SETS_DIGIT_LIMIT
+@pytest.mark.parametrize("doc", [DIAG_DOC, F101_DOC], ids=["Q", "F101"])
+def test_a_lower_interpreter_limit_is_the_limit_of_every_integer(tmp_path, capsys, doc):
+    """Under an interpreter limit of 1,000 digits, a JSON integer and a
+    --point coordinate of 2,000 digits are both refused naming 1,000, and
+    a coordinate of 1,000 digits is read."""
+    path = write_doc(tmp_path, doc)
+    long_d = long_d_doc(tmp_path, doc["scalar_domain"], 2000)
+    x = 10 ** 999 + 1
+    expected = f"1/{x}:1:1" if doc is DIAG_DOC else f"{pow(x, -1, 101)}:1:1"
+    with interpreter_digit_limit(1000):
+        assert digit_limit_report(capsys, ["validate", long_d]) == \
+            "the document holds an integer of more than 1000 digits"
+        for point in ("6" + "7" * 1999 + ":1:1", "1:1:3/6" + "7" * 1999):
+            assert digit_limit_report(capsys, ["fiber", path, "--point", point]) == \
+                "a --point coordinate has more than 1000 digits"
+        code, report, _ = run_cli(capsys, ["fiber", path, "--point", f"1:{x}:{x}"])
+        assert (code, report["payload"]["point"]) == (0, expected)
+
+
+@SETS_DIGIT_LIMIT
+@pytest.mark.parametrize("doc", [DIAG_DOC, F101_DOC], ids=["Q", "F101"])
+def test_a_higher_interpreter_limit_leaves_int_digit_limit(tmp_path, capsys, doc):
+    """Under an interpreter limit of 10,000 digits, json.loads reads a
+    5,000-digit integer and the field refuses it naming 4,300; an integer
+    past 10,000 digits and a 5,000-digit coordinate name 4,300 too."""
+    path = write_doc(tmp_path, doc)
+    spec = doc["scalar_domain"]
+    with interpreter_digit_limit(10000):
+        assert digit_limit_report(capsys, ["validate", long_d_doc(tmp_path, spec, 5000)]) == \
+            "form.d has more than 4300 digits"
+        assert digit_limit_report(capsys, ["validate", long_d_doc(tmp_path, spec, 10001)]) == \
+            "the document holds an integer of more than 4300 digits"
+        assert digit_limit_report(capsys, ["fiber", path, "--point", "6" + "7" * 4999 + ":1:1"]) \
+            == "a --point coordinate has more than 4300 digits"
+
+
+@SETS_DIGIT_LIMIT
+def test_the_environment_sets_the_digit_limit(tmp_path):
+    """``PYTHONINTMAXSTRDIGITS`` lowers the limit of a CLI run."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliffbundle.cli", "validate",
+         long_d_doc(tmp_path, "rational", 2000)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONINTMAXSTRDIGITS="1000"))
+    payload = json.loads(proc.stdout)["payload"]
+    assert (proc.returncode, payload["error"], payload["message"]) == (
+        1, "DigitLimitError", "the document holds an integer of more than 1000 digits")
 
 
 @pytest.mark.parametrize("doc", [DIAG_DOC, F101_DOC], ids=["Q", "F101"])

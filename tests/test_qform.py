@@ -25,7 +25,7 @@ from cliffbundle import (
 from cliffbundle import make_type
 from cliffbundle.linalg import symmetric_grid
 from cliffbundle.poly import EXP_LIMIT, PolyMatrix
-from cliffbundle.qform import UPPER_SLOTS, QForm, fiber_census, qform_from_upper
+from cliffbundle.qform import QForm, fiber_census, qform_from_upper
 from cliffbundle.errors import (
     AsymmetricEntriesError,
     DegreePatternError,
@@ -116,7 +116,7 @@ def upper_triangles(draw):
     d = draw(st.integers(0, 2)) - 2 * min(a)
     if draw(st.integers(0, 9)) == 0:
         d += 3 * EXP_LIMIT
-    degrees = [a[i] + a[j] + d for i, j in UPPER_SLOTS]
+    degrees = [a[i] + a[j] + d for i in range(3) for j in range(i, 3)]
     upper = [draw(sparse_polys(ring, e)) if e <= 4 else ring.zero for e in degrees]
     faults = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(("wrong", "other"))),
                            max_size=2))
@@ -135,14 +135,13 @@ def upper_triangles(draw):
 @given(form=upper_triangles())
 def test_the_upper_triangle_and_the_grid_build_one_form(form):
     """One validation, two input shapes: the six entries, their symmetric
-    grid and the full-grid oracle give an equal QForm, or the same refusal
-    (the first wrong degree in row-major order is the one named)."""
+    grid and the full-grid oracle on that grid give an equal QForm, or the
+    same refusal (the first wrong degree in row-major order is named)."""
     a, d, upper = form
     grid = symmetric_grid(upper)
     expected = outcome(lambda: grid_oracle(a, d, grid))
     assert outcome(lambda: qform_from_upper(a, d, upper)) == expected
     assert outcome(lambda: new_qform(a, d, grid)) == expected
-    assert outcome(lambda: new_qform(a, d, upper=upper)) == expected
 
 
 def test_the_first_wrong_degree_in_row_major_order_is_named(ring_q):
@@ -195,13 +194,12 @@ def test_new_qform_refuses_a_grid_that_is_not_3x3(ring_q, shape, as_matrix):
 
 @pytest.mark.parametrize("count", [0, 1, 3, 5, 7, 10])
 def test_a_count_of_entries_other_than_six_is_refused(ring_q, count):
-    """``qform_from_upper`` refuses it as the grid of those entries;
-    ``new_qform`` refuses an ``upper`` that is no upper triangle of 3x3."""
+    """``qform_from_upper`` refuses it as the full-grid oracle refuses the
+    grid of those entries: no square, or a square that is not 3x3."""
     upper = [ring_q.variable(0)] * count
-    assert outcome(lambda: qform_from_upper((0, 0, 0), 1, upper)) == \
-        outcome(lambda: new_qform((0, 0, 0), 1, symmetric_grid(upper)))
-    with pytest.raises(ValueError, match="6 entries"):
-        new_qform((0, 0, 0), 1, upper=upper)
+    expected = outcome(lambda: grid_oracle((0, 0, 0), 1, symmetric_grid(upper)))
+    assert expected[0] is ValueError
+    assert outcome(lambda: qform_from_upper((0, 0, 0), 1, upper)) == expected
 
 
 def test_a_polymatrix_is_kept_as_the_form_matrix(ring_q):
