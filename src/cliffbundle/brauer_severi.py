@@ -46,8 +46,7 @@ from .clifford import fiber_algebra, generic_form, integer_terms
 from .linalg import symmetric_grid
 from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map, divide_exact_bipoly,
                    lowered_values, minor, specializer)
-from .qform import FiberPoint, PackedLines, QForm, plane_lines
-from .scalars import PrimeField
+from .qform import FiberPoint, QForm, zero_count
 
 
 # --------------------------------------------------------------- conic & matrix
@@ -268,11 +267,7 @@ def bs_membership(q: QForm, base: FiberPoint, alpha) -> bool:
 
 def conic_point_count(q: QForm, base: FiberPoint) -> int:
     """Number of alpha in P^2(F_p) on the conic fiber over base, whose
-    coefficients are the form's six entry values there."""
-    if not isinstance(q.domain, PrimeField):
-        raise TypeError("point counting needs a prime-field form")
+    coefficients are the form's six entry values there: ``qform.zero_count``
+    of that conic, the brute-force count of its points."""
     values, _ = lowered_values(q.matrix.upper(), base.coords, q.domain)
-    conic = q.ring.poly(_conic_terms(symmetric_grid(values)))
-    rows = PackedLines(q.domain.p)
-    _, (columns,) = plane_lines(rows, [conic])
-    return sum(map(int.bit_count, rows.line_zeros(columns)))
+    return zero_count(q.ring.poly(_conic_terms(symmetric_grid(values))))

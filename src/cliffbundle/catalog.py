@@ -29,7 +29,7 @@ from .errors import (
 from .invariants import BundleDescriptor, CotangentTwist, LineBundle
 from .linalg import symmetric_grid
 from .poly import HomogPoly, PolyMatrix, PolyRing, det, lowered_values
-from .qform import FiberPoint, QForm, discriminant, new_qform, qform_from_upper
+from .qform import FiberPoint, QForm, discriminant, qform_from_upper
 
 
 class DelPezzoTag(Enum):
@@ -112,24 +112,17 @@ LINE_BUNDLE_TAGS = (DelPezzoTag.F23, DelPezzoTag.F24, DelPezzoTag.F25_MINUS)
 GENERATION_RETRIES = 100
 
 
-def make_type(tag, entries=None, *, domain=None, seed=None) -> QForm:
-    """A validated form of the given line-bundle type.
-
-    With ``entries`` (a 3x3 grid or PolyMatrix) the form is validated
-    against the type's degree pattern.  Otherwise entries are drawn with
-    the seeded generator over ``domain`` and regenerated until the
-    discriminant is nonzero (bounded retries).
-    """
+def make_type(tag, *, domain, seed=None) -> QForm:
+    """A validated form of the given line-bundle type, its entries drawn
+    with the seeded generator over ``domain`` and regenerated until the
+    discriminant is nonzero (bounded retries).  ``new_qform`` on
+    ``CATALOG[tag].a`` and ``.d`` builds one from given entries."""
     tag = DelPezzoTag.coerce(tag)
     if tag not in LINE_BUNDLE_TAGS:
         raise UnknownTagError(
             f"{tag.value} is not a direct degree pattern; build it with "
             "make_net / make_f25plus")
     data = CATALOG[tag]
-    if entries is not None:
-        return new_qform(data.a, data.d, entries)
-    if domain is None:
-        raise ValueError("need entries, or a domain to generate them")
     ring = PolyRing(domain)
     rng = random.Random(seed)
     for _ in range(GENERATION_RETRIES):

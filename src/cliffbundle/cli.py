@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii
 from . import brauer_severi, catalog, clifford, invariants, poly, qform
 from .errors import (CliffBundleError, DigitLimitError, InternalInvariantError,
                      MathFailureError, OrderTooLargeError)
-from .poly import PolyRing
+from .poly import INT_DIGIT_FLOOR, PolyRing
 from .qform import FiberPoint, QForm
 from .scalars import QQ, DEFAULT_SCAN_PRIME, PrimeField
 from .series import series_expand
@@ -65,10 +65,6 @@ HILBERT_ORDER_LIMIT = 500
 #: CPython's default limit on int <-> str conversion, which Python 3.10
 #: before 3.10.7 does not have.
 INT_DIGIT_LIMIT = 4300
-
-#: The lowest nonzero int <-> str limit CPython accepts: an integer of at
-#: most this many digits passes every limit without looking one up.
-INT_DIGIT_FLOOR = 640
 
 
 # ----------------------------------------------------------------- input side

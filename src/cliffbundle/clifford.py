@@ -57,7 +57,7 @@ from .poly import (
 )
 from .qform import FiberPoint, QForm, new_qform
 from .scalars import QQ, PrimeField, Rationals, lower
-from .series import RationalSeries, poly_mul_1d
+from .series import RationalSeries
 
 LETTERS = "xyz"
 
@@ -721,14 +721,13 @@ def gamma_hilbert_series(q: QForm) -> RationalSeries:
     """Hilbert series of the graded sections algebra of the even Clifford
     algebra: free module on 1 and the three even generators x_i x_j (of
     degree 2(a_i + a_j + d)) over the base polynomial ring with deg u = v =
-    w = 2, hence (1 + sum t^(2(a_i+a_j+d))) / (1 - t^2)^3."""
+    w = 2, hence (1 + sum t^(2(a_i+a_j+d))) / (1 - t^2)^3, the denominator
+    written out as 1 - 3t^2 + 3t^4 - t^6."""
     degs = _gamma_generator_degrees(q)
     num = [0] * (max(degs) + 1)
     for g in degs:
         num[g] += 1
-    one_minus_t2 = (1, 0, -1)
-    den = poly_mul_1d(poly_mul_1d(one_minus_t2, one_minus_t2), one_minus_t2)
-    return RationalSeries(tuple(num), den)
+    return RationalSeries(tuple(num), (1, 0, -3, 0, 3, 0, -1))
 
 
 def gamma_dimension_bruteforce(q: QForm, n: int) -> int:

@@ -682,11 +682,12 @@ def _shifts(variables) -> tuple:
 
 #: Most texts a ``_Texts`` table keeps.
 _TEXTS_BOUND = 4096
-#: Ints of at most this many digits convert to and from text by ``str``
-#: and ``int`` under any int-to-str digit limit (640 digits at the least);
-#: longer ones go through ``Decimal``, which has none.
-_SHORT_DIGITS = 600
-_SHORT = 10 ** _SHORT_DIGITS
+#: The lowest nonzero int <-> str limit CPython accepts: an int of at most
+#: this many digits converts to and from text by ``str`` and ``int`` under
+#: any limit, without looking one up; the printer and the reader take a
+#: longer one through ``Decimal``, which has none.
+INT_DIGIT_FLOOR = 640
+_SHORT = 10 ** INT_DIGIT_FLOOR
 
 
 class _Texts(dict):
@@ -786,7 +787,7 @@ def _read(text: str, ring: PolyRing):
     ``_terms_string`` joins terms by " + " and " - ", a term being ``c``,
     ``c*m`` or ``m``; each monomial's key and degree come from ``_keys``.
     None, for the walker to read or refuse, on anything else: other
-    spacing, an unknown name, more than ``_SHORT_DIGITS`` digits, a zero
+    spacing, an unknown name, more than ``INT_DIGIT_FLOOR`` digits, a zero
     denominator or coefficient, a repeated monomial or mixed degrees."""
     if text == "0":
         return ring.zero
@@ -801,7 +802,7 @@ def _read(text: str, ring: PolyRing):
             term = term[1:]
         head, star, mono = term.partition("*")
         num, slash, den = head.partition("/")
-        if num.isdigit() and len(head) <= _SHORT_DIGITS:
+        if num.isdigit() and len(head) <= INT_DIGIT_FLOOR:
             c = int(num)
             if slash:
                 den = int(den) if den.isdigit() else 0
@@ -840,13 +841,13 @@ def _is_name(token) -> bool:
 
 def _integer(tokens, i) -> int:
     """The int of a digit token, read through ``Decimal`` when it has more
-    than ``_SHORT_DIGITS`` digits, so no digit limit applies."""
+    than ``INT_DIGIT_FLOOR`` digits, so no digit limit applies."""
     token = tokens[i]
     if token is None:
         raise PolyParseError("unexpected end of input")
     if not token.isdecimal():
         raise PolyParseError(f"expected int, found {token!r}")
-    return int(token) if len(token) <= _SHORT_DIGITS else int(Decimal(token))
+    return int(token) if len(token) <= INT_DIGIT_FLOOR else int(Decimal(token))
 
 
 def _walk(text: str, ring: PolyRing) -> HomogPoly:

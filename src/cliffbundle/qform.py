@@ -62,15 +62,25 @@ class FiberPoint:
         return ":".join(str(x) for x in self.coords)
 
 
+def line_size(p: int, line: int) -> int:
+    """The number of points of a line of ``plane_lines``."""
+    return p if line <= p else 1
+
+
+def line_point(p: int, line: int, t: int) -> tuple:
+    """Point t of a line of ``plane_lines``, as a triple of least residues."""
+    if line < p:
+        return line, t, 1
+    return (t, 1, 0) if line == p else (1, 0, 0)
+
+
 def plane_points(p: int):
     """The p^2 + p + 1 points of P^2(F_p) as triples of least residues,
-    last nonzero coordinate 1: (a, b, 1), then (a, 1, 0), then (1, 0, 0)."""
-    for a in range(p):
-        for b in range(p):
-            yield a, b, 1
-    for a in range(p):
-        yield a, 1, 0
-    yield 1, 0, 0
+    last nonzero coordinate 1, line by line in the order of ``plane_lines``
+    (``line_point``): (a, b, 1), then (a, 1, 0), then (1, 0, 0)."""
+    for line in range(p + 2):
+        for t in range(line_size(p, line)):
+            yield line_point(p, line, t)
 
 
 def projective_points(field: PrimeField):
@@ -207,15 +217,15 @@ def is_nowhere_zero(q: QForm) -> NowhereZeroResult:
     Only over a prime field (over Q no finite scan decides it: TypeError).
     Vanishing of the whole matrix at a point is exactly rank 0 there (a
     non-flat point of the conic bundle), a zero of the discriminant, so
-    ``fiber_census`` meets it; the witness comes first in plane_points order.
+    ``zero_ranks`` yields it; the scan stops at the first, in plane_points
+    order, which is the witness.
     """
-    dom = q.domain
-    if not isinstance(dom, PrimeField):
-        raise TypeError("exhaustive scan needs a prime-field form")
-    point = fiber_census(q).first_whole_plane
-    if point is None:
-        return NowhereZeroResult(True, None)
-    return NowhereZeroResult(False, FiberPoint(tuple(map(dom, point))))
+    for lines, ts, ranks in zero_ranks(q):
+        if 0 in ranks:
+            k = ranks.index(0)
+            point = line_point(q.domain.p, lines[k], ts[k])
+            return NowhereZeroResult(False, FiberPoint(tuple(map(q.domain, point))))
+    return NowhereZeroResult(True, None)
 
 
 # ------------------------------------------------------------- singularities
@@ -292,18 +302,6 @@ def _array_type(bits: int) -> str:
     return typecode
 
 
-def line_size(p: int, line: int) -> int:
-    """The number of points of a line of ``plane_lines``."""
-    return p if line <= p else 1
-
-
-def line_point(p: int, line: int, t: int) -> tuple:
-    """Point t of a line of ``plane_lines``, as a triple of least residues."""
-    if line < p:
-        return line, t, 1
-    return (t, 1, 0) if line == p else (1, 0, 0)
-
-
 class PackedLines(dict):
     """Packed values along the lines of P^2(F_p), for a p within the scan
     limit: B_e = sum_x (x^e mod p) << SLOT_BITS*x for every x in F_p, by e.
@@ -320,7 +318,7 @@ class PackedLines(dict):
     v m = q 2^s + q e + r m, where q e < p^3 < m and, for r > 0,
     m <= q e + r m <= 2^s - (m - (q + 1) e) < 2^s.  So v m >> s is q
     (``reduce`` subtracts p q), and p divides v exactly when the low s
-    bits of v m are below m (``zeros``).  The constructor checks
+    bits of v m are below m (``line_zeros``).  The constructor checks
     p^3 m < 2^SLOT_BITS, so every slot's product stays in its slot and one
     multiply of the packed line forms them all.  ``line_zeros`` keeps the
     rows B_e m, whose sum over a restriction is its packed
@@ -365,30 +363,28 @@ class PackedLines(dict):
         """A packed line with every slot, below p^3, reduced mod p."""
         return packed - self.p * (packed * self.multiplier >> self.shift & self.quotients)
 
+    def slots(self, packed: int):
+        """The p slots of a packed line as a memoryview of ints."""
+        width = SLOT_BITS // 8 * self.p
+        return memoryview(packed.to_bytes(width, sys.byteorder)).cast(self.typecode)
+
     def residues(self, coefficients, size: int):
         """The values of a restriction at t = 0, ..., size - 1, as least
         residues in a memoryview of ints."""
-        reduced = self.reduce(self.packed(coefficients))
-        width = SLOT_BITS // 8 * self.p
-        return memoryview(reduced.to_bytes(width, sys.byteorder)).cast(self.typecode)[:size]
-
-    def zeros(self, packed: int, size: int) -> int:
-        """The slots t < size of a packed line, each below p^3, that p
-        divides: bit SLOT_BITS*t + s is set for each.  ``bit_count()``
-        counts them."""
-        zeros = self._marks(packed * self.multiplier)
-        return zeros if size == self.p else zeros & (1 << SLOT_BITS * size) - 1
+        return self.slots(self.reduce(self.packed(coefficients)))[:size]
 
     def _marks(self, scaled: int) -> int:
         # The zero marks of every slot of a packed line times m.
         return self.marks ^ ((scaled & self.low_bits) + self.below_m) & self.marks
 
     def line_zeros(self, columns):
-        """The ``zeros`` mask of one polynomial on each line of
-        ``plane_lines`` in turn, from its columns there: a line's
-        coefficients g times the rows B_e m, one ``sum(map(mul, g, ...))``,
-        is its packed line times m, which ``zeros`` would form with one more
-        multiply.  The masks come lazily, one line's at a time."""
+        """The zeros of one polynomial on each line of ``plane_lines`` in
+        turn, as masks: bit SLOT_BITS*t + s is set for each zero t of the
+        line, and ``bit_count()`` counts them.  From the polynomial's
+        columns there, a line's coefficients g times the rows B_e m, one
+        ``sum(map(mul, g, ...))``, is its packed line times m, whose slots
+        p divides where their low s bits are below m.  The masks come
+        lazily, one line's at a time."""
         scaled = self._scaled
         while len(scaled) < len(columns):
             scaled.append(self[len(scaled)] * self.multiplier)
@@ -399,7 +395,7 @@ class PackedLines(dict):
 
 
 def _zero_indices(zeros: int):
-    """The slot indices of the marks of a ``PackedLines.zeros`` mask."""
+    """The slot indices of the marks of a ``PackedLines.line_zeros`` mask."""
     while zeros:
         low = zeros & -zeros
         yield (low.bit_length() - 1) // SLOT_BITS
@@ -463,13 +459,10 @@ def plane_lines(rows: PackedLines, polys):
 
 @dataclass(frozen=True)
 class FiberCensus:
-    """Fiber types over P^2(F_p), the zeros of the discriminant, and the
-    first point in the order of plane_points whose fiber is the whole plane
-    (rank 0), as a triple of least residues, or None."""
+    """Fiber types over P^2(F_p) and the number of zeros of the discriminant."""
 
     counts: dict
     discriminant_zeros: int
-    first_whole_plane: tuple | None = None
 
 
 def _disagreement(p, line, restrictions) -> InternalInvariantError:
@@ -491,7 +484,7 @@ def _disagreement(p, line, restrictions) -> InternalInvariantError:
 
 
 def _check_identity(p, bound, polys):
-    """Pass 1 of ``fiber_census``: det = disc on the lines a <= bound,
+    """Pass 1 of ``zero_ranks``: det = disc on the lines a <= bound,
     (t, 1, 0) and (1, 0, 0), in that order; ``polys`` are the columns of
     the six entries and the discriminant."""
     # A side's slot sums at most its coefficients: below (p (p - 1))^3 for
@@ -522,9 +515,16 @@ def _check_identity(p, bound, polys):
             raise _disagreement(p, line, restrictions)
 
 
-def fiber_census(q: QForm) -> FiberCensus:
-    """Exhaustive fiber-type census over P^2(F_p), in two passes over the
-    columns of ``plane_lines``.
+def zero_ranks(q: QForm):
+    """The zeros of the discriminant on P^2(F_p), each with the rank of the
+    entry values there, in two passes over the columns of ``plane_lines``.
+
+    Yields batches ``(lines, ts, ranks)`` in the order of plane_points:
+    zero k of a batch is ``line_point(p, lines[k], ts[k])`` and its rank,
+    below 3, is ``ranks[k]``.  The type check (TypeError over Q), the scan
+    limit and all of pass 1 run before the first batch is yielded, and the
+    rank-3 refusal of a batch before that batch, so every consumer gets
+    them.
 
     Pass 1 checks det = disc as an identity of polynomials in the line
     parameter t.  On a checked line the six entry restrictions are packed
@@ -551,68 +551,84 @@ def fiber_census(q: QForm) -> FiberCensus:
     check at every point gives.
 
     Pass 2 evaluates only the discriminant along each line
-    (``PackedLines.line_zeros``).  The fiber is a smooth conic wherever it
-    is nonzero.  Its zeros are gathered into a batch in the order of
-    plane_points, and the six entries are evaluated at every zero of the
-    batch at once, by C-level maps over the gathered columns and powers of
-    t; the batch is flushed once it holds p points, so memory stays O(p).
-    On a line where the discriminant vanishes at every point, the six
-    entries are read along the whole line instead, one packed line each.
-    ``linalg.symmetric_rank`` gives each zero's rank.  Since det = disc
-    holds, that rank is below 3: a rank of 3 at a zero is a bug, and
-    ``InternalInvariantError`` names the first such point.
+    (``PackedLines.line_zeros``).  Its zeros are gathered into a batch, and
+    the six entries are evaluated at every zero of the batch at once, by
+    C-level maps over the gathered columns and the powers of t, the rows
+    B_j; the batch is yielded once it holds p points, so memory stays
+    O(p).  A line where the discriminant vanishes at every point is a
+    batch of its own, the six entries read along the whole line, one
+    packed line each.  ``linalg.symmetric_rank`` gives each zero's rank.
+    Since det = disc holds, that rank is below 3: a rank of 3 at a zero is
+    a bug, and ``InternalInvariantError`` names the first such point.
     """
     dom = q.domain
     if not isinstance(dom, PrimeField):
-        raise TypeError("census needs a prime-field form")
+        raise TypeError("exhaustive scan needs a prime-field form")
     p = dom.p
     rows = PackedLines(p)
     degrees, polys = plane_lines(rows, q.matrix.upper() + (discriminant(q),))
     _check_identity(p, max(3 * max(degrees[:6]), degrees[6]), polys)
     *entries, disc = polys
-    powers = [rows.residues([0] * j + [1], p) for j in range(1, max(map(len, entries)))]
-    by_rank = [0, 0, 0, 0]
-    whole_plane = []
-    lines, ts = [], []
+    powers = [rows.slots(rows[j]) for j in range(1, max(map(len, entries)))]
 
-    def tally(values, point):
+    def ranked(values, lines, ts):
         ranks = list(map(linalg.symmetric_rank, zip(*values), repeat(p)))
         if 3 in ranks:
+            k = ranks.index(3)
             raise InternalInvariantError(
-                f"the entry values have rank 3 at {point(ranks.index(3))}, "
+                f"the entry values have rank 3 at {line_point(p, lines[k], ts[k])}, "
                 "a zero of the discriminant")
-        if not whole_plane and 0 in ranks:
-            whole_plane.append(point(ranks.index(0)))
-        for r in range(3):
-            by_rank[r] += ranks.count(r)
+        return lines, ts, ranks
 
-    def flush():
-        if not lines:
-            return
-        gathered = [list(map(row.__getitem__, ts)) for row in powers]
+    def gathered(lines, ts):
+        at_ts = [list(map(row.__getitem__, ts)) for row in powers]
         values = []
         for columns in entries:
             total = list(map(columns[0].__getitem__, lines))
-            for column, power in zip(columns[1:], gathered):
+            for column, power in zip(columns[1:], at_ts):
                 total = list(map(add, total, map(mul, map(column.__getitem__, lines), power)))
             values.append(total)  # unreduced: symmetric_rank works mod p
-        tally(values, lambda k: line_point(p, lines[k], ts[k]))
-        lines.clear()
-        ts.clear()
+        return ranked(values, lines, ts)
 
+    lines, ts = [], []
     for line, zeros in enumerate(rows.line_zeros(disc)):
         count = zeros.bit_count()
-        size = line_size(p, line)
-        by_rank[3] += size - count
-        if count == size:
-            flush()
-            tally([rows.residues([column[line] for column in columns], count)
-                   for columns in entries], lambda t: line_point(p, line, t))
+        if count == line_size(p, line):
+            if lines:
+                yield gathered(lines, ts)
+                lines, ts = [], []
+            yield ranked([rows.residues([column[line] for column in columns], count)
+                          for columns in entries], [line] * count, range(count))
         elif count:
             lines += repeat(line, count)
             ts += _zero_indices(zeros)
             if len(lines) >= p:
-                flush()
-    flush()
-    return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
-                       sum(by_rank[:3]), whole_plane[0] if whole_plane else None)
+                yield gathered(lines, ts)
+                lines, ts = [], []
+    if lines:
+        yield gathered(lines, ts)
+
+
+def fiber_census(q: QForm) -> FiberCensus:
+    """Exhaustive fiber-type census over P^2(F_p): the tally of the ranks
+    ``zero_ranks`` yields.  Every other point is off the discriminant, so
+    its fiber is a smooth conic."""
+    by_rank = [0, 0, 0]
+    for _, _, ranks in zero_ranks(q):
+        for r in range(3):
+            by_rank[r] += ranks.count(r)
+    p = q.domain.p
+    zeros = sum(by_rank)
+    by_rank.append(p * p + p + 1 - zeros)
+    return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()}, zeros)
+
+
+def zero_count(f: HomogPoly) -> int:
+    """The number of points of P^2(F_p) where f vanishes, f over a prime
+    field (TypeError otherwise): one ``PackedLines.line_zeros`` mask per
+    line, counted."""
+    if not isinstance(f.ring.domain, PrimeField):
+        raise TypeError("point counting needs a prime-field polynomial")
+    rows = PackedLines(f.ring.domain.p)
+    _, (columns,) = plane_lines(rows, [f])
+    return sum(map(int.bit_count, rows.line_zeros(columns)))

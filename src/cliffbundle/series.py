@@ -53,14 +53,3 @@ def series_expand(s: RationalSeries, order: int):
             acc -= den[k] * out[n - k]
         out.append(acc / d0)
     return [int(c) if c.denominator == 1 else c for c in out]
-
-
-def poly_mul_1d(a, b) -> tuple:
-    """Product of two univariate integer-coefficient polynomials."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)

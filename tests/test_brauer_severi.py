@@ -62,6 +62,12 @@ def test_conic_count_smooth_fiber_f5(ring_f5):
     assert conic_point_count(q, base) == 6  # p + 1
 
 
+def test_conic_count_refuses_the_rationals(ring_q):
+    base = FiberPoint.make(ring_q.domain, (1, 1, 1))
+    with pytest.raises(TypeError, match="prime-field"):
+        conic_point_count(diag_form(ring_q), base)
+
+
 def test_weighted_homogeneity_enforced(ring_q):
     u = ring_q.variable(0)
     with pytest.raises(DegreeMismatchError):

@@ -20,6 +20,7 @@ from cliffbundle import (
     make_net,
     make_type,
     net_from_upper,
+    new_qform,
     projective_points,
 )
 from cliffbundle.errors import (
@@ -33,7 +34,8 @@ from conftest import plane_values, uvw
 def test_make_type_diag_f23(ring_q):
     u, v, w = uvw(ring_q)
     z = ring_q.zero
-    q = make_type("F23", entries=[[u, z, z], [z, v, z], [z, z, w]])
+    data = CATALOG[DelPezzoTag.F23]
+    q = new_qform(data.a, data.d, [[u, z, z], [z, v, z], [z, z, w]])
     assert discriminant(q).degree == 3
 
 
@@ -46,10 +48,11 @@ def test_f25minus_seed42_entry_degrees():
 def test_make_type_rejects_wrong_degree(ring_q):
     u, v, w = uvw(ring_q)
     cubic = u * v * w
+    data = CATALOG[DelPezzoTag.F24]
     with pytest.raises(DegreePatternError):
-        make_type("F24", entries=[[ring_q.one, u, u],
-                                  [u, cubic, u * v],
-                                  [u, u * v, v * w]])
+        new_qform(data.a, data.d, [[ring_q.one, u, u],
+                                   [u, cubic, u * v],
+                                   [u, u * v, v * w]])
 
 
 def test_make_type_rejects_projected_tag():

@@ -7,10 +7,10 @@ conic equation, each over ``projective_points``.
 The second is ``point_walk``, the per-point int walk the packed kernel
 replaced: every term evaluated with ``pow`` at every point of
 ``plane_points``.
-The third is ``point_census``, the per-point census that the per-line
+The third is ``point_ranks``, the per-point census that the per-line
 identity check replaced: the determinant of the six entry values from
 ``plane_values`` (in conftest) against the discriminant's value at every
-point, and the rank at every zero.
+point, and the rank at every zero; ``point_census`` tallies it.
 """
 
 import random
@@ -179,14 +179,12 @@ def test_kernel_matches_fp_element_path(kind, data):
         assert expected[ConicType.WHOLE_PLANE] >= 1
 
 
-def point_census(q):
+def point_ranks(q):
     """The census one point at a time: at each point of ``plane_values``,
     the determinant of the six entry values must equal the discriminant's
-    value mod p; ``linalg.symmetric_rank`` where it vanishes.  The first
-    point of rank 0 is kept."""
+    value mod p.  Yields each point with its rank: 3 where the determinant
+    is nonzero, else ``linalg.symmetric_rank``."""
     p = q.domain.p
-    by_rank = [0, 0, 0, 0]
-    whole_plane = None
     polys = q.matrix.upper() + (qform.discriminant(q),)
     for points, columns in plane_values(q.domain, polys):
         for point, (a, d, e, b, f, c, disc) in zip(points, zip(*columns)):
@@ -196,12 +194,16 @@ def point_census(q):
                 raise InternalInvariantError(
                     f"discriminant {disc % p} and determinant {det} of the entry "
                     f"values disagree at {point}")
-            rank = 3 if det else linalg.symmetric_rank((a, d, e, b, f, c), p)
-            if rank == 0 and whole_plane is None:
-                whole_plane = point
-            by_rank[rank] += 1
+            yield point, 3 if det else linalg.symmetric_rank((a, d, e, b, f, c), p)
+
+
+def point_census(q):
+    """The tally of ``point_ranks``."""
+    by_rank = [0, 0, 0, 0]
+    for _, rank in point_ranks(q):
+        by_rank[rank] += 1
     return FiberCensus({t: by_rank[r] for r, t in CONIC_BY_RANK.items()},
-                       sum(by_rank[:3]), whole_plane)
+                       sum(by_rank[:3]))
 
 
 @pytest.mark.parametrize("kind", KINDS + LINE_KINDS)
@@ -210,6 +212,32 @@ def point_census(q):
 def test_line_identity_census_matches_point_census(kind, data):
     q = data.draw(forms(kind, primes=(3, 5, 7, 11, 101)))
     assert qform.fiber_census(q) == point_census(q)
+
+
+def test_plane_points_order_is_pinned():
+    assert list(plane_points(3)) == [
+        (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1),
+        (2, 0, 1), (2, 1, 1), (2, 2, 1), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("kind", KINDS + LINE_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_zero_ranks_yield_each_zero_once_in_plane_order(kind, data):
+    # Every zero of the discriminant, once each, in plane_points order,
+    # with the rank point_ranks gives; is_nowhere_zero's witness is the
+    # first of rank 0.
+    q = data.draw(forms(kind, primes=(3, 5, 7, 11, 101)))
+    p = q.domain.p
+    expected = [(point, rank) for point, rank in point_ranks(q) if rank < 3]
+    produced = [(qform.line_point(p, line, t), rank)
+                for lines, ts, ranks in qform.zero_ranks(q)
+                for line, t, rank in zip(lines, ts, ranks, strict=True)]
+    assert produced == expected
+    witness = next((point for point, rank in expected if rank == 0), None)
+    found = is_nowhere_zero(q)
+    assert found.nowhere_zero == (witness is None)
+    assert found.witness == (witness and FiberPoint.make(q.domain, witness))
 
 
 def _planted_message(census_fn, q):
@@ -325,7 +353,7 @@ def test_packed_zero_marks_match_remainders(p, seed, share, size):
     size = min(size, p)
     rows = qform.PackedLines(p)
     packed = int.from_bytes(array(rows.typecode, slots).tobytes(), sys.byteorder)
-    zeros = rows.zeros(packed, size)
+    zeros = rows._marks(packed * rows.multiplier) & (1 << qform.SLOT_BITS * size) - 1
     assert zeros.bit_count() == [x % p for x in slots[:size]].count(0)
     assert list(qform._zero_indices(zeros)) == [t for t, x in enumerate(slots[:size])
                                                 if not x % p]
@@ -378,7 +406,7 @@ def test_the_zero_batch_stays_linear_in_p():
                                   ConicType.LINE_PAIR: (k - 1) * p + (p - k) + (p - 1),
                                   ConicType.DOUBLE_LINE: p + 1,
                                   ConicType.WHOLE_PLANE: 1},
-                                 k * p + (p - k) + p + 1, (1, 0, 0))
+                                 k * p + (p - k) + p + 1)
 
 
 def test_slot_overflow_is_refused(monkeypatch):

@@ -113,15 +113,16 @@ def term_texts(f, coefficient_text) -> str:
 def test_parse_inverts_str(data):
     """Printing and parsing are inverse: the printed text takes the
     reader's path, the walker patched to raise.  Also for coefficients on
-    both sides of the 600 digits that ``str`` and ``int`` take under any
-    digit limit and of the 4,300-digit default limit: over Q a multiple of
+    both sides of the 640 digits that ``str`` and ``int`` take under any
+    digit limit (``poly.INT_DIGIT_FLOOR``), of 600 and of the 4,300-digit
+    default limit: over Q a multiple of
     f with long numerators or denominators, over F_p f written with long
     representatives of its residues."""
     ring = data.draw(rings)
     f = data.draw(homog(ring, data.draw(st.integers(0, 4))))
     with patch.object(poly, "_walk", side_effect=AssertionError("walker")):
         assert ring.parse(str(f)) == f
-    digits = data.draw(st.sampled_from((599, 600, 601, 4300, 4301, 4400)))
+    digits = data.draw(st.sampled_from((599, 600, 601, 639, 640, 641, 4300, 4301, 4400)))
     p = ring.modulus
     big = data.draw(st.integers(10 ** (digits - 1) + p, 10 ** digits - 1 - p))
     if p:

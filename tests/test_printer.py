@@ -159,11 +159,12 @@ def test_the_monomial_table_stays_bounded():
 
 
 def test_coefficients_past_the_digit_limit_print_in_full():
-    """Ints from 10^600 up, about where the smallest digit limit Python
-    accepts (640) begins, up to and past its default 4,300 digits, print
+    """Ints from 10^600 up, across the smallest digit limit Python accepts
+    (639, 640 and 641 digits), up to and past its default 4,300 digits, print
     in full, as numerators, denominators and with either sign."""
     ring = PolyRing(QQ)
-    for n in (10 ** 600 - 1, 10 ** 600, 10 ** 600 + 1, 10 ** 1200 + 5,
+    for n in (10 ** 600 - 1, 10 ** 600, 10 ** 600 + 1,
+              10 ** 639 - 1, 10 ** 640 - 1, 10 ** 640, 10 ** 1200 + 5,
               7 * (10 ** 4500 - 1) // 9, 3 ** 20000):
         for c in (n, -n, Fraction(n, 3 * n + 1), Fraction(-1, n)):
             f = ring.poly({(1, 0, 0): c, (0, 1, 0): 1})

@@ -27,9 +27,9 @@ OUTSIDE = sorted([*(ROOT / "perfbench").glob("*.py"),
                   ROOT / "tests" / "test_acceptance.py"])
 
 KEPT = {
-    "is_nowhere_zero": "open item 13: the exhaustive rank-0 scan over F_p",
+    "is_nowhere_zero": "item 15: the rank-0 consumer of the zero producer",
     "singularity_type_at": "open item 11: the Hessian oracle of the regularity census",
-    "conic_point_count": "open items 3 and 13: the k = 1 check of the fiber counts",
+    "conic_point_count": "item 16: the brute-force oracle of the split rule",
     "kernel_basis": "open item 2: the boxed kernel the int elimination is checked against",
     "bs_membership": "reference route: the conic equation against the kernel matrix's rank",
     "bs_matrix_via_algebra": "reference route: the rewriting engine against bs_matrix",
