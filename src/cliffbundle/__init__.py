@@ -55,7 +55,6 @@ from .clifford import (
 )
 from .brauer_severi import (
     BiPoly,
-    BSMatrix,
     MinorReport,
     bipoly_from_alpha_map,
     bs_matrix,
@@ -68,7 +67,6 @@ from .brauer_severi import (
 from .invariants import (
     BundleDescriptor,
     CotangentTwist,
-    InvariantReport,
     LineBundle,
     chern_c1_c2,
     chi_O,
@@ -78,7 +76,6 @@ from .invariants import (
     minus_k3_via_chern,
     minus_k3_via_chern_printed,
     minus_k3_via_euler,
-    report,
 )
 from .catalog import (
     CATALOG,
@@ -89,6 +86,7 @@ from .catalog import (
     make_net,
     make_type,
     net_from_upper,
+    report,
 )
 
 __version__ = "0.1.0"

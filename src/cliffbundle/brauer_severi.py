@@ -21,7 +21,9 @@ extremal minors are exact:
 matrix satisfies, and the test suite pins them symbolically.)
 
 Alpha variables carry weight -a_i so that all constructions stay
-weighted-homogeneous for every degree pattern.  ``poly`` owns BiPoly.
+weighted-homogeneous for every degree pattern.  ``poly`` owns BiPoly and
+PolyMatrix: M is a 4x4 PolyMatrix of BiPolys, and its minors are
+``poly.minor``'s.
 
 The minors are expanded and divided by the conic once per process, on
 ``clifford.generic_form()`` (``_generic_quotients``), and each quotient is
@@ -44,8 +46,8 @@ from .errors import (
 from . import linalg
 from .clifford import fiber_algebra, generic_form, integer_terms
 from .linalg import symmetric_grid
-from .poly import (BiPoly, alpha_variable, bipoly_from_alpha_map, divide_exact_bipoly,
-                   lowered_values, minor, specializer)
+from .poly import (BiPoly, PolyMatrix, alpha_variable, bipoly_from_alpha_map,
+                   divide_exact_bipoly, lowered_values, minor, specializer)
 from .qform import FiberPoint, QForm, zero_count
 
 
@@ -64,34 +66,9 @@ def conic_equation(q: QForm) -> BiPoly:
     return bipoly_from_alpha_map(q.ring, q.a, _conic_terms(q.matrix.entries))
 
 
-@dataclass(frozen=True)
-class BSMatrix:
-    """The 4x4 functional matrix; row 1 and column 1 are (0, a1, a2, a3)."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != 4 or any(len(r) != 4 for r in self.entries):
-            raise ValueError("BSMatrix must be 4x4")
-        ring = self.entries[0][1].ring
-        weights = self.entries[0][1].weights
-        expect = [bipoly_from_alpha_map(ring, weights, {})] + [
-            alpha_variable(ring, weights, i) for i in (1, 2, 3)]
-        for k in range(4):
-            if self.entries[0][k] != expect[k] or self.entries[k][0] != expect[k]:
-                raise InternalInvariantError(
-                    "row/column 1 of the kernel matrix must be (0, a1, a2, a3)")
-
-    def entry(self, r: int, c: int) -> BiPoly:
-        return self.entries[r - 1][c - 1]
-
-    def evaluate(self, base_point, alpha_point):
-        return [[e.evaluate(base_point, alpha_point) for e in row]
-                for row in self.entries]
-
-
-def bs_matrix(q: QForm) -> BSMatrix:
-    """The kernel matrix, written out entry by entry."""
+def bs_matrix(q: QForm) -> PolyMatrix:
+    """The kernel matrix, a 4x4 PolyMatrix of BiPolys written out entry by
+    entry; row 1 and column 1 are (0, a1, a2, a3)."""
     ring, weights = q.ring, q.a
     a1, a2, a3 = (alpha_variable(ring, weights, i) for i in (1, 2, 3))
     zero = bipoly_from_alpha_map(ring, weights, {})
@@ -117,17 +94,19 @@ def bs_matrix(q: QForm) -> BSMatrix:
          e(1, 1) * a1 + twice(e(1, 2)) * a2 + twice(e(1, 3)) * a3,
          twice(e(1, 2)) * a3),
     )
-    return BSMatrix(entries=rows)
+    return PolyMatrix(rows)
 
 
-def bs_matrix_via_algebra(q: QForm) -> BSMatrix:
+def bs_matrix_via_algebra(q: QForm) -> PolyMatrix:
     """Independent derivation of the kernel matrix from the rewriting engine.
 
     Entry (r, c) is the covector alpha applied to E_r * E_c, where
     (E_0..E_3) = (1, yz, zx, xy) = e + s with e = (1, Xbar, Ybar, Zbar), the
     basis of fiber_algebra over the polynomial ring, and s = (0, q23, q13,
     q12).  So E_r E_c = e_r e_c + s_c e_r + s_r e_c + s_r s_c, of which alpha
-    sees the traceless part only.  Must coincide with bs_matrix.
+    sees the traceless part only.  Must coincide with bs_matrix; row 1
+    and column 1, which the engine produces too, must be (0, a1, a2, a3),
+    or InternalInvariantError is raised.
     """
     ring, weights = q.ring, q.a
     constants = fiber_algebra(q.matrix.entries, ring).constants
@@ -141,19 +120,24 @@ def bs_matrix_via_algebra(q: QForm) -> BSMatrix:
             coords[c] += shift[r]
             row.append(bipoly_from_alpha_map(ring, weights, {
                 (1, 0, 0): coords[1], (0, 1, 0): coords[2], (0, 0, 1): coords[3]}))
-        rows.append(tuple(row))
-    return BSMatrix(entries=tuple(rows))
+        rows.append(row)
+    border = [bipoly_from_alpha_map(ring, weights, {})] + [
+        alpha_variable(ring, weights, i) for i in (1, 2, 3)]
+    if rows[0] != border or [row[0] for row in rows] != border:
+        raise InternalInvariantError(
+            "row/column 1 of the kernel matrix must be (0, a1, a2, a3)")
+    return PolyMatrix(rows)
 
 
 # --------------------------------------------------------------------- minors
 
-def bipoly_minor(m: BSMatrix, drop_row: int, drop_col: int, memo=None) -> BiPoly:
+def bipoly_minor(m: PolyMatrix, drop_row: int, drop_col: int, memo=None) -> BiPoly:
     """3x3 minor of the kernel matrix (delete 1-based row and column).
 
     Calls on one matrix that pass the same ``memo`` dict compute each of
     its 2x2 minors once (``poly.minor``).
     """
-    return minor(m.entries, drop_row, drop_col, memo)
+    return minor(m, drop_row, drop_col, memo)
 
 
 #: The exact extremal-minor identities: position -> (alpha index, sign).
@@ -257,7 +241,8 @@ def bs_membership(q: QForm, base: FiberPoint, alpha) -> bool:
     alpha_coords = alpha.coords if isinstance(alpha, FiberPoint) else \
         FiberPoint.make(q.domain, alpha).coords
     on_conic = not conic_equation(q).evaluate(base.coords, alpha_coords)
-    values = bs_matrix(q).evaluate(base.coords, alpha_coords)
+    values = [[e.evaluate(base.coords, alpha_coords) for e in row]
+              for row in bs_matrix(q).entries]
     low_rank = linalg.rank(values, q.domain) <= 2
     if on_conic != low_rank:
         raise InternalInvariantError(

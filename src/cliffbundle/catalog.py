@@ -11,6 +11,10 @@ net of quadrics in P^4 (a symmetric 5x5 matrix of linear forms) by
 orthogonal projection away from a common smooth point of the net.  It is
 exposed fiberwise only, as a provider of 3x3 scalar forms whose degeneracy
 locus is the quintic det5 = 0; all fiber operations accept its output.
+
+``CATALOG`` is the table of the four types, and ``report`` turns one of
+its rows into the invariant row the CLI prints, through the formulas of
+``invariants``.
 """
 
 from __future__ import annotations
@@ -24,9 +28,20 @@ from . import linalg
 from .errors import (
     DegenerateAfterRetriesError,
     DegreePatternError,
+    InconsistentInvariantsError,
     UnknownTagError,
 )
-from .invariants import BundleDescriptor, CotangentTwist, LineBundle
+from .invariants import (
+    BundleDescriptor,
+    CotangentTwist,
+    LineBundle,
+    chern_c1_c2,
+    chi_bundle,
+    chi_top_conic_bundle,
+    chi_top_plane_curve,
+    minus_k3_via_chern_p2,
+    minus_k3_via_euler,
+)
 from .linalg import symmetric_grid
 from .poly import HomogPoly, PolyMatrix, PolyRing, det, lowered_values
 from .qform import FiberPoint, QForm, discriminant, qform_from_upper
@@ -108,6 +123,40 @@ CATALOG = {
 }
 
 LINE_BUNDLE_TAGS = (DelPezzoTag.F23, DelPezzoTag.F24, DelPezzoTag.F25_MINUS)
+
+
+def report(type_tag) -> dict:
+    """The invariant row of one type, as ``invariants --type`` prints it,
+    assembled from its ``CATALOG`` row: -K^3 is computed along both routes
+    of ``invariants`` and must agree, c1 must be minus the discriminant
+    degree, and h^{1,2} = (6 - chi_top(X)) / 2 = (d^2 - 3d) / 2, derived
+    from the Euler characteristic, must be the table's."""
+    tag = DelPezzoTag.coerce(type_tag)
+    data = CATALOG[tag]
+    vstar = data.vstar
+    d = data.disc_degree
+    chi_AO = chi_bundle(vstar)
+    c1, c2 = chern_c1_c2(vstar, plus_trivial_summand=True)
+    via_euler = minus_k3_via_euler(d, chi_AO)
+    via_chern = minus_k3_via_chern_p2(d, c2)
+    if via_euler != via_chern:
+        raise InconsistentInvariantsError(
+            f"{tag.value}: Euler route gives {via_euler}, "
+            f"Chern route gives {via_chern}")
+    if c1 != -d:
+        raise InconsistentInvariantsError(
+            f"{tag.value}: c1 = {c1} but the discriminant degree is {d}")
+    # b2(X) = 2 and b3(X) = 2 h^{1,2}, so chi_top(X) = 6 - 2 h^{1,2}.
+    chi_top_X = chi_top_conic_bundle(3, chi_top_plane_curve(d))
+    h12 = (6 - chi_top_X) // 2
+    if h12 != data.h12:
+        raise InconsistentInvariantsError(
+            f"{tag.value}: chi_top(X) = {chi_top_X} gives h12 = {h12}, "
+            f"the table says {data.h12}")
+    return {"type": tag.value, "d": d, "chi_A_over_O": chi_AO, "c1": c1,
+            "c2": c2, "minus_K3": via_euler, "h12": h12,
+            "chi_top_X_smooth_D": chi_top_X}
+
 
 GENERATION_RETRIES = 100
 

@@ -27,7 +27,9 @@ seed), the text ``json.dumps(report, indent=2, sort_keys=True,
 default=str)`` gives, written by ``json_text``; a one-line human summary
 with timing goes to stderr.  Exit codes:
 0 success, 1 invalid input, 2 mathematical failure (the report names the
-violated contract), 3 internal invariant violation or any other bug.  A
+violated contract), 3 internal invariant violation or any other bug; the
+status and code of a failed command are what ``errors.band`` gives for its
+exception, and ``catalog.report`` gives the ``invariants`` row.  A
 malformed command line is invalid input too: argparse's usage and message
 go to stderr, nothing to stdout, and the exit code is 1.
 """
@@ -41,20 +43,12 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from . import brauer_severi, catalog, clifford, invariants, poly, qform
-from .errors import (CliffBundleError, DigitLimitError, InternalInvariantError,
-                     MathFailureError, OrderTooLargeError)
+from . import brauer_severi, catalog, clifford, poly, qform
+from .errors import DigitLimitError, InternalInvariantError, OrderTooLargeError, band
 from .poly import INT_DIGIT_FLOOR, PolyRing
 from .qform import FiberPoint, QForm
 from .scalars import QQ, DEFAULT_SCAN_PRIME, PrimeField
 from .series import series_expand
-
-# Builtin exceptions taken as bad input (exit 1), like every CliffBundleError
-# outside the math-failure and bug bands of ``errors``; json.JSONDecodeError
-# and UnicodeDecodeError are ValueErrors.  Any other exception is a bug (exit 3).
-INPUT_ERRORS = (ValueError, OSError)
-
-MATH_ERRORS = (MathFailureError, ZeroDivisionError)
 
 #: Largest ``hilbert --order``: the brute-force check of every even degree
 #: up to the order takes about order^3 steps.
@@ -340,7 +334,7 @@ def cmd_recover(args):
 
 
 def cmd_invariants(args):
-    return invariants.report(args.type).as_dict()
+    return catalog.report(args.type)
 
 
 def cmd_catalog(args):
@@ -468,19 +462,10 @@ def main(argv=None) -> int:
     status, payload, code = "ok", None, 0
     try:
         payload = args.fn(args)
-    except InternalInvariantError as exc:
-        status, code = "internal-error", 3
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-    except MATH_ERRORS as exc:
-        status, code = "math-failure", 2
-        payload = {"error": type(exc).__name__,
-                   "contract": str(exc)}
-    except (CliffBundleError, *INPUT_ERRORS) as exc:
-        status, code = "invalid-input", 1
-        payload = {"error": type(exc).__name__, "message": str(exc)}
     except Exception as exc:
-        status, code = "internal-error", 3
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+        status, code = band(exc)
+        payload = {"error": type(exc).__name__,
+                   "contract" if code == 2 else "message": str(exc)}
     report = {"command": args.command, "status": status, "payload": payload}
     print(json_text(report))
     elapsed_ms = (time.perf_counter() - started) * 1000.0

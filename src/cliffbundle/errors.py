@@ -1,10 +1,11 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the exit band of every exception.
 
 Three broad bands, mirrored by the CLI exit codes: bad input (exit 1),
 honest mathematical failure of an operation's contract (exit 2, subclasses
 of MathFailureError), and internal invariant violations that indicate a bug
 (exit 3, InternalInvariantError).  Every other CliffBundleError is bad
-input.
+input.  ``band`` is the one place that maps an exception to its band; the
+CLI reports what it returns.
 """
 
 
@@ -118,3 +119,22 @@ class MinorNotDivisibleError(InternalInvariantError):
     """A minor of the Brauer-Severi matrix failed divisibility by the conic
     equation.  The identity is universal in the q_ij, so this always signals
     an implementation bug, never bad input."""
+
+
+# ------------------------------------------------------------------- the bands
+
+def band(exc: BaseException) -> tuple:
+    """(status, exit code) of an exception that ended a command, by the
+    first rule that holds: an InternalInvariantError is a bug
+    ("internal-error", 3); a MathFailureError or ZeroDivisionError is a
+    broken contract ("math-failure", 2); any other CliffBundleError, and a
+    ValueError or OSError (json.JSONDecodeError and UnicodeDecodeError
+    among them), is bad input ("invalid-input", 1); anything else is a bug
+    ("internal-error", 3)."""
+    if isinstance(exc, InternalInvariantError):
+        return "internal-error", 3
+    if isinstance(exc, (MathFailureError, ZeroDivisionError)):
+        return "math-failure", 2
+    if isinstance(exc, (CliffBundleError, ValueError, OSError)):
+        return "invalid-input", 1
+    return "internal-error", 3

@@ -10,17 +10,17 @@ for a conic bundle over P^2 with discriminant degree d:
 The second formula is rederived here from surface Riemann-Roch with
 c1(A) = -D; the coefficient of c2 is 2, and only that value makes the two
 routes agree (the variant with coefficient 1 is kept for reference as
-``minus_k3_via_chern_printed``).  ``report`` computes both routes for each
-minimal del Pezzo type and refuses to return if they differ.  It also
-derives h^{1,2} = (6 - chi_top(X)) / 2 = (d^2 - 3d) / 2 from the Euler
-characteristic and refuses a table row that says otherwise.
+``minus_k3_via_chern_printed``).
+
+This module holds only the descriptors and the formulas and imports
+nothing from the package.  ``catalog.report``, beside the table it reads,
+assembles the invariant row of each minimal del Pezzo type from them and
+refuses a row whose two -K^3 routes, c1 or h^{1,2} disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import InconsistentInvariantsError
 
 
 # -------------------------------------------------------------- descriptors
@@ -148,70 +148,3 @@ def chi_top_plane_curve(d: int, nodes: int = 0) -> int:
     if d < 1 or nodes < 0:
         raise ValueError("need d >= 1 and nodes >= 0")
     return 3 * d - d * d + nodes
-
-
-# -------------------------------------------------------------------- report
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """The invariant row of one minimal del Pezzo type."""
-
-    type_tag: str
-    d: int
-    chi_AO: int
-    c1: int
-    c2: int
-    minus_K3: int
-    h12: int
-    chi_top_X_smooth_D: int
-
-    def as_dict(self) -> dict:
-        return {
-            "type": self.type_tag,
-            "d": self.d,
-            "chi_A_over_O": self.chi_AO,
-            "c1": self.c1,
-            "c2": self.c2,
-            "minus_K3": self.minus_K3,
-            "h12": self.h12,
-            "chi_top_X_smooth_D": self.chi_top_X_smooth_D,
-        }
-
-
-def report(type_tag) -> InvariantReport:
-    """Assemble the invariants of one type from its V* descriptor, computing
-    -K^3 along both routes and insisting they agree."""
-    from . import catalog
-
-    tag = catalog.DelPezzoTag.coerce(type_tag)
-    data = catalog.CATALOG[tag]
-    vstar = data.vstar
-    d = data.disc_degree
-    chi_AO = chi_bundle(vstar)
-    c1, c2 = chern_c1_c2(vstar, plus_trivial_summand=True)
-    via_euler = minus_k3_via_euler(d, chi_AO)
-    via_chern = minus_k3_via_chern_p2(d, c2)
-    if via_euler != via_chern:
-        raise InconsistentInvariantsError(
-            f"{tag.value}: Euler route gives {via_euler}, "
-            f"Chern route gives {via_chern}")
-    if c1 != -d:
-        raise InconsistentInvariantsError(
-            f"{tag.value}: c1 = {c1} but the discriminant degree is {d}")
-    # b2(X) = 2 and b3(X) = 2 h^{1,2}, so chi_top(X) = 6 - 2 h^{1,2}.
-    chi_top_X = chi_top_conic_bundle(3, chi_top_plane_curve(d))
-    h12 = (6 - chi_top_X) // 2
-    if h12 != data.h12:
-        raise InconsistentInvariantsError(
-            f"{tag.value}: chi_top(X) = {chi_top_X} gives h12 = {h12}, "
-            f"the table says {data.h12}")
-    return InvariantReport(
-        type_tag=tag.value,
-        d=d,
-        chi_AO=chi_AO,
-        c1=c1,
-        c2=c2,
-        minus_K3=via_euler,
-        h12=h12,
-        chi_top_X_smooth_D=chi_top_X,
-    )

@@ -991,7 +991,7 @@ class PolyMatrix:
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("entries must form a nonempty rectangle")
         ring = rows[0][0].ring
-        if any(f.ring != ring for row in rows for f in row):
+        if any(f.ring is not ring and f.ring != ring for row in rows for f in row):
             raise ValueError("matrix entries from different rings")
         self.entries = rows
 
@@ -1150,7 +1150,8 @@ def poly_sqrt(f: HomogPoly) -> HomogPoly:
     leading term; each term t updates the residual f - g*g in place by
     -t*(2g + t), whose leading term must shrink.  The root is verified by
     squaring, and its leading coefficient is positive over Q, the least
-    residue over F_p."""
+    residue over F_p: it is the first term, ``dom.sqrt`` of f's leading
+    coefficient, which returns that root."""
     if f.is_zero:
         return f
     if f.degree % 2 != 0:
@@ -1184,7 +1185,4 @@ def poly_sqrt(f: HomogPoly) -> HomogPoly:
     g = HomogPoly._make(ring, root, f.degree // 2)
     if g * g != f:
         raise NotAPerfectSquareError("verification failed")
-    _, lc = g.leading()
-    if dom.is_negative(lc):
-        g = -g
     return g

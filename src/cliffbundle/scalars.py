@@ -182,10 +182,6 @@ class Rationals:
             raise ValueError(f"{x} is not a square in Q")
         return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
-    def is_negative(self, x: Fraction) -> bool:
-        """Used to pick the canonical sign of square roots."""
-        return x < 0
-
     def random(self, rng) -> Fraction:
         # Small integers keep generated polynomials readable and cheap.
         return Fraction(rng.randint(-9, 9))
@@ -270,12 +266,6 @@ class PrimeField:
             r, c, m = r * b % p, b * b % p, i
             t = t * c % p
         return FpElement(min(r, p - r), p)
-
-    def is_negative(self, x) -> bool:
-        """Canonical-sign convention: the 'negative' root is the one whose
-        least residue exceeds p/2."""
-        x = self(x)
-        return 2 * x.value > self.p
 
     def random(self, rng) -> FpElement:
         return FpElement(rng.randrange(self.p), self.p)

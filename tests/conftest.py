@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import sys
 
 import pytest
@@ -7,6 +9,34 @@ from cliffbundle import PolyRing, PrimeField, QQ, new_qform, qform
 from cliffbundle.clifford import generic_form
 from cliffbundle.linalg import symmetric_grid
 from cliffbundle.poly import monomials_of_degree
+
+
+#: Seconds one test may run before faulthandler writes every thread's stack
+#: to the terminal and ends the run with exit code 1, so a test that hangs
+#: fails with a traceback.  The slowest test takes seconds, and the
+#: acceptance budgets allow up to 60 s.
+HANG_SECONDS = 600
+
+_HANG_STREAM = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # pytest captures fd 2 while a test runs, and a dump written there is
+    # lost when the run ends; a duplicate taken now still reaches the terminal.
+    config.stash[_HANG_STREAM] = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_HANG_STREAM].close()
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    """Arms the hang dump for the test and cancels it after."""
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True,
+                                      file=request.config.stash[_HANG_STREAM])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from cliffbundle import (
     rank_at,
     verify_minors,
 )
+from cliffbundle import brauer_severi
 from cliffbundle.brauer_severi import (
     NAMED_MINOR_IDENTITIES,
     alpha_variable,
@@ -26,7 +27,7 @@ from cliffbundle.brauer_severi import (
     divide_exact_bipoly,
     divide_minors,
 )
-from cliffbundle.errors import DegreeMismatchError, NotDivisibleError
+from cliffbundle.errors import DegreeMismatchError, InternalInvariantError, NotDivisibleError
 from conftest import diag_form, forms, symbolic_qform, uvw
 
 
@@ -82,8 +83,8 @@ def test_weighted_homogeneity_across_patterns(ring_f101):
         assert cq.degree[0] == 2
         assert cq.degree[1] == q.d
         m = bs_matrix(q)
-        for r in range(2, 5):
-            for c in range(2, 5):
+        for r in range(1, 4):
+            for c in range(1, 4):
                 entry = m.entry(r, c)
                 assert entry.is_zero or entry.degree[0] == 1
 
@@ -96,11 +97,11 @@ def test_bs_matrix_displayed_entries():
     s = {n: ring.variable(n) for n in ring.variables}
     m = bs_matrix(q)
     a1, a2, a3 = (alpha_variable(ring, q.a, i) for i in (1, 2, 3))
-    assert m.entry(1, 2) == a1 and m.entry(1, 3) == a2 and m.entry(1, 4) == a3
-    assert m.entry(2, 2) == (s["q23"] + s["q23"]) * a1
-    assert m.entry(3, 4) == -(s["q11"] * a1)
-    assert m.entry(2, 3) == -(s["q33"] * a3)
-    assert m.entry(4, 2) == -(s["q22"] * a2)
+    assert m.entry(0, 1) == a1 and m.entry(0, 2) == a2 and m.entry(0, 3) == a3
+    assert m.entry(1, 1) == (s["q23"] + s["q23"]) * a1
+    assert m.entry(2, 3) == -(s["q11"] * a1)
+    assert m.entry(1, 2) == -(s["q33"] * a3)
+    assert m.entry(3, 1) == -(s["q22"] * a2)
 
 
 def test_bs_matrix_display_equals_engine_derivation(ring_f101):
@@ -109,6 +110,23 @@ def test_bs_matrix_display_equals_engine_derivation(ring_f101):
     for tag in ("F23", "F24", "F25minus"):
         q = make_type(tag, domain=ring_f101.domain, seed=6)
         assert bs_matrix_via_algebra(q).entries == bs_matrix(q).entries
+
+
+@pytest.mark.parametrize("r, c", [(0, 1), (1, 0)])
+def test_the_engine_border_is_checked(ring_f101, monkeypatch, r, c):
+    """e_0 e_1 or e_1 e_0 read as e_2 puts a2 where row or column 1 has a1."""
+    real = brauer_severi.fiber_algebra
+
+    def miswritten(entries, ring):
+        alg = real(entries, ring)
+        rows = [list(row) for row in alg.constants]
+        rows[r][c] = alg.constants[0][2]
+        return type(alg)(domain=alg.domain, constants=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(brauer_severi, "fiber_algebra", miswritten)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^row/column 1 of the kernel matrix must be \(0, a1, a2, a3\)$"):
+        bs_matrix_via_algebra(diag_form(ring_f101))
 
 
 # -------------------------------------------------------------------- minors
@@ -142,7 +160,7 @@ def test_universal_det_is_minus_conic_squared():
     q = symbolic_qform()
     m = bs_matrix(q)
     cq = conic_equation(q)
-    grid = [[m.entry(r, c) for c in range(1, 5)] for r in range(1, 5)]
+    grid = [[m.entry(r, c) for c in range(4)] for r in range(4)]
     from test_laplace import det_cofactor
     assert det_cofactor(grid) == -(cq * cq)
 

@@ -11,8 +11,10 @@ from cliffbundle import (
     CATALOG,
     DelPezzoTag,
     FiberPoint,
+    PolyMatrix,
     PrimeField,
     QQ,
+    QuadricNet,
     chi_bundle,
     discriminant,
     linalg,
@@ -23,7 +25,9 @@ from cliffbundle import (
     new_qform,
     projective_points,
 )
+from cliffbundle import catalog
 from cliffbundle.errors import (
+    DegenerateAfterRetriesError,
     DegreePatternError,
     UnknownTagError,
 )
@@ -95,6 +99,34 @@ def test_net_validation_rejects_bad_position(ring_q):
     entries = [u] * 15
     with pytest.raises(DegreePatternError):
         net_from_upper(ring_q, entries)
+
+
+def test_a_net_is_a_symmetric_5x5_matrix_of_linear_forms(ring_q):
+    u, _, _ = uvw(ring_q)
+    rows = [list(row) for row in make_net(domain=QQ, seed=1).matrix.entries]
+    square4 = [row[:4] for row in rows[:4]]
+    asymmetric = [row[:] for row in rows]
+    asymmetric[0][1] = asymmetric[0][1] + u
+    quadratic = [row[:] for row in rows]
+    quadratic[0][0] = u * u
+    for grid, error, message in [
+            (square4, ValueError, "a net needs a 5x5 matrix"),
+            (asymmetric, ValueError, "net matrix must be symmetric"),
+            (quadratic, DegreePatternError, "net entries must be linear or zero")]:
+        with pytest.raises(error, match=f"^{message}$"):
+            QuadricNet(matrix=PolyMatrix(grid))
+
+
+def test_generation_gives_up_after_its_retries(monkeypatch):
+    tries = catalog.GENERATION_RETRIES
+    monkeypatch.setattr(catalog, "discriminant", lambda q: q.ring.zero)
+    with pytest.raises(DegenerateAfterRetriesError,
+                       match=f"^no nondegenerate F23 form after {tries} tries$"):
+        make_type("F23", domain=PrimeField(101), seed=1)
+    monkeypatch.setattr(catalog, "det", lambda m: m.ring.zero)
+    with pytest.raises(DegenerateAfterRetriesError,
+                       match=f"^no net with nonzero quintic after {tries} tries$"):
+        make_net(domain=PrimeField(101), seed=1)
 
 
 def test_net_quintic_degree():

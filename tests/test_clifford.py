@@ -896,6 +896,30 @@ def test_validation_and_classification_need_scalar_constants(ring_q):
             check(alg)
 
 
+def test_a_noncentral_anticommutator_is_refused():
+    """Unital and associative, with e1 e1 = e2 the only nonzero product of
+    traceless basis elements: the anticommutator 2 e2 is not central."""
+    field = PrimeField(101)
+    e = [tuple(field(int(k == n)) for k in range(4)) for n in range(4)]
+    zero = tuple(field.zero for _ in range(4))
+    constants = tuple(tuple(e[i + j] if 0 in (i, j) else e[2] if i == j == 1 else zero
+                            for j in range(4)) for i in range(4))
+    alg = FiberAlgebra(domain=field, constants=constants)
+    message = "anticommutator of traceless elements 1,1 is not central"
+    assert reference_validation_error(alg) == message
+    with pytest.raises(InvalidAlgebraError, match=f"^{message}$"):
+        validate_fiber_algebra(alg)
+
+
+def test_constants_that_are_not_4x4x4_are_refused():
+    field = PrimeField(101)
+    c = fiber_algebra([[3, 1, 4], [1, 5, 9], [4, 9, 2]], field).constants
+    for constants in (c[:3], tuple(r[:3] for r in c),
+                      tuple(tuple(v[:3] for v in r) for r in c)):
+        with pytest.raises(InvalidAlgebraError, match="^structure constants are not 4x4x4$"):
+            validate_fiber_algebra(FiberAlgebra(domain=field, constants=constants))
+
+
 def test_validation_does_no_element_arithmetic(monkeypatch):
     """Past the unit check the constants are plain ints."""
     field = PrimeField(101)

@@ -1,6 +1,7 @@
 """Scalar domains, polynomial arithmetic, determinants, division, roots."""
 
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -9,6 +10,7 @@ import pytest
 from cliffbundle import (
     FpElement,
     PolyMatrix,
+    PolyRing,
     PrimeField,
     QQ,
     RationalSeries,
@@ -212,6 +214,27 @@ def test_no_cross_ring_arithmetic(ring_q, ring_f5):
         ring_q.variable(0) + ring_f5.variable(0)
 
 
+def test_a_repeated_variable_name_is_refused():
+    with pytest.raises(ValueError, match="^duplicate variable names$"):
+        PolyRing(QQ, ("u", "v", "u"))
+
+
+@pytest.mark.parametrize("exps", [(1, 1), (2, -1, 1)])
+def test_a_bad_exponent_tuple_is_refused(ring_q, exps):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad exponent tuple {exps}')}$"):
+        ring_q.poly({exps: 1})
+
+
+def test_matrix_entries_form_one_rectangle_over_one_ring(ring_q, ring_f5):
+    u, v, w = uvw(ring_q)
+    with pytest.raises(ValueError, match="^entries must form a nonempty rectangle$"):
+        PolyMatrix([[u, v], [w]])
+    with pytest.raises(ValueError, match="^matrix entries from different rings$"):
+        PolyMatrix([[u, ring_f5.variable(0)]])
+    # An equal ring that is another object is the same ring.
+    assert PolyMatrix([[u, PolyRing(QQ).variable(1)]]).entries == ((u, v),)
+
+
 # ------------------------------------------------------------- det / adjugate
 
 def test_det3_diagonal(ring_q):
@@ -339,6 +362,14 @@ def test_divide_exact_random_roundtrip(ring_f101):
         count += 1
 
 
+def test_a_lower_degree_dividend_is_its_own_remainder(ring_q):
+    u, v, _ = uvw(ring_q)
+    with pytest.raises(NotDivisibleError,
+                       match="^degree of divisor exceeds degree of dividend$") as err:
+        divide_exact(u, u * v)
+    assert err.value.remainder == u
+
+
 def test_divide_by_zero(ring_q):
     u = ring_q.variable(0)
     with pytest.raises(ZeroDivisionError):
@@ -404,6 +435,16 @@ def test_series_zero_numerator():
 def test_series_rejects_zero_constant_denominator():
     with pytest.raises(NonExpandableError):
         RationalSeries((1,), (0, 1))
+
+
+def test_series_trims_trailing_zeros():
+    s = RationalSeries((1, 0, 0), (1, 0))
+    assert s.numerator == (1,) and s.denominator == (1,)
+
+
+def test_series_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        series_expand(RationalSeries((1,), (1, -1)), -1)
 
 
 # ----------------------------------------------------------- matrix validation

@@ -1,9 +1,13 @@
 """Integer invariants: chi, Chern classes, the two -K^3 routes, the table."""
 
+import dataclasses
+
 import pytest
 
 from cliffbundle import (
+    CATALOG,
     BundleDescriptor,
+    DelPezzoTag,
     CotangentTwist,
     LineBundle,
     chern_c1_c2,
@@ -16,7 +20,8 @@ from cliffbundle import (
     minus_k3_via_euler,
     report,
 )
-from cliffbundle.errors import UnknownTagError
+from cliffbundle.catalog import ResolutionData
+from cliffbundle.errors import InconsistentInvariantsError, UnknownTagError
 from cliffbundle.invariants import chi_cotangent, minus_k3_via_chern_p2
 
 TABLE = {
@@ -114,14 +119,32 @@ def test_chi_top_examples():
 def test_report_rows(tag):
     row = TABLE[tag]
     rep = report(tag)
-    assert rep.d == row["d"]
-    assert rep.c2 == row["c2"]
-    assert rep.chi_AO == row["chi"]
-    assert rep.minus_K3 == row["k3"]
-    assert rep.h12 == row["h12"]
-    assert rep.c1 == -row["d"]
+    assert rep["type"] == tag
+    assert rep["d"] == row["d"]
+    assert rep["c2"] == row["c2"]
+    assert rep["chi_A_over_O"] == row["chi"]
+    assert rep["minus_K3"] == row["k3"]
+    assert rep["h12"] == row["h12"]
+    assert rep["c1"] == -row["d"]
 
 
 def test_report_rejects_unknown_tag():
     with pytest.raises(UnknownTagError):
         report("F26")
+
+
+@pytest.mark.parametrize("tag, change, message", [
+    (DelPezzoTag.F23, dict(disc_degree=4),
+     "F23: Euler route gives 24, Chern route gives 28"),
+    # O + O(-1) + O(-1) at d = 1: both routes give 44, but c1 = -2.
+    (DelPezzoTag.F23, dict(disc_degree=1, resolution=ResolutionData(
+        source=BundleDescriptor.of(),
+        target=BundleDescriptor.of(LineBundle(0), LineBundle(-1), LineBundle(-1)))),
+     "F23: c1 = -2 but the discriminant degree is 1"),
+    (DelPezzoTag.F24, dict(h12=3),
+     r"F24: chi_top\(X\) = 2 gives h12 = 2, the table says 3"),
+])
+def test_report_refuses_a_row_that_disagrees(monkeypatch, tag, change, message):
+    monkeypatch.setitem(CATALOG, tag, dataclasses.replace(CATALOG[tag], **change))
+    with pytest.raises(InconsistentInvariantsError, match=f"^{message}$"):
+        report(tag)
