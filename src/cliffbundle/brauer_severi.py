@@ -193,7 +193,7 @@ def _generic_quotients() -> tuple:
     exponents in the order of ``GENERIC_ENTRIES``.
     """
     def by_alpha(quotient):
-        monomials = dict.fromkeys(exps[:3] for exps, _ in quotient.iter_terms())
+        monomials = dict.fromkeys(exps[:3] for exps, _ in quotient.int_terms())
         return tuple((aex, integer_terms(quotient.coefficient(aex)))
                      for aex in monomials)
 

@@ -204,14 +204,13 @@ def generic_form() -> QForm:
 
 
 def integer_terms(f) -> tuple:
-    """The terms ``((exps, int), ...)`` of a polynomial over Q whose
-    coefficients are integers; InternalInvariantError names f otherwise."""
-    terms = []
-    for exps, coeff in f.iter_terms():
-        if coeff.denominator != 1:
-            raise InternalInvariantError(f"generic polynomial {f} is not integral")
-        terms.append((exps, coeff.numerator))
-    return tuple(terms)
+    """The terms ``((exps, int), ...)`` of a polynomial over Q whose stored
+    coefficients (``int_terms``) are all ints; InternalInvariantError
+    names f otherwise."""
+    terms = tuple(f.int_terms())
+    if any(type(c) is not int for _, c in terms):
+        raise InternalInvariantError(f"generic polynomial {f} is not integral")
+    return terms
 
 
 def _engine_constants(q, domain) -> tuple:
@@ -259,13 +258,14 @@ def _generic_table() -> tuple:
     """The structure constants of the generic even Clifford algebra, built
     once per process by the rewriting engine on ``generic_form()``.
 
-    ``_generic_table()[i][j][k]`` is the constant c_ijk as int terms
-    ``((exps, coeff), ...)`` in the entries ``GENERIC_ENTRIES``, exponents
-    in that order (``integer_terms``).
+    The table is flat, in the layout of ``_int_constants``:
+    ``_generic_table()[16 * i + 4 * j + k]`` is the constant c_ijk as int
+    terms ``((exps, coeff), ...)`` in the entries ``GENERIC_ENTRIES``,
+    exponents in that order (``integer_terms``).
     """
     q = generic_form()
-    return tuple(tuple(tuple(map(integer_terms, v)) for v in row)
-                 for row in _engine_constants(q.matrix.entries, q.ring))
+    return tuple(integer_terms(v) for row in _engine_constants(q.matrix.entries, q.ring)
+                 for cell in row for v in cell)
 
 
 @cache
@@ -290,8 +290,7 @@ def _constant_plan() -> tuple:
     index = ({monomial(): 0} | {monomial(a): 1 + a for a in range(6)}
              | {monomial(a, b): 7 + n for n, (a, b) in enumerate(pairs)})
     positions, coefficients, monomials, degrees = [], [], [], []
-    table = (v for row in _generic_table() for cell in row for v in cell)
-    for x, terms in enumerate(table):
+    for x, terms in enumerate(_generic_table()):
         degrees.append(sum(terms[0][0]) if terms else None)
         for exps, c in terms:
             if exps not in index:
@@ -351,8 +350,7 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     zero = domain.zero
     if not scalar:
         value = specializer(entries, domain)
-        constants = [value(terms) if terms else zero
-                     for row in _generic_table() for cell in row for terms in cell]
+        constants = [value(terms) if terms else zero for terms in _generic_table()]
     else:
         constants = [zero if d is None else domain.from_pair(v, den ** d)
                      for v, d in zip(_int_constants(entries), _constant_plan()[-1])]
@@ -551,7 +549,7 @@ def trace_pairing_global(q: QForm) -> PolyMatrix:
     checks the routes against each other."""
     at = specializer(q.matrix.upper(), q.ring)
     table = _generic_table()
-    return PolyMatrix([[at(table[i][j][0]) for j in range(1, 4)]
+    return PolyMatrix([[at(table[16 * i + 4 * j]) for j in range(1, 4)]
                        for i in range(1, 4)])
 
 

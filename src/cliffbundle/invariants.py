@@ -55,11 +55,6 @@ class BundleDescriptor:
     def of(cls, *summands) -> "BundleDescriptor":
         return cls(tuple(summands))
 
-    @property
-    def rank(self) -> int:
-        return sum(2 if isinstance(s, CotangentTwist) else 1
-                   for s in self.summands)
-
     def __str__(self):
         return " + ".join(str(s) for s in self.summands) or "0"
 

@@ -504,13 +504,6 @@ class HomogPoly(SparsePoly):
     def _degree_of_product(self, other):
         return self.degree + other.degree
 
-    def leading(self):
-        """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms)
-        return unpack(key, self._fields), self.ring.domain(self.terms[key])
-
     def coefficient(self, exps):
         return self.ring.domain(self.terms.get(pack(tuple(exps), self._fields), 0))
 
@@ -808,7 +801,7 @@ def _read(text: str, ring: PolyRing):
                 den = int(den) if den.isdigit() else 0
                 if not ring.coerce(den):
                     return None
-                c = ring.coerce(ring.domain.from_pair(c, den))
+                c = div_coeff(c, den, p)
             found = keys[mono] if star else (0, 0)
         else:
             c, found = 1, keys[term]
@@ -873,9 +866,10 @@ def _walk(text: str, ring: PolyRing) -> HomogPoly:
                 den = _integer(tokens, i + 2)
                 if not ring.coerce(den):
                     raise PolyParseError("zero denominator")
-                coeff = ring.domain.from_pair(coeff, den)
+                coeff = div_coeff(coeff, den, ring.modulus)
                 i += 2
-            coeff = ring.coerce(coeff)
+            else:
+                coeff = ring.coerce(coeff)
             i += 1
             monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
             i += monomial
@@ -974,8 +968,9 @@ def reduce_mod(f: HomogPoly, ring: PolyRing) -> HomogPoly:
             den = c.denominator % p
             if not den:
                 raise ZeroDivisionError(f"denominator {c.denominator} vanishes mod {p}")
-            c = c.numerator * pow(den, -1, p)
-        c %= p
+            c = div_coeff(c.numerator, den, p)
+        else:
+            c %= p
         if c:
             terms[key] = c
     return HomogPoly._make(ring, terms, f.degree)

@@ -279,27 +279,30 @@ def check_scan_size(p: int) -> int:
     return points
 
 
-#: Bits per slot of a packed line: one value of one polynomial at one
-#: point.  A value stays below p^3 < 2^30, and its product with the
-#: multiplier of ``PackedLines`` below 2^61, for every p the scan accepts.
+#: Bits per slot of a packed int: a value of a polynomial at a point, or a
+#: coefficient in t of a side of det = disc.  For every p the scan accepts
+#: a value stays below p^3 < 2^30, its product with the multiplier of
+#: ``PackedLines`` below 2^61, and a side's coefficient below 2^62.
 SLOT_BITS = 64
 
-#: Bits per slot of a packed line product in the census: one coefficient,
-#: in the line parameter, of a side of det = disc.  A slot stays below
-#: 3 * (p * (p - 1))^3 + p * (p - 1) < 2^62 for every p the scan accepts.
-PRODUCT_SLOT_BITS = 64
+#: The array typecode of one slot: an unsigned item of SLOT_BITS bits.
+_SLOT_TYPE = "Q"
+
+
+def pack_slots(values) -> int:
+    """The packed int whose slot x holds values[x], each in [0, 2^SLOT_BITS)."""
+    return int.from_bytes(array(_SLOT_TYPE, values).tobytes(), sys.byteorder)
+
+
+def slots(packed: int, n: int):
+    """The first n slots of a packed int, below 2^(SLOT_BITS * n), as a
+    memoryview of ints."""
+    return memoryview(packed.to_bytes(SLOT_BITS // 8 * n, sys.byteorder)).cast(_SLOT_TYPE)
 
 
 def fermat_exponent(e: int, p: int) -> int:
     """The least e' with x^e' = x^e for every x in F_p, 0 included."""
     return 0 if e == 0 else (e - 1) % (p - 1) + 1
-
-
-def _array_type(bits: int) -> str:
-    typecode = next((t for t in "BHILQ" if array(t).itemsize * 8 == bits), None)
-    if typecode is None:
-        raise InternalInvariantError(f"no array type has {bits}-bit items")
-    return typecode
 
 
 class PackedLines(dict):
@@ -318,11 +321,14 @@ class PackedLines(dict):
     v m = q 2^s + q e + r m, where q e < p^3 < m and, for r > 0,
     m <= q e + r m <= 2^s - (m - (q + 1) e) < 2^s.  So v m >> s is q
     (``reduce`` subtracts p q), and p divides v exactly when the low s
-    bits of v m are below m (``line_zeros``).  The constructor checks
-    p^3 m < 2^SLOT_BITS, so every slot's product stays in its slot and one
-    multiply of the packed line forms them all.  ``line_zeros`` keeps the
-    rows B_e m, whose sum over a restriction is its packed
-    line times m.
+    bits of v m are below m (``line_zeros``).  ``line_zeros`` keeps the
+    rows B_e m, whose sum over a restriction is its packed line times m.
+
+    Before anything is packed the constructor checks both slot bounds for
+    this p: p^3 m < 2^SLOT_BITS, so one multiply of a packed line forms
+    every slot's product in its slot, and 3 (p (p - 1))^3 + p (p - 1) <
+    2^SLOT_BITS for a side of det = disc (``zero_ranks``); and that an
+    item of the slot converters is SLOT_BITS wide.
     """
 
     def __init__(self, p: int):
@@ -334,8 +340,11 @@ class PackedLines(dict):
         if p ** 3 * multiplier >= 1 << bits:
             raise InternalInvariantError(
                 f"a packed value mod {p} times its Barrett multiplier overflows its slot")
+        if 3 * (p * (p - 1)) ** 3 + p * (p - 1) >= 1 << bits:
+            raise InternalInvariantError(f"a packed line product mod {p} overflows its slot")
+        if array(_SLOT_TYPE).itemsize * 8 != bits:
+            raise InternalInvariantError(f"no array type has {bits}-bit items")
         self.p, self.shift, self.multiplier = p, shift, multiplier
-        self.typecode = _array_type(bits)
         ones = ((1 << bits * p) - 1) // ((1 << bits) - 1)
         self.quotients = ((1 << bits - shift) - 1) * ones
         self.low_bits = ((1 << shift) - 1) * ones
@@ -345,8 +354,7 @@ class PackedLines(dict):
 
     def __missing__(self, e):
         p = self.p
-        row = array(self.typecode, map(pow, range(p), repeat(e), repeat(p)))
-        self[e] = packed = int.from_bytes(row.tobytes(), sys.byteorder)
+        self[e] = packed = pack_slots(map(pow, range(p), repeat(e), repeat(p)))
         return packed
 
     def packed(self, coefficients) -> int:
@@ -363,15 +371,10 @@ class PackedLines(dict):
         """A packed line with every slot, below p^3, reduced mod p."""
         return packed - self.p * (packed * self.multiplier >> self.shift & self.quotients)
 
-    def slots(self, packed: int):
-        """The p slots of a packed line as a memoryview of ints."""
-        width = SLOT_BITS // 8 * self.p
-        return memoryview(packed.to_bytes(width, sys.byteorder)).cast(self.typecode)
-
     def residues(self, coefficients, size: int):
         """The values of a restriction at t = 0, ..., size - 1, as least
         residues in a memoryview of ints."""
-        return self.slots(self.reduce(self.packed(coefficients)))[:size]
+        return slots(self.reduce(self.packed(coefficients)), self.p)[:size]
 
     def _marks(self, scaled: int) -> int:
         # The zero marks of every slot of a packed line times m.
@@ -425,7 +428,6 @@ def plane_lines(rows: PackedLines, polys):
     grows with the degree.
     """
     p = rows.p
-    width = SLOT_BITS // 8 * (p + 2)
     degrees, columns = [], []
     for f in polys:
         chart, line, corner, degree = {}, {}, 0, 0
@@ -450,8 +452,7 @@ def plane_lines(rows: PackedLines, polys):
             column = (rows.reduce(rows.packed(coefficients))
                       | line.get(j, 0) % p << SLOT_BITS * p
                       | (0 if j else corner % p) << SLOT_BITS * (p + 1))
-            polynomial.append(memoryview(column.to_bytes(width, sys.byteorder))
-                              .cast(rows.typecode))
+            polynomial.append(slots(column, p + 2))
         degrees.append(degree)
         columns.append(polynomial)
     return degrees, columns
@@ -489,10 +490,7 @@ def _check_identity(p, bound, polys):
     the six entries and the discriminant."""
     # A side's slot sums at most its coefficients: below (p (p - 1))^3 for
     # each of its three products, plus p (p - 1) for the discriminant.
-    bits = PRODUCT_SLOT_BITS
-    if 3 * (p * (p - 1)) ** 3 + p * (p - 1) >= 1 << bits:
-        raise InternalInvariantError(f"a packed line product mod {p} overflows its slot")
-    typecode = _array_type(bits)
+    bits = SLOT_BITS
     top = bits * p
     low = (1 << top) - 1
 
@@ -501,13 +499,9 @@ def _check_identity(p, bound, polys):
             x = (x & low) + (x >> top << bits)
         return x
 
-    def slots(x, n):
-        return memoryview(x.to_bytes(n * bits // 8, sys.byteorder)).cast(typecode)
-
     for line in chain(range(min(bound, p - 1) + 1), (p, p + 1)):
         restrictions = [[column[line] for column in columns] for columns in polys]
-        a, d, e, b, f, c, g = (int.from_bytes(array(typecode, r).tobytes(), sys.byteorder)
-                               for r in restrictions)
+        a, d, e, b, f, c, g = map(pack_slots, restrictions)
         lhs = fold(a * b * c + 2 * d * e * f)
         rhs = fold(a * f * f + d * d * c + e * e * b + g)
         n = (max(lhs.bit_length(), rhs.bit_length()) + bits - 1) // bits
@@ -524,11 +518,12 @@ def zero_ranks(q: QForm):
     below 3, is ``ranks[k]``.  The type check (TypeError over Q), the scan
     limit and all of pass 1 run before the first batch is yielded, and the
     rank-3 refusal of a batch before that batch, so every consumer gets
-    them.
+    them.  ``PackedLines(p)`` checks every slot bound before anything is
+    packed.
 
     Pass 1 checks det = disc as an identity of polynomials in the line
     parameter t.  On a checked line the six entry restrictions are packed
-    into ints, PRODUCT_SLOT_BITS bits per coefficient, and the sides
+    into ints, one coefficient per slot (``pack_slots``), and the sides
     a*b*c + 2*d*e*f and a*f^2 + d^2*c + e^2*b are big-int products, folded
     mod t^p - t (t^e -> t^(e - p + 1) for e >= p) without leaving the
     packed form.  Their difference must equal the discriminant's
@@ -569,7 +564,7 @@ def zero_ranks(q: QForm):
     degrees, polys = plane_lines(rows, q.matrix.upper() + (discriminant(q),))
     _check_identity(p, max(3 * max(degrees[:6]), degrees[6]), polys)
     *entries, disc = polys
-    powers = [rows.slots(rows[j]) for j in range(1, max(map(len, entries)))]
+    powers = [slots(rows[j], p) for j in range(1, max(map(len, entries)))]
 
     def ranked(values, lines, ts):
         ranks = list(map(linalg.symmetric_rank, zip(*values), repeat(p)))

@@ -511,7 +511,7 @@ def test_the_specializer_sums_in_place_what_scaled_copies_sum(q, factor, data):
     """Every table the specializer reads: the 64 generic structure
     constants and the 24 coefficients of the generic minor quotients, with
     every coefficient times ``factor`` (3, 5 and 101 vanish mod some p)."""
-    tables = [v for row in clifford._generic_table() for cell in row for v in cell]
+    tables = list(clifford._generic_table())
     tables += [terms for row in brauer_severi._generic_quotients()
                for quotient in row for _, terms in quotient]
     at = poly.specializer(q.matrix.upper(), q.ring)

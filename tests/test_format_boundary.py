@@ -7,6 +7,11 @@ constructors).  So none of them may import the term kernel or read a
 
 Likewise no module of the package imports a sibling's underscore-prefixed
 name: what two modules share is public in the module that owns it.
+
+Two layouts have one converter each.  In ``qform`` only the slot packer and
+the slot reader turn ints into bytes and slots or back; in ``poly`` a ratio
+n / d becomes a stored coefficient by ``div_coeff``, never by a domain's
+``from_pair``.
 """
 
 import ast
@@ -95,3 +100,48 @@ def test_a_planted_private_import_is_caught(source):
 ])
 def test_public_and_outside_imports_pass(source):
     assert private_imports(source) == []
+
+
+SLOT_CONVERTERS = {"pack_slots", "slots"}
+
+BYTE_CONVERSIONS = {"to_bytes", "from_bytes", "tobytes", "cast"}
+
+
+def reads_outside(source: str, names, owners=()) -> list:
+    """Lines of ``source`` that read an attribute in ``names`` outside the
+    module-level functions named in ``owners``."""
+    tree = ast.parse(source)
+    owned = {id(node) for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name in owners
+             for node in ast.walk(f)}
+    return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and id(node) not in owned]
+
+
+def test_only_the_slot_converters_convert_packed_ints():
+    source = (PACKAGE / "qform.py").read_text(encoding="utf-8")
+    assert reads_outside(source, BYTE_CONVERSIONS, SLOT_CONVERTERS) == []
+    assert reads_outside(source, BYTE_CONVERSIONS) != []
+    assert SLOT_CONVERTERS <= {f.name for f in ast.parse(source).body
+                               if isinstance(f, ast.FunctionDef)}
+
+
+def test_poly_reads_ratios_through_div_coeff_alone():
+    source = (PACKAGE / "poly.py").read_text(encoding="utf-8")
+    assert reads_outside(source, {"from_pair"}) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(x):\n    return x.to_bytes(8, 'little')",
+    "row = int.from_bytes(b'', 'little')",
+    "class PackedLines:\n    def slots(self, x):\n        return memoryview(x).cast('Q')",
+    "def pack_slots(v):\n    def g():\n        pass\n    return v\ng = array('Q').tobytes()",
+])
+def test_a_planted_conversion_is_caught(source):
+    assert reads_outside(source, BYTE_CONVERSIONS, SLOT_CONVERTERS)
+
+
+def test_a_conversion_inside_a_converter_passes():
+    source = "def slots(x, n):\n    return memoryview(x.to_bytes(n, 'little')).cast('Q')"
+    assert reads_outside(source, BYTE_CONVERSIONS, SLOT_CONVERTERS) == []

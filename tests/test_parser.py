@@ -192,6 +192,33 @@ def test_the_parser_matches_the_reference_on_fixed_texts(ring, text):
     assert outcome(parse_poly, text, ring) == outcome(reference_parse, text, ring)
 
 
+@pytest.mark.parametrize("ring", [PolyRing(PrimeField(3)), PolyRing(PrimeField(101)),
+                                  PolyRing(QQ)], ids=lambda r: str(r.domain))
+def test_a_ratio_is_stored_as_the_boxed_route_stores_it(ring):
+    """n/d in the printer's form, read by ``_read``, and spaced apart, read
+    by ``_walk``: the stored coefficient is the boxed route's
+    ``ring.coerce(ring.domain.from_pair(n, d))``, the oracle; a
+    denominator that vanishes in the ring is refused by both."""
+    for n in (0, 1, 2, 3, 5, 100, 101, 303, 10 ** 25 + 1):
+        for d in (0, 1, 2, 3, 4, 6, 9, 100, 101, 202, 10 ** 20 + 3):
+            printed, spaced = f"{n}/{d}*u^2 - v*w", f"{n} / {d} * u^2 - v*w"
+            assert poly._read(spaced, ring) is None  # left to the walker
+            if not ring.coerce(d):
+                assert poly._read(printed, ring) is None
+                for text in (printed, spaced):
+                    with pytest.raises(PolyParseError, match="^zero denominator$"):
+                        parse_poly(text, ring)
+                continue
+            want = ring.coerce(ring.domain.from_pair(n, d))
+            expected = sorted((exps, c, type(c)) for exps, c in
+                              (((2, 0, 0), want), ((0, 1, 1), ring.coerce(-1))) if c)
+            read = poly._read(printed, ring)
+            assert (read is None) == (not want)
+            for f in (read, poly._walk(printed, ring), poly._walk(spaced, ring)):
+                if f is not None:
+                    assert sorted((e, c, type(c)) for e, c in f.int_terms()) == expected
+
+
 def test_an_arabic_indic_digit_is_an_int():
     ring = PolyRing(QQ)
     assert parse_poly("\u0663*u", ring) == ring.parse("3*u")

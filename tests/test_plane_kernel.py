@@ -14,9 +14,7 @@ point, and the rank at every zero; ``point_census`` tallies it.
 """
 
 import random
-import sys
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,13 +350,12 @@ def test_packed_zero_marks_match_remainders(p, seed, share, size):
     slots[rng.randrange(p)] = p ** 3 - p
     size = min(size, p)
     rows = qform.PackedLines(p)
-    packed = int.from_bytes(array(rows.typecode, slots).tobytes(), sys.byteorder)
+    packed = qform.pack_slots(slots)
     zeros = rows._marks(packed * rows.multiplier) & (1 << qform.SLOT_BITS * size) - 1
     assert zeros.bit_count() == [x % p for x in slots[:size]].count(0)
     assert list(qform._zero_indices(zeros)) == [t for t, x in enumerate(slots[:size])
                                                 if not x % p]
-    assert rows.reduce(packed) == int.from_bytes(
-        array(rows.typecode, [x % p for x in slots]).tobytes(), sys.byteorder)
+    assert rows.reduce(packed) == qform.pack_slots([x % p for x in slots])
 
 
 def test_discriminant_zero_on_every_point_reads_whole_lines(monkeypatch):
@@ -416,9 +413,12 @@ def test_slot_overflow_is_refused(monkeypatch):
 
 
 def test_line_product_slot_overflow_is_refused(monkeypatch):
-    monkeypatch.setattr(qform, "PRODUCT_SLOT_BITS", 32)  # 3 * (101 * 100)^3 > 2^32
-    with pytest.raises(InternalInvariantError, match="overflows its slot"):
-        qform.fiber_census(diag_form(PolyRing(PrimeField(101))))
+    # 127^3 * ceil(2^28 / 127) < 2^43 <= 3 * (127 * 126)^3 + 127 * 126: only
+    # the bound on a side of det = disc fails, before anything is packed.
+    monkeypatch.setattr(qform, "SLOT_BITS", 43)
+    with pytest.raises(InternalInvariantError,
+                       match="^a packed line product mod 127 overflows its slot$"):
+        qform.fiber_census(diag_form(PolyRing(PrimeField(127))))
 
 
 def test_barrett_slot_overflow_is_refused(monkeypatch):

@@ -27,7 +27,8 @@ OUTSIDE = sorted([*(ROOT / "perfbench").glob("*.py"),
                   ROOT / "tests" / "test_acceptance.py"])
 
 KEPT = {
-    "is_nowhere_zero": "item 15: the rank-0 consumer of the zero producer",
+    "is_nowhere_zero": "the paper's hypothesis over F_p that q vanishes nowhere (a flat "
+                       "conic bundle), checked with its first witness",
     "singularity_type_at": "open item 11: the Hessian oracle of the regularity census",
     "conic_point_count": "item 16: the brute-force oracle of the split rule",
     "kernel_basis": "open item 2: the boxed kernel the int elimination is checked against",
