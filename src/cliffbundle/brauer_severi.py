@@ -45,25 +45,23 @@ from .errors import (
 )
 from . import linalg
 from .clifford import fiber_algebra, generic_form, integer_terms
-from .linalg import symmetric_grid
-from .poly import (BiPoly, PolyMatrix, alpha_variable, bipoly_from_alpha_map,
-                   divide_exact_bipoly, lowered_values, minor, specializer)
+from .poly import (BiPoly, PolyMatrix, alpha_variable, bipoly_from_alpha_map, divide_exact_bipoly,
+                   lowered_values, minor, monomials_of_degree, specializer)
 from .qform import FiberPoint, QForm, zero_count
 
 
 # --------------------------------------------------------------- conic & matrix
 
-def _conic_terms(grid) -> dict:
+def _conic_terms(upper) -> dict:
     """{alpha exponents: coefficient} of sum q_ii alpha_i^2 + 2 sum_{i<j}
-    q_ij alpha_i alpha_j, for a symmetric 3x3 grid of polynomials or values."""
-    return {tuple((k == i) + (k == j) for k in range(3)):
-            grid[i][j] if i == j else grid[i][j] + grid[i][j]
-            for i in range(3) for j in range(i, 3)}
+    q_ij alpha_i alpha_j, for an upper triangle (q11, ..., q33) of values or polynomials."""
+    return {exps: x if 2 in exps else x + x
+            for exps, x in zip(monomials_of_degree(3, 2), upper)}
 
 
 def conic_equation(q: QForm) -> BiPoly:
     """q(alpha) = sum q_ii alpha_i^2 + 2 sum_{i<j} q_ij alpha_i alpha_j."""
-    return bipoly_from_alpha_map(q.ring, q.a, _conic_terms(q.matrix.entries))
+    return bipoly_from_alpha_map(q.ring, q.a, _conic_terms(q.matrix.upper()))
 
 
 def bs_matrix(q: QForm) -> PolyMatrix:
@@ -115,7 +113,7 @@ def bs_matrix_via_algebra(q: QForm) -> PolyMatrix:
     for r in range(4):
         row = []
         for c in range(4):
-            coords = list(constants[r][c])
+            coords = list(constants[16 * r + 4 * c:16 * r + 4 * c + 4])
             coords[r] += shift[c]
             coords[c] += shift[r]
             row.append(bipoly_from_alpha_map(ring, weights, {
@@ -189,13 +187,14 @@ def _generic_quotients() -> tuple:
 
     ``_generic_quotients()[r - 1][c - 1]`` holds quotient (r, c) as pairs
     ``(alpha exps, ((q exps, coeff), ...))``, one per alpha monomial: its
-    coefficient as int terms in the entries (``integer_terms``), q
-    exponents in the order of ``GENERIC_ENTRIES``.
+    coefficient as int terms in the entries, q exponents in the order of
+    ``GENERIC_ENTRIES``, grouped in one pass over ``integer_terms(quotient)``.
     """
     def by_alpha(quotient):
-        monomials = dict.fromkeys(exps[:3] for exps, _ in quotient.int_terms())
-        return tuple((aex, integer_terms(quotient.coefficient(aex)))
-                     for aex in monomials)
+        groups = {}
+        for exps, c in integer_terms(quotient):
+            groups.setdefault(exps[:3], []).append((exps[3:], c))
+        return tuple((aex, tuple(terms)) for aex, terms in groups.items())
 
     return tuple(tuple(map(by_alpha, row)) for row in divide_minors(generic_form()))
 
@@ -255,4 +254,4 @@ def conic_point_count(q: QForm, base: FiberPoint) -> int:
     coefficients are the form's six entry values there: ``qform.zero_count``
     of that conic, the brute-force count of its points."""
     values, _ = lowered_values(q.matrix.upper(), base.coords, q.domain)
-    return zero_count(q.ring.poly(_conic_terms(symmetric_grid(values))))
+    return zero_count(q.ring.poly(_conic_terms(values)))

@@ -15,7 +15,10 @@ a global form.  The engine runs once per process, on ``generic_form()``,
 the symmetric matrix of the six entries over Q[q11, ..., q33]; its
 constants are read as integer terms (``integer_terms``, which also reads
 the generic minor quotients of ``brauer_severi``), and each algebra
-evaluates them at its own entries (``fiber_algebra``).  The fiber path
+evaluates them at its own entries (``fiber_algebra``, or at a point the
+upper triangle of the values, ``fiber_algebra_at``).  The 64 constants
+stay flat, c_ijk at 16 i + 4 j + k, from the engine to every reader, ``FiberAlgebra``
+and the int kernels included.  The fiber path
 (``fiber_at``) stays on plain ints: ``_int_constants`` sums the table from
 a flat plan, and ``_check_axioms`` and ``_int_type`` validate and classify
 on the same ints; ``validate_fiber_algebra`` and ``classify`` lower the
@@ -72,10 +75,6 @@ class CliffordWord:
     @classmethod
     def parse(cls, coefficient, text: str) -> "CliffordWord":
         return cls(coefficient, tuple(LETTERS.index(ch) for ch in text))
-
-    def __str__(self):
-        word = "".join(LETTERS[i] for i in self.letters) or "1"
-        return f"{self.coefficient}*{word}"
 
 
 def reduce_word(words, q, rng=None) -> dict:
@@ -149,10 +148,11 @@ class AlgebraType(IntEnum):
 class FiberAlgebra:
     """Rank-4 algebra by structure constants on (1, Xbar, Ybar, Zbar).
 
-    ``constants[i][j][k]`` is the e_k-coefficient of e_i * e_j.  ``domain``
-    is the coefficient ring (a scalar domain, or a PolyRing for global
-    computations; ``validate_fiber_algebra`` and ``classify`` take F_p and
-    Q only).  The trace functional is 2 on e_0 and 0 on the rest.
+    ``constants`` is the flat 64-tuple of ``_generic_table``'s layout:
+    ``constants[16 * i + 4 * j + k]`` is the e_k-coefficient of e_i * e_j.
+    ``domain`` is the coefficient ring (a scalar domain, or a PolyRing for
+    global computations; ``validate_fiber_algebra`` and ``classify`` take
+    F_p and Q only).  The trace functional is 2 on e_0 and 0 on the rest.
     """
 
     domain: object
@@ -179,7 +179,7 @@ class FiberAlgebra:
                 if not vj:
                     continue
                 f = ui * vj
-                row = self.constants[i][j]
+                row = self.constants[16 * i + 4 * j:16 * i + 4 * j + 4]
                 for k in range(4):
                     if row[k]:
                         out[k] = out[k] + f * row[k]
@@ -241,15 +241,11 @@ def _engine_constants(q, domain) -> tuple:
         return (a1, c_yz, -c_xz, c_xy)
 
     constants = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            prod = []
-            for wi, ci in combos[i].items():
-                for wj, cj in combos[j].items():
-                    prod.append((ci * cj, wi + wj))
-            row.append(to_basis(reduce_word(prod, q)))
-        constants.append(tuple(row))
+    for left in combos:
+        for right in combos:
+            prod = [(ci * cj, wi + wj) for wi, ci in left.items()
+                    for wj, cj in right.items()]
+            constants += to_basis(reduce_word(prod, q))
     return tuple(constants)
 
 
@@ -264,8 +260,7 @@ def _generic_table() -> tuple:
     exponents in that order (``integer_terms``).
     """
     q = generic_form()
-    return tuple(integer_terms(v) for row in _engine_constants(q.matrix.entries, q.ring)
-                 for cell in row for v in cell)
+    return tuple(map(integer_terms, _engine_constants(q.matrix.entries, q.ring)))
 
 
 @cache
@@ -327,7 +322,8 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     at the entries of q.  Over F_p and Q the entries are lowered to plain
     ints (``scalars.lower``), the constants are summed in ints by the flat
     plan that ``fiber_at`` uses (``_int_constants``) and each is boxed
-    once, divided by den^degree over Q; over a PolyRing (the global
+    once, divided by den^degree over Q (``_scalar_algebra``, which
+    ``fiber_algebra_at`` shares); over a PolyRing (the global
     algebra) the table's terms go to ``poly.specializer``, which sums each
     constant in one accumulator from the products of the entries
     themselves, each distinct product built once.
@@ -347,25 +343,28 @@ def fiber_algebra(q, domain) -> FiberAlgebra:
     if any(flat[3 * i + j] != flat[3 * j + i] for i in range(3) for j in range(i)):
         raise ValueError("relation matrix must be symmetric")
     entries = [flat[3 * i + j] for i in range(3) for j in range(i, 3)]
-    zero = domain.zero
-    if not scalar:
-        value = specializer(entries, domain)
-        constants = [value(terms) if terms else zero for terms in _generic_table()]
-    else:
-        constants = [zero if d is None else domain.from_pair(v, den ** d)
-                     for v, d in zip(_int_constants(entries), _constant_plan()[-1])]
+    if scalar:
+        return _scalar_algebra(entries, den, domain)
+    value = specializer(entries, domain)
     return FiberAlgebra(domain=domain, constants=tuple(
-        tuple(tuple(constants[x:x + 4]) for x in range(16 * i, 16 * i + 16, 4))
-        for i in range(4)))
+        value(terms) if terms else domain.zero for terms in _generic_table()))
+
+
+def _scalar_algebra(entries, den: int, domain) -> FiberAlgebra:
+    """The fiber algebra over F_p or Q whose upper triangle is the six ints
+    ``entries`` over ``den``, as ``scalars.lower`` gives them: the 64
+    constants are summed in ints (``_int_constants``) and each is boxed
+    once, a constant of degree d divided by den^d."""
+    return FiberAlgebra(domain=domain, constants=tuple(
+        domain.zero if d is None else domain.from_pair(v, den ** d)
+        for v, d in zip(_int_constants(entries), _constant_plan()[-1])))
 
 
 def fiber_algebra_at(q: QForm, p: FiberPoint) -> FiberAlgebra:
     """Fiber algebra of a global form at a point of P^2: the six entry
-    values are read on the lowered point (``poly.lowered_values``), boxed
-    and mirrored."""
-    ints, den = lowered_values(q.matrix.upper(), p.coords, q.domain)
-    boxed = (q.domain.from_pair(v, den) for v in ints)
-    return fiber_algebra(symmetric_grid(boxed), q.domain)
+    values, read as ints over one denominator (``poly.lowered_values``),
+    go to ``_scalar_algebra`` as they are, with no grid and no second lowering."""
+    return _scalar_algebra(*lowered_values(q.matrix.upper(), p.coords, q.domain), q.domain)
 
 
 def kronecker_quiver_algebra(domain) -> FiberAlgebra:
@@ -376,17 +375,11 @@ def kronecker_quiver_algebra(domain) -> FiberAlgebra:
     s*v = v and v*s = -v for corner v, s^2 = 1.
     """
 
-    def vec(*vals):
-        return tuple(domain(v) for v in vals)
-
-    z4 = vec(0, 0, 0, 0)
-    constants = (
-        (vec(1, 0, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 1, 0), vec(0, 0, 0, 1)),
-        (vec(0, 1, 0, 0), vec(1, 0, 0, 0), vec(0, 0, 1, 0), vec(0, 0, 0, 1)),
-        (vec(0, 0, 1, 0), vec(0, 0, -1, 0), z4, z4),
-        (vec(0, 0, 0, 1), vec(0, 0, 0, -1), z4, z4),
-    )
-    return FiberAlgebra(domain=domain, constants=constants)
+    constants = (1, 0, 0, 0,  0, 1, 0, 0,  0, 0, 1, 0,  0, 0, 0, 1,
+                 0, 1, 0, 0,  1, 0, 0, 0,  0, 0, 1, 0,  0, 0, 0, 1,
+                 0, 0, 1, 0,  0, 0, -1, 0,  0, 0, 0, 0,  0, 0, 0, 0,
+                 0, 0, 0, 1,  0, 0, 0, -1,  0, 0, 0, 0,  0, 0, 0, 0)
+    return FiberAlgebra(domain=domain, constants=tuple(map(domain, constants)))
 
 
 # ----------------------------------------------------------------- validation
@@ -491,13 +484,12 @@ def _first_nonzero(sums, p: int):
 
 def _validated_ints(alg: FiberAlgebra) -> tuple:
     """The one lowering of ``validate_fiber_algebra`` and ``classify``:
-    checks the 4x4x4 shape, lowers the 64 constants once (``scalars.lower``)
-    and runs ``_check_axioms`` on them.  Returns the flat ints and the
-    characteristic for ``_int_type``."""
-    c = alg.constants
-    if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
+    checks that there are 64 flat constants (a nested 4x4x4 tuple is
+    refused), lowers them once as they stand (``scalars.lower``) and runs
+    ``_check_axioms``.  Returns the ints and the characteristic."""
+    if len(alg.constants) != 64:
         raise InvalidAlgebraError("structure constants are not 4x4x4")
-    t, den = lower(alg.domain, [x for r in c for v in r for x in v])
+    t, den = lower(alg.domain, alg.constants)
     p = alg.domain.characteristic
     _check_axioms(t, den, p)
     return t, p
@@ -534,7 +526,7 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
 
 def trace_pairing_fiber(alg: FiberAlgebra):
     """Half-trace pairing on the traceless part: P_ij = (e_i e_j)_1."""
-    return [[alg.constants[i][j][0] for j in range(1, 4)] for i in range(1, 4)]
+    return [[alg.constants[16 * i + 4 * j] for j in range(1, 4)] for i in range(1, 4)]
 
 
 def trace_pairing_global(q: QForm) -> PolyMatrix:

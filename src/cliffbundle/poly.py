@@ -429,11 +429,18 @@ class PolyRing:
     def constant(self, c) -> "HomogPoly":
         return self.poly({(0,) * self.nvars: c})
 
-    def variable(self, which) -> "HomogPoly":
+    def variable_index(self, which) -> int:
+        """The 0-based position of a variable, from its name or its index."""
         if isinstance(which, str):
             if which not in self.variables:
                 raise UnknownVariableError(f"unknown variable {which!r}")
-            which = self.variables.index(which)
+            return self.variables.index(which)
+        if not 0 <= which < self.nvars:
+            raise IndexOutOfRangeError(f"variable index {which} outside 0..{self.nvars - 1}")
+        return which
+
+    def variable(self, which) -> "HomogPoly":
+        which = self.variable_index(which)
         return self.poly({tuple(int(k == which) for k in range(self.nvars)): 1})
 
     def monomial(self, coeff, exps) -> "HomogPoly":
@@ -520,9 +527,8 @@ class HomogPoly(SparsePoly):
     evaluate = SparsePoly._evaluate
 
     def partial(self, which) -> "HomogPoly":
-        """Formal partial derivative with respect to one variable."""
-        if isinstance(which, str):
-            which = self.ring.variables.index(which)
+        """Formal partial derivative in one variable (``variable_index``)."""
+        which = self.ring.variable_index(which)
         shift = EXP_BITS * (self._fields - 1 - which)
         terms = {}
         for key, c in self.terms.items():
@@ -646,7 +652,9 @@ def _one_grade(grades):
 
 
 def alpha_variable(ring: PolyRing, weights, i: int) -> BiPoly:
-    """The coordinate alpha_i (1-based) as a BiPoly."""
+    """The coordinate alpha_i (i = 1, 2, 3) as a BiPoly."""
+    if not 1 <= i <= 3:
+        raise IndexOutOfRangeError(f"alpha index {i} outside 1..3")
     aex = tuple(int(k == i - 1) for k in range(3))
     return bipoly_from_alpha_map(ring, weights, {aex: ring.one})
 
@@ -856,10 +864,10 @@ def _walk(text: str, ring: PolyRing) -> HomogPoly:
         raise PolyParseError("empty input")
     # Two sentinels, so one token of lookahead never runs past the end.
     tokens += (None, None)
-    variables, terms, degree = ring.variables, {}, None
+    terms, degree = {}, None
     sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
     while True:
-        token, coeff, exps = tokens[i], 1, [0] * len(variables)
+        token, coeff, exps = tokens[i], 1, [0] * ring.nvars
         if token is not None and token.isdecimal():
             coeff = _integer(tokens, i)
             if tokens[i + 1] == "/":
@@ -879,15 +887,13 @@ def _walk(text: str, ring: PolyRing) -> HomogPoly:
             found = "end of input" if token is None else token
             raise PolyParseError(f"expected a term, found {found!r}")
         while monomial:
-            name, power = tokens[i], 1
-            if name not in variables:
-                raise UnknownVariableError(f"unknown variable {name!r}")
+            k, power = ring.variable_index(tokens[i]), 1
             if tokens[i + 1] == "^":
                 power = _integer(tokens, i + 2)
                 if power < 1:
                     raise PolyParseError("exponent must be positive")
                 i += 2
-            exps[variables.index(name)] += power
+            exps[k] += power
             i += 1
             monomial = tokens[i] == "*" and _is_name(tokens[i + 1])
             i += monomial

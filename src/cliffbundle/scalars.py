@@ -162,8 +162,6 @@ class Rationals:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into the rationals")
 
     def from_pair(self, num: int, den: int) -> Fraction:

@@ -121,7 +121,7 @@ def test_normal_form_words_are_increasing():
 def test_zbar_squared_symbolic():
     ring, s, grid = symbolic_scalar_grid()
     alg = fiber_algebra(grid, ring)
-    zz = alg.constants[3][3]
+    zz = alg.constants[60:64]  # e_3 e_3, at 16 * 3 + 4 * 3
     assert zz[0] == s["d"] * s["d"] - s["a"] * s["b"]
     assert all(not zz[k] for k in (1, 2, 3))
 
@@ -152,7 +152,7 @@ def test_the_generic_table_matches_the_engine(case):
     constants = fiber_algebra(q, domain).constants
     assert constants == engine_constants(q, domain)
     kind = type(domain.one)
-    assert all(type(x) is kind for row in constants for v in row for x in v)
+    assert all(type(x) is kind for x in constants)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
@@ -224,6 +224,14 @@ def test_fiber_algebra_coerces_each_entry_once(monkeypatch):
     half = Fraction(1, 2)
     fiber_algebra([[half, 2, 3], [2, Fraction(5, 3), 7], [3, 7, 11]], QQ)
     assert len(calls) == 9
+
+
+def test_an_element_needs_four_coordinates():
+    alg = fiber_algebra([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ)
+    assert alg.element((1, 2, 3, 4)) == tuple(map(Fraction, (1, 2, 3, 4)))
+    for coeffs in ((1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="^an element needs 4 coordinates$"):
+            alg.element(coeffs)
 
 
 def test_zero_form_algebra_is_local_commutative():
@@ -580,10 +588,7 @@ def test_classify_rank2_nonsquare_branch():
 
 def test_classify_rejects_broken_constants():
     alg = fiber_algebra([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ)
-    rows = [list(map(list, r)) for r in alg.constants]
-    rows[1][2][0] = Fraction(17)  # corrupt a structure constant
-    broken = type(alg)(domain=alg.domain,
-                       constants=tuple(tuple(tuple(v) for v in r) for r in rows))
+    broken = with_constant(alg, 1, 2, 0, Fraction(17))  # corrupt a structure constant
     with pytest.raises(InvalidAlgebraError):
         classify(broken)
 
@@ -615,7 +620,7 @@ def reference_classify(alg):
     if r == 0:
         for i in range(1, 4):
             for j in range(1, 4):
-                if any(alg.constants[i][j]):
+                if any(alg.constants[16 * i + 4 * j:16 * i + 4 * j + 4]):
                     return AlgebraType.DOUBLE_LINE_CLIFFORD
         return AlgebraType.LOCAL_COMMUTATIVE
     # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
@@ -662,8 +667,8 @@ def conjugate(alg, g):
         return tuple(sum((w[k] * H[k][l] for k in range(4)), d.zero)
                      for l in range(4))
 
-    constants = tuple(tuple(in_f(alg.multiply(G[a], G[b])) for b in range(4))
-                      for a in range(4))
+    constants = tuple(x for a in range(4) for b in range(4)
+                      for x in in_f(alg.multiply(G[a], G[b])))
     return FiberAlgebra(domain=d, constants=constants)
 
 
@@ -779,19 +784,19 @@ def corrupted_algebras(draw):
              [upper[1], upper[3], upper[4]],
              [upper[2], upper[4], upper[5]]]
         alg = fiber_algebra(q, domain)
-    rows = [[list(v) for v in r] for r in alg.constants]
+    constants = list(alg.constants)
     # Mostly away from the unit's row and column, which the first check guards.
     positions = st.one_of(
         st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)),
         st.tuples(*[st.integers(0, 3)] * 3))
     for i, j, k in draw(st.lists(positions, min_size=1, max_size=3)):
+        x = 16 * i + 4 * j + k
         if domain is not QQ and draw(st.booleans()):
             # The least residue plus p as a plain int: the same element.
-            rows[i][j][k] = domain(rows[i][j][k]).value + domain.p
+            constants[x] = domain(constants[x]).value + domain.p
         else:
-            rows[i][j][k] = domain(draw(scalars))
-    constants = tuple(tuple(tuple(v) for v in r) for r in rows)
-    return type(alg)(domain=domain, constants=constants)
+            constants[x] = domain(draw(scalars))
+    return type(alg)(domain=domain, constants=tuple(constants))
 
 
 @settings(max_examples=300, deadline=None)
@@ -806,17 +811,18 @@ def test_validation_matches_the_full_axiom_check(alg):
 
 
 def with_constant(alg, i, j, k, value):
-    rows = [[list(v) for v in r] for r in alg.constants]
-    rows[i][j][k] = value
-    return type(alg)(domain=alg.domain,
-                     constants=tuple(tuple(tuple(v) for v in r) for r in rows))
+    """alg with the constant c_ijk (at 16 i + 4 j + k) set to value."""
+    constants = list(alg.constants)
+    constants[16 * i + 4 * j + k] = value
+    return type(alg)(domain=alg.domain, constants=tuple(constants))
 
 
 def test_a_constant_shifted_by_p_still_validates():
     field = PrimeField(101)
     alg = fiber_algebra([[3, 1, 4], [1, 5, 9], [4, 9, 2]], field)
     for i, j, k in itertools.product(range(4), repeat=3):
-        shifted = with_constant(alg, i, j, k, alg.constants[i][j][k].value + field.p)
+        shifted = with_constant(alg, i, j, k,
+                                alg.constants[16 * i + 4 * j + k].value + field.p)
         validate_fiber_algebra(shifted)
         assert reference_validation_error(shifted) is None
 
@@ -902,8 +908,8 @@ def test_a_noncentral_anticommutator_is_refused():
     field = PrimeField(101)
     e = [tuple(field(int(k == n)) for k in range(4)) for n in range(4)]
     zero = tuple(field.zero for _ in range(4))
-    constants = tuple(tuple(e[i + j] if 0 in (i, j) else e[2] if i == j == 1 else zero
-                            for j in range(4)) for i in range(4))
+    constants = tuple(x for i in range(4) for j in range(4)
+                      for x in (e[i + j] if 0 in (i, j) else e[2] if i == j == 1 else zero))
     alg = FiberAlgebra(domain=field, constants=constants)
     message = "anticommutator of traceless elements 1,1 is not central"
     assert reference_validation_error(alg) == message
@@ -912,10 +918,12 @@ def test_a_noncentral_anticommutator_is_refused():
 
 
 def test_constants_that_are_not_4x4x4_are_refused():
+    """63 or 65 flat constants, or the 64 nested 4x4x4."""
     field = PrimeField(101)
     c = fiber_algebra([[3, 1, 4], [1, 5, 9], [4, 9, 2]], field).constants
-    for constants in (c[:3], tuple(r[:3] for r in c),
-                      tuple(tuple(v[:3] for v in r) for r in c)):
+    nested = tuple(tuple(c[x:x + 4] for x in range(16 * i, 16 * i + 16, 4))
+                   for i in range(4))
+    for constants in (c[:63], c + (field.zero,), nested):
         with pytest.raises(InvalidAlgebraError, match="^structure constants are not 4x4x4$"):
             validate_fiber_algebra(FiberAlgebra(domain=field, constants=constants))
 
@@ -983,10 +991,8 @@ def test_cayley_hamilton_basis_and_random(ring_f101):
 
 def test_cayley_hamilton_negative_control():
     alg = fiber_algebra([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ)
-    rows = [list(map(list, r)) for r in alg.constants]
-    rows[3][3][1] = Fraction(5)  # Zbar^2 picks up a spurious Xbar component
-    broken = type(alg)(domain=alg.domain,
-                       constants=tuple(tuple(tuple(v) for v in r) for r in rows))
+    # Zbar^2 picks up a spurious Xbar component.
+    broken = with_constant(alg, 3, 3, 1, Fraction(5))
     assert not cayley_hamilton_check(broken, broken.basis(3))
 
 
@@ -1091,7 +1097,8 @@ def test_a_classify_job_builds_no_fiber_algebra(tmp_path, capsys, monkeypatch):
 
 # The boxed route: validate_fiber_algebra and classify as they were before
 # the fiber path moved to plain ints, copied verbatim but for their names
-# (and the validation that classify calls); the oracle of the int kernels.
+# (and the validation that classify calls) and for reading the constants
+# flat (c_ijk at 16 i + 4 j + k); the oracle of the int kernels.
 
 def boxed_validate_fiber_algebra(alg: FiberAlgebra) -> None:
     """Check the rank-4 algebra axioms; raise InvalidAlgebraError if broken.
@@ -1114,13 +1121,13 @@ def boxed_validate_fiber_algebra(alg: FiberAlgebra) -> None:
     D^2, and the anticommutator test c_ijk + c_jik is linear.
     """
     c = alg.constants
-    if len(c) != 4 or any(len(r) != 4 or any(len(v) != 4 for v in r) for r in c):
+    if len(c) != 64:
         raise InvalidAlgebraError("structure constants are not 4x4x4")
     basis = [alg.basis(k) for k in range(4)]
     for j in range(4):
-        if c[0][j] != basis[j] or c[j][0] != basis[j]:
+        if c[4 * j:4 * j + 4] != basis[j] or c[16 * j:16 * j + 4] != basis[j]:
             raise InvalidAlgebraError("basis element 0 is not a two-sided unit")
-    flat, _ = lower(alg.domain, [x for r in c for v in r for x in v])
+    flat, _ = lower(alg.domain, c)
     p = alg.domain.characteristic
     t = [[flat[4 * r:4 * r + 4] for r in range(4 * i, 4 * i + 4)] for i in range(4)]
     # by_left[i][n][m] = c_imn and by_right[k][n][m] = c_mkn, so that
@@ -1180,7 +1187,7 @@ def boxed_classify(alg: FiberAlgebra) -> AlgebraType:
     if r == 0:
         for i in range(1, 4):
             for j in range(1, 4):
-                if any(c[i][j]):
+                if any(c[16 * i + 4 * j:16 * i + 4 * j + 4]):
                     return AlgebraType.DOUBLE_LINE_CLIFFORD
         return AlgebraType.LOCAL_COMMUTATIVE
     # r == 1: a rank-1 symmetric pairing always has a nonzero diagonal entry
@@ -1188,8 +1195,8 @@ def boxed_classify(alg: FiberAlgebra) -> AlgebraType:
     pivot = next((i for i in range(3) if pairing[i][i]), None)
     if pivot is None:
         raise InternalInvariantError("rank-1 pairing with zero diagonal")
-    # c[pivot + 1][k] is x e_k, so its k-th coordinates sum to tr(L_x).
-    if sum((c[pivot + 1][k][k] for k in range(4)), alg.domain.zero):
+    # c_xkk for x = e_(pivot + 1) sum to tr(L_x).
+    if sum((c[16 * (pivot + 1) + 5 * k] for k in range(4)), alg.domain.zero):
         return AlgebraType.KRONECKER_QUIVER
     return AlgebraType.DEGENERATE_CLIFFORD
 

@@ -31,6 +31,7 @@ from cliffbundle.errors import (
     PolyParseError,
     UnknownVariableError,
 )
+from cliffbundle.poly import alpha_variable
 from cliffbundle.scalars import PRIME_LIMIT, _is_prime
 from conftest import symbolic_scalar_grid, uvw
 
@@ -55,6 +56,33 @@ def test_prime_field_rejects_mixing():
         PrimeField(5)(3) + PrimeField(7)(3)
     with pytest.raises(TypeError):
         PrimeField(5)(Fraction(1, 2)) + Fraction(1, 2)
+    # A Fraction on the left reaches __rsub__ and __rtruediv__, which refuse it.
+    with pytest.raises(TypeError):
+        Fraction(1, 2) - PrimeField(5)(3)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) / PrimeField(5)(3)
+
+
+@pytest.mark.parametrize("p", [3, 101, 2 ** 61 - 1])
+def test_an_int_meets_an_fp_element_as_its_residue(p):
+    """int - x, int / x and x == int read the int mod p; x ** -n is the
+    inverse of x ** n."""
+    F = PrimeField(p)
+    x = F(2)
+    assert 1 - x == F(-1) and type(1 - x) is FpElement
+    assert (p + 1) / x == x.inverse() and x * (1 / x) == F.one
+    assert x ** -3 == (x ** 3).inverse() and x ** -3 * x ** 3 == F.one
+    assert x == 2 + p and x == 2 - 3 * p and x != 3
+    assert (x == "2") is False
+    with pytest.raises(ZeroDivisionError, match=f"^inverse of 0 in F_{p}$"):
+        1 / F(p)
+
+
+@pytest.mark.parametrize("x", ["1/2", 0.5, None])
+def test_the_rationals_take_only_ints_and_fractions(x):
+    message = f"^cannot coerce {re.escape(repr(x))} into the rationals$"
+    with pytest.raises(TypeError, match=message):
+        QQ(x)
 
 
 def test_prime_field_validation():
@@ -207,6 +235,35 @@ def test_mul_and_evaluate(ring_q):
     val = f.evaluate([1, 2, 3])
     assert val == Fraction(15)
     assert f.partial(0) == v + w
+
+
+def test_variable_and_partial_share_one_lookup(ring_q):
+    u, v, w = uvw(ring_q)
+    f = u * u * v + v * w * w + u * v * w
+    for k, name in enumerate(ring_q.variables):
+        assert ring_q.variable_index(name) == ring_q.variable_index(k) == k
+        assert ring_q.variable(name) == ring_q.variable(k)
+        assert f.partial(name) == f.partial(k)
+    assert f.partial("v") == u * u + w * w + u * w
+    for lookup in (ring_q.variable, f.partial):
+        with pytest.raises(UnknownVariableError, match="^unknown variable 'x'$"):
+            lookup("x")
+
+
+@pytest.mark.parametrize("which", [3, -1, 7])
+def test_a_variable_index_outside_the_ring_is_refused(ring_q, which):
+    """Not the constant 1 or a shifted partial: the index is refused."""
+    f = ring_q.variable(0) * ring_q.variable(1)
+    for lookup in (ring_q.variable, f.partial):
+        with pytest.raises(IndexOutOfRangeError,
+                           match=f"^variable index {which} outside 0..2$"):
+            lookup(which)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_an_alpha_index_outside_1_to_3_is_refused(ring_q, i):
+    with pytest.raises(IndexOutOfRangeError, match=f"^alpha index {i} outside 1..3$"):
+        alpha_variable(ring_q, (0, 0, 0), i)
 
 
 def test_no_cross_ring_arithmetic(ring_q, ring_f5):

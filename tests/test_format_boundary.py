@@ -12,6 +12,11 @@ Two layouts have one converter each.  In ``qform`` only the slot packer and
 the slot reader turn ints into bytes and slots or back; in ``poly`` a ratio
 n / d becomes a stored coefficient by ``div_coeff``, never by a domain's
 ``from_pair``.
+
+One layout has no converter at all.  The 64 structure constants of a
+rank-4 algebra are flat from the engine to every reader, so no module
+subscripts ``constants`` twice in a chain, and the per-point values of a
+form stay an upper triangle, so ``brauer_severi`` builds no grid.
 """
 
 import ast
@@ -145,3 +150,37 @@ def test_a_planted_conversion_is_caught(source):
 def test_a_conversion_inside_a_converter_passes():
     source = "def slots(x, n):\n    return memoryview(x.to_bytes(n, 'little')).cast('Q')"
     assert reads_outside(source, BYTE_CONVERSIONS, SLOT_CONVERTERS) == []
+
+
+def nested_constant_reads(source: str) -> list:
+    """Lines of ``source`` that subscript a name or attribute called
+    ``constants`` twice in a chain, as in ``alg.constants[i][j]``."""
+    def is_constants(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "constants"
+    return [f"line {node.lineno}: subscripts constants twice"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+            and is_constants(node.value.value)]
+
+
+def calls_to(source: str, name: str) -> list:
+    """Lines of ``source`` that call ``name``, bare or as an attribute."""
+    return [f"line {node.lineno}: calls {name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_structure_constants_nested(path):
+    assert nested_constant_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_brauer_severi_builds_no_grid():
+    source = (PACKAGE / "brauer_severi.py").read_text(encoding="utf-8")
+    assert calls_to(source, "symmetric_grid") == []
+
+
+def test_a_planted_nested_read_and_grid_are_caught():
+    assert nested_constant_reads("def f(alg):\n    return alg.constants[1][2][0]")
+    assert nested_constant_reads("x = alg.constants[16 * i + 4 * j + k]") == []
+    assert calls_to("from . import linalg\ng = linalg.symmetric_grid(v)", "symmetric_grid")

@@ -4,20 +4,26 @@ A symmetric matrix is stored as its upper triangle listed row by row:
 ``linalg.symmetric_grid`` builds the rows from it and ``PolyMatrix.upper``
 reads it back.  The points of P^2(F_p) come in the order of
 ``qform.plane_points``.  The catalog writes documents in the first layout,
-so a document read back by the CLI is the form the catalog made.
+so a document read back by the CLI is the form the catalog made.  The 64
+structure constants of a rank-4 algebra are flat, c_ijk at 16 i + 4 j + k,
+as the rewriting engine (``clifford._engine_constants``) writes them, and
+every ``FiberAlgebra`` holds them so.
 """
 
+import functools
 import json
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffbundle import (PolyMatrix, PolyRing, PrimeField, QQ, catalog, cli,
-                         projective_points)
+from cliffbundle import (FiberPoint, PolyMatrix, PolyRing, PrimeField, QQ, catalog, cli,
+                         discriminant, fiber_algebra, fiber_algebra_at, projective_points)
+from cliffbundle.clifford import _engine_constants
 from cliffbundle.linalg import symmetric_grid
-from cliffbundle.poly import monomials_of_degree
+from cliffbundle.poly import lowered_values, monomials_of_degree
 from cliffbundle.qform import plane_points
+from conftest import diag_form, plane_values
 
 
 @st.composite
@@ -101,3 +107,55 @@ def test_catalog_net_document_reads_back_as_make_net(capsys, rational):
     doc = _catalog_payload(capsys, argv + (["--rational"] if rational else []))
     domain = QQ if rational else PrimeField(101)
     assert cli.net_from_document(doc) == catalog.make_net(domain=domain, seed=3)
+
+
+@functools.cache
+def layout_forms(domain) -> tuple:
+    """diag(u, v, w) and the seed-7 catalog F24 and F25minus forms over
+    ``domain``, each with points on its discriminant curve: over F_p all of
+    them, over Q the points of diag(u, v, w) with a zero coordinate."""
+    forms = [diag_form(PolyRing(domain))]
+    forms += [catalog.make_type(tag, domain=domain, seed=7) for tag in ("F24", "F25minus")]
+    if domain is QQ:
+        return ((forms[0], ((0, 1, 2), (3, 0, 1), (1, -2, 0))),
+                *((q, ()) for q in forms[1:]))
+
+    def zeros(q):
+        return tuple(point for points, (values,) in plane_values(domain, [discriminant(q)])
+                     for point, x in zip(points, values) if not x)
+    return tuple((q, zeros(q)) for q in forms)
+
+
+@st.composite
+def layout_fibers(draw):
+    """A form of ``layout_forms`` over F_3, F_101 or Q and a point, on its
+    discriminant curve in half the draws that can take one."""
+    domain = draw(st.sampled_from((PrimeField(3), PrimeField(101), QQ)))
+    q, zeros = draw(st.sampled_from(layout_forms(domain)))
+    if zeros and draw(st.booleans()):
+        return q, FiberPoint.make(domain, draw(st.sampled_from(zeros)))
+    value = (st.fractions(min_value=-9, max_value=9, max_denominator=7) if domain is QQ
+             else st.integers(0, domain.p - 1))
+    coords = draw(st.lists(value, min_size=3, max_size=3).filter(any))
+    return q, FiberPoint.make(domain, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=layout_fibers())
+def test_the_structure_constants_are_flat_from_the_engine_to_every_algebra(case):
+    q, point = case
+    domain = q.domain
+    grid = q.matrix.evaluate(point.coords)
+    engine = _engine_constants(grid, domain)
+    at = fiber_algebra_at(q, point)
+    assert len(engine) == 64
+    for alg in (fiber_algebra(grid, domain), at):
+        assert alg.constants == engine
+        assert all(type(x) is type(domain.one) for x in alg.constants)
+        # e_0 is the unit: c_0jk and c_j0k, at 4 j + k and 16 j + k, are [j = k].
+        for j, k in product(range(4), repeat=2):
+            assert alg.constants[4 * j + k] == alg.constants[16 * j + k] == (j == k)
+    # The oracle: the six values boxed, mirrored into a grid and passed to fiber_algebra.
+    ints, den = lowered_values(q.matrix.upper(), point.coords, domain)
+    oracle = fiber_algebra(symmetric_grid(domain.from_pair(v, den) for v in ints), domain)
+    assert at == oracle and repr(at) == repr(oracle)
