@@ -153,10 +153,16 @@ class FiberAlgebra:
     ``domain`` is the coefficient ring (a scalar domain, or a PolyRing for
     global computations; ``validate_fiber_algebra`` and ``classify`` take
     F_p and Q only).  The trace functional is 2 on e_0 and 0 on the rest.
+    Any other number of constants, a nested 4x4x4 tuple included, is
+    refused when the algebra is built.
     """
 
     domain: object
     constants: tuple
+
+    def __post_init__(self):
+        if len(self.constants) != 64:
+            raise InvalidAlgebraError("structure constants are not 4x4x4")
 
     def basis(self, k: int) -> tuple:
         d = self.domain
@@ -484,11 +490,8 @@ def _first_nonzero(sums, p: int):
 
 def _validated_ints(alg: FiberAlgebra) -> tuple:
     """The one lowering of ``validate_fiber_algebra`` and ``classify``:
-    checks that there are 64 flat constants (a nested 4x4x4 tuple is
-    refused), lowers them once as they stand (``scalars.lower``) and runs
+    lowers the 64 constants once as they stand (``scalars.lower``) and runs
     ``_check_axioms``.  Returns the ints and the characteristic."""
-    if len(alg.constants) != 64:
-        raise InvalidAlgebraError("structure constants are not 4x4x4")
     t, den = lower(alg.domain, alg.constants)
     p = alg.domain.characteristic
     _check_axioms(t, den, p)
@@ -505,10 +508,10 @@ def validate_fiber_algebra(alg: FiberAlgebra) -> None:
     definition (FiberAlgebra.trace_of).
 
     The constants must lie in F_p or Q: over a PolyRing (a global algebra)
-    ``scalars.lower`` raises TypeError after the shape check, whatever the
-    unit.
+    ``scalars.lower`` raises TypeError, whatever the unit.  Their number
+    was checked when the algebra was built.
 
-    A thin wrapper: after the shape check the constants c_ijk are lowered
+    A thin wrapper: the constants c_ijk are lowered
     once to plain ints (``scalars.lower``), least residues over F_p and
     over Q the constants times D, the lcm of their denominators, and
     ``_check_axioms`` runs the int check that ``fiber_at`` runs, the unit

@@ -15,8 +15,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from operator import add, and_, mul
+from itertools import chain, count, repeat
+from operator import add, and_, itemgetter, mul, xor
 
 from . import linalg
 from .errors import (
@@ -376,33 +376,48 @@ class PackedLines(dict):
         residues in a memoryview of ints."""
         return slots(self.reduce(self.packed(coefficients)), self.p)[:size]
 
-    def _marks(self, scaled: int) -> int:
-        # The zero marks of every slot of a packed line times m.
-        return self.marks ^ ((scaled & self.low_bits) + self.below_m) & self.marks
-
     def line_zeros(self, columns):
         """The zeros of one polynomial on each line of ``plane_lines`` in
         turn, as masks: bit SLOT_BITS*t + s is set for each zero t of the
         line, and ``bit_count()`` counts them.  From the polynomial's
         columns there, a line's coefficients g times the rows B_e m, one
         ``sum(map(mul, g, ...))``, is its packed line times m, whose slots
-        p divides where their low s bits are below m.  The masks come
-        lazily, one line's at a time."""
+        p divides where their low s bits are below m: adding 2^s - m to
+        the low bits carries into bit s of every other slot, and the marks
+        the carries miss are the zeros.  C-level maps apply that rule to
+        every line; the masks come lazily, one line's at a time."""
         scaled = self._scaled
         while len(scaled) < len(columns):
             scaled.append(self[len(scaled)] * self.multiplier)
-        masks = map(self._marks, map(sum, map(map, repeat(mul), zip(*columns),
-                                              repeat(scaled))))
-        # The point (1, 0, 0) reads t = 0 only; x & -1 is x.
-        return map(and_, masks, chain(repeat(-1, self.p + 1), [(1 << SLOT_BITS) - 1]))
+        lines = map(sum, map(map, repeat(mul), zip(*columns), repeat(scaled)))
+        carries = map(add, map(and_, lines, repeat(self.low_bits)), repeat(self.below_m))
+        # The point (1, 0, 0) reads t = 0 only.
+        marks = [self.marks] * (self.p + 1) + [self.marks & (1 << SLOT_BITS) - 1]
+        return map(xor, marks, map(and_, carries, marks))
 
 
-def _zero_indices(zeros: int):
-    """The slot indices of the marks of a ``PackedLines.line_zeros`` mask."""
+def _zero_indices(zeros: int) -> list:
+    """The slot indices of the marks of a ``PackedLines.line_zeros`` mask,
+    in increasing order.  One mark, the usual case, is read off the top bit
+    at once; more are read from the top bit down, each cleared in turn."""
+    top = zeros.bit_length() - 1
+    if zeros.bit_count() == 1:
+        return [top // SLOT_BITS]
+    indices = []
     while zeros:
-        low = zeros & -zeros
-        yield (low.bit_length() - 1) // SLOT_BITS
-        zeros ^= low
+        indices.append(top // SLOT_BITS)
+        zeros ^= 1 << top
+        top = zeros.bit_length() - 1
+    indices.reverse()
+    return indices
+
+
+def _picker(indices):
+    """The items of a sequence at ``indices``, as a tuple, by one C-level
+    ``itemgetter``; with a single index that returns the bare item, which
+    is boxed here."""
+    pick = itemgetter(*indices)
+    return pick if len(indices) > 1 else lambda row: (pick(row),)
 
 
 def plane_lines(rows: PackedLines, polys):
@@ -546,11 +561,13 @@ def zero_ranks(q: QForm):
     check at every point gives.
 
     Pass 2 evaluates only the discriminant along each line
-    (``PackedLines.line_zeros``).  Its zeros are gathered into a batch, and
-    the six entries are evaluated at every zero of the batch at once, by
-    C-level maps over the gathered columns and the powers of t, the rows
-    B_j; the batch is yielded once it holds p points, so memory stays
-    O(p).  A line where the discriminant vanishes at every point is a
+    (``PackedLines.line_zeros``); a line without a zero costs nothing past
+    its mask.  The zeros of the other lines are gathered into a batch
+    (``_zero_indices``), and the six entries are evaluated at every zero
+    of the batch at once: one ``operator.itemgetter`` picks each column's
+    coefficients at the batch's lines, another the powers of t, the rows
+    B_j, at its ts, and C-level maps multiply and add them.  The batch is
+    yielded once it holds p points, so memory stays O(p).  A line where the discriminant vanishes at every point is a
     batch of its own, the six entries read along the whole line, one
     packed line each.  ``linalg.symmetric_rank`` gives each zero's rank.
     Since det = disc holds, that rank is below 3: a rank of 3 at a zero is
@@ -576,27 +593,30 @@ def zero_ranks(q: QForm):
         return lines, ts, ranks
 
     def gathered(lines, ts):
-        at_ts = [list(map(row.__getitem__, ts)) for row in powers]
+        at_lines, at_ts = _picker(lines), list(map(_picker(ts), powers))
         values = []
         for columns in entries:
-            total = list(map(columns[0].__getitem__, lines))
+            total = at_lines(columns[0])
             for column, power in zip(columns[1:], at_ts):
-                total = list(map(add, total, map(mul, map(column.__getitem__, lines), power)))
+                total = list(map(add, total, map(mul, at_lines(column), power)))
             values.append(total)  # unreduced: symmetric_rank works mod p
         return ranked(values, lines, ts)
 
     lines, ts = [], []
-    for line, zeros in enumerate(rows.line_zeros(disc)):
-        count = zeros.bit_count()
-        if count == line_size(p, line):
+    sizes = chain(repeat(p, p + 1), [1])  # line_size of each line
+    for line, zeros, size in zip(count(), rows.line_zeros(disc), sizes):
+        if not zeros:
+            continue
+        if zeros.bit_count() == size:
             if lines:
                 yield gathered(lines, ts)
                 lines, ts = [], []
-            yield ranked([rows.residues([column[line] for column in columns], count)
-                          for columns in entries], [line] * count, range(count))
-        elif count:
-            lines += repeat(line, count)
-            ts += _zero_indices(zeros)
+            yield ranked([rows.residues([column[line] for column in columns], size)
+                          for columns in entries], [line] * size, range(size))
+        else:
+            found = _zero_indices(zeros)
+            lines += repeat(line, len(found))
+            ts += found
             if len(lines) >= p:
                 yield gathered(lines, ts)
                 lines, ts = [], []

@@ -928,6 +928,15 @@ def test_constants_that_are_not_4x4x4_are_refused():
             validate_fiber_algebra(FiberAlgebra(domain=field, constants=constants))
 
 
+def test_a_wrong_number_of_constants_is_refused_when_built():
+    """63 constants are refused before any product is read, not only by
+    the validation."""
+    field = PrimeField(101)
+    c = fiber_algebra([[3, 1, 4], [1, 5, 9], [4, 9, 2]], field).constants
+    with pytest.raises(InvalidAlgebraError, match="^structure constants are not 4x4x4$"):
+        FiberAlgebra(domain=field, constants=c[:63])
+
+
 def test_validation_does_no_element_arithmetic(monkeypatch):
     """Past the unit check the constants are plain ints."""
     field = PrimeField(101)

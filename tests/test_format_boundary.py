@@ -13,6 +13,9 @@ the slot reader turn ints into bytes and slots or back; in ``poly`` a ratio
 n / d becomes a stored coefficient by ``div_coeff``, never by a domain's
 ``from_pair``.
 
+A batch of zeros in ``qform`` reads its columns at many indices by one
+``operator.itemgetter`` each, never by mapping a bound ``__getitem__``.
+
 One layout has no converter at all.  The 64 structure constants of a
 rank-4 algebra are flat from the engine to every reader, so no module
 subscripts ``constants`` twice in a chain, and the per-point values of a
@@ -150,6 +153,23 @@ def test_a_planted_conversion_is_caught(source):
 def test_a_conversion_inside_a_converter_passes():
     source = "def slots(x, n):\n    return memoryview(x.to_bytes(n, 'little')).cast('Q')"
     assert reads_outside(source, BYTE_CONVERSIONS, SLOT_CONVERTERS) == []
+
+
+def item_maps(source: str) -> list:
+    """Lines of ``source`` that map a bound ``__getitem__``, as in
+    ``map(column.__getitem__, lines)``."""
+    return [f"line {node.lineno}: maps .__getitem__" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+            and node.args and getattr(node.args[0], "attr", None) == "__getitem__"]
+
+
+def test_qform_gathers_by_itemgetter():
+    assert item_maps((PACKAGE / "qform.py").read_text(encoding="utf-8")) == []
+
+
+def test_a_planted_item_map_is_caught():
+    assert item_maps("at = [list(map(row.__getitem__, ts)) for row in powers]")
+    assert item_maps("at = [itemgetter(*ts)(row) for row in powers]") == []
 
 
 def nested_constant_reads(source: str) -> list:

@@ -17,7 +17,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliffbundle import (
     ConicType,
@@ -337,24 +337,51 @@ def test_planted_discriminants_fail_where_the_point_census_does(data):
             assert qform.fiber_census(q) == expected
 
 
+FORCED_MARKS = ("no mark", "one mark", "last slot")
+
+
+def _with_forced_marks(test):
+    for p in (2, 3, 5, 101, 997):
+        for forced in FORCED_MARKS:
+            test = example(p=p, seed=p, share=0.3, size=997, forced=forced)(test)
+    return test
+
+
+@_with_forced_marks
 @settings(max_examples=200, deadline=None)
 @given(p=st.sampled_from((2, 3, 5, 7, 101, 997)), seed=st.integers(0, 2 ** 32),
-       share=st.sampled_from((0.0, 0.3, 1.0)), size=st.integers(1, 997))
-def test_packed_zero_marks_match_remainders(p, seed, share, size):
+       share=st.sampled_from((0.0, 0.3, 1.0)), size=st.integers(1, 997),
+       forced=st.sampled_from((None,) + FORCED_MARKS))
+def test_packed_zero_marks_match_remainders(p, seed, share, size, forced):
     # Slots below p^3, a share of them forced to multiples of p, and the
-    # extremes p^3 - 1 and p^3 - p.
+    # extremes p^3 - 1 and p^3 - p; then, if ``forced``, no multiple of p,
+    # exactly one among the first ``size`` slots, or one in slot p - 1.
+    # The marks are read through ``line_zeros`` on one column whose row B_0
+    # is these slots: lines 0..p read every slot, the corner line slot 0.
     rng = random.Random(seed)
     slots = [p * rng.randrange(p * p) if rng.random() < share else rng.randrange(p ** 3)
              for _ in range(p)]
     slots[rng.randrange(p)] = p ** 3 - 1
     slots[rng.randrange(p)] = p ** 3 - p
     size = min(size, p)
+    if forced:
+        slots = [x if x % p else x + 1 for x in slots]
+    if forced == "one mark":
+        slots[rng.randrange(size)] = p * rng.randrange(p * p)
+    if forced == "last slot":
+        size, slots[p - 1] = p, p * rng.randrange(p * p)
     rows = qform.PackedLines(p)
     packed = qform.pack_slots(slots)
-    zeros = rows._marks(packed * rows.multiplier) & (1 << qform.SLOT_BITS * size) - 1
-    assert zeros.bit_count() == [x % p for x in slots[:size]].count(0)
-    assert list(qform._zero_indices(zeros)) == [t for t, x in enumerate(slots[:size])
-                                                if not x % p]
+    rows[0] = packed
+    *lines, corner = rows.line_zeros([[1] * (p + 2)])
+    assert lines == lines[:1] * (p + 1)
+    zeros = lines[0] & (1 << qform.SLOT_BITS * size) - 1
+    expected = [t for t, x in enumerate(slots[:size]) if not x % p]
+    assert zeros.bit_count() == len(expected)
+    assert qform._zero_indices(zeros) == expected
+    assert qform._zero_indices(corner) == ([] if slots[0] % p else [0])
+    assert len(expected) == {"no mark": 0, "one mark": 1}.get(forced, len(expected))
+    assert forced != "last slot" or expected[-1] == p - 1
     assert rows.reduce(packed) == qform.pack_slots([x % p for x in slots])
 
 
@@ -377,6 +404,22 @@ def test_discriminant_zero_on_every_point_reads_whole_lines(monkeypatch):
     monkeypatch.setattr(qform, "_zero_indices", one_zero_at_a_time)
     assert qform.fiber_census(q) == expected
     assert expected.discriminant_zeros == 101 * 101 + 101 + 1
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_a_batch_of_one_zero_is_ranked(p):
+    # -1 is no square mod 3 or 7, so n = u^2 + v^2 vanishes only at
+    # (0 : 0 : 1), and n^2 + w^4 nowhere.  The forms below, with
+    # discriminants n^3 and -n (n^2 + w^4), have that one zero, a batch of
+    # one: the first of rank 0, the second of rank 2.
+    ring = PolyRing(PrimeField(p))
+    u, v, w = uvw(ring)
+    n, z = u * u + v * v, ring.zero
+    for entries, rank in (([[n, z, z], [z, n, z], [z, z, n]], 0),
+                          ([[n, z, z], [z, n, w * w], [z, w * w, -n]], 2)):
+        q = new_qform((0, 0, 0), 2, entries)
+        assert list(qform.zero_ranks(q)) == [([0], [0], [rank])]
+        assert qform.fiber_census(q) == point_census(q)
 
 
 def test_the_zero_batch_stays_linear_in_p():
